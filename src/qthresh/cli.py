@@ -188,15 +188,17 @@ def cmd_width(args, parser) -> int:
     rep = line_width(f, base, args.a, args.eps, evaluator, t_tol=args.t_tol, grid_points=args.grid)
     rows = [[f.q, f.n, args.a, rep.eps, args.evaluator, rep.method, rep.t_lo, rep.t_hi,
              rep.width, rep.grid_points, rep.t_tol, rep.lo_absent, rep.hi_absent]]
-    _write_csv(args.out, ["q", "n", "a", "eps", "evaluator", "method", "t_lo", "t_hi",
-                          "width", "grid_points", "t_tol", "lo_absent", "hi_absent"], rows)
+    # Every row is computed before any file is written, so a failing
+    # diagnostic leaves no width CSV behind.
+    diag_rows = []
     if args.diagnostics:
-        t_grid = np.linspace(0.0, 0.95, args.diag_grid)
-        diag_rows = []
-        for t in t_grid:
+        for t in np.linspace(0.0, 0.95, args.diag_grid):
             d = derivative_lower_bound_ratio(f, base, float(t))
             diag_rows.append([d.n, d.t, d.alpha, d.derivative, d.denominator,
                               d.ratio if d.ratio is not None else "na"])
+    _write_csv(args.out, ["q", "n", "a", "eps", "evaluator", "method", "t_lo", "t_hi",
+                          "width", "grid_points", "t_tol", "lo_absent", "hi_absent"], rows)
+    if args.diagnostics:
         _write_csv(args.diagnostics,
                    ["n", "t", "alpha", "derivative", "lower_bound_denominator", "ratio"], diag_rows)
     return 0

@@ -8,7 +8,6 @@ are deliberately independent so they can cross-check each other.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,10 @@ from .functions import (
     KIND_FULL,
     KIND_INDICATOR,
     FunctionSpec,
+    TribesVariant,
     check_cap,
     evaluate_batch,
     materialize_table,
-    tribe_size_counts,
 )
 from .measures import SimplexMeasure
 
@@ -81,21 +80,37 @@ def exact_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, cap: int = DE
     return Estimate(value=min(1.0, max(0.0, p)), std_error=0.0, method=METHOD_EXACT, samples=f.size)
 
 
-def tribes_prob_zero(tribe_sizes, p0: float) -> float:
-    """Pr[some block is all zero] = 1 - prod over blocks of (1 - p0^size).
+def tribes_prob_zero(fam: TribesVariant, p0: float | np.ndarray) -> float | np.ndarray:
+    """Pr[some block is all zero] = 1 - (1 - p0^r)^(m-1) (1 - p0^last).
 
     Valid for any product measure whose zero-symbol mass is p0; the event
-    depends on the coordinates only through their zero pattern.
+    depends on the coordinates only through their zero pattern.  ``p0`` is a
+    scalar (the result is a float) or a 1-D array (the result is an array).
     """
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must lie in [0, 1], got {p0!r}")
-    sizes = tuple(int(s) for s in tribe_sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("tribe sizes must be positive")
-    alive = 1.0
-    for size, count in sorted(Counter(sizes).items()):
-        alive *= (1.0 - p0**size) ** count
-    return 1.0 - alive
+    p = np.asarray(p0, dtype=float)
+    if p.ndim > 1:
+        raise ValueError(f"p0 must be a scalar or a 1-D array, got shape {p.shape}")
+    pz = 1.0 - _tribes_alive(fam, np.atleast_1d(p))
+    return float(pz[0]) if p.ndim == 0 else pz
+
+
+def _tribes_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
+    """Pr[no block is all zero] for each entry of a 1-D array of zero masses.
+
+    Factors go by ascending block size, equal sizes share one power, so the
+    rounding is fixed by (r, m, last) alone.  The indicator's output 0 reads
+    this product directly: 1 - (1 - alive) would lose the digits of a small
+    product.
+    """
+    ok = (p0 >= 0.0) & (p0 <= 1.0)
+    if not ok.all():
+        raise ValueError(f"p0 must lie in [0, 1], got {float(p0[~ok][0])!r}")
+    if fam.last == fam.r:
+        sizes, mult = [fam.r], [fam.m]
+    else:
+        sizes, mult = [fam.r, fam.last], [fam.m - 1, 1]
+    sizes, mult = np.array(sizes, dtype=float), np.array(mult, dtype=float)
+    return np.prod((1.0 - p0[:, None] ** sizes[None, :]) ** mult[None, :], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +135,6 @@ class QuantileMap:
         if np.isscalar(u) or arr.ndim == 0:
             return int(idx)
         return idx.astype(np.int32)
-
-    def interval(self, i: int) -> tuple[float, float]:
-        """Half-open ownership interval of symbol i (degenerate iff atom 0)."""
-        lo = 0.0 if i == 0 else float(self.boundaries[i - 1])
-        return lo, float(self.boundaries[i])
-
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.boundaries, prepend=0.0)
 
 
 def quantile_encode(mu: SimplexMeasure) -> QuantileMap:
@@ -221,13 +228,9 @@ class ClosedFormEvaluator:
             if a not in (0, 1):
                 raise ValueError("indicator outputs are 0 and 1")
             want_zero_event = a == 1
-        counts = tribe_size_counts(f.family)
-        sizes = np.array(sorted(counts), dtype=float)
-        mult = np.array([counts[int(s)] for s in sizes], dtype=float)
-        p0 = measures[:, 0]
-        alive = np.prod((1.0 - p0[:, None] ** sizes[None, :]) ** mult[None, :], axis=1)
-        pz = 1.0 - alive
-        return pz if want_zero_event else alive
+        if want_zero_event:
+            return tribes_prob_zero(f.family, measures[:, 0])
+        return _tribes_alive(f.family, measures[:, 0])
 
 
 class MonteCarloEvaluator:
@@ -250,6 +253,6 @@ class MonteCarloEvaluator:
     def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int | None = None) -> float:
         stream = np.random.SeedSequence((self.seed, self.calls))
         self.calls += 1
-        est = mc_probability(f, mu, a, samples or self.samples, seed=stream)
+        est = mc_probability(f, mu, a, self.samples if samples is None else samples, seed=stream)
         self.last_estimate = est
         return est.value

@@ -9,7 +9,6 @@ usable at n far beyond enumeration range.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,13 @@ class CapExceededError(ValueError):
 
 
 def check_cap(q: int, n: int, cap: int = DEFAULT_CAP) -> int:
-    """Return q**n if it fits under ``cap``, else raise."""
+    """Return q**n if it fits under ``cap``, else raise.
+
+    From ``n >= cap.bit_length()`` on, even 2**n exceeds the cap, so q**n is
+    never built there: at large n it has too many digits to format.
+    """
+    if q >= 2 and n >= cap.bit_length():
+        raise CapExceededError(f"q^n = {q}^{n} exceeds the enumeration cap {cap}")
     size = q**n
     if size > cap:
         raise CapExceededError(f"q^n = {q}^{n} = {size} exceeds the enumeration cap {cap}")
@@ -56,31 +61,32 @@ def index_point(idx: int, q: int, n: int) -> tuple[int, ...]:
 class TribesVariant:
     """Parameters of a tribes-style function on [q]^n.
 
-    Coordinates are split into contiguous blocks (``tribe_sizes``); the
-    function reports symbol 0 when some block is entirely zero, and otherwise
-    the first nonzero coordinate value.  ``p0`` records the design point used
-    to size the blocks; ``r_clamped`` records that the block-size formula
-    left [1, n] and was clamped.
+    Coordinates are split into ``m`` contiguous blocks: ``m - 1`` blocks of
+    size ``r`` starting at ``r * j``, then one block of size ``last`` with
+    ``r <= last < 2r`` that takes the remainder.  The function reports
+    symbol 0 when some block is entirely zero, and otherwise the first
+    nonzero coordinate value.  ``p0`` records the design point used to size
+    the blocks; ``r_clamped`` records that the block-size formula left
+    [1, n] and was clamped.
     """
 
     r: int
+    m: int
+    last: int
     p0: float
-    tribe_sizes: tuple[int, ...]
     r_clamped: bool = False
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.tribe_sizes)
-        object.__setattr__(self, "tribe_sizes", sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("tribe sizes must be positive")
+        if self.r < 1 or self.m < 1:
+            raise ValueError(f"need r >= 1 and m >= 1 blocks, got r={self.r} m={self.m}")
+        if not self.r <= self.last < 2 * self.r:
+            raise ValueError(f"last block size {self.last} must lie in [r, 2r) for r={self.r}")
         if not 0.0 < float(self.p0) < 1.0:
             raise ValueError(f"p0 must lie strictly inside (0, 1), got {self.p0!r}")
-        if not 1 <= self.r <= sum(sizes):
-            raise ValueError(f"nominal tribe size r={self.r} out of range")
 
     @property
     def n(self) -> int:
-        return sum(self.tribe_sizes)
+        return (self.m - 1) * self.r + self.last
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,11 +156,10 @@ def constant_function(q: int, n: int, value: int, kind: str = KIND_FULL) -> Func
 
 
 def _tribes_point(fam: TribesVariant, x) -> int:
-    pos = 0
-    for size in fam.tribe_sizes:
-        if all(v == 0 for v in x[pos : pos + size]):
+    for j in range(fam.m):
+        stop = fam.n if j == fam.m - 1 else (j + 1) * fam.r
+        if all(v == 0 for v in x[j * fam.r : stop]):
             return 0
-        pos += size
     for v in x:
         if v != 0:
             return int(v)
@@ -185,8 +190,7 @@ def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
         idx = X.astype(np.int64) @ strides
         return f.table[idx].astype(np.int32)
     fam = f.family
-    sizes = np.asarray(fam.tribe_sizes, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    starts = fam.r * np.arange(fam.m, dtype=np.int64)
     zero = X == 0
     tribe_dead = np.logical_and.reduceat(zero, starts, axis=1).any(axis=1)
     first_nz = np.argmax(~zero, axis=1)
@@ -362,11 +366,11 @@ def tribes_block_size(n: int, p0: float) -> int:
 def build_tribes(q: int, n: int, p0: float, r: int | None = None) -> FunctionSpec:
     """Tribes-style function on [q]^n.
 
-    Coordinates split into floor(n/r) contiguous blocks of size r, with the
-    remainder folded into the last block.  The output is 0 when some block is
-    all zero and otherwise the first nonzero coordinate value.  When ``r`` is
-    not given it comes from :func:`tribes_block_size` at the design point
-    ``p0``, clamped into [1, n].
+    Coordinates split into m = floor(n/r) contiguous blocks: m - 1 of size r,
+    and a last one of size n - (m-1) r that takes the remainder.  The output
+    is 0 when some block is all zero and otherwise the first nonzero
+    coordinate value.  When ``r`` is not given it comes from
+    :func:`tribes_block_size` at the design point ``p0``, clamped into [1, n].
 
     Parameters
     ----------
@@ -390,11 +394,7 @@ def build_tribes(q: int, n: int, p0: float, r: int | None = None) -> FunctionSpe
         if not 1 <= r <= n:
             raise ValueError(f"explicit r={r} must lie in 1..{n}")
     m = n // r
-    if m <= 1:
-        sizes: tuple[int, ...] = (n,)
-    else:
-        sizes = (r,) * (m - 1) + (r + (n - m * r),)
-    fam = TribesVariant(r=r, p0=float(p0), tribe_sizes=sizes, r_clamped=clamped)
+    fam = TribesVariant(r=r, m=m, last=n - (m - 1) * r, p0=float(p0), r_clamped=clamped)
     return FunctionSpec(q=q, n=n, kind=KIND_FULL, family=fam)
 
 
@@ -555,8 +555,3 @@ def write_function_file(f: FunctionSpec, path) -> None:
         out.extend(str(int(v)) for v in f.table)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
-
-
-def tribe_size_counts(fam: TribesVariant) -> dict[int, int]:
-    """Histogram of block sizes (the closed-form product groups by size)."""
-    return dict(Counter(fam.tribe_sizes))

@@ -166,36 +166,3 @@ def sample_uniform_batch(q: int, count: int, rng) -> np.ndarray:
     gen = np.random.default_rng(rng)
     g = gen.exponential(size=(count, q))
     return g / g.sum(axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class LineParametrization:
-    """Position t along the segment from a zero-face base toward delta_0."""
-
-    base: SimplexMeasure
-    t: float
-
-    def __post_init__(self) -> None:
-        require_zero_face(self.base)
-        _check_unit("t", self.t)
-
-    def measure(self) -> SimplexMeasure:
-        return mix_t(self.base, self.t)
-
-
-@dataclass(frozen=True)
-class CrossSectionParametrization:
-    """Position (s, t) on the two-parameter sheet spanned by delta_0, delta_i, base."""
-
-    base: SimplexMeasure
-    i: int
-    s: float
-    t: float
-
-    def __post_init__(self) -> None:
-        # mix_st re-runs the checks; doing them here makes bad parameters
-        # fail at construction time instead of first use.
-        mix_st(self.base, self.i, self.s, self.t)
-
-    def measure(self) -> SimplexMeasure:
-        return mix_st(self.base, self.i, self.s, self.t)

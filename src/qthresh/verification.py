@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .evaluate import exact_probability, tribes_prob_zero
+from .evaluate import ClosedFormEvaluator, exact_probability, tribes_prob_zero
 from .functions import (
     FunctionSpec,
     build_tribes,
@@ -26,6 +26,7 @@ from .functions import (
     is_a_monotone,
     leq_a,
     materialize_table,
+    point_index,
     random_zero_monotone,
 )
 from .influence import (
@@ -182,7 +183,7 @@ def suite_order(leq: Callable = leq_a, *, q: int = 3, max_n: int = 3) -> SuiteRe
         for a in range(f.q):
             oracle = True
             for x, y in itertools.product(points, repeat=2):
-                if leq(x, y, a) and tbl[_pidx(x, f.q)] > tbl[_pidx(y, f.q)]:
+                if leq(x, y, a) and tbl[point_index(x, f.q)] > tbl[point_index(y, f.q)]:
                     oracle = False
                     break
             fast = is_a_monotone(f, a)
@@ -192,13 +193,6 @@ def suite_order(leq: Callable = leq_a, *, q: int = 3, max_n: int = 3) -> SuiteRe
                 f"on a {f.q}^{f.n} table at a={a}",
             )
     return rec.result("order", started)
-
-
-def _pidx(x, q: int) -> int:
-    idx = 0
-    for v in x:
-        idx = idx * q + v
-    return idx
 
 
 def corrupted_leq(x, y, a: int) -> bool:
@@ -314,7 +308,11 @@ def suite_hent(slack: float = 1e-12, grid_points: int = 10**6 + 1) -> SuiteResul
 
 
 def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
-    """Tribes closed form against exact enumeration at accessible sizes."""
+    """Tribes closed form against exact enumeration at accessible sizes.
+
+    Checks level 0 of the full function and output 0 of its indicator view,
+    the two products the closed-form evaluator returns.
+    """
     started = time.perf_counter()
     rec = _Recorder()
     rng = np.random.default_rng(seed)
@@ -330,14 +328,19 @@ def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
         for _ in range(10):
             w = rng.exponential(size=f.q)
             mus.append(SimplexMeasure.normalized(w))
+        fam = f.family
+        zero_view = indicator(f, 0)
         for mu in mus:
-            closed = tribes_prob_zero(f.family.tribe_sizes, mu[0])
             exact = exact_probability(f, mu, 0).value
-            rec.record(
-                abs(closed - exact) <= tol,
-                f"closed form {closed!r} vs enumeration {exact!r} at q={f.q} n={f.n} "
-                f"sizes={f.family.tribe_sizes}",
-            )
+            for label, closed, want in (
+                ("Pr[f = 0]", tribes_prob_zero(fam, mu[0]), exact),
+                ("Pr[f != 0]", ClosedFormEvaluator()(zero_view, mu, 0), 1.0 - exact),
+            ):
+                rec.record(
+                    abs(closed - want) <= tol,
+                    f"{label}: closed form {closed!r} vs enumeration {want!r} at q={f.q} "
+                    f"(r, m, last)=({fam.r}, {fam.m}, {fam.last})",
+                )
     return rec.result("closed", started)
 
 

@@ -187,7 +187,7 @@ def test_criterion_06_tribes_closed_form():
         f = build_tribes(3, n, 0.5, r=2)
         for mu_row in sample_uniform_batch(3, 10, 200 + n):
             mu = SimplexMeasure(tuple(mu_row))
-            closed = tribes_prob_zero(f.family.tribe_sizes, mu[0])
+            closed = tribes_prob_zero(f.family, mu[0])
             exact = exact_probability(f, mu, 0).value
             worst = max(worst, abs(closed - exact))
     ok = worst <= 1e-12

@@ -34,6 +34,17 @@ def test_eval_exact_frozen_row(capsys):
     assert lines[1] == '3,4,"0.5,0.25,0.25",0,exact-enumeration,0.4375,0,81'
 
 
+def test_eval_exact_past_cap_exits_1(capsys):
+    code, out, err = run(
+        ["eval", "--family", "tribes", "--q", "3", "--n", "65536", "--p0", "0.5",
+         "--mu", "0.5,0.25,0.25", "--a", "0", "--evaluator", "exact"],
+        capsys,
+    )
+    assert code == 1
+    assert "enumeration cap" in err
+    assert out == ""
+
+
 def test_eval_multiple_measures(capsys):
     code, out, _ = run(
         ["eval", "--family", "tribes", "--q", "3", "--n", "4", "--p0", "0.5", "--r", "2",
@@ -193,6 +204,20 @@ def test_width_diagnostics_file(tmp_path, capsys):
     assert rows[0] == ["n", "t", "alpha", "derivative", "lower_bound_denominator", "ratio"]
     assert len(rows) == 6
     assert float(rows[1][2]) == 0.5  # alpha of the central base
+
+
+def test_width_failing_diagnostics_leave_no_file(tmp_path, capsys):
+    # width succeeds through the closed form; the diagnostics need the table
+    diag, out = tmp_path / "d.csv", tmp_path / "w.csv"
+    code, _, err = run(
+        ["width", "--family", "tribes", "--q", "3", "--n", "65536", "--p0", "0.5",
+         "--a", "0", "--eps", "0.1", "--evaluator", "closed",
+         "--diagnostics", str(diag), "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert "enumeration cap" in err
+    assert not diag.exists() and not out.exists()
 
 
 def test_width_custom_base_measure(capsys):

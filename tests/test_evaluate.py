@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qthresh.evaluate import (
     METHOD_CLOSED,
@@ -19,6 +21,7 @@ from qthresh.evaluate import (
     variance_of_indicator,
 )
 from qthresh.functions import (
+    TribesVariant,
     build_tribes,
     constant_function,
     evaluate_point,
@@ -91,36 +94,59 @@ def test_exact_probability_rejects_bad_inputs():
 # Closed form for the zero level
 
 
-def test_tribes_prob_zero_matches_exact():
-    cases = [
-        (build_tribes(3, 4, 0.5, r=2), HALF_QUARTER),
-        (build_tribes(3, 6, 0.5, r=2), SimplexMeasure((0.3, 0.3, 0.4))),
-        (build_tribes(3, 7, 0.4, r=2), SimplexMeasure((0.25, 0.5, 0.25))),  # uneven blocks
-        (build_tribes(4, 5, 0.3, r=2), SimplexMeasure((0.1, 0.2, 0.3, 0.4))),
-    ]
-    for f, mu in cases:
-        closed = tribes_prob_zero(f.family.tribe_sizes, mu[0])
-        exact = exact_probability(f, mu, 0).value
-        assert abs(closed - exact) <= 1e-12
+@st.composite
+def tribes_and_measures(draw):
+    q = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(min_value=1, max_value=7))
+    r = draw(st.integers(min_value=1, max_value=n))
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=q, max_size=q))
+    assume(math.fsum(weights) > 0.0)
+    return build_tribes(q, n, 0.5, r=r), SimplexMeasure.normalized(weights)
+
+
+@given(tribes_and_measures())
+@settings(max_examples=120, deadline=None)
+def test_tribes_prob_zero_matches_exact(case):
+    # r in 1..n covers uneven last blocks (r <= last < 2r) and m = 1.
+    f, mu = case
+    closed = tribes_prob_zero(f.family, mu[0])
+    assert abs(closed - exact_probability(f, mu, 0).value) <= 1e-12
+    g = indicator(f, 0)
+    ev = ClosedFormEvaluator()
+    for out in (0, 1):
+        assert abs(ev(g, mu, out) - exact_probability(g, mu, out).value) <= 1e-12
 
 
 def test_tribes_prob_zero_edges():
-    assert tribes_prob_zero((2, 2), 0.0) == 0.0
-    assert tribes_prob_zero((2, 2), 1.0) == 1.0
+    fam = build_tribes(3, 4, 0.5, r=2).family
+    assert tribes_prob_zero(fam, 0.0) == 0.0
+    assert tribes_prob_zero(fam, 1.0) == 1.0
     # one block of size 1: f = 0 iff that coordinate is 0 when n = r = 1
-    assert tribes_prob_zero((1,), 0.25) == pytest.approx(0.25, abs=1e-15)
+    single = build_tribes(3, 1, 0.5, r=1).family
+    assert tribes_prob_zero(single, 0.25) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_tribes_prob_zero_formula_value():
     # 1 - (1 - p0^2)^2 at p0 = 1/2 is 1 - (3/4)^2 = 7/16
-    assert tribes_prob_zero((2, 2), 0.5) == pytest.approx(0.4375, abs=1e-15)
+    fam = build_tribes(3, 4, 0.5, r=2).family
+    assert tribes_prob_zero(fam, 0.5) == pytest.approx(0.4375, abs=1e-15)
+    # a 1-D p0 gives one value per entry, equal to the scalar calls
+    p0 = np.array([0.0, 0.5, 0.9, 1.0])
+    assert list(tribes_prob_zero(fam, p0)) == [tribes_prob_zero(fam, float(p)) for p in p0]
 
 
 def test_tribes_prob_zero_rejects():
+    fam = build_tribes(3, 4, 0.5, r=2).family
     with pytest.raises(ValueError):
-        tribes_prob_zero((2, 2), 1.5)
+        tribes_prob_zero(fam, 1.5)
     with pytest.raises(ValueError):
-        tribes_prob_zero((), 0.5)
+        tribes_prob_zero(fam, np.array([0.5, -0.1]))
+    with pytest.raises(ValueError):
+        tribes_prob_zero(fam, np.full((2, 2), 0.5))
+    with pytest.raises(ValueError):
+        TribesVariant(r=2, m=0, last=2, p0=0.5)  # no blocks
+    with pytest.raises(ValueError):
+        TribesVariant(r=2, m=2, last=4, p0=0.5)  # last block outside [r, 2r)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +161,6 @@ def test_quantile_map_intervals():
     assert gmap(0.7) == 1
     assert gmap(0.75) == 2
     assert gmap(1.0) == 2  # top endpoint folds into the last symbol
-
-
-def test_quantile_map_interval_lengths_exact():
-    gmap = quantile_encode(HALF_QUARTER)
-    assert gmap.interval(0) == (0.0, 0.5)
-    assert gmap.interval(2)[1] == 1.0
-    assert gmap.lengths() == pytest.approx([0.5, 0.25, 0.25], abs=0)
 
 
 def test_quantile_map_pushforward_is_exact():
@@ -320,5 +339,7 @@ def test_monte_carlo_evaluator_samples_override():
     ev = MonteCarloEvaluator(samples=1000, seed=3)
     ev(f, HALF_QUARTER, 0, samples=2500)
     assert ev.last_estimate.samples == 2500
+    with pytest.raises(ValueError):
+        ev(f, HALF_QUARTER, 0, samples=0)  # not the default in disguise
     with pytest.raises(ValueError):
         MonteCarloEvaluator(samples=0, seed=3)

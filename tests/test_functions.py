@@ -13,6 +13,7 @@ from qthresh.functions import (
     adjacent_transpositions,
     apply_permutation,
     build_tribes,
+    check_cap,
     constant_function,
     evaluate_batch,
     evaluate_point,
@@ -219,13 +220,13 @@ def test_tribes_block_size_frozen_values():
 
 
 def test_build_tribes_partition():
-    f = build_tribes(3, 4, 0.5, r=2)
-    assert f.family.tribe_sizes == (2, 2)
-    f = build_tribes(3, 7, 0.5, r=2)  # remainder folds into the last block
-    assert f.family.tribe_sizes == (2, 2, 3)
-    assert sum(f.family.tribe_sizes) == 7
-    f = build_tribes(3, 4, 0.5, r=3)  # m=1: single block takes everything
-    assert f.family.tribe_sizes == (4,)
+    fam = build_tribes(3, 4, 0.5, r=2).family
+    assert (fam.r, fam.m, fam.last) == (2, 2, 2)
+    fam = build_tribes(3, 7, 0.5, r=2).family  # remainder folds into the last block
+    assert (fam.r, fam.m, fam.last) == (2, 3, 3)
+    assert fam.n == 7
+    fam = build_tribes(3, 4, 0.5, r=3).family  # m=1: single block takes everything
+    assert (fam.r, fam.m, fam.last) == (3, 1, 4)
 
 
 def test_build_tribes_formula_clamps():
@@ -280,6 +281,11 @@ def test_enumeration_cap_enforced():
     f = build_tribes(3, 64, 0.5, r=4)
     with pytest.raises(CapExceededError):
         materialize_table(f, cap=2**20)
+    assert check_cap(2, 24) == 2**24  # exactly at the cap
+    with pytest.raises(CapExceededError):
+        check_cap(2, 25)
+    with pytest.raises(CapExceededError):
+        check_cap(3, 65536)  # q**n has far more digits than Python formats
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthresh.measures import (
-    CrossSectionParametrization,
-    LineParametrization,
     SimplexMeasure,
     central_measure,
     classify_region,
@@ -157,22 +155,6 @@ def test_sample_uniform_first_atom_beta_marginal():
     M = sample_uniform_batch(3, 200_000, rng=np.random.default_rng(3))
     frac = float((M[:, 0] <= 0.5).mean())
     assert abs(frac - 0.75) < 0.004
-
-
-def test_line_parametrization_realizes():
-    base = SimplexMeasure((0.0, 0.25, 0.75))
-    line = LineParametrization(base, 0.4)
-    assert line.measure().atoms == mix_t(base, 0.4).atoms
-    with pytest.raises(ValueError):
-        LineParametrization(SimplexMeasure((0.5, 0.25, 0.25)), 0.4)
-
-
-def test_cross_section_parametrization_realizes():
-    base = SimplexMeasure((0.0, 0.0, 1.0))
-    sheet = CrossSectionParametrization(base, 1, 0.5, 0.5)
-    assert sheet.measure().atoms == mix_st(base, 1, 0.5, 0.5).atoms
-    with pytest.raises(ValueError):
-        CrossSectionParametrization(base, 2, 0.5, 0.5)  # base has mass at 2
 
 
 @st.composite
