@@ -2,12 +2,15 @@
 
 Every command is deterministic given its flags (and seed); outputs are CSV
 with floats at 17 significant digits so reruns are byte-identical.  Exit
-codes: 0 success, 1 failed checks or operational limits, 2 malformed input.
+codes: 0 success, 1 failed checks, operational limits or an unwritable
+output, 2 malformed input.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import os
 import sys
 from pathlib import Path
@@ -43,6 +46,9 @@ from .verification import SUITE_BUILDERS, run_suites
 
 SEED_ENV_VAR = "QTL_SEED"
 
+# What a command writes: (path, text) pairs, where None or "-" is stdout.
+Outputs = list[tuple[str | None, str]]
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -54,18 +60,46 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: str | None, header: list[str], rows: list[list]) -> None:
-    def emit(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _csv(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
 
-    if out is None or out == "-":
-        emit(sys.stdout)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+
+def _write_outputs(outputs: Outputs) -> None:
+    """Write every output of one command.
+
+    Each file is written to a temporary file beside it, and the temporary
+    files replace their targets only once all of them are written, so a
+    command that fails leaves no output file behind.
+    """
+    written: list[tuple[str, str]] = []
+    try:
+        for path, text in outputs:
+            if path in (None, "-"):
+                continue
+            head, name = os.path.split(path)
+            tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            try:
+                fh = open(tmp, "x", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            written.append((tmp, path))
+            with fh:
+                fh.write(text)
+        for tmp, path in written:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+    for path, text in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _resolve_seed(args) -> int:
@@ -141,7 +175,7 @@ def _parse_measures(args, parser: argparse.ArgumentParser, q: int) -> list[Simpl
 # Commands
 
 
-def cmd_eval(args, parser) -> int:
+def cmd_eval(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
     mus = _parse_measures(args, parser, f.q)
     seed = _resolve_seed(args)
@@ -156,11 +190,10 @@ def cmd_eval(args, parser) -> int:
             stream = np.random.SeedSequence((seed, idx))
             est = mc_probability(f, mu, args.a, args.samples, seed=stream)
         rows.append([f.q, f.n, mu.serialize(), args.a, est.method, est.value, est.std_error, est.samples])
-    _write_csv(args.out, ["q", "n", "mu", "a", "method", "value", "std_error", "samples"], rows)
-    return 0
+    return 0, [(args.out, _csv(["q", "n", "mu", "a", "method", "value", "std_error", "samples"], rows))]
 
 
-def cmd_influence(args, parser) -> int:
+def cmd_influence(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
     mus = _parse_measures(args, parser, f.q)
     mu = mus[0]
@@ -170,15 +203,13 @@ def cmd_influence(args, parser) -> int:
         diag = keller_diagnostic(f, mu)
         rows = [[f.q, f.n, diag.argmax_k, diag.max_value, diag.variance, diag.denominator,
                  diag.ratio if diag.ratio is not None else "na"]]
-        _write_csv(args.out, ["q", "n", "max_k", "max_value", "variance", "denominator", "ratio"], rows)
-        return 0
+        return 0, [(args.out, _csv(["q", "n", "max_k", "max_value", "variance", "denominator", "ratio"], rows))]
     prof = influence_profile(f, mu, args.kind)
     rows = [[k, args.kind, v] for k, v in enumerate(prof.values)]
-    _write_csv(args.out, ["k", "kind", "value"], rows)
-    return 0
+    return 0, [(args.out, _csv(["k", "kind", "value"], rows))]
 
 
-def cmd_width(args, parser) -> int:
+def cmd_width(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
     seed = _resolve_seed(args)
     base = SimplexMeasure.parse(args.mu) if args.mu else central_measure(f.q)
@@ -188,62 +219,54 @@ def cmd_width(args, parser) -> int:
     rep = line_width(f, base, args.a, args.eps, evaluator, t_tol=args.t_tol, grid_points=args.grid)
     rows = [[f.q, f.n, args.a, rep.eps, args.evaluator, rep.method, rep.t_lo, rep.t_hi,
              rep.width, rep.grid_points, rep.t_tol, rep.lo_absent, rep.hi_absent]]
-    # Every row is computed before any file is written, so a failing
-    # diagnostic leaves no width CSV behind.
-    diag_rows = []
+    outputs = [(args.out, _csv(["q", "n", "a", "eps", "evaluator", "method", "t_lo", "t_hi",
+                                "width", "grid_points", "t_tol", "lo_absent", "hi_absent"], rows))]
     if args.diagnostics:
+        diag_rows = []
         for t in np.linspace(0.0, 0.95, args.diag_grid):
             d = derivative_lower_bound_ratio(f, base, float(t))
             diag_rows.append([d.n, d.t, d.alpha, d.derivative, d.denominator,
                               d.ratio if d.ratio is not None else "na"])
-    _write_csv(args.out, ["q", "n", "a", "eps", "evaluator", "method", "t_lo", "t_hi",
-                          "width", "grid_points", "t_tol", "lo_absent", "hi_absent"], rows)
-    if args.diagnostics:
-        _write_csv(args.diagnostics,
-                   ["n", "t", "alpha", "derivative", "lower_bound_denominator", "ratio"], diag_rows)
-    return 0
+        outputs.append((args.diagnostics, _csv(["n", "t", "alpha", "derivative",
+                                                "lower_bound_denominator", "ratio"], diag_rows)))
+    return 0, outputs
 
 
-def cmd_region(args, parser) -> int:
+def cmd_region(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
     seed = _resolve_seed(args)
     evaluator = _build_evaluator(args, seed + 1)
     est = region_measure(f, args.a, args.eps, args.samples, seed, evaluator)
     rows = [[f.q, f.n, args.a, args.eps, est.samples, est.fraction, est.std_error, est.seed]]
-    _write_csv(args.out, ["q", "n", "a", "eps", "samples", "fraction", "std_error", "seed"], rows)
-    return 0
+    return 0, [(args.out, _csv(["q", "n", "a", "eps", "samples", "fraction", "std_error", "seed"], rows))]
 
 
-def cmd_sweep(args, parser) -> int:
+def cmd_sweep(args, parser) -> tuple[int, Outputs]:
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"--n-list must be comma-separated integers, got {args.n_list!r}")
     rows = sweep_scaling(args.q, args.p0, n_list, args.eps)
     csv_rows = [[r.n, r.r, r.p_lo, r.p_hi, r.width, r.width_times_ln_n] for r in rows]
-    _write_csv(args.out, ["n", "r", "p_lo", "p_hi", "width", "width_times_ln_n"], csv_rows)
+    outputs = [(args.out, _csv(["n", "r", "p_lo", "p_hi", "width", "width_times_ln_n"], csv_rows))]
     plot_path = args.plot_out
     if plot_path is None and args.out not in (None, "-"):
         plot_path = str(Path(args.out).with_suffix(".plot.dat"))
     if plot_path:
-        with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
-            for r in rows:
-                fh.write(f"{r.n} {format(r.width, '.17g')}\n")
-    return 0
+        outputs.append((plot_path, "".join(f"{r.n} {format(r.width, '.17g')}\n" for r in rows)))
+    return 0, outputs
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args, parser) -> tuple[int, Outputs]:
     names = args.suite if args.suite else None
     results = run_suites(names, inject_fault=args.inject_fault)
-    failed = False
+    lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"suite {res.name}: {status} ({res.checks} checks, {res.seconds:.2f} s)")
-        if not res.passed:
-            failed = True
-            for msg in res.failures:
-                print(f"  - {msg}")
-    return 1 if failed else 0
+        lines.append(f"suite {res.name}: {status} ({res.checks} checks, {res.seconds:.2f} s)\n")
+        lines.extend(f"  - {msg}\n" for msg in res.failures)
+    failed = not all(res.passed for res in results)
+    return (1 if failed else 0), [(None, "".join(lines))]
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +343,26 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        code, outputs = args.func(args, parser)
+        _write_outputs(outputs)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``qthresh verify | head -1``).  Point
+        # stdout at devnull so the flush at exit cannot raise again, and keep
+        # the command's exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return code
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 def console_main() -> None:

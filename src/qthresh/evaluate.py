@@ -1,9 +1,27 @@
 """Output-probability evaluation under product measures.
 
 Three routes to Pr[f(x) = a] when the n coordinates are iid from a simplex
-measure: exact enumeration of [q]^n, a closed-form product for the tribes
+measure: an exact type-class tally, a closed-form product for the tribes
 family, and Monte Carlo via a quantile encoding of the measure.  The routes
 are deliberately independent so they can cross-check each other.
+
+The exact route rests on one fact: under mu^n the weight of a point depends
+only on its type, the vector c of symbol counts, so
+
+    Pr[f = a] = sum_c N_a(c) prod_j mu_j^c_j,
+
+where N_a(c) counts the points of type c that f maps to a.  That is
+C(n+q-1, q-1) terms against q^n points.  :class:`TypeTally` holds N_a(c).
+It is built in one pass over the value table (materialised once for a
+family-backed function) the first time any exact quantity of a
+:class:`~qthresh.functions.FunctionSpec` is asked for, and it stays on that
+spec for as long as the spec lives.  Every later exact probe, batch of probes,
+variance, influence and fibre-sum derivative of the same spec is then a dot
+product over types.  For influences the tally also keeps, per coordinate k
+and built on first use, the counts of (type of the other n-1 coordinates,
+fibre pattern); the pattern is the row of q outputs along coordinate k.  The
+enumeration cap is checked on every call, cache hit or not, so a smaller
+``cap`` still refuses a function whose tally already exists.
 """
 from __future__ import annotations
 
@@ -15,16 +33,17 @@ import numpy as np
 from .functions import (
     DEFAULT_CAP,
     KIND_FULL,
-    KIND_INDICATOR,
     FunctionSpec,
     TribesVariant,
     check_cap,
     evaluate_batch,
     materialize_table,
 )
-from .measures import SimplexMeasure
+from .measures import SimplexMeasure, require_zero_face
 
-_MC_BATCH_CELLS = 4_000_000
+_BATCH_CELLS = 4_000_000  # rough element budget per vectorized chunk
+# Largest fibre key (rest type and pattern digits) that stays inside int64.
+_KEY_LIMIT = 2**62
 
 METHOD_EXACT = "exact-enumeration"
 METHOD_CLOSED = "closed-form"
@@ -57,7 +76,10 @@ class Estimate:
 
 
 def product_weights(mu: SimplexMeasure, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Vector of point probabilities under mu^n in lexicographic order."""
+    """Vector of point probabilities under mu^n in lexicographic order.
+
+    The brute-force enumeration that the tests check the type tally against.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_cap(mu.q, n, cap)
@@ -68,16 +90,179 @@ def product_weights(mu: SimplexMeasure, n: int, cap: int = DEFAULT_CAP) -> np.nd
     return w
 
 
-def exact_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, cap: int = DEFAULT_CAP) -> Estimate:
-    """Pr[f(x) = a] by full enumeration of [q]^n."""
-    if mu.q != f.q:
-        raise ValueError(f"measure has q={mu.q}, function has q={f.q}")
+def _type_steps(q: int, n: int):
+    """Types of n-1 and of n coordinates, with the type id of each point.
+
+    Returns ``(rest_types, rest_ids, types, step)``: ``rest_ids[i]`` is the
+    row of ``rest_types`` holding the type of the i-th point of [q]^(n-1) in
+    lexicographic order, and ``step[t, v]`` is the row of ``types`` reached
+    by appending symbol v to a point of type ``rest_types[t]``.  The ids grow
+    one coordinate at a time, so no (q^n, n) digit matrix is ever built.
+    """
+
+    def grow(types: np.ndarray):
+        grown = (types[:, None, :] + np.eye(q, dtype=np.int64)[None, :, :]).reshape(-1, q)
+        longer, step = np.unique(grown, axis=0, return_inverse=True)
+        return longer, step.reshape(-1, q).astype(np.int32)
+
+    types = np.zeros((1, q), dtype=np.int64)
+    ids = np.zeros(1, dtype=np.int32)
+    for _ in range(n - 1):
+        longer, step = grow(types)
+        types, ids = longer, step[ids].reshape(-1)
+    longer, step = grow(types)
+    return types, ids, longer, step
+
+
+def _type_weights(measures: np.ndarray, types: np.ndarray) -> np.ndarray:
+    """(m, T) matrix of prod_j mu_j^c_j; numpy's 0.0**0 = 1 covers zero atoms."""
+    return np.prod(measures[:, None, :] ** types[None, :, :], axis=2)
+
+
+def _weighted_sums(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # Row by row, so one measure gets the same digits alone or in a batch.
+    return (w * values[None, :]).sum(axis=1)
+
+
+class TypeTally:
+    """Per-type output counts of one function on [q]^n.
+
+    ``types[t]`` is a symbol-count vector (q nonnegative integers summing to
+    n) and ``counts[t, a]`` the number of points of that type where f = a,
+    for a below ``outputs`` (q for [q]-valued functions, 2 for indicators).
+    ``rest_types`` are the types of the other n-1 coordinates, which index
+    the fibre tallies.
+    """
+
+    def __init__(self, f: FunctionSpec, table: np.ndarray):
+        self.q, self.n = f.q, f.n
+        self.outputs = f.q if f.kind == KIND_FULL else 2
+        self.rest_types, self._rest_ids, self.types, step = _type_steps(f.q, f.n)
+        # Row i of the reshaped table is the fibre of the last coordinate
+        # over rest point i: symbol v there extends the rest type by v.
+        rows = table.reshape(-1, f.q)
+        counts = np.zeros((len(self.types), self.outputs), dtype=np.int64)
+        for v in range(f.q):
+            part = np.bincount(self._rest_ids * self.outputs + rows[:, v],
+                               minlength=len(self.rest_types) * self.outputs)
+            counts[step[:, v]] += part.reshape(-1, self.outputs)
+        self.counts = counts
+        self.binary = not counts[:, 2:].any()
+        self._table = table
+        self._fibres: list = [None] * f.n
+
+    def probabilities(self, measures: np.ndarray, a: int) -> np.ndarray:
+        """Pr[f = a] under mu^n for each row mu of an (m, q) matrix.
+
+        An indicator never outputs a >= 2, so those rows read 0.
+        """
+        if a >= self.outputs:
+            return np.zeros(measures.shape[0])
+        column = self.counts[:, a].astype(float)
+        out = np.empty(measures.shape[0])
+        chunk = max(1, _BATCH_CELLS // self.types.size)
+        for lo in range(0, len(out), chunk):
+            out[lo:lo + chunk] = _weighted_sums(_type_weights(measures[lo:lo + chunk], self.types), column)
+        return out
+
+    def fibre_tally(self, k: int):
+        """Distinct (rest type, pattern) pairs of the coordinate-k fibres.
+
+        Returns ``(rest, patterns, count)``, sorted by rest type and then
+        pattern: ``count[i]`` rest points of type ``rest_types[rest[i]]``
+        have the fibre ``patterns[i]``, the q outputs of f with coordinate k
+        set to 0, ..., q-1.  Built on first use.
+        """
+        if self._fibres[k] is None:
+            q, hi = self.q, self.outputs
+            cube = self._table.reshape(q**k, q, -1)
+            columns = [cube[:, v, :].reshape(-1) for v in range(q)]
+            if len(self.rest_types) * hi**q <= _KEY_LIMIT:
+                # One int64 key per rest point: rest type, then the pattern
+                # as q base-hi digits.
+                key = self._rest_ids.astype(np.int64)
+                for col in columns:
+                    key = key * hi + col
+                keys, count = np.unique(key, return_counts=True)
+                rest, code = np.divmod(keys, hi**q)
+                patterns = (code[:, None] // hi ** np.arange(q - 1, -1, -1)) % hi
+            else:
+                # The key would overflow int64 (many symbols): sort whole rows.
+                pairs, count = np.unique(np.column_stack([self._rest_ids, *columns]), axis=0,
+                                         return_counts=True)
+                rest, patterns = pairs[:, 0], pairs[:, 1:]
+            self._fibres[k] = (rest, patterns, count)
+        return self._fibres[k]
+
+    def fibre_expectation(self, k: int, atoms: np.ndarray, g) -> float:
+        """E over the other n-1 coordinates of g(nonconstant, mean) of the k-fibre.
+
+        ``g`` maps the arrays (fibre is nonconstant, fibre mean under
+        ``atoms``) to one value per fibre.
+        """
+        rest, patterns, count = self.fibre_tally(k)
+        nonconstant = patterns.min(axis=1) != patterns.max(axis=1)
+        # A {0,1} fibre's mean is a partial sum of the atoms, which can round
+        # an ulp past 1; h profiles are defined on [0, 1] only.
+        mean = np.minimum(patterns @ atoms, 1.0)
+        per_type = np.bincount(rest, weights=count * g(nonconstant, mean), minlength=len(self.rest_types))
+        return float(_weighted_sums(_type_weights(atoms[None, :], self.rest_types), per_type)[0])
+
+    def line_derivative(self, base: np.ndarray, t: float) -> float:
+        """d/dt Pr[f = 1] under (t delta_0 + (1-t) base)^n, base_0 = 0.
+
+        The weight of type c is t^c0 (1-t)^(n-c0) prod_{j>0} base_j^c_j, a
+        Bernstein polynomial in t, so the derivative is exact:
+        sum_c N_1(c) w_c(t) (c0/t - (n-c0)/(1-t)), written without the
+        divisions so that t = 0 needs no limit.
+        """
+        c0 = self.types[:, 0]
+        rest = self.n - c0
+        scale = _type_weights(base[None, 1:], self.types[:, 1:])[0]
+        dw = (c0 * t ** np.maximum(c0 - 1, 0) * (1.0 - t) ** rest
+              - rest * t**c0 * (1.0 - t) ** np.maximum(rest - 1, 0))
+        return float((self.counts[:, 1] * scale * dw).sum())
+
+
+def type_tally(f: FunctionSpec, cap: int = DEFAULT_CAP) -> TypeTally:
+    """The type tally of ``f``: built on first use, then kept on ``f``.
+
+    The cap is checked on every call, so a smaller ``cap`` still refuses a
+    function whose tally already exists.
+    """
+    check_cap(f.q, f.n, cap)
+    if f._tally is None:
+        object.__setattr__(f, "_tally", TypeTally(f, materialize_table(f, cap)))
+    return f._tally
+
+
+def _check_probe(f: FunctionSpec, q: int, a: int) -> None:
+    if q != f.q:
+        raise ValueError(f"measure has q={q}, function has q={f.q}")
     if not 0 <= a < f.q:
         raise ValueError(f"symbol a={a} out of range for q={f.q}")
-    tbl = materialize_table(f, cap)
-    w = product_weights(mu, f.n, cap)
-    p = float(w[tbl == a].sum())
-    return Estimate(value=min(1.0, max(0.0, p)), std_error=0.0, method=METHOD_EXACT, samples=f.size)
+
+
+def exact_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, cap: int = DEFAULT_CAP) -> Estimate:
+    """Pr[f(x) = a] exactly, as one dot product over the type tally of f."""
+    value = float(ExactEvaluator(cap).batch(f, mu.as_array()[None, :], a)[0])
+    return Estimate(value=value, std_error=0.0, method=METHOD_EXACT, samples=f.size)
+
+
+def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float, cap: int = DEFAULT_CAP) -> float:
+    """d/dt Pr[f = 1] along mix_t(base, t), read off the type tally.
+
+    Along the line the probability is a degree-n polynomial in t, so this
+    derivative is exact and shares no code with the fibre-sum identity or
+    with finite differences.
+    """
+    require_zero_face(base)
+    if base.q != f.q:
+        raise ValueError(f"measure has q={base.q}, function has q={f.q}")
+    t = float(t)
+    if not 0.0 <= t < 1.0:
+        raise ValueError(f"t must lie in [0, 1), got {t!r}")
+    return type_tally(f, cap).line_derivative(base.as_array(), t)
 
 
 def tribes_prob_zero(fam: TribesVariant, p0: float | np.ndarray) -> float | np.ndarray:
@@ -149,15 +334,12 @@ def mc_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int, se
     Deterministic given (f, mu, a, samples, seed): the batch layout is fixed,
     so the stream of uniforms does not depend on anything else.
     """
-    if mu.q != f.q:
-        raise ValueError(f"measure has q={mu.q}, function has q={f.q}")
-    if not 0 <= a < f.q:
-        raise ValueError(f"symbol a={a} out of range for q={f.q}")
+    _check_probe(f, mu.q, a)
     if samples < 1:
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     gmap = quantile_encode(mu)
-    batch = max(1, _MC_BATCH_CELLS // f.n)
+    batch = max(1, _BATCH_CELLS // f.n)
     hits = 0
     done = 0
     while done < samples:
@@ -175,10 +357,8 @@ def mc_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int, se
 
 def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure, cap: int = DEFAULT_CAP) -> float:
     """Var[f] = p(1-p) for a {0,1}-valued f with p = Pr[f = 1]."""
-    if f.kind != KIND_INDICATOR:
-        tbl = materialize_table(f, cap)
-        if tbl.size and tbl.max() > 1:
-            raise ValueError("variance in this sense is defined for {0,1}-valued functions")
+    if not type_tally(f, cap).binary:
+        raise ValueError("variance in this sense is defined for {0,1}-valued functions")
     p = exact_probability(f, mu, 1, cap).value
     return p * (1.0 - p)
 
@@ -188,7 +368,7 @@ def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure, cap: int = DEFAUL
 
 
 class ExactEvaluator:
-    """Enumeration-backed Pr[f = a]; exact but capped at q^n table size."""
+    """Tally-backed Pr[f = a]; exact but capped at q^n table size."""
 
     stochastic = False
 
@@ -196,7 +376,15 @@ class ExactEvaluator:
         self.cap = cap
 
     def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int) -> float:
-        return exact_probability(f, mu, a, cap=self.cap).value
+        return float(self.batch(f, mu.as_array()[None, :], a)[0])
+
+    def batch(self, f: FunctionSpec, measures: np.ndarray, a: int) -> np.ndarray:
+        measures = np.asarray(measures, dtype=float)
+        if measures.ndim != 2:
+            raise ValueError(f"expected an (m, {f.q}) matrix of measures")
+        _check_probe(f, measures.shape[1], a)
+        # A sum of nonnegative terms; rounding can only overshoot 1.
+        return np.minimum(type_tally(f, self.cap).probabilities(measures, a), 1.0)
 
 
 class ClosedFormEvaluator:

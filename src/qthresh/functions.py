@@ -9,7 +9,7 @@ usable at n far beyond enumeration range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +97,9 @@ class FunctionSpec:
     lexicographic order with coordinate 0 most significant.  ``kind`` is
     ``"full"`` for [q]-valued functions and ``"indicator"`` for {0,1}-valued
     ones; an indicator view of a family records the tracked output symbol in
-    ``indicator_of``.
+    ``indicator_of``.  ``_tally`` is where :mod:`qthresh.evaluate` keeps the
+    type-class tally it builds on first exact use; it lives as long as the
+    spec does.
     """
 
     q: int
@@ -106,6 +108,7 @@ class FunctionSpec:
     table: np.ndarray | None = None
     family: TribesVariant | None = None
     indicator_of: int | None = None
+    _tally: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.q < 2:

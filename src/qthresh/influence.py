@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import product_weights, variance_of_indicator
-from .functions import DEFAULT_CAP, KIND_FULL, FunctionSpec, evaluate_point, materialize_table
+from .evaluate import type_tally, variance_of_indicator
+from .functions import DEFAULT_CAP, FunctionSpec, evaluate_point
 from .measures import SimplexMeasure
 
 
@@ -54,41 +54,30 @@ def fibre_view(f: FunctionSpec, x, k: int) -> FibreView:
     return FibreView(x=x, k=k, outputs=tuple(outputs))
 
 
-def _fibre_rows(f: FunctionSpec, k: int, cap: int) -> np.ndarray:
-    """(q^(n-1), q) matrix: one row per rest-point, one column per symbol."""
-    if not 0 <= k < f.n:
-        raise ValueError(f"coordinate k={k} out of range for n={f.n}")
-    tbl = materialize_table(f, cap).reshape((f.q,) * f.n)
-    return np.moveaxis(tbl, k, -1).reshape(-1, f.q)
-
-
-def _require_binary_rows(f: FunctionSpec, rows: np.ndarray) -> None:
-    if f.kind == KIND_FULL and rows.size and rows.max() > 1:
-        raise ValueError("this influence needs a {0,1}-valued function")
-
-
 def _check_compatible(f: FunctionSpec, mu: SimplexMeasure) -> None:
     if mu.q != f.q:
         raise ValueError(f"measure has q={mu.q}, function has q={f.q}")
 
 
+def _fibre_expectation(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int, g, binary: bool = True) -> float:
+    """E over the rest coordinates of g(nonconstant, mean) of the k-fibre."""
+    _check_compatible(f, mu)
+    if not 0 <= k < f.n:
+        raise ValueError(f"coordinate k={k} out of range for n={f.n}")
+    tally = type_tally(f, cap)
+    if binary and not tally.binary:
+        raise ValueError("this influence needs a {0,1}-valued function")
+    return tally.fibre_expectation(k, mu.as_array(), g)
+
+
 def influence_bkkkl(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int = DEFAULT_CAP) -> float:
     """Probability over the rest coordinates that the k-fibre is nonconstant."""
-    _check_compatible(f, mu)
-    rows = _fibre_rows(f, k, cap)
-    nonconst = rows.min(axis=1) != rows.max(axis=1)
-    w = product_weights(mu, f.n - 1, cap)
-    return float(w @ nonconst)
+    return _fibre_expectation(f, mu, k, cap, lambda nonconst, m: nonconst, binary=False)
 
 
 def influence_variance(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int = DEFAULT_CAP) -> float:
     """Expected conditional variance E[m(1-m)] of the k-fibre mean m."""
-    _check_compatible(f, mu)
-    rows = _fibre_rows(f, k, cap)
-    _require_binary_rows(f, rows)
-    m = rows @ mu.as_array()
-    w = product_weights(mu, f.n - 1, cap)
-    return float(w @ (m * (1.0 - m)))
+    return _fibre_expectation(f, mu, k, cap, lambda nonconst, m: m * (1.0 - m))
 
 
 def _apply_h(h, m: np.ndarray) -> np.ndarray:
@@ -105,12 +94,7 @@ def _apply_h(h, m: np.ndarray) -> np.ndarray:
 
 def influence_h(f: FunctionSpec, mu: SimplexMeasure, k: int, h, cap: int = DEFAULT_CAP) -> float:
     """E over rest coordinates of h(fibre mean) for a weight profile h on [0, 1]."""
-    _check_compatible(f, mu)
-    rows = _fibre_rows(f, k, cap)
-    _require_binary_rows(f, rows)
-    m = rows @ mu.as_array()
-    w = product_weights(mu, f.n - 1, cap)
-    return float(w @ _apply_h(h, m))
+    return _fibre_expectation(f, mu, k, cap, lambda nonconst, m: _apply_h(h, m))
 
 
 def phi_k(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int = DEFAULT_CAP) -> float:
@@ -119,13 +103,7 @@ def phi_k(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int = DEFAULT_CAP) -
     Summed over k and divided by (1 - t) this is the exact derivative of
     Pr[f = 1] along the line mixture for 0-monotone indicators.
     """
-    _check_compatible(f, mu)
-    rows = _fibre_rows(f, k, cap)
-    _require_binary_rows(f, rows)
-    nonconst = rows.min(axis=1) != rows.max(axis=1)
-    m = rows @ mu.as_array()
-    w = product_weights(mu, f.n - 1, cap)
-    return float(w @ (nonconst * (1.0 - m)))
+    return _fibre_expectation(f, mu, k, cap, lambda nonconst, m: nonconst * (1.0 - m))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Self-check suites: identities and inequalities verified by dual routes.
 
-Each suite pits an implementation against an independent oracle (finite
-differences against the exact derivative, enumeration against the closed
-form, an all-pairs order oracle against the covering-relation check) and
+Each suite pits an implementation against an independent oracle (the
+Bernstein derivative of the type tally and finite differences against the
+fibre-sum derivative, the exact tally against the closed form, an all-pairs
+order oracle against the covering-relation check) and
 reports how many comparisons ran and which failed.  The CLI exposes the
 suites behind ``verify``; the acceptance tests run them at pinned
 tolerances.
@@ -17,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .evaluate import ClosedFormEvaluator, exact_probability, tribes_prob_zero
+from .evaluate import ClosedFormEvaluator, bernstein_derivative, exact_probability, tribes_prob_zero
 from .functions import (
     FunctionSpec,
     build_tribes,
@@ -46,6 +47,10 @@ from .threshold import rm_derivative_exact
 # Rounding floor of a central difference at dt=1e-5: machine epsilon over
 # 2*dt is about 5.5e-12, so differences below this carry no signal.
 FD_NOISE_FLOOR = 1e-10
+
+# The fibre sum and the Bernstein derivative are both exact; they differ only
+# by the rounding of a few dozen terms, far below this.
+EXACT_DERIVATIVE_TOL = 1e-12
 
 
 def _fd_close(exact: float, approx: float, rel_tol: float) -> tuple[bool, float]:
@@ -204,16 +209,27 @@ def corrupted_leq(x, y, a: int) -> bool:
 
 
 def suite_rm(rel_tol: float = 1e-6, *, count: int = 20, seed: int = 11) -> SuiteResult:
-    """Derivative identity against finite differences on random upsets."""
+    """Derivative identity on random upsets, against two oracles.
+
+    The noise-free one is the Bernstein derivative of the type tally, which
+    must agree to rounding; finite differences of the exact probability must
+    agree to ``rel_tol`` or to their noise floor.
+    """
     started = time.perf_counter()
     rec = _Recorder()
     corpus = upset_corpus(3, 3, count, seed=seed)
     bases = full_support_bases(3, 3, seed=seed + 1)
-    t_grid = tuple(np.linspace(0.1, 0.9, 9))
+    t_grid = (0.0,) + tuple(np.linspace(0.1, 0.9, 9))
     for fi, f in enumerate(corpus):
         base = bases[fi % len(bases)]
         for t in t_grid:
             exact = rm_derivative_exact(f, base, float(t))
+            analytic = bernstein_derivative(f, base, float(t))
+            diff = abs(exact - analytic)
+            rec.record(
+                diff <= EXACT_DERIVATIVE_TOL * max(1.0, abs(analytic)),
+                f"identity vs Bernstein derivative differ by {diff:.3e} (function {fi}, t={t})",
+            )
             approx = fd_probability_derivative(f, base, float(t))
             ok, rel = _fd_close(exact, approx, rel_tol)
             rec.record(
@@ -308,7 +324,7 @@ def suite_hent(slack: float = 1e-12, grid_points: int = 10**6 + 1) -> SuiteResul
 
 
 def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
-    """Tribes closed form against exact enumeration at accessible sizes.
+    """Tribes closed form against the exact tally at accessible sizes.
 
     Checks level 0 of the full function and output 0 of its indicator view,
     the two products the closed-form evaluator returns.
@@ -338,7 +354,7 @@ def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
             ):
                 rec.record(
                     abs(closed - want) <= tol,
-                    f"{label}: closed form {closed!r} vs enumeration {want!r} at q={f.q} "
+                    f"{label}: closed form {closed!r} vs exact {want!r} at q={f.q} "
                     f"(r, m, last)=({fam.r}, {fam.m}, {fam.last})",
                 )
     return rec.result("closed", started)

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +346,44 @@ def test_verify_fault_injection_fails(capsys):
     assert code == 1
     assert "suite order: FAIL" in out
     assert "  - " in out  # at least one failure bullet
+
+
+# ---------------------------------------------------------------------------
+# output files and stdout
+
+
+TRIBES4 = ["--family", "tribes", "--q", "3", "--n", "4", "--p0", "0.5", "--r", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", *TRIBES4, "--mu", "0.5,0.25,0.25", "--a", "0", "--out", "{tmp}/nodir/x.csv"],
+    ["width", *TRIBES4, "--level", "0", "--a", "1", "--eps", "0.1",
+     "--diagnostics", "{tmp}/nodir/d.csv", "--out", "{tmp}/w.csv"],
+    ["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024,2048",
+     "--out", "{tmp}/s.csv", "--plot-out", "{tmp}/nodir/p.dat"],
+])
+def test_unwritable_output_exits_1_and_leaves_no_file(tmp_path, capsys, argv):
+    code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "nodir" in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["verify", "--suite", "order", "--inject-fault", "leq"], 1),
+    (["influence", *TRIBES4, "--level", "0", "--mu", "0.5,0.25,0.25"], 0),
+])
+def test_closed_stdout_keeps_exit_code_without_traceback(argv, want):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "qthresh.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader goes away before the command writes
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == want
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 # ---------------------------------------------------------------------------

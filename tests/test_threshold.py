@@ -284,6 +284,19 @@ def test_region_measure_batch_and_scalar_agree():
     assert with_batch.fraction == pytest.approx(scalar_only.fraction, abs=0)
 
 
+def test_region_measure_scalar_fallback_matches_batch():
+    # An evaluator without a batch method (the Monte Carlo one) takes the
+    # scalar loop; on the same points it must give the same estimate.
+    class ScalarOnly:
+        def __call__(self, f, mu, a):
+            return EXACT(f, mu, a)
+
+    f = build_tribes(3, 6, 0.5, r=2)
+    batch = region_measure(f, 0, 0.1, samples=400, seed=5, evaluator=EXACT)
+    scalar = region_measure(f, 0, 0.1, samples=400, seed=5, evaluator=ScalarOnly())
+    assert batch == scalar
+
+
 def test_region_measure_matches_analytic_small_case():
     # single block of size 1 on one coordinate: Pr[f = 0] = mu(0), and the
     # atom-0 marginal of the uniform simplex measure is Beta(1, q-1), so the

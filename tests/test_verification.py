@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qthresh.threshold as threshold
 from qthresh.functions import leq_a
 from qthresh.measures import SimplexMeasure, central_measure
 from qthresh.threshold import rm_derivative_exact
@@ -12,6 +13,7 @@ from qthresh.verification import (
     full_support_bases,
     run_suites,
     suite_order,
+    suite_rm,
     upset_corpus,
 )
 
@@ -92,3 +94,24 @@ def test_run_suites_fault_injection():
     assert not results[0].passed
     with pytest.raises(ValueError):
         run_suites(["order"], inject_fault="bogus")
+
+
+def test_suite_rm_catches_a_corrupted_phi_k(monkeypatch):
+    assert suite_rm().passed
+    original = threshold.phi_k
+
+    # An offset of 1e-11 per coordinate hides under the finite-difference
+    # noise floor (1e-10); only the Bernstein derivative can see it.
+    def corrupted(f, mu, k, cap=None):
+        return original(f, mu, k) + 1e-11
+
+    monkeypatch.setattr(threshold, "phi_k", corrupted)
+    bad = suite_rm()
+    assert not bad.passed
+    assert bad.failures
+    assert all("Bernstein" in msg for msg in bad.failures)
+
+    monkeypatch.setattr(threshold, "phi_k", lambda f, mu, k, cap=None: 1.5 * original(f, mu, k))
+    bad = suite_rm()
+    assert not bad.passed
+    assert any("finite difference" in msg for msg in bad.failures)
