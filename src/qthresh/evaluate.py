@@ -356,11 +356,16 @@ def mc_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int, se
 
 
 def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure, cap: int = DEFAULT_CAP) -> float:
-    """Var[f] = p(1-p) for a {0,1}-valued f with p = Pr[f = 1]."""
+    """Var[f] = Pr[f = 1] Pr[f = 0] for a {0,1}-valued f.
+
+    Both factors are read from the tally.  Forming 1 - Pr[f = 1] instead
+    would keep only the last digits of Pr[f = 1] when it is close to 1.
+    """
     if not type_tally(f, cap).binary:
         raise ValueError("variance in this sense is defined for {0,1}-valued functions")
-    p = exact_probability(f, mu, 1, cap).value
-    return p * (1.0 - p)
+    evaluator, row = ExactEvaluator(cap), mu.as_array()[None, :]
+    one, zero = (float(evaluator.batch(f, row, a)[0]) for a in (1, 0))
+    return one * zero
 
 
 # ---------------------------------------------------------------------------

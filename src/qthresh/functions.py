@@ -475,21 +475,105 @@ def _parse_int(lineno: int, key: str, val: str) -> int:
         raise FunctionFileError(lineno, f"{key} must be an integer, got {val!r}") from None
 
 
+def _table_values(body: str, expected: int, hi: int) -> np.ndarray:
+    """The table entries of a file body (the text after the header line).
+
+    One pass over the UTF-8 bytes: newline positions split the lines, and a
+    line of one to nine ASCII digits is decoded by Horner's rule, one
+    vectorised step per digit position.  Every other nonempty line goes
+    through :func:`_parse_int` on its ``str.strip()`` text, one at a time, so
+    a line is accepted exactly when ``int()`` reads it; a line that strips to
+    nothing is skipped.  An error names the earliest offending line, body
+    line i being file line i + 2; within a line, too many lines comes before
+    not an integer, which comes before out of range.
+    """
+    raw = body.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # Line i spans starts[i] .. starts[i + 1] - 2; the last entry is one past
+    # the newline a final line would end with.
+    line_start = np.ones(len(raw) + 2, dtype=bool)
+    np.equal(buf, 10, out=line_start[1:-1])
+    starts = np.flatnonzero(line_start)
+    del line_start
+    length = np.diff(starts)
+    length -= 1
+    length = np.minimum(length, 10, out=length).astype(np.uint8)  # 10 stands for "too long"
+    # Lines as a text stream yields them: a final newline opens no new line.
+    line_count = len(length) - (not raw or raw[-1] == 10)
+
+    # Horner's rule over the first nine bytes of every line at once; kept
+    # marks the lines of one to nine ASCII digits, whose entry is then exact.
+    # Other lines may wrap around in values; they are never read from it.
+    kept = (length >= 1) & (length <= 9)
+    values = np.zeros(len(length), dtype=np.int32)
+    for j in range(min(9, int(length.max()))):
+        # Byte j of every line; lines of j bytes or fewer read past their end.
+        d = buf[j:].take(starts[:-1], mode="clip") - np.uint8(48)  # non-digits wrap past 9
+        live = length > j
+        kept &= (d < 10) | ~live
+        np.multiply(values, 10, out=values, where=live)
+        np.add(values, d, out=values, where=live)
+
+    def text(i: int) -> str:
+        return raw[starts[i]:starts[i + 1] - 1].decode("utf-8", "surrogatepass").strip()
+
+    # The other nonempty lines, in order, up to the first non-integer: no
+    # line after it can change the outcome.
+    bad = None
+    for i in np.flatnonzero((length > 0) & ~kept).tolist():
+        entry = text(i)
+        if not entry:
+            continue
+        try:
+            v = _parse_int(i + 2, "table entry", entry)
+        except FunctionFileError as exc:
+            bad = exc
+            kept[i:] = False
+            break
+        kept[i] = True
+        values[i] = v if 0 <= v < hi else -1  # -1 marks any value outside [0, hi)
+
+    entries = values[kept]
+    count = len(entries)
+
+    def line(k: int) -> int:  # body line of the k-th entry; only errors ask
+        return int(np.flatnonzero(kept)[k])
+
+    errors = []
+    head = entries[:expected]
+    out_of_range = np.flatnonzero((head < 0) | (head >= hi))
+    if out_of_range.size:
+        i = line(out_of_range[0])
+        errors.append(FunctionFileError(i + 2, f"value {int(text(i))} out of range [0, {hi})"))
+    if count > expected:
+        errors.append(FunctionFileError(line(expected) + 2, f"too many table lines; expected {expected}"))
+    elif bad is not None:
+        if count == expected:
+            bad = FunctionFileError(bad.lineno, f"too many table lines; expected {expected}")
+        errors.append(bad)
+    if errors:
+        raise min(errors, key=lambda exc: exc.lineno)
+    if count != expected:
+        raise FunctionFileError(line_count + 2, f"expected {expected} table lines, found {count}")
+    return entries
+
+
 def parse_function_file(source) -> FunctionSpec:
     """Read a function from a path or an open text stream.
 
     Line 1 holds ``q=<int> n=<int> kind=<full|indicator>``.  A structured
     family follows as a single line ``family=tribes r=<int> p0=<real>`` (plus
     ``a=<symbol>`` for indicator views); otherwise q^n table lines follow,
-    one integer per line in lexicographic point order.
+    one integer per line in lexicographic point order, read in one
+    vectorised pass by :func:`_table_values`.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_function_file(fh)
-    lines = [ln.rstrip("\n") for ln in source]
-    if not lines or not lines[0].strip():
+    header, _, body = source.read().partition("\n")
+    if not header.strip():
         raise FunctionFileError(1, "empty file; expected a header line")
-    head = _parse_tokens(1, lines[0], required=("q", "n", "kind"))
+    head = _parse_tokens(1, header, required=("q", "n", "kind"))
     q = _parse_int(1, "q", head["q"])
     n = _parse_int(1, "n", head["n"])
     kind = head["kind"]
@@ -498,9 +582,9 @@ def parse_function_file(source) -> FunctionSpec:
     if q < 2 or n < 1:
         raise FunctionFileError(1, f"need q >= 2 and n >= 1, got q={q} n={n}")
 
-    body = lines[1:]
-    if body and body[0].lstrip().startswith("family="):
-        fields = _parse_tokens(2, body[0], required=("family", "r", "p0"), optional=("a",))
+    first = body.partition("\n")[0]
+    if first.lstrip().startswith("family="):
+        fields = _parse_tokens(2, first, required=("family", "r", "p0"), optional=("a",))
         if fields["family"] != "tribes":
             raise FunctionFileError(2, f"unknown family {fields['family']!r}")
         r = _parse_int(2, "r", fields["r"])
@@ -508,7 +592,7 @@ def parse_function_file(source) -> FunctionSpec:
             p0 = float(fields["p0"])
         except ValueError:
             raise FunctionFileError(2, f"p0 must be a real number, got {fields['p0']!r}") from None
-        for extra_no, extra in enumerate(body[1:], start=3):
+        for extra_no, extra in enumerate(body.split("\n")[1:], start=3):
             if extra.strip():
                 raise FunctionFileError(extra_no, "unexpected content after family line")
         try:
@@ -526,23 +610,7 @@ def parse_function_file(source) -> FunctionSpec:
             raise FunctionFileError(2, "a=<symbol> only applies to indicator kind")
         return f
 
-    expected = q**n
-    values = np.empty(expected, dtype=np.int32)
-    hi = q if kind == KIND_FULL else 2
-    count = 0
-    for lineno, raw in enumerate(body, start=2):
-        text = raw.strip()
-        if not text:
-            continue
-        if count >= expected:
-            raise FunctionFileError(lineno, f"too many table lines; expected {expected}")
-        v = _parse_int(lineno, "table entry", text)
-        if not 0 <= v < hi:
-            raise FunctionFileError(lineno, f"value {v} out of range [0, {hi})")
-        values[count] = v
-        count += 1
-    if count != expected:
-        raise FunctionFileError(len(lines) + 1, f"expected {expected} table lines, found {count}")
+    values = _table_values(body, q**n, q if kind == KIND_FULL else 2)
     return FunctionSpec(q=q, n=n, kind=kind, table=values)
 
 
@@ -555,6 +623,6 @@ def write_function_file(f: FunctionSpec, path) -> None:
             line += f" a={f.indicator_of}"
         out.append(line)
     else:
-        out.extend(str(int(v)) for v in f.table)
+        out.append("\n".join(map(str, f.table.tolist())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluate import ClosedFormEvaluator, exact_probability
+from .evaluate import ClosedFormEvaluator, variance_of_indicator
 from .functions import DEFAULT_CAP, FunctionSpec, build_tribes
 from .influence import phi_k
 from .measures import (
@@ -85,10 +85,10 @@ def derivative_lower_bound_ratio(
     if alpha == 0.0:
         raise ValueError("benchmark needs every symbol 1..q-1 to carry mass (alpha > 0)")
     derivative = rm_derivative_exact(f, base, t, cap)
-    prob = exact_probability(f, mix_t(base, t), 1, cap).value
+    variance = variance_of_indicator(f, mix_t(base, t), cap)  # E(1-E), both factors from the tally
     log_inv_alpha = math.log(1.0 / alpha)
     if log_inv_alpha > 0.0:
-        denominator = prob * (1.0 - prob) * math.log(f.n) / log_inv_alpha
+        denominator = variance * math.log(f.n) / log_inv_alpha
     else:
         denominator = math.inf
     ratio = derivative / denominator if 0.0 < denominator < math.inf else None

@@ -2,8 +2,9 @@
 
 Each suite pits an implementation against an independent oracle (the
 Bernstein derivative of the type tally and finite differences against the
-fibre-sum derivative, the exact tally against the closed form, an all-pairs
-order oracle against the covering-relation check) and
+fibre-sum derivative, the exact tally against the closed form and against
+brute-force enumeration, an all-pairs order oracle against the
+covering-relation check) and
 reports how many comparisons ran and which failed.  The CLI exposes the
 suites behind ``verify``; the acceptance tests run them at pinned
 tolerances.
@@ -18,7 +19,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .evaluate import ClosedFormEvaluator, bernstein_derivative, exact_probability, tribes_prob_zero
+from .evaluate import (
+    ClosedFormEvaluator,
+    bernstein_derivative,
+    exact_probability,
+    product_weights,
+    tribes_prob_zero,
+)
 from .functions import (
     FunctionSpec,
     build_tribes,
@@ -327,7 +334,9 @@ def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
     """Tribes closed form against the exact tally at accessible sizes.
 
     Checks level 0 of the full function and output 0 of its indicator view,
-    the two products the closed-form evaluator returns.
+    the two products the closed-form evaluator returns.  Every output of the
+    tally is also checked against brute-force enumeration: the weights of
+    the points under mu^n summed over the table, with no type counts.
     """
     started = time.perf_counter()
     rec = _Recorder()
@@ -346,8 +355,17 @@ def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
             mus.append(SimplexMeasure.normalized(w))
         fam = f.family
         zero_view = indicator(f, 0)
+        table = materialize_table(f)
         for mu in mus:
-            exact = exact_probability(f, mu, 0).value
+            weights = product_weights(mu, f.n)
+            tallied = [exact_probability(f, mu, a).value for a in range(f.q)]
+            for a, tally in enumerate(tallied):
+                brute = float(weights @ (table == a))
+                rec.record(
+                    abs(tally - brute) <= tol,
+                    f"Pr[f = {a}]: tally {tally!r} vs brute force {brute!r} at q={f.q} n={f.n}",
+                )
+            exact = tallied[0]
             for label, closed, want in (
                 ("Pr[f = 0]", tribes_prob_zero(fam, mu[0]), exact),
                 ("Pr[f != 0]", ClosedFormEvaluator()(zero_view, mu, 0), 1.0 - exact),

@@ -1,4 +1,7 @@
+import io
 import itertools
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qthresh.functions import (
+    KIND_FULL,
+    KIND_INDICATOR,
     CapExceededError,
     FunctionFileError,
     FunctionSpec,
@@ -32,6 +37,7 @@ from qthresh.functions import (
     tribes_block_size,
     write_function_file,
 )
+from qthresh.functions import _parse_int, _parse_tokens
 
 
 def all_pairs_monotone(f, a):
@@ -420,3 +426,225 @@ def test_file_errors_carry_line_numbers(tmp_path):
     with pytest.raises(FunctionFileError) as err:
         parse_function_file(indicator_without_a)
     assert err.value.lineno == 2
+
+
+# ---------------------------------------------------------------------------
+# Table parsing against the line-by-line reader it replaced
+
+
+def reference_parse_function_file(source) -> FunctionSpec:
+    """The line-by-line reader that parse_function_file replaced, kept verbatim."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return reference_parse_function_file(fh)
+    lines = [ln.rstrip("\n") for ln in source]
+    if not lines or not lines[0].strip():
+        raise FunctionFileError(1, "empty file; expected a header line")
+    head = _parse_tokens(1, lines[0], required=("q", "n", "kind"))
+    q = _parse_int(1, "q", head["q"])
+    n = _parse_int(1, "n", head["n"])
+    kind = head["kind"]
+    if kind not in (KIND_FULL, KIND_INDICATOR):
+        raise FunctionFileError(1, f"kind must be full or indicator, got {kind!r}")
+    if q < 2 or n < 1:
+        raise FunctionFileError(1, f"need q >= 2 and n >= 1, got q={q} n={n}")
+
+    body = lines[1:]
+    if body and body[0].lstrip().startswith("family="):
+        fields = _parse_tokens(2, body[0], required=("family", "r", "p0"), optional=("a",))
+        if fields["family"] != "tribes":
+            raise FunctionFileError(2, f"unknown family {fields['family']!r}")
+        r = _parse_int(2, "r", fields["r"])
+        try:
+            p0 = float(fields["p0"])
+        except ValueError:
+            raise FunctionFileError(2, f"p0 must be a real number, got {fields['p0']!r}") from None
+        for extra_no, extra in enumerate(body[1:], start=3):
+            if extra.strip():
+                raise FunctionFileError(extra_no, "unexpected content after family line")
+        try:
+            f = build_tribes(q, n, p0, r=r)
+        except ValueError as exc:
+            raise FunctionFileError(2, str(exc)) from None
+        if kind == KIND_INDICATOR:
+            if "a" not in fields:
+                raise FunctionFileError(2, "indicator family needs a=<symbol>")
+            a = _parse_int(2, "a", fields["a"])
+            if not 0 <= a < q:
+                raise FunctionFileError(2, f"a={a} out of range for q={q}")
+            return indicator(f, a)
+        if "a" in fields:
+            raise FunctionFileError(2, "a=<symbol> only applies to indicator kind")
+        return f
+
+    expected = q**n
+    values = np.empty(expected, dtype=np.int32)
+    hi = q if kind == KIND_FULL else 2
+    count = 0
+    for lineno, raw in enumerate(body, start=2):
+        text = raw.strip()
+        if not text:
+            continue
+        if count >= expected:
+            raise FunctionFileError(lineno, f"too many table lines; expected {expected}")
+        v = _parse_int(lineno, "table entry", text)
+        if not 0 <= v < hi:
+            raise FunctionFileError(lineno, f"value {v} out of range [0, {hi})")
+        values[count] = v
+        count += 1
+    if count != expected:
+        raise FunctionFileError(len(lines) + 1, f"expected {expected} table lines, found {count}")
+    return FunctionSpec(q=q, n=n, kind=kind, table=values)
+
+
+def parse_outcome(parse, data: bytes):
+    """The table a parser reads from UTF-8 bytes, or its (lineno, message)."""
+    # A fresh text wrapper per parse, as open(path, encoding="utf-8") gives.
+    try:
+        f = parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except FunctionFileError as exc:
+        return exc.lineno, str(exc)
+    if f.table is None:
+        return f.q, f.n, f.kind, f.family, f.indicator_of
+    return f.q, f.n, f.kind, f.table.dtype.str, f.table.tobytes()
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
+FILLER_LINES = ("", " ", "\t", "  \t ", "\u00a0", "\x0c", "\u3000")
+
+
+def table_entry_line(rnd, hi: int) -> str:
+    v = rnd.randrange(hi)
+    style = rnd.choice(["plain"] * 6 + ["pad", "sign", "zeros", "underscore", "arabic", "wide_zeros"])
+    if style == "pad":
+        return rnd.choice([" ", "\t", "\u00a0"]) + str(v) + rnd.choice(["", " ", "\t "])
+    if style == "sign":
+        return "-0" if v == 0 and rnd.random() < 0.5 else f"+{v}"
+    if style == "zeros":
+        return "0" * rnd.randint(1, 3) + str(v)
+    if style == "underscore":
+        return "_".join(str(v)) if v >= 10 else f"0_{v}"
+    if style == "arabic":
+        return str(v).translate(ARABIC_INDIC)
+    if style == "wide_zeros":  # ten or more digits that still read as a small value
+        return "0" * rnd.randint(9, 18) + str(v)
+    return str(v)
+
+
+# Extra lines, most of which break a table: values past the range of most
+# alphabets here, huge or negative values, and text int() refuses.
+BAD_LINES = st.lists(
+    st.one_of(
+        st.integers(2, 40).map(str),
+        st.integers(10**9, 10**20).map(str),
+        st.integers(-12, -1).map(str),
+        st.text(max_size=5).filter(lambda s: "\n" not in s and "\r" not in s),
+        st.sampled_from(["x", "1.0", "1e3", "0x1", "1 2", "--1", "_1", "\u0661x"]),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def table_files(draw) -> bytes:
+    """A table file mixing valid entries, fillers and faults.
+
+    Line endings are \\n, \\r\\n or \\r; the final newline may be missing;
+    the entry count may be short or long; any line may be out of range or
+    not an integer at all.  The bulk of the entries comes from one drawn
+    random stream, which keeps an example cheap to generate.
+    """
+    q = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["full", "indicator"]))
+    n = draw(st.integers(1, 3 if q <= 5 else 2))
+    hi = q if kind == "full" else 2
+    expected = q**n
+    count = draw(st.sampled_from([expected] * 4 + [expected - 1, expected + 1, max(0, expected - 5), expected + 3]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    lines = [table_entry_line(rnd, hi) for _ in range(count)]
+    for line in draw(BAD_LINES):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(rnd.randint(0, len(lines)), rnd.choice(FILLER_LINES))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([f"q={q} n={n} kind={kind}", *lines])
+    if draw(st.booleans()):
+        text += newline
+    return text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_files())
+def test_table_parse_matches_line_by_line_reader(data):
+    assert parse_outcome(parse_function_file, data) == parse_outcome(reference_parse_function_file, data)
+
+
+@pytest.mark.parametrize(
+    "body, outcome",
+    [
+        ("0\r\n1", np.array([0, 1])),  # CRLF, no final newline
+        ("\n 1 \n\n+0\n\t\n", np.array([1, 0])),  # blanks, padding, a sign
+        ("0000000001\r0_0\r", np.array([1, 0])),  # CR endings, ten digits, an underscore
+        ("\u0661\n-0\n", np.array([1, 0])),  # Arabic-Indic digit, negative zero
+        ("0\n1\nx\n", (4, "line 4: too many table lines; expected 2")),
+        ("0\nx\n7\n", (3, "line 3: table entry must be an integer, got 'x'")),
+        ("0\n-1\nx\n", (3, "line 3: value -1 out of range [0, 2)")),
+        ("0\n12345678901234567890\n", (3, "line 3: value 12345678901234567890 out of range [0, 2)")),
+        ("0\n\n", (4, "line 4: expected 2 table lines, found 1")),
+        ("0", (3, "line 3: expected 2 table lines, found 1")),
+    ],
+)
+def test_table_parse_pinned_cases(tmp_path, body, outcome):
+    path = tmp_path / "fn.txt"
+    path.write_bytes(("q=2 n=1 kind=full\n" + body).encode("utf-8"))
+    if isinstance(outcome, tuple):
+        with pytest.raises(FunctionFileError) as err:
+            parse_function_file(path)
+        assert (err.value.lineno, str(err.value)) == outcome
+    else:
+        assert np.array_equal(parse_function_file(path).table, outcome)
+    assert parse_outcome(parse_function_file, path.read_bytes()) == parse_outcome(
+        reference_parse_function_file, path.read_bytes()
+    )
+
+
+def test_table_parse_multi_digit_values_and_family_files():
+    table = np.arange(12 * 12) % 12
+    data = ("q=12 n=2 kind=full\n" + "\n".join(map(str, table)) + "\n").encode()
+    assert np.array_equal(parse_function_file(io.StringIO(data.decode())).table, table)
+    for text in (
+        "q=3 n=4 kind=full\nfamily=tribes r=2 p0=0.5\n\n",
+        "q=3 n=4 kind=indicator\n  family=tribes r=2 p0=0.5 a=1\n",
+        "q=3 n=4 kind=full\nfamily=tribes r=2 p0=0.5\n\n0\n",
+        "q=3 n=4 kind=indicator\nfamily=tribes r=2 p0=0.5\n",
+    ):
+        data = text.encode()
+        assert parse_outcome(parse_function_file, data) == parse_outcome(reference_parse_function_file, data)
+
+
+def test_table_parse_huge_header_reports_the_count():
+    # The line-by-line reader allocated q^n entries before reading a line,
+    # so this header failed inside numpy; now the count check reports it.
+    with pytest.raises(FunctionFileError) as err:
+        parse_function_file(io.StringIO("q=3 n=100 kind=full\n0\n"))
+    assert err.value.lineno == 3
+    assert f"expected {3**100} table lines, found 1" in str(err.value)
+
+
+def reference_write_table(f: FunctionSpec, path) -> None:
+    """The table writer that one join replaced, kept for byte comparison."""
+    out = [f"q={f.q} n={f.n} kind={f.kind}"]
+    out.extend(str(int(v)) for v in f.table)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def test_table_writer_bytes_match_the_per_entry_writer(tmp_path):
+    rng = np.random.default_rng(17)
+    for f in (
+        from_table(12, 2, rng.integers(0, 12, size=144)),
+        random_zero_monotone(3, 6, 0.05, seed=17),
+    ):
+        write_function_file(f, tmp_path / "new.txt")
+        reference_write_table(f, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()

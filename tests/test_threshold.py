@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from qthresh.evaluate import (
     ExactEvaluator,
     MonteCarloEvaluator,
     exact_probability,
+    variance_of_indicator,
 )
 from qthresh.functions import (
     build_tribes,
@@ -99,6 +102,39 @@ def test_derivative_lower_bound_ratio_fields():
     expected_den = p * (1 - p) * math.log(6) / math.log(2)
     assert diag.denominator == pytest.approx(expected_den, rel=1e-15)
     assert diag.ratio == pytest.approx(diag.derivative / expected_den, rel=1e-15)
+
+
+def exact_tribes_pair_split(atoms, blocks):
+    """(Pr[f = 1], Pr[f = 0]) of 1[tribes = 0] in exact rationals of the float atoms.
+
+    The event depends only on which coordinates are 0, so the 2^n zero
+    patterns carry all of the mass.
+    """
+    zero, rest = Fraction(atoms[0]), sum(Fraction(a) for a in atoms[1:])
+    n = sum(blocks)
+    starts = np.cumsum((0,) + blocks[:-1])
+    one = Fraction(0)
+    total = Fraction(0)
+    for pattern in itertools.product((0, 1), repeat=n):
+        weight = zero ** sum(pattern) * rest ** (n - sum(pattern))
+        total += weight
+        if any(all(pattern[s:s + b]) for s, b in zip(starts, blocks)):
+            one += weight
+    return one, total - one
+
+
+def test_variance_near_one_keeps_full_precision():
+    # Near E = 1 the factor 1 - E is the difference of two close numbers;
+    # both factors must come from the tally to stay accurate to the last digit.
+    f = indicator(build_tribes(3, 8, 0.5, r=2), 0)
+    base = SimplexMeasure((0.0, 0.5, 0.5))
+    for t in np.linspace(0.85, 0.95, 11):
+        mu = mix_t(base, float(t))
+        one, zero = exact_tribes_pair_split(mu.atoms, (2, 2, 2, 2))
+        want = float(one * zero)
+        assert variance_of_indicator(f, mu) == pytest.approx(want, rel=1e-14, abs=0)
+        diag = derivative_lower_bound_ratio(f, base, float(t))
+        assert diag.denominator == pytest.approx(want * math.log(8) / math.log(2), rel=1e-14, abs=0)
 
 
 def test_derivative_lower_bound_ratio_degenerate_cases():

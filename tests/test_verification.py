@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qthresh.threshold as threshold
+from qthresh.evaluate import TypeTally
 from qthresh.functions import leq_a
 from qthresh.measures import SimplexMeasure, central_measure
 from qthresh.threshold import rm_derivative_exact
@@ -12,6 +13,7 @@ from qthresh.verification import (
     fd_probability_derivative,
     full_support_bases,
     run_suites,
+    suite_closed,
     suite_order,
     suite_rm,
     upset_corpus,
@@ -115,3 +117,25 @@ def test_suite_rm_catches_a_corrupted_phi_k(monkeypatch):
     bad = suite_rm()
     assert not bad.passed
     assert any("finite difference" in msg for msg in bad.failures)
+
+
+def test_suite_closed_catches_a_corrupted_tally(monkeypatch):
+    assert suite_closed().passed
+    original = TypeTally.probabilities
+
+    # Outputs 1 and 2 of the full function are not closed-form quantities;
+    # only the brute-force enumeration can see them go wrong.
+    def corrupted(self, measures, a):
+        out = original(self, measures, a)
+        return out * (1.0 + 1e-9) if a == 2 else out
+
+    monkeypatch.setattr(TypeTally, "probabilities", corrupted)
+    bad = suite_closed()
+    assert not bad.passed
+    assert bad.failures
+    assert all("brute force" in msg and msg.startswith("Pr[f = 2]") for msg in bad.failures)
+
+    monkeypatch.setattr(TypeTally, "probabilities", lambda self, measures, a: original(self, measures, a) + 1e-11)
+    bad = suite_closed()
+    assert not bad.passed
+    assert any("closed form" in msg for msg in bad.failures)
