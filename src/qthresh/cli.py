@@ -148,7 +148,8 @@ def _load_function(args, parser: argparse.ArgumentParser) -> FunctionSpec:
 def _add_evaluator_args(p: argparse.ArgumentParser, default_samples: int) -> None:
     p.add_argument("--evaluator", choices=["exact", "closed", "mc"], default="exact")
     p.add_argument("--eval-samples", type=int, default=default_samples,
-                   help="per-probe sample count for --evaluator mc")
+                   help="--evaluator mc sample count: per probe for region, per coupled line "
+                        "sample for width (raised to the DKW count of --eps)")
 
 
 def _build_evaluator(args, seed: int):

@@ -313,13 +313,17 @@ class QuantileMap:
 
     def __call__(self, u):
         arr = np.asarray(u, dtype=float)
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
             raise ValueError("quantile arguments must lie in [0, 1]")
-        idx = np.searchsorted(self.boundaries, arr, side="right")
-        idx = np.minimum(idx, len(self.atoms) - 1)
+        # G(u) counts the boundaries at or below u; the last boundary (the
+        # total mass) is left out, which pins G(1) to q-1.  One comparison
+        # per symbol beats a binary search for small q.
+        idx = np.zeros(arr.shape, dtype=np.int32)
+        for bound in self.boundaries[:-1]:
+            idx += arr >= bound
         if np.isscalar(u) or arr.ndim == 0:
             return int(idx)
-        return idx.astype(np.int32)
+        return idx
 
 
 def quantile_encode(mu: SimplexMeasure) -> QuantileMap:
@@ -353,6 +357,26 @@ def mc_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int, se
     else:
         se = math.sqrt(phat * (1.0 - phat) / samples)
     return Estimate(value=phat, std_error=se, method=METHOD_MC, samples=samples)
+
+
+def coupled_line_chunks(n: int, base: SimplexMeasure, samples: int, seed):
+    """One coupled sample of the line t delta_0 + (1-t) base, in row chunks.
+
+    Yields ``(U, V)`` pairs: U is uniform on [0, 1)^n and V is drawn from
+    base^n by quantile encoding, one row per sample point.  The coupled
+    state x_i(t) = 0 if U_i < t, else V_i, has law (t delta_0 + (1-t)
+    base)^n at every t, and raising t only rewrites coordinates to 0 (the
+    monotone coupling).  A chunk has at most ``_BATCH_CELLS // n`` rows, so
+    memory stays bounded at any n; the rows are deterministic given
+    (n, base, samples, seed).
+    """
+    rng = np.random.default_rng(seed)
+    gmap = quantile_encode(base)
+    batch = max(1, _BATCH_CELLS // n)
+    for done in range(0, samples, batch):
+        b = min(batch, samples - done)
+        U = rng.random((b, n))
+        yield U, gmap(rng.random((b, n)))
 
 
 def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure, cap: int = DEFAULT_CAP) -> float:
@@ -429,8 +453,9 @@ class ClosedFormEvaluator:
 class MonteCarloEvaluator:
     """Sampling-backed Pr[f = a] with per-call deterministic substreams.
 
-    Call k draws from a stream seeded by (seed, k), so a fresh evaluator
-    replays an identical sweep while successive calls stay independent.
+    Call k, a probe or a coupled line sample, draws from a stream seeded by
+    (seed, k), so a fresh evaluator replays an identical sweep while
+    successive calls stay independent.
     """
 
     stochastic = True
@@ -443,9 +468,19 @@ class MonteCarloEvaluator:
         self.calls = 0
         self.last_estimate: Estimate | None = None
 
-    def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int | None = None) -> float:
+    def _stream(self) -> np.random.SeedSequence:
         stream = np.random.SeedSequence((self.seed, self.calls))
         self.calls += 1
-        est = mc_probability(f, mu, a, self.samples if samples is None else samples, seed=stream)
+        return stream
+
+    def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int | None = None) -> float:
+        est = mc_probability(f, mu, a, self.samples if samples is None else samples, seed=self._stream())
         self.last_estimate = est
         return est.value
+
+    def coupled_line(self, n: int, base: SimplexMeasure, samples: int):
+        """Row chunks of one coupled sample along the line from ``base``.
+
+        Takes one call's stream, like one probe; see :func:`coupled_line_chunks`.
+        """
+        return coupled_line_chunks(n, base, samples, self._stream())

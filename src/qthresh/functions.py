@@ -18,6 +18,7 @@ import numpy as np
 DEFAULT_CAP = 2**24
 
 _BATCH_CELLS = 4_000_000  # rough element budget per vectorized chunk
+_SHOWN_DIGITS = 100  # a longer q^n is printed in error messages as "q^n"
 
 KIND_FULL = "full"
 KIND_INDICATOR = "indicator"
@@ -242,20 +243,22 @@ def _binary_table(f: FunctionSpec, cap: int) -> np.ndarray:
     return tbl
 
 
-def is_a_monotone(f: FunctionSpec, a: int, cap: int = DEFAULT_CAP) -> bool:
-    """Whether a {0,1}-valued f is nondecreasing for the rewrite-to-a order.
-
-    Checks every covering relation (one coordinate rewritten to a), which
-    generates the full order.
-    """
-    if not 0 <= a < f.q:
-        raise ValueError(f"symbol a={a} out of range for q={f.q}")
-    tbl = _binary_table(f, cap).reshape((f.q,) * f.n)
-    for k in range(f.n):
-        rewritten = np.expand_dims(np.take(tbl, a, axis=k), axis=k)
-        if not np.all(tbl <= rewritten):
+def _rewrite_monotone(cube: np.ndarray, a: int) -> bool:
+    """Whether a {0,1} array with one axis per coordinate never drops when
+    one coordinate is rewritten to a.  The covering relations generate the
+    rewrite-to-a order, so this is monotonicity for that order."""
+    for k in range(cube.ndim):
+        rewritten = np.expand_dims(np.take(cube, a, axis=k), axis=k)
+        if not np.all(cube <= rewritten):
             return False
     return True
+
+
+def is_a_monotone(f: FunctionSpec, a: int, cap: int = DEFAULT_CAP) -> bool:
+    """Whether a {0,1}-valued f is nondecreasing for the rewrite-to-a order."""
+    if not 0 <= a < f.q:
+        raise ValueError(f"symbol a={a} out of range for q={f.q}")
+    return _rewrite_monotone(_binary_table(f, cap).reshape((f.q,) * f.n), a)
 
 
 def is_monotone_full(f: FunctionSpec, cap: int = DEFAULT_CAP) -> bool:
@@ -263,13 +266,27 @@ def is_monotone_full(f: FunctionSpec, cap: int = DEFAULT_CAP) -> bool:
     if f.kind != KIND_FULL:
         raise ValueError("full monotonicity applies to [q]-valued functions")
     tbl = materialize_table(f, cap).reshape((f.q,) * f.n)
-    for a in range(f.q):
-        level = tbl == a
-        for k in range(f.n):
-            rewritten = np.expand_dims(np.take(level, a, axis=k), axis=k)
-            if not np.all(level <= rewritten):
-                return False
-    return True
+    return all(_rewrite_monotone(tbl == a, a) for a in range(f.q))
+
+
+def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
+    """Whether 1[f = a] is nondecreasing under rewriting coordinates to 0.
+
+    A table is checked over every covering relation.  A tribes family is
+    decided from its definition, never from a table (it may be past the
+    cap): an all-zero block stays all zero when more coordinates turn to 0,
+    so the zero event is monotone.  Every other level reads as not
+    monotone; the few that are (blocks of size 1) only lose a faster search.
+    """
+    if not 0 <= a < f.q:
+        raise ValueError(f"symbol a={a} out of range for q={f.q}")
+    if f.table is not None:
+        return _rewrite_monotone(f.table.reshape((f.q,) * f.n) == a, 0)
+    if f.kind == KIND_FULL:
+        return a == 0
+    if f.q == 2:  # 1[f = 1] = 1 - 1[f = 0]
+        return a == int(f.indicator_of == 0)
+    return f.indicator_of == 0 and a == 1
 
 
 def _check_permutation(sigma, n: int) -> tuple[int, ...]:
@@ -475,8 +492,8 @@ def _parse_int(lineno: int, key: str, val: str) -> int:
         raise FunctionFileError(lineno, f"{key} must be an integer, got {val!r}") from None
 
 
-def _table_values(body: str, expected: int, hi: int) -> np.ndarray:
-    """The table entries of a file body (the text after the header line).
+def _table_values(body: str, q: int, n: int, hi: int) -> np.ndarray:
+    """The q^n table entries of a file body (the text after the header line).
 
     One pass over the UTF-8 bytes: newline positions split the lines, and a
     line of one to nine ASCII digits is decoded by Horner's rule, one
@@ -488,6 +505,16 @@ def _table_values(body: str, expected: int, hi: int) -> np.ndarray:
     not an integer, which comes before out of range.
     """
     raw = body.encode("utf-8", "surrogatepass")
+    # The body holds at most len(raw) + 1 lines.  When 2^n is past that, no
+    # count reaches q^n and q^n is not built (at large n it has too many
+    # digits to format): any larger number decides the same.
+    most = len(raw) + 1
+    if n < most.bit_length():
+        expected = q**n
+        shown = str(expected)
+    else:
+        expected = most + 1
+        shown = str(q**n) if n * math.log10(q) < _SHOWN_DIGITS else f"{q}^{n}"
     buf = np.frombuffer(raw, dtype=np.uint8)
     # Line i spans starts[i] .. starts[i + 1] - 2; the last entry is one past
     # the newline a final line would end with.
@@ -554,7 +581,7 @@ def _table_values(body: str, expected: int, hi: int) -> np.ndarray:
     if errors:
         raise min(errors, key=lambda exc: exc.lineno)
     if count != expected:
-        raise FunctionFileError(line_count + 2, f"expected {expected} table lines, found {count}")
+        raise FunctionFileError(line_count + 2, f"expected {shown} table lines, found {count}")
     return entries
 
 
@@ -610,7 +637,7 @@ def parse_function_file(source) -> FunctionSpec:
             raise FunctionFileError(2, "a=<symbol> only applies to indicator kind")
         return f
 
-    values = _table_values(body, q**n, q if kind == KIND_FULL else 2)
+    values = _table_values(body, q, n, q if kind == KIND_FULL else 2)
     return FunctionSpec(q=q, n=n, kind=kind, table=values)
 
 

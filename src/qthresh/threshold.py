@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluate import ClosedFormEvaluator, variance_of_indicator
-from .functions import DEFAULT_CAP, FunctionSpec, build_tribes
+from .functions import DEFAULT_CAP, FunctionSpec, build_tribes, evaluate_batch, level_is_zero_monotone
 from .influence import phi_k
 from .measures import (
     SimplexMeasure,
@@ -32,8 +32,9 @@ METHOD_GRID_SCAN = "grid-scan"
 METHOD_MC_BISECTION = "mc-bisection"
 METHOD_MC_GRID_SCAN = "mc-grid-scan"
 
-_MC_COARSE_POINTS = 33
+_MC_GRID_POINTS = 33
 _MC_T_TOL = 1e-4
+_DKW_DELTA = 0.05
 
 
 def _check_eps(eps: float) -> float:
@@ -163,6 +164,35 @@ def _grid_scan_report(
     )
 
 
+def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_tol) -> ThresholdReport:
+    """Report of a nondecreasing curve from p_start to p_end.
+
+    ``crossing(target)`` locates where the curve passes target.  A crossing
+    the curve never makes is absent, and the width then counts only the
+    achieved stretch of [eps, 1 - eps].
+    """
+    t_lo = t_hi = None
+    width = 0.0
+    if eps <= p_end and p_start <= 1.0 - eps:
+        if p_start < eps:
+            t_lo = crossing(eps)
+        if p_end > 1.0 - eps:
+            t_hi = crossing(1.0 - eps)
+        width = max(0.0, (1.0 if t_hi is None else t_hi) - (0.0 if t_lo is None else t_lo))
+    return ThresholdReport(
+        eps=eps,
+        a=a,
+        t_lo=t_lo,
+        t_hi=t_hi,
+        width=width,
+        method=method,
+        grid_points=grid_points,
+        t_tol=t_tol,
+        lo_absent=t_lo is None,
+        hi_absent=t_hi is None,
+    )
+
+
 def _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points, monotone_slack):
     grid = np.linspace(0.0, 1.0, grid_points)
     vals = np.array([evaluator(f, mix_t(base, float(t)), a) for t in grid])
@@ -172,90 +202,93 @@ def _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points, mo
     def probe(t: float) -> float:
         return float(evaluator(f, mix_t(base, t), a))
 
-    p_start, p_end = float(vals[0]), float(vals[-1])
-    if p_end < eps or p_start > 1.0 - eps:
-        return ThresholdReport(
-            eps=eps, a=a, t_lo=None, t_hi=None, width=0.0, method=METHOD_BISECTION,
-            grid_points=grid_points, t_tol=t_tol, lo_absent=True, hi_absent=True,
-        )
-    if p_start < eps:
-        t_lo: float | None = _bisect_increasing(probe, eps, 0.0, 1.0, t_tol)
-        eff_lo = t_lo
-    else:
-        t_lo, eff_lo = None, 0.0
-    if p_end > 1.0 - eps:
-        t_hi: float | None = _bisect_increasing(probe, 1.0 - eps, 0.0, 1.0, t_tol)
-        eff_hi = t_hi
-    else:
-        t_hi, eff_hi = None, 1.0
-    return ThresholdReport(
-        eps=eps,
-        a=a,
-        t_lo=t_lo,
-        t_hi=t_hi,
-        width=max(0.0, eff_hi - eff_lo),
-        method=METHOD_BISECTION,
-        grid_points=grid_points,
-        t_tol=t_tol,
-        lo_absent=t_lo is None,
-        hi_absent=t_hi is None,
-    )
+    def crossing(target: float) -> float:
+        return _bisect_increasing(probe, target, 0.0, 1.0, t_tol)
+
+    return _crossing_report(eps, a, float(vals[0]), float(vals[-1]), crossing, METHOD_BISECTION,
+                            grid_points, t_tol)
+
+
+def _dkw_samples(eps: float) -> int:
+    """Sample count whose empirical CDF lies within r of the true one along
+    the whole line with probability 1 - delta, r = 0.25 min(eps, 0.1).
+
+    Dvoretzky-Kiefer-Wolfowitz with Massart's constant:
+    Pr[sup |F_N - F| > r] <= 2 exp(-2 N r^2).
+    """
+    r = 0.25 * min(eps, 0.1)
+    return math.ceil(math.log(2.0 / _DKW_DELTA) / (2.0 * r * r))
+
+
+def _switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
+    """Where 1[f(x(t)) = a] steps from 0 to 1 on each coupled row.
+
+    For a level that only rises as coordinates turn to 0, each row's path
+    is one step.  x(t) changes only when t passes an order statistic of U,
+    so the step is at the k-th smallest U_i for the least k such that
+    zeroing the k smallest-U coordinates reaches f = a; k is found by
+    bisection over all rows at once.  Returns ``(T, start, end)``: T is the
+    switching time (0 for rows with f = a already at t = 0), ``start`` and
+    ``end`` say whether f = a at t = 0 and at t = 1.  Every point rewrites
+    to the all-zero point, so a row with f != a at t = 1 means the level is
+    identically 0; its crossings are then absent and T is never read.
+    """
+    b, n = U.shape
+    rows = np.arange(b)
+    order = np.sort(U, axis=1)
+
+    def cut(k: np.ndarray) -> np.ndarray:  # the k-th smallest U_i of each row; -1 for k = 0
+        return np.where(k > 0, order[rows, np.maximum(k - 1, 0)], -1.0)
+
+    def at(k: np.ndarray) -> np.ndarray:
+        # f = a with the k smallest U_i of each row zeroed: the state just
+        # after t passes the k-th order statistic.
+        return evaluate_batch(f, V * (U > cut(k)[:, None])) == a
+
+    lo, hi = np.zeros(b, dtype=np.int64), np.full(b, n, dtype=np.int64)
+    start, end = at(lo), at(hi)
+    for _ in range(math.ceil(math.log2(n))):  # keeps at(lo) false and at(hi) true
+        mid = (lo + hi) // 2
+        hit = at(mid)
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid)
+    T = np.where(start, 0.0, cut(hi))
+    return T, start, end
 
 
 def _line_width_mc(f, base, a, eps, evaluator, t_tol):
-    # Probe precision: per-point confidence radius (two standard errors)
-    # at most 0.25 * min(eps, 0.1), so band membership near the crossings
-    # is resolved well inside the band height.
-    target_ci = 0.25 * min(eps, 0.1)
-    probe_samples = max(evaluator.samples, math.ceil((1.0 / target_ci) ** 2))
+    """Width from one coupled sample of the line, drawn in one evaluator call.
+
+    Row i of the sample is x(t) with x_j(t) = 0 if U_j < t, else V_j, so
+    the rows have the law of the line's measure at every t at once.  Its
+    size, max(evaluator.samples, DKW count), bounds the error of the
+    empirical curve along the whole line, not only at single probes.  When
+    1[f = a] is 0-monotone every row switches once, and the crossings are
+    quantiles of the switching times (``mc-bisection``, ``grid_points`` 0).
+    Otherwise the sample is read on a 33-point grid (``mc-grid-scan``).
+    """
+    samples = max(evaluator.samples, _dkw_samples(eps))
     t_tol = max(t_tol, _MC_T_TOL)
+    chunks = evaluator.coupled_line(f.n, base, samples)
+    if not level_is_zero_monotone(f, a):
+        # Paths may rise and fall: read the same sample on a grid.
+        grid = np.linspace(0.0, 1.0, _MC_GRID_POINTS)
+        hits = np.zeros(len(grid))
+        for U, V in chunks:
+            for j, t in enumerate(grid):
+                hits[j] += np.count_nonzero(evaluate_batch(f, V * (U >= t)) == a)
+        return _grid_scan_report(grid, hits / samples, eps, a, t_tol, METHOD_MC_GRID_SCAN)
 
-    def probe(t: float) -> float:
-        return float(evaluator(f, mix_t(base, t), a, samples=probe_samples))
+    # Each path is one step at its switching time T, so the probability
+    # curve is the empirical CDF of T and a crossing is a quantile of T.
+    T, start, end = (np.concatenate(part) for part in zip(*(_switching_times(f, a, U, V) for U, V in chunks)))
+    T.sort()
 
-    grid = np.linspace(0.0, 1.0, _MC_COARSE_POINTS)
-    vals = np.array([probe(float(t)) for t in grid])
-    sig = np.sqrt(np.maximum(vals * (1.0 - vals), 1.0 / probe_samples) / probe_samples)
-    tolerated_drop = 4.0 * (sig[:-1] + sig[1:])
-    if np.any(np.diff(vals) < -tolerated_drop):
-        return _grid_scan_report(grid, vals, eps, a, t_tol, METHOD_MC_GRID_SCAN)
+    def crossing(target: float) -> float:
+        return float(T[math.ceil(target * samples) - 1])
 
-    p_start, p_end = float(vals[0]), float(vals[-1])
-    if p_end < eps or p_start > 1.0 - eps:
-        return ThresholdReport(
-            eps=eps, a=a, t_lo=None, t_hi=None, width=0.0, method=METHOD_MC_BISECTION,
-            grid_points=_MC_COARSE_POINTS, t_tol=t_tol, lo_absent=True, hi_absent=True,
-        )
-
-    def refine(target: float) -> float:
-        over = np.nonzero(vals >= target)[0]
-        j = int(over[0])
-        if j == 0:
-            return float(grid[0])
-        return _bisect_increasing(probe, target, float(grid[j - 1]), float(grid[j]), t_tol)
-
-    if p_start < eps:
-        t_lo: float | None = refine(eps)
-        eff_lo = t_lo
-    else:
-        t_lo, eff_lo = None, 0.0
-    if p_end > 1.0 - eps:
-        t_hi: float | None = refine(1.0 - eps)
-        eff_hi = t_hi
-    else:
-        t_hi, eff_hi = None, 1.0
-    return ThresholdReport(
-        eps=eps,
-        a=a,
-        t_lo=t_lo,
-        t_hi=t_hi,
-        width=max(0.0, eff_hi - eff_lo),
-        method=METHOD_MC_BISECTION,
-        grid_points=_MC_COARSE_POINTS,
-        t_tol=t_tol,
-        lo_absent=t_lo is None,
-        hi_absent=t_hi is None,
-    )
+    return _crossing_report(eps, a, float(start.mean()), float(end.mean()), crossing, METHOD_MC_BISECTION, 0,
+                            t_tol)
 
 
 def line_width(
@@ -274,8 +307,8 @@ def line_width(
     A deterministic evaluator gets a monotonicity check on a coarse grid and
     then bisection to ``t_tol``; a visibly non-monotone probe profile falls
     back to a grid scan of the band.  A stochastic evaluator (attribute
-    ``stochastic``) gets the coarse-grid-plus-refinement path with sample
-    sizes sized to the band height.
+    ``stochastic``) draws one coupled sample for the whole line, see
+    :func:`_line_width_mc`; its reported ``t_tol`` is at least 1e-4.
     """
     require_zero_face(base)
     eps = _check_eps(eps)

@@ -179,6 +179,41 @@ def test_quantile_map_handles_zero_atoms():
     assert gmap(0.5) == 2
 
 
+def searchsorted_quantile(mu, u):
+    """The binary-search form of G(u) that the comparison kernel replaced."""
+    bounds = np.cumsum(mu.as_array())
+    return np.minimum(np.searchsorted(bounds, u, side="right"), mu.q - 1).astype(np.int32)
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_quantile_map_matches_searchsorted(q):
+    rng = np.random.default_rng(q)
+    for trial in range(4):
+        atoms = rng.exponential(size=q)
+        atoms[rng.random(q) < 0.3 * (trial % 2)] = 0.0  # zero atoms repeat a boundary
+        if atoms.sum() == 0.0:
+            atoms[-1] = 1.0
+        mu = SimplexMeasure.normalized(atoms)
+        gmap = quantile_encode(mu)
+        bounds = gmap.boundaries
+        # Uniforms, every boundary exactly and one ulp either side, both ends.
+        u = np.concatenate([rng.random(2000), bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0),
+                            [0.0, 1.0]])
+        u = np.clip(u, 0.0, 1.0)
+        want = searchsorted_quantile(mu, u)
+        got = gmap(u)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(gmap(u.reshape(-1, 1)), want.reshape(-1, 1))
+        for v in (0.0, 1.0, float(bounds[0]), float(u[5])):
+            for arg in (v, np.float64(v), np.array(v)):
+                g = gmap(arg)
+                assert type(g) is int
+                assert g == int(searchsorted_quantile(mu, v))
+        with pytest.raises(ValueError):
+            gmap(np.array([0.5, np.nan]))
+
+
 def test_quantile_map_rejects_out_of_range():
     gmap = quantile_encode(HALF_QUARTER)
     with pytest.raises(ValueError):

@@ -30,6 +30,7 @@ from qthresh.functions import (
     is_monotone_full,
     is_symmetric,
     leq_a,
+    level_is_zero_monotone,
     materialize_table,
     parse_function_file,
     point_index,
@@ -146,6 +147,47 @@ def test_upset_is_zero_monotone_but_usually_not_other_ways():
     f = random_zero_monotone(3, 3, 0.3, seed=4)
     assert is_a_monotone(f, 0)
     assert all_pairs_monotone(f, 0)
+
+
+def level_table(f, a):
+    """1[f = a] as an explicit indicator table."""
+    return from_table(f.q, f.n, (materialize_table(f) == a).astype(np.int32), kind="indicator")
+
+
+def test_level_is_zero_monotone_matches_all_pairs_oracle_on_tables():
+    rng = np.random.default_rng(23)
+    corpus = [random_zero_monotone(3, 3, d, seed=s) for d, s in ((0.2, 1), (0.5, 2))]
+    corpus += [from_table(3, 2, rng.integers(0, 3, size=9)) for _ in range(6)]
+    corpus += [from_table(3, 2, rng.integers(0, 2, size=9), kind="indicator") for _ in range(6)]
+    corpus.append(from_table(3, 3, (np.arange(27) // 9) % 3))  # f(x) = x_0
+    seen = set()
+    for f in corpus:
+        for a in range(f.q if f.kind == KIND_FULL else 2):
+            want = all_pairs_monotone(level_table(f, a), 0)
+            assert level_is_zero_monotone(f, a) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_level_is_zero_monotone_tribes_rule_matches_the_table(q):
+    # With blocks of two or more, the family rule must agree with a check
+    # of the materialised table for every view and level.
+    f = build_tribes(q, 5, 0.5, r=2)
+    views = [(f, range(q))] + [(indicator(f, b), range(2)) for b in range(q)]
+    for g, levels in views:
+        for a in levels:
+            assert level_is_zero_monotone(g, a) == is_a_monotone(level_table(g, a), 0)
+
+
+def test_level_is_zero_monotone_never_enumerates_a_family():
+    f = build_tribes(3, 10**6, 0.5)  # 3^n is far past the cap
+    assert level_is_zero_monotone(f, 0)
+    assert level_is_zero_monotone(indicator(f, 0), 1)
+    assert not level_is_zero_monotone(f, 2)
+    assert not level_is_zero_monotone(indicator(f, 1), 1)
+    with pytest.raises(ValueError):
+        level_is_zero_monotone(f, 3)
 
 
 def test_is_monotone_full_dictator():
@@ -629,6 +671,21 @@ def test_table_parse_huge_header_reports_the_count():
         parse_function_file(io.StringIO("q=3 n=100 kind=full\n0\n"))
     assert err.value.lineno == 3
     assert f"expected {3**100} table lines, found 1" in str(err.value)
+
+
+def test_table_parse_header_past_any_body_names_its_line():
+    # q^n has 4772 digits here; the count error names line 3 and writes the
+    # count as a power instead of formatting it.
+    with pytest.raises(FunctionFileError) as err:
+        parse_function_file(io.StringIO("q=3 n=10000 kind=full\n0\n"))
+    assert err.value.lineno == 3
+    assert "expected 3^10000 table lines, found 1" in str(err.value)
+    # Earlier errors keep their own lines at any n.
+    for body, lineno, message in (("0\nx\n", 3, "must be an integer"), ("0\n1\n7\n", 4, "out of range")):
+        with pytest.raises(FunctionFileError) as err:
+            parse_function_file(io.StringIO("q=3 n=10000 kind=full\n" + body))
+        assert err.value.lineno == lineno
+        assert message in str(err.value)
 
 
 def reference_write_table(f: FunctionSpec, path) -> None:

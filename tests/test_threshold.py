@@ -9,12 +9,15 @@ from qthresh.evaluate import (
     ClosedFormEvaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
+    coupled_line_chunks,
     exact_probability,
+    tribes_prob_zero,
     variance_of_indicator,
 )
 from qthresh.functions import (
     build_tribes,
     constant_function,
+    evaluate_batch,
     from_table,
     indicator,
     random_zero_monotone,
@@ -24,6 +27,7 @@ from qthresh.threshold import (
     METHOD_BISECTION,
     METHOD_GRID_SCAN,
     METHOD_MC_BISECTION,
+    METHOD_MC_GRID_SCAN,
     ThresholdReport,
     cross_section_scan,
     derivative_lower_bound_ratio,
@@ -253,6 +257,108 @@ def test_line_width_mc_deterministic_replay():
     rep1 = line_width(f, CENTRAL3, 0, 0.1, MonteCarloEvaluator(samples=2000, seed=8))
     rep2 = line_width(f, CENTRAL3, 0, 0.1, MonteCarloEvaluator(samples=2000, seed=8))
     assert rep1 == rep2
+
+
+def test_line_width_mc_crossings_within_6_se_of_closed_form():
+    # One coupled sample of N = max(2000, DKW count) = 2952 rows per base;
+    # the closed-form probability at each MC crossing must sit within 6
+    # binomial standard errors of its target.
+    f = build_tribes(3, 64, 0.5, r=4)
+    eps, samples = 0.1, 2952
+    se = math.sqrt(eps * (1 - eps) / samples)
+    rng = np.random.default_rng(64)
+    worst = 0.0
+    for seed in range(24):
+        b = float(rng.uniform(0.1, 0.9))
+        rep = line_width(f, SimplexMeasure((0.0, b, 1.0 - b)), 0, eps, MonteCarloEvaluator(samples=2000, seed=seed))
+        assert rep.method == METHOD_MC_BISECTION
+        for t, target in ((rep.t_lo, eps), (rep.t_hi, 1 - eps)):
+            worst = max(worst, abs(tribes_prob_zero(f.family, t) - target) / se)
+    assert worst <= 6.0
+
+
+@pytest.mark.parametrize("level", [False, True])
+def test_line_width_mc_grid_scan_matches_exact_grid_scan(level):
+    # Pr[tribes = 2] and Pr[1[tribes = 1] = 1] rise and fall along the line,
+    # so MC reads its coupled sample on the 33-point grid.
+    f = build_tribes(3, 10, 0.5, r=2)
+    f, a = (indicator(f, 1), 1) if level else (f, 2)
+    ev = MonteCarloEvaluator(samples=10000, seed=5)
+    rep = line_width(f, CENTRAL3, a, 0.1, ev)
+    exact = line_width(f, CENTRAL3, a, 0.1, EXACT, grid_points=33)
+    assert rep.method == METHOD_MC_GRID_SCAN
+    assert exact.method == METHOD_GRID_SCAN
+    assert rep.grid_points == 33
+    assert rep.width == pytest.approx(exact.width, abs=0.02)
+    # The band's first and last grid points inside may move by one step.
+    assert rep.t_lo == pytest.approx(exact.t_lo, abs=1 / 32 + 1e-12)
+    assert rep.t_hi == pytest.approx(exact.t_hi, abs=1 / 32 + 1e-12)
+
+
+def test_line_width_mc_bisection_on_a_monotone_table():
+    f = random_zero_monotone(3, 6, 0.05, seed=3)
+    exact = line_width(f, CENTRAL3, 1, 0.1, EXACT)
+    rep = line_width(f, CENTRAL3, 1, 0.1, MonteCarloEvaluator(samples=10000, seed=4))
+    assert rep.method == METHOD_MC_BISECTION
+    assert rep.t_lo == pytest.approx(exact.t_lo, abs=0.02)
+    assert rep.t_hi == pytest.approx(exact.t_hi, abs=0.02)
+    assert rep.width == pytest.approx(exact.width, abs=0.02)
+
+
+def brute_switching_time(f, a, u, v):
+    """First t at which the coupled row (u, v) reaches f = a, by walking t
+    through every order statistic of u in turn."""
+    stops = np.concatenate([[-1.0], np.sort(u)])
+    hits = evaluate_batch(f, np.stack([np.where(u <= s, 0, v) for s in stops])) == a
+    if not hits.any():
+        return math.inf
+    return max(0.0, float(stops[np.argmax(hits)]))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_line_width_mc_crossings_are_switching_time_quantiles(seed):
+    # Replay the stream of the evaluator's first call and find each row's
+    # switching time by a walk over all of its order statistics.  The
+    # crossings must be the eps and 1 - eps quantiles of those times exactly.
+    f = random_zero_monotone(3, 6, 0.05, seed=3)
+    base = SimplexMeasure((0.0, 0.3, 0.7))
+    eps, samples = 0.1, 3000
+    rep = line_width(f, base, 1, eps, MonteCarloEvaluator(samples=samples, seed=seed))
+    rows = coupled_line_chunks(f.n, base, samples, np.random.SeedSequence((seed, 0)))
+    T = np.sort([brute_switching_time(f, 1, u, v) for U, V in rows for u, v in zip(U, V)])
+    assert rep.method == METHOD_MC_BISECTION
+    assert rep.t_lo == T[math.ceil(eps * samples) - 1]
+    assert rep.t_hi == T[math.ceil((1 - eps) * samples) - 1]
+
+
+def test_line_width_mc_one_stream_per_line():
+    f = build_tribes(3, 64, 0.5, r=4)
+    ev = MonteCarloEvaluator(samples=2000, seed=8)
+    first = line_width(f, CENTRAL3, 0, 0.1, ev)
+    second = line_width(f, CENTRAL3, 0, 0.1, ev)
+    assert ev.calls == 2  # one coupled draw per line, not one per probe
+    assert (first.t_lo, first.t_hi) != (second.t_lo, second.t_hi)
+    fresh = MonteCarloEvaluator(samples=2000, seed=8)
+    assert [line_width(f, CENTRAL3, 0, 0.1, fresh) for _ in range(2)] == [first, second]
+
+
+def test_line_width_mc_absent_crossings():
+    # 1[x_0 != 2] on [3]^2 is 0-monotone with Pr = (1 + t) / 2 along the
+    # central line: half the paths start at f = 1, so there is no lower
+    # crossing, and the upper one sits at t = 0.8.
+    f = from_table(3, 2, [1] * 6 + [0] * 3, kind="indicator")
+    rep = line_width(f, CENTRAL3, 1, 0.1, MonteCarloEvaluator(samples=10000, seed=2))
+    assert rep.method == METHOD_MC_BISECTION
+    assert rep.lo_absent and rep.t_lo is None and not rep.hi_absent
+    assert rep.t_hi == pytest.approx(0.8, abs=0.02)
+    assert rep.width == rep.t_hi
+    never = constant_function(3, 3, 0, kind="indicator")
+    rep = line_width(never, CENTRAL3, 1, 0.1, MonteCarloEvaluator(samples=100, seed=2))
+    assert rep.method == METHOD_MC_BISECTION
+    assert rep.lo_absent and rep.hi_absent and rep.width == 0.0
+    always = constant_function(3, 3, 1, kind="indicator")
+    rep = line_width(always, CENTRAL3, 1, 0.1, MonteCarloEvaluator(samples=100, seed=2))
+    assert rep.lo_absent and rep.hi_absent and rep.width == 0.0
 
 
 # ---------------------------------------------------------------------------
