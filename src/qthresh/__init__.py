@@ -3,11 +3,11 @@
 from .evaluate import (
     ClosedFormEvaluator,
     Estimate,
+    Evaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
     QuantileMap,
-    exact_probability,
-    mc_probability,
+    binomial_std_error,
     product_weights,
     quantile_encode,
     tribes_prob_zero,
@@ -18,20 +18,13 @@ from .functions import (
     CapExceededError,
     FunctionFileError,
     FunctionSpec,
-    PermutationGroupSpec,
     TribesVariant,
-    adjacent_transpositions,
-    apply_permutation,
     build_tribes,
     constant_function,
     evaluate_batch,
-    evaluate_point,
     from_table,
-    full_cycle,
     indicator,
     is_a_monotone,
-    is_monotone_full,
-    is_symmetric,
     leq_a,
     materialize_table,
     parse_function_file,
@@ -39,11 +32,9 @@ from .functions import (
     write_function_file,
 )
 from .influence import (
-    FibreView,
     InfluenceProfile,
     KellerDiagnostic,
     ent,
-    fibre_view,
     h_nonconstant,
     h_paper,
     h_variance,
@@ -57,10 +48,7 @@ from .influence import (
 from .measures import (
     SimplexMeasure,
     central_measure,
-    classify_region,
-    mix_st,
     mix_t,
-    sample_uniform,
     sample_uniform_batch,
     second_smallest_atom,
 )
@@ -69,7 +57,6 @@ from .threshold import (
     RegionMeasureEstimate,
     ScalingRow,
     ThresholdReport,
-    cross_section_scan,
     derivative_lower_bound_ratio,
     line_width,
     region_measure,

@@ -17,15 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import (
-    METHOD_CLOSED,
-    ClosedFormEvaluator,
-    Estimate,
-    ExactEvaluator,
-    MonteCarloEvaluator,
-    exact_probability,
-    mc_probability,
-)
+from .evaluate import ClosedFormEvaluator, ExactEvaluator, MonteCarloEvaluator
 from .functions import (
     CapExceededError,
     FunctionFileError,
@@ -152,12 +144,12 @@ def _add_evaluator_args(p: argparse.ArgumentParser, default_samples: int) -> Non
                         "sample for width (raised to the DKW count of --eps)")
 
 
-def _build_evaluator(args, seed: int):
+def _build_evaluator(args, seed: int, samples: int):
     if args.evaluator == "exact":
         return ExactEvaluator()
     if args.evaluator == "closed":
         return ClosedFormEvaluator()
-    return MonteCarloEvaluator(samples=args.eval_samples, seed=seed)
+    return MonteCarloEvaluator(samples=samples, seed=seed)
 
 
 def _parse_measures(args, parser: argparse.ArgumentParser, q: int) -> list[SimplexMeasure]:
@@ -179,18 +171,10 @@ def _parse_measures(args, parser: argparse.ArgumentParser, q: int) -> list[Simpl
 def cmd_eval(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
     mus = _parse_measures(args, parser, f.q)
-    seed = _resolve_seed(args)
-    rows = []
-    for idx, mu in enumerate(mus):
-        if args.evaluator == "exact":
-            est = exact_probability(f, mu, args.a)
-        elif args.evaluator == "closed":
-            value = ClosedFormEvaluator()(f, mu, args.a)
-            est = Estimate(value=value, std_error=0.0, method=METHOD_CLOSED, samples=0)
-        else:
-            stream = np.random.SeedSequence((seed, idx))
-            est = mc_probability(f, mu, args.a, args.samples, seed=stream)
-        rows.append([f.q, f.n, mu.serialize(), args.a, est.method, est.value, est.std_error, est.samples])
+    evaluator = _build_evaluator(args, _resolve_seed(args), args.samples)
+    est = evaluator.batch(f, np.stack([mu.as_array() for mu in mus]), args.a)
+    rows = [[f.q, f.n, mu.serialize(), args.a, est.method, float(value), float(se), est.samples]
+            for mu, value, se in zip(mus, est.values, est.std_errors)]
     return 0, [(args.out, _csv(["q", "n", "mu", "a", "method", "value", "std_error", "samples"], rows))]
 
 
@@ -216,7 +200,7 @@ def cmd_width(args, parser) -> tuple[int, Outputs]:
     base = SimplexMeasure.parse(args.mu) if args.mu else central_measure(f.q)
     if base.q != f.q:
         raise ValueError(f"base measure has {base.q} atoms, function needs {f.q}")
-    evaluator = _build_evaluator(args, seed)
+    evaluator = _build_evaluator(args, seed, args.eval_samples)
     rep = line_width(f, base, args.a, args.eps, evaluator, t_tol=args.t_tol, grid_points=args.grid)
     rows = [[f.q, f.n, args.a, rep.eps, args.evaluator, rep.method, rep.t_lo, rep.t_hi,
              rep.width, rep.grid_points, rep.t_tol, rep.lo_absent, rep.hi_absent]]
@@ -236,7 +220,7 @@ def cmd_width(args, parser) -> tuple[int, Outputs]:
 def cmd_region(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
     seed = _resolve_seed(args)
-    evaluator = _build_evaluator(args, seed + 1)
+    evaluator = _build_evaluator(args, seed + 1, args.eval_samples)
     est = region_measure(f, args.a, args.eps, args.samples, seed, evaluator)
     rows = [[f.q, f.n, args.a, args.eps, est.samples, est.fraction, est.std_error, est.seed]]
     return 0, [(args.out, _csv(["q", "n", "a", "eps", "samples", "fraction", "std_error", "seed"], rows))]

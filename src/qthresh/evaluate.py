@@ -25,7 +25,6 @@ enumeration cap is checked on every call, cache hit or not, so a smaller
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,29 +49,54 @@ METHOD_CLOSED = "closed-form"
 METHOD_MC = "monte-carlo"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
-    """A probability estimate with its sampling uncertainty.
+    """Probability estimates for a batch of measures: row k answers measure k.
 
-    Deterministic methods report std_error 0; Monte Carlo reports the
-    binomial standard error, with the rule-of-three surrogate 3/samples when
-    the empirical rate sits exactly at 0 or 1.
+    ``values`` and ``std_errors`` have one entry per row.  Deterministic
+    methods report std_errors 0, as a broadcast view that allocates no
+    per-row array; Monte Carlo reports :func:`binomial_std_error` of each
+    row.  ``samples`` is the count behind every row: the q^n points the
+    exact tally sums over, 0 for the closed form, the draws per row for
+    Monte Carlo.
     """
 
-    value: float
-    std_error: float
+    values: np.ndarray
+    std_errors: np.ndarray
     method: str
     samples: int
 
     def __post_init__(self) -> None:
         if self.method not in (METHOD_EXACT, METHOD_CLOSED, METHOD_MC):
             raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"estimate {self.value!r} outside [0, 1]")
-        if self.std_error < 0.0:
-            raise ValueError("std_error must be nonnegative")
-        if self.method != METHOD_MC and self.std_error != 0.0:
-            raise ValueError(f"{self.method} is deterministic; std_error must be 0")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"expected one value per row, got shape {values.shape}")
+        if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails too
+            raise ValueError("estimates must lie in [0, 1]")
+        std = np.asarray(self.std_errors, dtype=float)  # checked before broadcasting: a 0 is one scalar
+        if std.size and not std.min() >= 0.0:
+            raise ValueError("std_errors must be nonnegative")
+        if self.method != METHOD_MC and std.any():
+            raise ValueError(f"{self.method} is deterministic; std_errors must be 0")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "std_errors", np.broadcast_to(std, values.shape))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def binomial_std_error(hits, samples: int):
+    """Standard error of the rate hits/samples, elementwise over ``hits``.
+
+    sqrt(p (1 - p) / samples) reads 0 when no draw (or every draw) hit.
+    There the value is 3/samples instead: the rule-of-three 95% upper bound
+    on the rate (or on one minus it), a bound and not a standard error.
+    """
+    hits = np.asarray(hits)
+    rate = hits / samples
+    se = np.sqrt(rate * (1.0 - rate) / samples)
+    return np.where((hits == 0) | (hits == samples), 3.0 / samples, se)
 
 
 def product_weights(mu: SimplexMeasure, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -236,17 +260,16 @@ def type_tally(f: FunctionSpec, cap: int = DEFAULT_CAP) -> TypeTally:
     return f._tally
 
 
-def _check_probe(f: FunctionSpec, q: int, a: int) -> None:
-    if q != f.q:
-        raise ValueError(f"measure has q={q}, function has q={f.q}")
+def _check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
+    """The measures of one batch as an (m, q) float matrix, checked against f and a."""
+    measures = np.asarray(measures, dtype=float)
+    if measures.ndim != 2:
+        raise ValueError(f"expected an (m, {f.q}) matrix of measures")
+    if measures.shape[1] != f.q:
+        raise ValueError(f"measure has q={measures.shape[1]}, function has q={f.q}")
     if not 0 <= a < f.q:
         raise ValueError(f"symbol a={a} out of range for q={f.q}")
-
-
-def exact_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, cap: int = DEFAULT_CAP) -> Estimate:
-    """Pr[f(x) = a] exactly, as one dot product over the type tally of f."""
-    value = float(ExactEvaluator(cap).batch(f, mu.as_array()[None, :], a)[0])
-    return Estimate(value=value, std_error=0.0, method=METHOD_EXACT, samples=f.size)
+    return measures
 
 
 def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float, cap: int = DEFAULT_CAP) -> float:
@@ -332,33 +355,6 @@ def quantile_encode(mu: SimplexMeasure) -> QuantileMap:
     return QuantileMap(atoms=mu.atoms, boundaries=bounds)
 
 
-def mc_probability(f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int, seed) -> Estimate:
-    """Monte Carlo Pr[f(x) = a]: sample uniforms, quantile-encode, evaluate.
-
-    Deterministic given (f, mu, a, samples, seed): the batch layout is fixed,
-    so the stream of uniforms does not depend on anything else.
-    """
-    _check_probe(f, mu.q, a)
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    rng = np.random.default_rng(seed)
-    gmap = quantile_encode(mu)
-    batch = max(1, _BATCH_CELLS // f.n)
-    hits = 0
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
-        X = gmap(rng.random((b, f.n)))
-        hits += int((evaluate_batch(f, X) == a).sum())
-        done += b
-    phat = hits / samples
-    if hits in (0, samples):
-        se = 3.0 / samples
-    else:
-        se = math.sqrt(phat * (1.0 - phat) / samples)
-    return Estimate(value=phat, std_error=se, method=METHOD_MC, samples=samples)
-
-
 def coupled_line_chunks(n: int, base: SimplexMeasure, samples: int, seed):
     """One coupled sample of the line t delta_0 + (1-t) base, in row chunks.
 
@@ -387,36 +383,43 @@ def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure, cap: int = DEFAUL
     """
     if not type_tally(f, cap).binary:
         raise ValueError("variance in this sense is defined for {0,1}-valued functions")
-    evaluator, row = ExactEvaluator(cap), mu.as_array()[None, :]
-    one, zero = (float(evaluator.batch(f, row, a)[0]) for a in (1, 0))
-    return one * zero
+    evaluator = ExactEvaluator(cap)
+    return evaluator(f, mu, 1) * evaluator(f, mu, 0)
 
 
 # ---------------------------------------------------------------------------
 # Evaluator strategies for the threshold machinery
 
 
-class ExactEvaluator:
-    """Tally-backed Pr[f = a]; exact but capped at q^n table size."""
+class Evaluator:
+    """One route to Pr[f = a] under product measures.
 
-    stochastic = False
+    A route implements only ``batch(f, measures, a)``: one row of an (m, q)
+    matrix of measures in, one row of an :class:`Estimate` out.  The scalar
+    probe ``evaluator(f, mu, a)`` is row 0 of a one-row batch.
+    """
+
+    def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
+        raise NotImplementedError
+
+    def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int) -> float:
+        return float(self.batch(f, mu.as_array()[None, :], a).values[0])
+
+
+class ExactEvaluator(Evaluator):
+    """Tally-backed Pr[f = a]; exact but capped at q^n table size."""
 
     def __init__(self, cap: int = DEFAULT_CAP):
         self.cap = cap
 
-    def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int) -> float:
-        return float(self.batch(f, mu.as_array()[None, :], a)[0])
-
-    def batch(self, f: FunctionSpec, measures: np.ndarray, a: int) -> np.ndarray:
-        measures = np.asarray(measures, dtype=float)
-        if measures.ndim != 2:
-            raise ValueError(f"expected an (m, {f.q}) matrix of measures")
-        _check_probe(f, measures.shape[1], a)
+    def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
+        measures = _check_measures(f, measures, a)
         # A sum of nonnegative terms; rounding can only overshoot 1.
-        return np.minimum(type_tally(f, self.cap).probabilities(measures, a), 1.0)
+        values = np.minimum(type_tally(f, self.cap).probabilities(measures, a), 1.0)
+        return Estimate(values, 0.0, METHOD_EXACT, f.size)
 
 
-class ClosedFormEvaluator:
+class ClosedFormEvaluator(Evaluator):
     """Product-formula Pr for the tribes family's zero event.
 
     Covers the [q]-valued family at a = 0 and its indicator-of-0 view at
@@ -424,17 +427,10 @@ class ClosedFormEvaluator:
     enumeration or sampling happens at any n.
     """
 
-    stochastic = False
-
-    def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int) -> float:
-        return float(self.batch(f, mu.as_array()[None, :], a)[0])
-
-    def batch(self, f: FunctionSpec, measures: np.ndarray, a: int) -> np.ndarray:
+    def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         if f.family is None:
             raise ValueError("closed form requires a tribes family function")
-        measures = np.asarray(measures, dtype=float)
-        if measures.ndim != 2 or measures.shape[1] != f.q:
-            raise ValueError(f"expected an (m, {f.q}) matrix of measures")
+        measures = _check_measures(f, measures, a)
         if f.kind == KIND_FULL:
             if a != 0:
                 raise ValueError("closed form covers only the a=0 output of the full family")
@@ -446,19 +442,19 @@ class ClosedFormEvaluator:
                 raise ValueError("indicator outputs are 0 and 1")
             want_zero_event = a == 1
         if want_zero_event:
-            return tribes_prob_zero(f.family, measures[:, 0])
-        return _tribes_alive(f.family, measures[:, 0])
+            values = tribes_prob_zero(f.family, measures[:, 0])
+        else:
+            values = _tribes_alive(f.family, measures[:, 0])
+        return Estimate(values, 0.0, METHOD_CLOSED, 0)
 
 
-class MonteCarloEvaluator:
+class MonteCarloEvaluator(Evaluator):
     """Sampling-backed Pr[f = a] with per-call deterministic substreams.
 
-    Call k, a probe or a coupled line sample, draws from a stream seeded by
-    (seed, k), so a fresh evaluator replays an identical sweep while
-    successive calls stay independent.
+    Call k, one row of a batch or one coupled line sample, draws from a
+    stream seeded by (seed, k), so a fresh evaluator replays an identical
+    sweep while successive calls stay independent.
     """
-
-    stochastic = True
 
     def __init__(self, samples: int, seed: int):
         if samples < 1:
@@ -466,21 +462,36 @@ class MonteCarloEvaluator:
         self.samples = int(samples)
         self.seed = int(seed)
         self.calls = 0
-        self.last_estimate: Estimate | None = None
 
     def _stream(self) -> np.random.SeedSequence:
         stream = np.random.SeedSequence((self.seed, self.calls))
         self.calls += 1
         return stream
 
-    def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int, samples: int | None = None) -> float:
-        est = mc_probability(f, mu, a, self.samples if samples is None else samples, seed=self._stream())
-        self.last_estimate = est
-        return est.value
+    def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
+        """Each row's rate of f = a over ``samples`` draws: uniforms, quantile-encoded.
+
+        The chunk layout is fixed, so a row's draws depend only on its
+        stream and on (f, measure, samples).
+        """
+        measures = _check_measures(f, measures, a)
+        chunk = max(1, _BATCH_CELLS // f.n)
+        hits = np.zeros(len(measures), dtype=np.int64)
+        for k, row in enumerate(measures):
+            rng = np.random.default_rng(self._stream())
+            gmap = quantile_encode(SimplexMeasure(tuple(row)))
+            for done in range(0, self.samples, chunk):
+                X = gmap(rng.random((min(chunk, self.samples - done), f.n)))
+                hits[k] += np.count_nonzero(evaluate_batch(f, X) == a)
+        return Estimate(hits / self.samples, binomial_std_error(hits, self.samples), METHOD_MC, self.samples)
 
     def coupled_line(self, n: int, base: SimplexMeasure, samples: int):
         """Row chunks of one coupled sample along the line from ``base``.
 
-        Takes one call's stream, like one probe; see :func:`coupled_line_chunks`.
+        ``samples`` overrides the evaluator's own count for this call.  It
+        takes one call's stream, like one batch row; see
+        :func:`coupled_line_chunks`.
         """
+        if samples < 1:
+            raise ValueError("samples must be positive")  # before the stream is taken
         return coupled_line_chunks(n, base, samples, self._stream())

@@ -50,14 +50,6 @@ def point_index(x, q: int) -> int:
     return idx
 
 
-def index_point(idx: int, q: int, n: int) -> tuple[int, ...]:
-    """Inverse of :func:`point_index`."""
-    out = [0] * n
-    for k in range(n - 1, -1, -1):
-        idx, out[k] = divmod(idx, q)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class TribesVariant:
     """Parameters of a tribes-style function on [q]^n.
@@ -159,31 +151,6 @@ def constant_function(q: int, n: int, value: int, kind: str = KIND_FULL) -> Func
     return FunctionSpec(q=q, n=n, kind=kind, table=np.full(q**n, value, dtype=np.int32))
 
 
-def _tribes_point(fam: TribesVariant, x) -> int:
-    for j in range(fam.m):
-        stop = fam.n if j == fam.m - 1 else (j + 1) * fam.r
-        if all(v == 0 for v in x[j * fam.r : stop]):
-            return 0
-    for v in x:
-        if v != 0:
-            return int(v)
-    raise AssertionError("unreachable: all-zero input has an all-zero tribe")
-
-
-def evaluate_point(f: FunctionSpec, x) -> int:
-    """Evaluate at a single point (tuple or array of n symbols)."""
-    if len(x) != f.n:
-        raise ValueError(f"point has {len(x)} coordinates, expected {f.n}")
-    if any(not 0 <= int(v) < f.q for v in x):
-        raise ValueError(f"point {tuple(x)} has symbols outside [0, {f.q})")
-    if f.table is not None:
-        return int(f.table[point_index(x, f.q)])
-    val = _tribes_point(f.family, [int(v) for v in x])
-    if f.kind == KIND_INDICATOR:
-        return int(val == f.indicator_of)
-    return val
-
-
 def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
     """Evaluate at every row of an (m, n) matrix of symbols."""
     X = np.asarray(X)
@@ -261,14 +228,6 @@ def is_a_monotone(f: FunctionSpec, a: int, cap: int = DEFAULT_CAP) -> bool:
     return _rewrite_monotone(_binary_table(f, cap).reshape((f.q,) * f.n), a)
 
 
-def is_monotone_full(f: FunctionSpec, cap: int = DEFAULT_CAP) -> bool:
-    """Whether every level indicator 1[f = a] is monotone for its own order."""
-    if f.kind != KIND_FULL:
-        raise ValueError("full monotonicity applies to [q]-valued functions")
-    tbl = materialize_table(f, cap).reshape((f.q,) * f.n)
-    return all(_rewrite_monotone(tbl == a, a) for a in range(f.q))
-
-
 def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
     """Whether 1[f = a] is nondecreasing under rewriting coordinates to 0.
 
@@ -287,86 +246,6 @@ def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
     if f.q == 2:  # 1[f = 1] = 1 - 1[f = 0]
         return a == int(f.indicator_of == 0)
     return f.indicator_of == 0 and a == 1
-
-
-def _check_permutation(sigma, n: int) -> tuple[int, ...]:
-    perm = tuple(int(v) for v in sigma)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{sigma!r} is not a permutation of 0..{n - 1}")
-    return perm
-
-
-@dataclass(frozen=True)
-class PermutationGroupSpec:
-    """Generators (0-based coordinate permutations) of a subgroup of S_n."""
-
-    generators: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        gens = tuple(_check_permutation(g, len(self.generators[0])) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-
-    @property
-    def n(self) -> int:
-        return len(self.generators[0])
-
-    def orbit_of(self, start: int) -> frozenset[int]:
-        # Finite permutations have inverses among their own powers, so
-        # closing under the generators alone reaches the whole group orbit.
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            j = frontier.pop()
-            for g in self.generators:
-                img = g[j]
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
-        return frozenset(seen)
-
-    def is_transitive(self) -> bool:
-        return len(self.orbit_of(0)) == self.n
-
-
-def adjacent_transpositions(n: int) -> PermutationGroupSpec:
-    """Generators of the full symmetric group S_n."""
-    if n == 1:
-        return PermutationGroupSpec(((0,),))
-    gens = []
-    for k in range(n - 1):
-        g = list(range(n))
-        g[k], g[k + 1] = g[k + 1], g[k]
-        gens.append(tuple(g))
-    return PermutationGroupSpec(tuple(gens))
-
-
-def full_cycle(n: int) -> PermutationGroupSpec:
-    """The cyclic shift generator (transitive, but much smaller than S_n)."""
-    return PermutationGroupSpec((tuple((j + 1) % n for j in range(n)),))
-
-
-def apply_permutation(x, sigma) -> tuple[int, ...]:
-    """The relabeled point y with y[j] = x[sigma[j]]."""
-    perm = _check_permutation(sigma, len(x))
-    return tuple(x[perm[j]] for j in range(len(x)))
-
-
-def is_symmetric(f: FunctionSpec, group: PermutationGroupSpec, cap: int = DEFAULT_CAP) -> bool:
-    """Whether the group acts transitively and leaves f invariant.
-
-    Invariance means f(x) == f(y) with y[j] = x[sigma[j]] for every
-    generator sigma; transitivity is the orbit of coordinate 0 covering all
-    coordinates.
-    """
-    if group.n != f.n:
-        raise ValueError(f"group permutes {group.n} coordinates, function has {f.n}")
-    if not group.is_transitive():
-        return False
-    tbl = materialize_table(f, cap).reshape((f.q,) * f.n)
-    for g in group.generators:
-        if not np.array_equal(tbl, tbl.transpose(g)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

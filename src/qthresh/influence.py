@@ -19,39 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import type_tally, variance_of_indicator
-from .functions import DEFAULT_CAP, FunctionSpec, evaluate_point
+from .functions import DEFAULT_CAP, FunctionSpec
 from .measures import SimplexMeasure
-
-
-@dataclass(frozen=True)
-class FibreView:
-    """The one-coordinate restriction of f at a rest-point x.
-
-    ``outputs[v]`` is f with coordinate k rewritten to v; by construction
-    ``outputs[x[k]]`` equals f(x).
-    """
-
-    x: tuple[int, ...]
-    k: int
-    outputs: tuple[int, ...]
-
-    def is_constant(self) -> bool:
-        return min(self.outputs) == max(self.outputs)
-
-    def mean(self, mu: SimplexMeasure) -> float:
-        return float(np.dot(mu.as_array(), self.outputs))
-
-
-def fibre_view(f: FunctionSpec, x, k: int) -> FibreView:
-    x = tuple(int(v) for v in x)
-    if not 0 <= k < f.n:
-        raise ValueError(f"coordinate k={k} out of range for n={f.n}")
-    outputs = []
-    probe = list(x)
-    for v in range(f.q):
-        probe[k] = v
-        outputs.append(evaluate_point(f, probe))
-    return FibreView(x=x, k=k, outputs=tuple(outputs))
 
 
 def _check_compatible(f: FunctionSpec, mu: SimplexMeasure) -> None:

@@ -3,8 +3,7 @@
 A measure is a point of the probability simplex: q nonnegative atoms summing
 to one.  Threshold questions live on the boundary face where atom 0 vanishes;
 the sweeps move from a base point on that face toward the point mass at
-symbol 0, either along a straight line or through a two-parameter cross
-section that additionally blends in one other point mass.
+symbol 0 along a straight line.
 """
 from __future__ import annotations
 
@@ -84,13 +83,6 @@ def require_zero_face(mu: SimplexMeasure) -> None:
         raise ValueError(f"base measure must place zero mass at symbol 0, got {mu.atoms[0]!r}")
 
 
-def _check_unit(name: str, v: float) -> float:
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-    return v
-
-
 def mix_t(base: SimplexMeasure, t: float) -> SimplexMeasure:
     """Line mixture t*delta_0 + (1-t)*base.
 
@@ -98,42 +90,16 @@ def mix_t(base: SimplexMeasure, t: float) -> SimplexMeasure:
     exactly; the remaining atoms are scaled by (1-t).
     """
     require_zero_face(base)
-    t = _check_unit("t", t)
+    t = float(t)
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
     rest = tuple((1.0 - t) * a for a in base.atoms[1:])
     return SimplexMeasure((t,) + rest)
-
-
-def mix_st(base: SimplexMeasure, i: int, s: float, t: float) -> SimplexMeasure:
-    """Cross-section mixture t*delta_0 + s*(1-t)*delta_i + (1-t)*(1-s)*base.
-
-    ``base`` must vanish at symbols 0 and i.  At t=1 the result is exactly
-    delta_0 regardless of s; at (s, t) = (1, 0) it is exactly delta_i.
-    """
-    require_zero_face(base)
-    if not 1 <= i < base.q:
-        raise ValueError(f"direction symbol i={i} must lie in 1..{base.q - 1}")
-    if base.atoms[i] != 0.0:
-        raise ValueError(f"base measure must place zero mass at symbol {i}, got {base.atoms[i]!r}")
-    s = _check_unit("s", s)
-    t = _check_unit("t", t)
-    atoms = [(1.0 - t) * (1.0 - s) * a for a in base.atoms]
-    atoms[0] = t
-    atoms[i] = s * (1.0 - t)
-    return SimplexMeasure(tuple(atoms))
 
 
 def second_smallest_atom(mu: SimplexMeasure) -> float:
     """Smallest atom over symbols 1..q-1 (symbol 0 excluded)."""
     return min(mu.atoms[1:])
-
-
-def classify_region(mu: SimplexMeasure) -> int:
-    """Index i >= 1 of the smallest atom among symbols 1..q-1.
-
-    Ties resolve to the lowest index, so the regions partition the simplex.
-    """
-    rest = mu.atoms[1:]
-    return 1 + rest.index(min(rest))
 
 
 def central_measure(q: int) -> SimplexMeasure:
@@ -143,22 +109,13 @@ def central_measure(q: int) -> SimplexMeasure:
     return SimplexMeasure((0.0,) + (1.0 / (q - 1),) * (q - 1))
 
 
-def sample_uniform(q: int, rng) -> SimplexMeasure:
-    """One draw from the uniform (Lebesgue) distribution on the simplex.
+def sample_uniform_batch(q: int, count: int, rng) -> np.ndarray:
+    """Matrix of ``count`` uniform (Lebesgue) simplex points, one per row.
 
     Uses the exponential trick: q iid Exp(1) variates divided by their sum
     are Dirichlet(1, ..., 1), which is the uniform distribution.  ``rng``
     may be a seed or an ``np.random.Generator``.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    gen = np.random.default_rng(rng)
-    g = gen.exponential(size=q)
-    return SimplexMeasure.normalized(g)
-
-
-def sample_uniform_batch(q: int, count: int, rng) -> np.ndarray:
-    """Matrix of ``count`` uniform simplex points, one per row."""
     if q < 2:
         raise ValueError("q must be at least 2")
     if count < 0:

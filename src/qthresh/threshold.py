@@ -14,13 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluate import ClosedFormEvaluator, variance_of_indicator
+from .evaluate import ClosedFormEvaluator, MonteCarloEvaluator, binomial_std_error, variance_of_indicator
 from .functions import DEFAULT_CAP, FunctionSpec, build_tribes, evaluate_batch, level_is_zero_monotone
 from .influence import phi_k
 from .measures import (
     SimplexMeasure,
     central_measure,
-    mix_st,
     mix_t,
     require_zero_face,
     sample_uniform_batch,
@@ -195,15 +194,12 @@ def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_to
 
 def _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points, monotone_slack):
     grid = np.linspace(0.0, 1.0, grid_points)
-    vals = np.array([evaluator(f, mix_t(base, float(t)), a) for t in grid])
+    vals = evaluator.batch(f, np.stack([mix_t(base, float(t)).as_array() for t in grid]), a).values
     if np.any(np.diff(vals) < -monotone_slack):
         return _grid_scan_report(grid, vals, eps, a, t_tol, METHOD_GRID_SCAN)
 
-    def probe(t: float) -> float:
-        return float(evaluator(f, mix_t(base, t), a))
-
     def crossing(target: float) -> float:
-        return _bisect_increasing(probe, target, 0.0, 1.0, t_tol)
+        return _bisect_increasing(lambda t: evaluator(f, mix_t(base, t), a), target, 0.0, 1.0, t_tol)
 
     return _crossing_report(eps, a, float(vals[0]), float(vals[-1]), crossing, METHOD_BISECTION,
                             grid_points, t_tol)
@@ -304,11 +300,12 @@ def line_width(
 ) -> ThresholdReport:
     """Threshold width of Pr[f = a] along the line from base toward delta_0.
 
-    A deterministic evaluator gets a monotonicity check on a coarse grid and
-    then bisection to ``t_tol``; a visibly non-monotone probe profile falls
-    back to a grid scan of the band.  A stochastic evaluator (attribute
-    ``stochastic``) draws one coupled sample for the whole line, see
-    :func:`_line_width_mc`; its reported ``t_tol`` is at least 1e-4.
+    A deterministic evaluator gets a monotonicity check on a coarse grid,
+    one batch, and then bisection to ``t_tol``; a visibly non-monotone
+    probe profile falls back to a grid scan of the band.  A
+    :class:`~qthresh.evaluate.MonteCarloEvaluator` draws one coupled sample
+    for the whole line, see :func:`_line_width_mc`; its reported ``t_tol``
+    is at least 1e-4.
     """
     require_zero_face(base)
     eps = _check_eps(eps)
@@ -318,42 +315,9 @@ def line_width(
         raise ValueError("t_tol must be positive")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
-    if getattr(evaluator, "stochastic", False):
+    if isinstance(evaluator, MonteCarloEvaluator):
         return _line_width_mc(f, base, a, eps, evaluator, t_tol)
     return _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points, monotone_slack)
-
-
-def cross_section_scan(
-    f: FunctionSpec,
-    base: SimplexMeasure,
-    i: int,
-    a: int,
-    eps: float,
-    s_grid: Sequence[float],
-    evaluator,
-    **line_kwargs,
-) -> float:
-    """Trapezoid estimate of the area swept by the threshold band.
-
-    For each s the base point s*delta_i + (1-s)*base spans a line toward
-    delta_0; the integral over s of the line widths is the two-dimensional
-    size of the band inside the cross-section sheet.
-    """
-    s_values = [float(s) for s in s_grid]
-    if len(s_values) < 2:
-        raise ValueError("s_grid needs at least two points")
-    if any(s1 <= s0 for s0, s1 in zip(s_values, s_values[1:])):
-        raise ValueError("s_grid must be strictly increasing")
-    if not 0.0 <= s_values[0] or not s_values[-1] <= 1.0:
-        raise ValueError("s_grid must lie inside [0, 1]")
-    widths = [
-        line_width(f, mix_st(base, i, s, 0.0), a, eps, evaluator, **line_kwargs).width
-        for s in s_values
-    ]
-    area = 0.0
-    for j in range(len(s_values) - 1):
-        area += 0.5 * (widths[j] + widths[j + 1]) * (s_values[j + 1] - s_values[j])
-    return area
 
 
 @dataclass(frozen=True)
@@ -377,28 +341,19 @@ def region_measure(
 ) -> RegionMeasureEstimate:
     """Monte Carlo fraction of uniform simplex points with eps <= Pr[f=a] <= 1-eps.
 
-    Uses the evaluator's vectorized ``batch`` method when it has one; the
-    randomness is only in the simplex sample, so a deterministic evaluator
-    makes the estimate reproducible from the seed alone.
+    All points go to the evaluator in one ``batch``.  With a deterministic
+    evaluator the randomness is only in the simplex sample, so the estimate
+    is reproducible from the seed alone.
     """
     eps = _check_eps(eps)
     if samples < 1:
         raise ValueError("samples must be positive")
     if not 0 <= a < f.q:
         raise ValueError(f"symbol a={a} out of range for q={f.q}")
-    M = sample_uniform_batch(f.q, samples, seed)
-    batch = getattr(evaluator, "batch", None)
-    if callable(batch):
-        probs = np.asarray(batch(f, M, a), dtype=float)
-    else:
-        probs = np.array([evaluator(f, SimplexMeasure(tuple(row)), a) for row in M])
+    probs = evaluator.batch(f, sample_uniform_batch(f.q, samples, seed), a).values
     hits = int(((probs >= eps) & (probs <= 1.0 - eps)).sum())
-    fraction = hits / samples
-    if hits in (0, samples):
-        std_error = 3.0 / samples
-    else:
-        std_error = math.sqrt(fraction * (1.0 - fraction) / samples)
-    return RegionMeasureEstimate(fraction=fraction, std_error=std_error, samples=samples, seed=int(seed))
+    return RegionMeasureEstimate(fraction=hits / samples, std_error=float(binomial_std_error(hits, samples)),
+                                 samples=samples, seed=int(seed))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .evaluate import (
     ClosedFormEvaluator,
+    ExactEvaluator,
     bernstein_derivative,
-    exact_probability,
     product_weights,
     tribes_prob_zero,
 )
@@ -115,7 +115,7 @@ def fd_probability_derivative(
     """
 
     def p(u: float) -> float:
-        return exact_probability(f, mix_t(base, u), 1).value
+        return ExactEvaluator()(f, mix_t(base, u), 1)
 
     if t < dt:
         return (-3.0 * p(t) + 4.0 * p(t + dt) - p(t + 2.0 * dt)) / (2.0 * dt)
@@ -358,7 +358,7 @@ def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
         table = materialize_table(f)
         for mu in mus:
             weights = product_weights(mu, f.n)
-            tallied = [exact_probability(f, mu, a).value for a in range(f.q)]
+            tallied = [ExactEvaluator()(f, mu, a) for a in range(f.q)]
             for a, tally in enumerate(tallied):
                 brute = float(weights @ (table == a))
                 rec.record(
@@ -423,7 +423,8 @@ def suite_coupling(slack: float = 1e-12, *, grid_points: int = 100, seed: int = 
     grid = np.linspace(0.0, 1.0, grid_points)
     for fi, f in enumerate(corpus):
         for bi, base in enumerate(bases):
-            vals = np.array([exact_probability(f, mix_t(base, float(t)), 1).value for t in grid])
+            line = np.stack([mix_t(base, float(t)).as_array() for t in grid])
+            vals = ExactEvaluator().batch(f, line, 1).values
             worst = float(np.diff(vals).min())
             rec.record(
                 worst >= -slack,

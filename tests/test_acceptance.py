@@ -14,7 +14,7 @@ import pytest
 from qthresh.cli import main
 from qthresh.evaluate import (
     ClosedFormEvaluator,
-    exact_probability,
+    ExactEvaluator,
     tribes_prob_zero,
 )
 from qthresh.functions import (
@@ -188,7 +188,7 @@ def test_criterion_06_tribes_closed_form():
         for mu_row in sample_uniform_batch(3, 10, 200 + n):
             mu = SimplexMeasure(tuple(mu_row))
             closed = tribes_prob_zero(f.family, mu[0])
-            exact = exact_probability(f, mu, 0).value
+            exact = ExactEvaluator()(f, mu, 0)
             worst = max(worst, abs(closed - exact))
     ok = worst <= 1e-12
     report(6, "tribes-closed-form", ok, f"2 n x 10 measures, max gap {worst:.2e}")
@@ -247,7 +247,7 @@ def test_criterion_09_monotone_coupling():
     for f in corpus:
         for base in bases:
             vals = np.array(
-                [exact_probability(f, mix_t(base, float(t)), 1).value for t in t_grid]
+                [ExactEvaluator()(f, mix_t(base, float(t)), 1) for t in t_grid]
             )
             worst_drop = min(worst_drop, float(np.diff(vals).min()))
     ok = worst_drop >= -1e-12

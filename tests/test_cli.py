@@ -409,3 +409,78 @@ def test_rerun_output_files_byte_identical(tmp_path, capsys):
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes(), name
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes: every evaluator route of eval, region and width
+
+
+def _tribes(n, *extra):
+    return ["--family", "tribes", "--q", "3", "--n", str(n), "--p0", "0.5", *extra]
+
+
+PINNED = {
+    "eval-exact": (
+        ["eval", *_tribes(6, "--r", "2"), "--mu", "0.5,0.25,0.25", "--mu", "0,0.5,0.5",
+         "--mu", "0.2,0.3,0.5", "--a", "0", "--evaluator", "exact"],
+        'q,n,mu,a,method,value,std_error,samples\n'
+        '3,6,"0.5,0.25,0.25",0,exact-enumeration,0.578125,0,729\n'
+        '3,6,"0,0.5,0.5",0,exact-enumeration,0,0,729\n'
+        '3,6,"0.20000000000000001,0.29999999999999999,0.5",0,exact-enumeration,0.11526400000000002,0,729\n',
+    ),
+    "eval-closed": (
+        ["eval", *_tribes(1024), "--mu", "0.3,0.4,0.3", "--mu", "0.6,0.2,0.2", "--a", "0",
+         "--evaluator", "closed"],
+        'q,n,mu,a,method,value,std_error,samples\n'
+        '3,1024,"0.29999999999999999,0.40000000000000002,0.29999999999999999",0,closed-form,'
+        '0.11595899663095388,0,0\n'
+        '3,1024,"0.59999999999999998,0.20000000000000001,0.20000000000000001",0,closed-form,'
+        '0.99969057544579187,0,0\n',
+    ),
+    "eval-mc": (
+        ["eval", *_tribes(64), "--mu", "0.5,0.25,0.25", "--mu", "0,0.5,0.5", "--mu", "0.9,0.05,0.05",
+         "--a", "0", "--evaluator", "mc", "--samples", "2000", "--seed", "9"],
+        'q,n,mu,a,method,value,std_error,samples\n'
+        '3,64,"0.5,0.25,0.25",0,monte-carlo,0.93300000000000005,0.0055906618570612885,2000\n'
+        '3,64,"0,0.5,0.5",0,monte-carlo,0,0.0015,2000\n'
+        '3,64,"0.90000000000000002,0.050000000000000003,0.050000000000000003",0,monte-carlo,1,0.0015,2000\n',
+    ),
+    "region-exact": (
+        ["region", *_tribes(6, "--r", "2"), "--level", "0", "--a", "1", "--eps", "0.1",
+         "--samples", "500", "--evaluator", "exact", "--seed", "3"],
+        'q,n,a,eps,samples,fraction,std_error,seed\n'
+        '3,6,1,0.10000000000000001,500,0.60399999999999998,0.021871625453998612,3\n',
+    ),
+    "region-closed": (
+        ["region", *_tribes(1024), "--a", "0", "--eps", "0.1", "--samples", "2000",
+         "--evaluator", "closed", "--seed", "4"],
+        'q,n,a,eps,samples,fraction,std_error,seed\n'
+        '3,1024,0,0.10000000000000001,2000,0.246,0.0096302647938673012,4\n',
+    ),
+    "region-mc": (
+        ["region", *_tribes(32), "--a", "0", "--eps", "0.1", "--samples", "40",
+         "--evaluator", "mc", "--eval-samples", "500", "--seed", "5"],
+        'q,n,a,eps,samples,fraction,std_error,seed\n'
+        '3,32,0,0.10000000000000001,40,0.47499999999999998,0.078958058486768776,5\n',
+    ),
+    "width-exact": (
+        ["width", *_tribes(6, "--r", "2"), "--a", "0", "--eps", "0.1", "--evaluator", "exact"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,6,0,0.10000000000000001,exact,bisection,0.18577032955363393,0.73201169120147824,'
+        '0.54624136164784431,101,1.0000000000000001e-09,false,false\n',
+    ),
+    "width-mc": (
+        ["width", *_tribes(64), "--a", "0", "--eps", "0.1", "--evaluator", "mc", "--seed", "11"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,64,0,0.10000000000000001,mc,mc-bisection,0.17224551366852281,0.47416946532043391,'
+        '0.3019239516519111,0,0.0001,false,false\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_csv_bytes(name, capsys):
+    argv, want = PINNED[name]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == want

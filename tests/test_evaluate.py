@@ -13,8 +13,7 @@ from qthresh.evaluate import (
     Estimate,
     ExactEvaluator,
     MonteCarloEvaluator,
-    exact_probability,
-    mc_probability,
+    binomial_std_error,
     product_weights,
     quantile_encode,
     tribes_prob_zero,
@@ -24,7 +23,7 @@ from qthresh.functions import (
     TribesVariant,
     build_tribes,
     constant_function,
-    evaluate_point,
+    evaluate_batch,
     from_table,
     indicator,
     random_zero_monotone,
@@ -33,6 +32,11 @@ from qthresh.measures import SimplexMeasure, central_measure, mix_t
 
 
 HALF_QUARTER = SimplexMeasure((0.5, 0.25, 0.25))
+EXACT = ExactEvaluator()
+
+
+def rows(*mus):
+    return np.stack([mu.as_array() for mu in mus])
 
 
 # ---------------------------------------------------------------------------
@@ -54,15 +58,16 @@ def test_product_weights_lexicographic():
 
 def test_exact_probability_tribes_frozen():
     f = build_tribes(3, 4, 0.5, r=2)
-    est = exact_probability(f, HALF_QUARTER, 0)
-    assert est.value == pytest.approx(0.4375, abs=1e-15)
+    est = EXACT.batch(f, rows(HALF_QUARTER), 0)
+    assert est.values[0] == pytest.approx(0.4375, abs=1e-15)
     assert est.method == METHOD_EXACT
-    assert est.std_error == 0.0
+    assert est.std_errors[0] == 0.0
+    assert est.samples == 81
 
 
 def test_exact_probability_partitions():
     f = build_tribes(3, 4, 0.5, r=2)
-    total = sum(exact_probability(f, HALF_QUARTER, a).value for a in range(3))
+    total = sum(EXACT(f, HALF_QUARTER, a) for a in range(3))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -71,23 +76,25 @@ def test_exact_probability_dictator():
     f = from_table(3, 2, tbl)
     mu = SimplexMeasure((0.2, 0.5, 0.3))
     for a in range(3):
-        assert exact_probability(f, mu, a).value == pytest.approx(mu[a], abs=1e-15)
+        assert EXACT(f, mu, a) == pytest.approx(mu[a], abs=1e-15)
 
 
 def test_exact_probability_point_mass():
     f = build_tribes(3, 4, 0.5, r=2)
     for j in range(3):
         mu = SimplexMeasure.point_mass(3, j)
-        want = 1.0 if evaluate_point(f, (j,) * 4) == 0 else 0.0
-        assert exact_probability(f, mu, 0).value == want
+        want = 1.0 if evaluate_batch(f, np.full((1, 4), j))[0] == 0 else 0.0
+        assert EXACT(f, mu, 0) == want
 
 
 def test_exact_probability_rejects_bad_inputs():
     f = build_tribes(3, 4, 0.5, r=2)
     with pytest.raises(ValueError):
-        exact_probability(f, SimplexMeasure((0.5, 0.5)), 0)
+        EXACT(f, SimplexMeasure((0.5, 0.5)), 0)
     with pytest.raises(ValueError):
-        exact_probability(f, HALF_QUARTER, 3)
+        EXACT(f, HALF_QUARTER, 3)
+    with pytest.raises(ValueError):
+        EXACT.batch(f, HALF_QUARTER.as_array(), 0)  # one row must still be a matrix
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +117,11 @@ def test_tribes_prob_zero_matches_exact(case):
     # r in 1..n covers uneven last blocks (r <= last < 2r) and m = 1.
     f, mu = case
     closed = tribes_prob_zero(f.family, mu[0])
-    assert abs(closed - exact_probability(f, mu, 0).value) <= 1e-12
+    assert abs(closed - EXACT(f, mu, 0)) <= 1e-12
     g = indicator(f, 0)
     ev = ClosedFormEvaluator()
     for out in (0, 1):
-        assert abs(ev(g, mu, out) - exact_probability(g, mu, out).value) <= 1e-12
+        assert abs(ev(g, mu, out) - EXACT(g, mu, out)) <= 1e-12
 
 
 def test_tribes_prob_zero_edges():
@@ -226,34 +233,48 @@ def test_quantile_map_rejects_out_of_range():
 
 def test_mc_probability_deterministic():
     f = build_tribes(3, 6, 0.5, r=2)
-    e1 = mc_probability(f, HALF_QUARTER, 0, samples=5000, seed=42)
-    e2 = mc_probability(f, HALF_QUARTER, 0, samples=5000, seed=42)
-    assert e1.value == e2.value
-    assert e1.std_error == e2.std_error
+    e1 = MonteCarloEvaluator(samples=5000, seed=42).batch(f, rows(HALF_QUARTER), 0)
+    e2 = MonteCarloEvaluator(samples=5000, seed=42).batch(f, rows(HALF_QUARTER), 0)
+    assert e1.values[0] == e2.values[0]
+    assert e1.std_errors[0] == e2.std_errors[0]
 
 
 def test_mc_probability_within_four_sigma():
     f = build_tribes(3, 6, 0.5, r=2)
-    truth = exact_probability(f, HALF_QUARTER, 0).value
-    est = mc_probability(f, HALF_QUARTER, 0, samples=40000, seed=7)
-    assert abs(est.value - truth) <= 4 * est.std_error
+    truth = EXACT(f, HALF_QUARTER, 0)
+    est = MonteCarloEvaluator(samples=40000, seed=7).batch(f, rows(HALF_QUARTER), 0)
+    assert abs(est.values[0] - truth) <= 4 * est.std_errors[0]
     assert est.method == METHOD_MC
     assert est.samples == 40000
 
 
 def test_mc_probability_rule_of_three_at_extremes():
     f = constant_function(3, 4, 1, kind="full")
-    est = mc_probability(f, HALF_QUARTER, 0, samples=900, seed=0)
-    assert est.value == 0.0
-    assert est.std_error == pytest.approx(3.0 / 900, abs=0)
+    est = MonteCarloEvaluator(samples=900, seed=0).batch(f, rows(HALF_QUARTER), 0)
+    assert est.values[0] == 0.0
+    assert est.std_errors[0] == pytest.approx(3.0 / 900, abs=0)
 
 
 def test_mc_probability_rejects():
     f = build_tribes(3, 4, 0.5, r=2)
     with pytest.raises(ValueError):
-        mc_probability(f, HALF_QUARTER, 0, samples=0, seed=1)
+        MonteCarloEvaluator(samples=0, seed=1)
+    ev = MonteCarloEvaluator(samples=10, seed=1)
     with pytest.raises(ValueError):
-        mc_probability(f, SimplexMeasure((0.5, 0.5)), 0, samples=10, seed=1)
+        ev.batch(f, rows(SimplexMeasure((0.5, 0.5))), 0)
+    with pytest.raises(ValueError):
+        ev(f, HALF_QUARTER, 3)
+    assert ev.calls == 0  # a rejected batch draws no stream
+
+
+def test_binomial_std_error_and_rule_of_three():
+    hits = np.array([0, 1, 250, 999, 1000])
+    se = binomial_std_error(hits, 1000)
+    assert se[0] == se[-1] == 3.0 / 1000  # the rule-of-three bound at 0 and N hits
+    for h, got in zip(hits[1:-1], se[1:-1]):
+        p = int(h) / 1000
+        assert got == math.sqrt(p * (1.0 - p) / 1000)
+    assert float(binomial_std_error(250, 1000)) == se[2]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +284,7 @@ def test_mc_probability_rejects():
 def test_variance_of_indicator_moment_oracle():
     f = build_tribes(3, 4, 0.5, r=2)
     g = indicator(f, 0)
-    p = exact_probability(f, HALF_QUARTER, 0).value
+    p = EXACT(f, HALF_QUARTER, 0)
     assert variance_of_indicator(g, HALF_QUARTER) == pytest.approx(p * (1 - p), abs=1e-15)
 
 
@@ -271,7 +292,7 @@ def test_variance_of_indicator_accepts_binary_full_table():
     tbl = np.zeros(9, dtype=np.int32)
     tbl[4:] = 1
     f = from_table(3, 2, tbl, kind="full")
-    p = exact_probability(f, HALF_QUARTER, 1).value
+    p = EXACT(f, HALF_QUARTER, 1)
     assert variance_of_indicator(f, HALF_QUARTER) == pytest.approx(p * (1 - p), abs=1e-15)
 
 
@@ -286,14 +307,22 @@ def test_variance_of_indicator_rejects_wider_range():
 
 
 def test_estimate_validation():
-    Estimate(value=0.5, std_error=0.0, method=METHOD_EXACT, samples=0)
+    est = Estimate(np.array([0.5, 1.0]), 0.0, METHOD_EXACT, 0)
+    assert len(est) == 2
+    assert est.std_errors.shape == (2,) and not est.std_errors.any()
     with pytest.raises(ValueError):
-        Estimate(value=1.5, std_error=0.0, method=METHOD_EXACT, samples=0)
+        Estimate(np.array([0.5, 1.5]), 0.0, METHOD_EXACT, 0)
     with pytest.raises(ValueError):
-        Estimate(value=0.5, std_error=0.1, method=METHOD_EXACT, samples=0)
+        Estimate(np.array([np.nan]), 0.0, METHOD_EXACT, 0)
     with pytest.raises(ValueError):
-        Estimate(value=0.5, std_error=0.0, method="guesswork", samples=0)
-    Estimate(value=0.5, std_error=0.1, method=METHOD_MC, samples=100)
+        Estimate(np.array([0.5]), 0.1, METHOD_EXACT, 0)
+    with pytest.raises(ValueError):
+        Estimate(np.array([0.5]), 0.0, "guesswork", 0)
+    with pytest.raises(ValueError):
+        Estimate(np.array([0.5]), np.array([-0.1]), METHOD_MC, 100)
+    with pytest.raises(ValueError):
+        Estimate(np.array([[0.5]]), 0.0, METHOD_EXACT, 0)
+    Estimate(np.array([0.5, 0.25]), np.array([0.1, 0.05]), METHOD_MC, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +333,17 @@ def test_exact_evaluator():
     ev = ExactEvaluator()
     f = build_tribes(3, 4, 0.5, r=2)
     assert ev(f, HALF_QUARTER, 0) == pytest.approx(0.4375, abs=1e-15)
-    assert not ev.stochastic
+    assert ev(f, HALF_QUARTER, 0) == ev.batch(f, rows(HALF_QUARTER), 0).values[0]
 
 
 def test_closed_form_evaluator_full_zero_level():
     ev = ClosedFormEvaluator()
     f = build_tribes(3, 6, 0.5, r=2)
     mu = SimplexMeasure((0.3, 0.4, 0.3))
-    exact = exact_probability(f, mu, 0).value
+    exact = EXACT(f, mu, 0)
     assert ev(f, mu, 0) == pytest.approx(exact, abs=1e-12)
-    assert not ev.stochastic
+    est = ev.batch(f, rows(mu), 0)
+    assert (est.method, est.samples, est.std_errors[0]) == (METHOD_CLOSED, 0, 0.0)
 
 
 def test_closed_form_evaluator_indicator_levels():
@@ -321,7 +351,7 @@ def test_closed_form_evaluator_indicator_levels():
     g = indicator(base, 0)
     ev = ClosedFormEvaluator()
     mu = SimplexMeasure((0.3, 0.4, 0.3))
-    pz = exact_probability(base, mu, 0).value
+    pz = EXACT(base, mu, 0)
     assert ev(g, mu, 1) == pytest.approx(pz, abs=1e-12)
     assert ev(g, mu, 0) == pytest.approx(1 - pz, abs=1e-12)
 
@@ -343,8 +373,21 @@ def test_closed_form_evaluator_batch_matches_scalar():
     ts = np.linspace(0.05, 0.95, 7)
     measures = np.stack([mix_t(base, float(t)).as_array() for t in ts])
     batch = ev.batch(f, measures, 0)
-    for t, v in zip(ts, batch):
+    assert len(batch) == len(ts)
+    for t, v in zip(ts, batch.values):
         assert v == ev(f, mix_t(base, float(t)), 0)
+
+
+def test_monte_carlo_evaluator_samples_override():
+    f = build_tribes(3, 6, 0.5, r=2)
+    ev = MonteCarloEvaluator(samples=1000, seed=3)
+    sizes = [len(U) for U, V in ev.coupled_line(f.n, HALF_QUARTER, 2500)]
+    assert sum(sizes) == 2500 and ev.calls == 1  # the per-call count, drawn from one stream
+    with pytest.raises(ValueError):
+        ev.coupled_line(f.n, HALF_QUARTER, 0)  # not the default in disguise
+    assert ev.calls == 1  # a rejected call draws no stream
+    with pytest.raises(ValueError):
+        MonteCarloEvaluator(samples=0, seed=3)
 
 
 def test_monte_carlo_evaluator_deterministic_replay():
@@ -356,25 +399,27 @@ def test_monte_carlo_evaluator_deterministic_replay():
     assert vals1 == vals2
     # the call counter advances the substream, so repeated calls differ
     assert len(set(vals1)) > 1
-    assert ev1.stochastic
 
 
 def test_monte_carlo_evaluator_tracks_accuracy():
     f = build_tribes(3, 6, 0.5, r=2)
-    truth = exact_probability(f, HALF_QUARTER, 0).value
-    ev = MonteCarloEvaluator(samples=50000, seed=11)
-    value = ev(f, HALF_QUARTER, 0)
-    est = ev.last_estimate
-    assert est.value == value
-    assert abs(value - truth) <= 4 * est.std_error
+    truth = EXACT(f, HALF_QUARTER, 0)
+    value = MonteCarloEvaluator(samples=50000, seed=11)(f, HALF_QUARTER, 0)
+    est = MonteCarloEvaluator(samples=50000, seed=11).batch(f, rows(HALF_QUARTER), 0)
+    assert est.values[0] == value  # the scalar call is row 0 of a one-row batch
+    assert abs(value - truth) <= 4 * est.std_errors[0]
 
 
-def test_monte_carlo_evaluator_samples_override():
-    f = build_tribes(3, 6, 0.5, r=2)
-    ev = MonteCarloEvaluator(samples=1000, seed=3)
-    ev(f, HALF_QUARTER, 0, samples=2500)
-    assert ev.last_estimate.samples == 2500
-    with pytest.raises(ValueError):
-        ev(f, HALF_QUARTER, 0, samples=0)  # not the default in disguise
-    with pytest.raises(ValueError):
-        MonteCarloEvaluator(samples=0, seed=3)
+@pytest.mark.parametrize("f", [build_tribes(3, 6, 0.5, r=2), random_zero_monotone(3, 4, 0.3, seed=4)])
+def test_monte_carlo_batch_rows_are_one_row_batches(f):
+    # Row k of a batch draws from stream (seed, k), as the k-th one-row
+    # batch of a fresh evaluator with the same seed does.
+    mus = [HALF_QUARTER, central_measure(3), SimplexMeasure((0.2, 0.3, 0.5)), SimplexMeasure((1.0, 0.0, 0.0))]
+    ev = MonteCarloEvaluator(samples=3000, seed=8)
+    est = ev.batch(f, rows(*mus), 1 if f.kind == "indicator" else 0)
+    fresh = MonteCarloEvaluator(samples=3000, seed=8)
+    singles = [fresh.batch(f, rows(mu), 1 if f.kind == "indicator" else 0) for mu in mus]
+    assert list(est.values) == [s.values[0] for s in singles]
+    assert list(est.std_errors) == [s.std_errors[0] for s in singles]
+    assert ev.calls == fresh.calls == len(mus)
+    assert len(est) == len(mus) and est.samples == 3000

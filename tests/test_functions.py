@@ -14,21 +14,13 @@ from qthresh.functions import (
     CapExceededError,
     FunctionFileError,
     FunctionSpec,
-    PermutationGroupSpec,
-    adjacent_transpositions,
-    apply_permutation,
     build_tribes,
     check_cap,
     constant_function,
     evaluate_batch,
-    evaluate_point,
     from_table,
-    full_cycle,
     indicator,
-    index_point,
     is_a_monotone,
-    is_monotone_full,
-    is_symmetric,
     leq_a,
     level_is_zero_monotone,
     materialize_table,
@@ -39,6 +31,23 @@ from qthresh.functions import (
     write_function_file,
 )
 from qthresh.functions import _parse_int, _parse_tokens
+
+
+def tribes_point(fam, x):
+    """Scalar tribes oracle: 0 if some block of x is all zero, else the first nonzero symbol."""
+    for j in range(fam.m):
+        stop = fam.n if j == fam.m - 1 else (j + 1) * fam.r
+        if all(v == 0 for v in x[j * fam.r : stop]):
+            return 0
+    for v in x:
+        if v != 0:
+            return int(v)
+    raise AssertionError("unreachable: all-zero input has an all-zero tribe")
+
+
+def monotone_full(f):
+    """Whether every level indicator 1[f = a] is monotone for the rewrite-to-a order."""
+    return all(is_a_monotone(indicator(f, a), a) for a in range(f.q))
 
 
 def all_pairs_monotone(f, a):
@@ -57,7 +66,7 @@ def all_pairs_monotone(f, a):
 
 def test_point_index_round_trip():
     for idx in range(3**4):
-        assert point_index(index_point(idx, 3, 4), 3) == idx
+        assert point_index(np.unravel_index(idx, (3,) * 4), 3) == idx
 
 
 def test_point_index_is_lexicographic():
@@ -195,7 +204,7 @@ def test_is_monotone_full_dictator():
     size = 3**3
     digits = (np.arange(size) // 9) % 3
     f = from_table(3, 3, digits)
-    assert is_monotone_full(f)
+    assert monotone_full(f)
 
 
 def test_is_monotone_full_rejects_counterexample():
@@ -203,57 +212,13 @@ def test_is_monotone_full_rejects_counterexample():
     size = 3**2
     digits = (np.arange(size) // 3) % 3
     f = from_table(3, 2, 2 - digits)
-    assert not is_monotone_full(f)
+    assert not monotone_full(f)
 
 
 def test_tribes_is_monotone_full():
-    assert is_monotone_full(build_tribes(3, 4, 0.5, r=2))
-    assert is_monotone_full(build_tribes(3, 6, 0.5, r=2))
-    assert is_monotone_full(build_tribes(4, 6, 0.3, r=3))
-
-
-# ---------------------------------------------------------------------------
-# Symmetry
-
-
-def _multiset_indicator():
-    # symmetric by construction: depends only on the multiset of symbols
-    size = 3**3
-    tbl = np.zeros(size, dtype=np.int32)
-    for idx in range(size):
-        x = index_point(idx, 3, 3)
-        tbl[idx] = int(sorted(x)[1] == 1)
-    return from_table(3, 3, tbl, kind="indicator")
-
-
-def test_symmetric_function_accepted():
-    f = _multiset_indicator()
-    assert is_symmetric(f, adjacent_transpositions(3))
-    assert is_symmetric(f, full_cycle(3))
-
-
-def test_dictator_not_symmetric():
-    size = 3**3
-    digits = ((np.arange(size) // 9) % 3 == 0).astype(np.int32)
-    f = from_table(3, 3, digits, kind="indicator")
-    # identity-only group is not transitive
-    identity = PermutationGroupSpec(((0, 1, 2),))
-    assert not is_symmetric(f, identity)
-    # transitive group, but the dictator is not invariant
-    assert not is_symmetric(f, full_cycle(3))
-
-
-def test_apply_permutation():
-    assert apply_permutation((5, 6, 7), (2, 0, 1)) == (7, 5, 6)
-    with pytest.raises(ValueError):
-        apply_permutation((1, 2), (0, 0))
-
-
-def test_group_orbit():
-    g = full_cycle(4)
-    assert g.is_transitive()
-    two_orbits = PermutationGroupSpec(((1, 0, 2, 3),))
-    assert not two_orbits.is_transitive()
+    assert monotone_full(build_tribes(3, 4, 0.5, r=2))
+    assert monotone_full(build_tribes(3, 6, 0.5, r=2))
+    assert monotone_full(build_tribes(4, 6, 0.3, r=3))
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +260,14 @@ def test_build_tribes_rejects():
 
 def test_tribes_evaluation_examples():
     f = build_tribes(3, 4, 0.5, r=2)
-    assert evaluate_point(f, (0, 0, 2, 1)) == 0  # first tribe all-zero
-    assert evaluate_point(f, (0, 2, 0, 1)) == 2  # no dead tribe; first nonzero
-    assert evaluate_point(f, (0, 0, 0, 0)) == 0
-    assert evaluate_point(f, (1, 1, 1, 1)) == 1
-    assert evaluate_point(f, (0, 1, 2, 2)) == 1
+    X = np.array([
+        (0, 0, 2, 1),  # first tribe all-zero
+        (0, 2, 0, 1),  # no dead tribe; first nonzero
+        (0, 0, 0, 0),
+        (1, 1, 1, 1),
+        (0, 1, 2, 2),
+    ])
+    assert list(evaluate_batch(f, X)) == [0, 2, 0, 1, 1]
 
 
 def test_tribes_batch_matches_point():
@@ -307,7 +275,7 @@ def test_tribes_batch_matches_point():
     X = np.array(list(itertools.product(range(3), repeat=5)))
     batch = evaluate_batch(f, X)
     for row, val in zip(X, batch):
-        assert evaluate_point(f, tuple(row)) == val
+        assert tribes_point(f.family, tuple(row)) == val
 
 
 def test_table_batch_matches_point():
@@ -315,14 +283,14 @@ def test_table_batch_matches_point():
     X = np.array(list(itertools.product(range(3), repeat=4)))
     batch = evaluate_batch(f, X)
     for row, val in zip(X, batch):
-        assert evaluate_point(f, tuple(row)) == val
+        assert f.table[point_index(row, 3)] == val
 
 
 def test_materialize_table_family_agrees_with_point_eval():
     f = build_tribes(3, 4, 0.5, r=2)
     tbl = materialize_table(f)
-    for idx in range(3**4):
-        assert tbl[idx] == evaluate_point(f, index_point(idx, 3, 4))
+    for idx, x in enumerate(itertools.product(range(3), repeat=4)):
+        assert tbl[idx] == tribes_point(f.family, x)
 
 
 def test_enumeration_cap_enforced():
@@ -348,9 +316,10 @@ def test_indicator_levels_partition():
 
 def test_indicator_zero_matches_dead_tribe_predicate():
     f = indicator(build_tribes(3, 4, 0.5, r=2), 0)
-    for x in itertools.product(range(3), repeat=4):
+    X = np.array(list(itertools.product(range(3), repeat=4)))
+    for x, val in zip(X, evaluate_batch(f, X)):
         dead = all(v == 0 for v in x[:2]) or all(v == 0 for v in x[2:])
-        assert evaluate_point(f, x) == int(dead)
+        assert val == int(dead) == int(tribes_point(f.family, x) == 0)
 
 
 def test_indicator_rejects_indicator_input():

@@ -6,7 +6,6 @@ import pytest
 
 from qthresh.evaluate import product_weights
 from qthresh.functions import (
-    apply_permutation,
     build_tribes,
     constant_function,
     from_table,
@@ -16,10 +15,8 @@ from qthresh.functions import (
     random_zero_monotone,
 )
 from qthresh.influence import (
-    FibreView,
     InfluenceProfile,
     ent,
-    fibre_view,
     h_nonconstant,
     h_paper,
     h_variance,
@@ -57,45 +54,18 @@ def brute_force_influences(f, mu, h):
     bk = [0.0] * f.n
     var = [0.0] * f.n
     hw = [0.0] * f.n
+    tbl = materialize_table(f)
     for k in range(f.n):
         rest_axes = [range(f.q)] * (f.n - 1)
         w = product_weights(mu, f.n - 1)
         for widx, rest in enumerate(itertools.product(*rest_axes)):
-            x = list(rest[:k]) + [0] + list(rest[k:])
-            fv = fibre_view(f, x, k)
-            m = fv.mean(mu)
-            bk[k] += w[widx] * (not fv.is_constant())
+            # the k-fibre over this rest point: f with coordinate k set to v
+            outputs = [int(tbl[point_index(rest[:k] + (v,) + rest[k:], f.q)]) for v in range(f.q)]
+            m = sum(mu[v] * outputs[v] for v in range(f.q))
+            bk[k] += w[widx] * (min(outputs) != max(outputs))
             var[k] += w[widx] * m * (1.0 - m)
             hw[k] += w[widx] * h(m)
     return bk, var, hw
-
-
-# ---------------------------------------------------------------------------
-# Fibre views
-
-
-def test_fibre_view_outputs():
-    f = build_tribes(3, 4, 0.5, r=2)
-    fv = fibre_view(f, (0, 0, 2, 1), 1)
-    # rewriting coordinate 1: (0,0,..) dead tribe -> 0; else coordinate 1
-    # itself is the first nonzero, so the symbol written there comes back
-    assert fv.outputs == (0, 1, 2)
-    assert not fv.is_constant()
-    assert fv.outputs[0] == 0  # outputs[x_k] consistency at the probe value
-
-
-def test_fibre_view_mean_and_constant():
-    fv = FibreView(x=(0, 0), k=0, outputs=(1, 1, 1))
-    assert fv.is_constant()
-    assert fv.mean(SKEWED3) == pytest.approx(1.0, abs=0)
-    fv = FibreView(x=(0, 0), k=0, outputs=(0, 1, 1))
-    assert fv.mean(SKEWED3) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_fibre_view_rejects_bad_coordinate():
-    f = build_tribes(3, 4, 0.5, r=2)
-    with pytest.raises(ValueError):
-        fibre_view(f, (0, 0, 0, 0), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +152,9 @@ def test_influence_permutation_equivariance():
     f = random_zero_monotone(3, 3, 0.35, seed=9)
     sigma = (2, 0, 1)
     inverse = tuple(sigma.index(j) for j in range(3))
-    tbl = materialize_table(f)
-    moved = np.empty_like(tbl)
-    for idx, x in enumerate(itertools.product(range(3), repeat=3)):
-        moved[idx] = tbl[point_index(apply_permutation(x, sigma), 3)]
-    g = from_table(3, 3, moved, kind="indicator")
+    # g(x) = f(y) with y[j] = x[sigma[j]]: axis j of g's cube is axis sigma^{-1}(j) of f's
+    cube = materialize_table(f).reshape((3,) * 3)
+    g = from_table(3, 3, cube.transpose(inverse), kind="indicator")
     # g reads its coordinate k through position sigma^{-1}(k) of f
     for k in range(3):
         assert influence_bkkkl(g, SKEWED3, k) == pytest.approx(

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from qthresh.measures import (
     SimplexMeasure,
     central_measure,
-    classify_region,
-    mix_st,
     mix_t,
-    sample_uniform,
     sample_uniform_batch,
     second_smallest_atom,
 )
@@ -76,44 +73,10 @@ def test_mix_t_rejects_bad_inputs():
         mix_t(SimplexMeasure((0.0, 1.0)), 1.5)
 
 
-def test_mix_st_reduces_and_pins():
-    base = SimplexMeasure((0.0, 0.0, 0.4, 0.6))
-    # s=0 recovers the line mixture
-    assert mix_st(base, 1, 0.0, 0.25).atoms == mix_t(base, 0.25).atoms
-    # t=1 is delta_0 regardless of s
-    assert mix_st(base, 1, 0.7, 1.0).atoms == (1.0, 0.0, 0.0, 0.0)
-    # (s, t) = (1, 0) is delta_i
-    assert mix_st(base, 1, 1.0, 0.0).atoms == (0.0, 1.0, 0.0, 0.0)
-
-
-def test_mix_st_direction_atom_exact():
-    base = SimplexMeasure((0.0, 0.0, 0.4, 0.6))
-    for s in (0.0, 0.25, 0.5, 1.0):
-        for t in (0.0, 0.3, 0.75):
-            mu = mix_st(base, 1, s, t)
-            assert mu[0] == t
-            assert mu[1] == s * (1.0 - t)
-
-
-def test_mix_st_rejects_mass_in_direction():
-    base = SimplexMeasure((0.0, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        mix_st(base, 1, 0.5, 0.5)  # base has mass at symbol 1
-    with pytest.raises(ValueError):
-        mix_st(SimplexMeasure((0.0, 0.0, 1.0)), 0, 0.5, 0.5)  # i=0 not allowed
-
-
 def test_second_smallest_atom():
     assert second_smallest_atom(SimplexMeasure((0.0, 0.2, 0.8))) == 0.2
     assert second_smallest_atom(SimplexMeasure((0.9, 0.1, 0.0))) == 0.0
     assert second_smallest_atom(SimplexMeasure((0.0, 1.0))) == 1.0
-
-
-def test_classify_region_lowest_index_ties():
-    third = 1 / 3
-    assert classify_region(SimplexMeasure((third, third, third))) == 1
-    assert classify_region(SimplexMeasure((0.0, 0.6, 0.4))) == 2
-    assert classify_region(SimplexMeasure((0.5, 0.25, 0.25))) == 1
 
 
 def test_central_measure():
@@ -127,9 +90,8 @@ def test_central_measure():
 
 
 def test_sample_uniform_is_valid_measure():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        mu = sample_uniform(4, rng)
+    for row in sample_uniform_batch(4, 50, np.random.default_rng(0)):
+        mu = SimplexMeasure(tuple(row))
         assert mu.q == 4
         assert all(a >= 0.0 for a in mu.atoms)
         assert abs(math.fsum(mu.atoms) - 1.0) <= 1e-12

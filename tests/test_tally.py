@@ -16,7 +16,6 @@ import qthresh.evaluate as evaluate
 from qthresh.evaluate import (
     ExactEvaluator,
     bernstein_derivative,
-    exact_probability,
     product_weights,
     variance_of_indicator,
 )
@@ -82,7 +81,7 @@ def test_tally_matches_enumeration(case):
     for mu in mus:
         w = product_weights(mu, f.n)
         for a in range(f.q):
-            assert abs(exact_probability(f, mu, a).value - float(w @ (tbl == a))) <= 1e-12
+            assert abs(ExactEvaluator()(f, mu, a) - float(w @ (tbl == a))) <= 1e-12
 
 
 @given(functions_and_measures(count=2))
@@ -114,21 +113,19 @@ def test_exact_batch_equals_its_scalar_calls(case):
     ev = ExactEvaluator()
     M = np.array([mu.as_array() for mu in mus])
     for a in range(f.q):
-        batch = ev.batch(f, M, a)
+        batch = ev.batch(f, M, a).values
         assert batch.shape == (len(mus),)
         assert list(batch) == [ev(f, mu, a) for mu in mus]
-        assert list(batch) == [exact_probability(f, mu, a).value for mu in mus]
+        assert list(batch) == [ev.batch(f, mu.as_array()[None, :], a).values[0] for mu in mus]
 
 
 @given(function_specs())
 @settings(max_examples=60, deadline=None)
 def test_cap_is_enforced_on_a_cache_hit(f):
     mu = central_measure(f.q)
-    exact_probability(f, mu, 0)  # builds and keeps the tally
+    ExactEvaluator()(f, mu, 0)  # builds and keeps the tally
     assert f._tally is not None
     small = f.q**f.n - 1
-    with pytest.raises(CapExceededError):
-        exact_probability(f, mu, 0, cap=small)
     with pytest.raises(CapExceededError):
         ExactEvaluator(cap=small)(f, mu, 0)
     with pytest.raises(CapExceededError):
@@ -138,7 +135,7 @@ def test_cap_is_enforced_on_a_cache_hit(f):
     with pytest.raises(CapExceededError):
         phi_k(f, mu, 0, cap=small)
     # the exact cap still admits the function
-    assert exact_probability(f, mu, 0, cap=f.q**f.n).value == exact_probability(f, mu, 0).value
+    assert ExactEvaluator(cap=f.q**f.n)(f, mu, 0) == ExactEvaluator()(f, mu, 0)
 
 
 def test_tally_is_built_once_per_function(monkeypatch):
@@ -147,7 +144,7 @@ def test_tally_is_built_once_per_function(monkeypatch):
     monkeypatch.setattr(evaluate, "materialize_table", lambda f, cap: calls.append(f) or original(f, cap))
     f = indicator(build_tribes(3, 6, 0.5, r=2), 0)
     mu = SimplexMeasure((0.2, 0.3, 0.5))
-    exact_probability(f, mu, 1)
+    ExactEvaluator()(f, mu, 1)
     ExactEvaluator().batch(f, np.array([mu.as_array()] * 3), 0)
     variance_of_indicator(f, mu)
     for k in range(f.n):
@@ -157,7 +154,7 @@ def test_tally_is_built_once_per_function(monkeypatch):
     assert calls == [f]
     # a new spec of the same function gets its own tally
     g = indicator(build_tribes(3, 6, 0.5, r=2), 0)
-    exact_probability(g, mu, 1)
+    ExactEvaluator()(g, mu, 1)
     assert calls == [f, g]
 
 

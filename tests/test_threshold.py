@@ -10,7 +10,6 @@ from qthresh.evaluate import (
     ExactEvaluator,
     MonteCarloEvaluator,
     coupled_line_chunks,
-    exact_probability,
     tribes_prob_zero,
     variance_of_indicator,
 )
@@ -22,14 +21,13 @@ from qthresh.functions import (
     indicator,
     random_zero_monotone,
 )
-from qthresh.measures import SimplexMeasure, central_measure, mix_t
+from qthresh.measures import SimplexMeasure, central_measure, mix_t, sample_uniform_batch
 from qthresh.threshold import (
     METHOD_BISECTION,
     METHOD_GRID_SCAN,
     METHOD_MC_BISECTION,
     METHOD_MC_GRID_SCAN,
     ThresholdReport,
-    cross_section_scan,
     derivative_lower_bound_ratio,
     line_width,
     region_measure,
@@ -43,8 +41,8 @@ EXACT = ExactEvaluator()
 
 
 def fd_derivative(f, base, t, dt=1e-6):
-    lo = exact_probability(f, mix_t(base, t - dt), 1).value
-    hi = exact_probability(f, mix_t(base, t + dt), 1).value
+    lo = EXACT(f, mix_t(base, t - dt), 1)
+    hi = EXACT(f, mix_t(base, t + dt), 1)
     return (hi - lo) / (2 * dt)
 
 
@@ -102,7 +100,7 @@ def test_derivative_lower_bound_ratio_fields():
     assert diag.n == 6
     assert diag.alpha == 0.5
     assert diag.derivative == pytest.approx(rm_derivative_exact(f, CENTRAL3, 0.5), abs=0)
-    p = exact_probability(f, mix_t(CENTRAL3, 0.5), 1).value
+    p = EXACT(f, mix_t(CENTRAL3, 0.5), 1)
     expected_den = p * (1 - p) * math.log(6) / math.log(2)
     assert diag.denominator == pytest.approx(expected_den, rel=1e-15)
     assert diag.ratio == pytest.approx(diag.derivative / expected_den, rel=1e-15)
@@ -362,43 +360,6 @@ def test_line_width_mc_absent_crossings():
 
 
 # ---------------------------------------------------------------------------
-# Cross sections
-
-
-# the sheet base must vanish at symbol 0 and at the direction symbol
-SHEET_BASE = SimplexMeasure((0.0, 0.0, 1.0))
-
-
-def test_cross_section_constant_function_zero_area():
-    f = constant_function(3, 3, 0, kind="indicator")
-    area = cross_section_scan(f, SHEET_BASE, 1, 1, 0.1, np.linspace(0, 1, 5), EXACT)
-    assert area == 0.0
-
-
-def test_cross_section_area_bounds():
-    f = indicator(build_tribes(3, 6, 0.5, r=2), 0)
-    s_grid = np.linspace(0.0, 1.0, 9)
-    area = cross_section_scan(f, SHEET_BASE, 1, 1, 0.1, s_grid, EXACT)
-    assert 0.0 < area < 1.0
-    # refining the s grid moves the estimate only slightly
-    finer = cross_section_scan(f, SHEET_BASE, 1, 1, 0.1, np.linspace(0.0, 1.0, 17), EXACT)
-    assert area == pytest.approx(finer, abs=0.02)
-
-
-def test_cross_section_rejects_bad_grid():
-    f = indicator(build_tribes(3, 4, 0.5, r=2), 0)
-    with pytest.raises(ValueError):
-        cross_section_scan(f, SHEET_BASE, 1, 1, 0.1, [0.5], EXACT)
-    with pytest.raises(ValueError):
-        cross_section_scan(f, SHEET_BASE, 1, 1, 0.1, [0.0, 0.0, 1.0], EXACT)
-    with pytest.raises(ValueError):
-        cross_section_scan(f, SHEET_BASE, 1, 1, 0.1, [0.0, 1.5], EXACT)
-    with pytest.raises(ValueError):
-        # base carrying mass at the direction symbol is rejected
-        cross_section_scan(f, CENTRAL3, 1, 1, 0.1, [0.0, 1.0], EXACT)
-
-
-# ---------------------------------------------------------------------------
 # Region measure
 
 
@@ -426,17 +387,17 @@ def test_region_measure_batch_and_scalar_agree():
     assert with_batch.fraction == pytest.approx(scalar_only.fraction, abs=0)
 
 
-def test_region_measure_scalar_fallback_matches_batch():
-    # An evaluator without a batch method (the Monte Carlo one) takes the
-    # scalar loop; on the same points it must give the same estimate.
-    class ScalarOnly:
-        def __call__(self, f, mu, a):
-            return EXACT(f, mu, a)
-
-    f = build_tribes(3, 6, 0.5, r=2)
-    batch = region_measure(f, 0, 0.1, samples=400, seed=5, evaluator=EXACT)
-    scalar = region_measure(f, 0, 0.1, samples=400, seed=5, evaluator=ScalarOnly())
-    assert batch == scalar
+def test_region_measure_mc_draws_one_stream_per_point():
+    # One batch over all points: point k is row k, on the evaluator's stream
+    # (seed, k), so the band count equals that of k one-row batches.
+    f = build_tribes(3, 8, 0.5, r=2)
+    ev = MonteCarloEvaluator(samples=400, seed=6)
+    est = region_measure(f, 0, 0.1, samples=30, seed=5, evaluator=ev)
+    assert ev.calls == 30
+    fresh = MonteCarloEvaluator(samples=400, seed=6)
+    points = sample_uniform_batch(3, 30, 5)
+    probs = [fresh(f, SimplexMeasure(tuple(row)), 0) for row in points]
+    assert est.fraction == sum(0.1 <= p <= 0.9 for p in probs) / 30
 
 
 def test_region_measure_matches_analytic_small_case():
