@@ -66,8 +66,14 @@ def _write_outputs(outputs: Outputs) -> None:
 
     Each file is written to a temporary file beside it, and the temporary
     files replace their targets only once all of them are written, so a
-    command that fails leaves no output file behind.
+    command that fails leaves no output file behind.  Two outputs that
+    resolve to one file are refused before any file is created.
     """
+    paths = [path for path, _ in outputs if path not in (None, "-")]
+    resolved = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
+        if resolved[i] in resolved[:i]:
+            raise ValueError(f"two outputs name the same file {path!r}")
     written: list[tuple[str, str]] = []
     try:
         for path, text in outputs:

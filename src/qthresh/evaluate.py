@@ -20,8 +20,8 @@ variance, influence and fibre-sum derivative of the same spec is then a dot
 product over types.  For influences the tally also keeps, per coordinate k
 and built on first use, the counts of (type of the other n-1 coordinates,
 fibre pattern); the pattern is the row of q outputs along coordinate k.  The
-enumeration cap is checked on every call, cache hit or not, so a smaller
-``cap`` still refuses a function whose tally already exists.
+enumeration cap is one constant, ``functions.DEFAULT_CAP``, checked once,
+when the tally is built.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (
-    DEFAULT_CAP,
     KIND_FULL,
     FunctionSpec,
     TribesVariant,
@@ -99,14 +98,14 @@ def binomial_std_error(hits, samples: int):
     return np.where((hits == 0) | (hits == samples), 3.0 / samples, se)
 
 
-def product_weights(mu: SimplexMeasure, n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
+def product_weights(mu: SimplexMeasure, n: int) -> np.ndarray:
     """Vector of point probabilities under mu^n in lexicographic order.
 
     The brute-force enumeration that the tests check the type tally against.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    check_cap(mu.q, n, cap)
+    check_cap(mu.q, n)
     atoms = mu.as_array()
     w = np.ones(1)
     for _ in range(n):
@@ -248,15 +247,15 @@ class TypeTally:
         return float((self.counts[:, 1] * scale * dw).sum())
 
 
-def type_tally(f: FunctionSpec, cap: int = DEFAULT_CAP) -> TypeTally:
+def type_tally(f: FunctionSpec) -> TypeTally:
     """The type tally of ``f``: built on first use, then kept on ``f``.
 
-    The cap is checked on every call, so a smaller ``cap`` still refuses a
-    function whose tally already exists.
+    The enumeration cap is checked once, just before the build, for tables
+    and families alike; a tally that exists already passed it.
     """
-    check_cap(f.q, f.n, cap)
     if f._tally is None:
-        object.__setattr__(f, "_tally", TypeTally(f, materialize_table(f, cap)))
+        check_cap(f.q, f.n)
+        object.__setattr__(f, "_tally", TypeTally(f, materialize_table(f)))
     return f._tally
 
 
@@ -272,7 +271,7 @@ def _check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
     return measures
 
 
-def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float, cap: int = DEFAULT_CAP) -> float:
+def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float) -> float:
     """d/dt Pr[f = 1] along mix_t(base, t), read off the type tally.
 
     Along the line the probability is a degree-n polynomial in t, so this
@@ -285,7 +284,7 @@ def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float, cap: i
     t = float(t)
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t!r}")
-    return type_tally(f, cap).line_derivative(base.as_array(), t)
+    return type_tally(f).line_derivative(base.as_array(), t)
 
 
 def tribes_prob_zero(fam: TribesVariant, p0: float | np.ndarray) -> float | np.ndarray:
@@ -375,15 +374,15 @@ def coupled_line_chunks(n: int, base: SimplexMeasure, samples: int, seed):
         yield U, gmap(rng.random((b, n)))
 
 
-def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure, cap: int = DEFAULT_CAP) -> float:
+def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure) -> float:
     """Var[f] = Pr[f = 1] Pr[f = 0] for a {0,1}-valued f.
 
     Both factors are read from the tally.  Forming 1 - Pr[f = 1] instead
     would keep only the last digits of Pr[f = 1] when it is close to 1.
     """
-    if not type_tally(f, cap).binary:
+    if not type_tally(f).binary:
         raise ValueError("variance in this sense is defined for {0,1}-valued functions")
-    evaluator = ExactEvaluator(cap)
+    evaluator = ExactEvaluator()
     return evaluator(f, mu, 1) * evaluator(f, mu, 0)
 
 
@@ -409,13 +408,10 @@ class Evaluator:
 class ExactEvaluator(Evaluator):
     """Tally-backed Pr[f = a]; exact but capped at q^n table size."""
 
-    def __init__(self, cap: int = DEFAULT_CAP):
-        self.cap = cap
-
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         measures = _check_measures(f, measures, a)
         # A sum of nonnegative terms; rounding can only overshoot 1.
-        values = np.minimum(type_tally(f, self.cap).probabilities(measures, a), 1.0)
+        values = np.minimum(type_tally(f).probabilities(measures, a), 1.0)
         return Estimate(values, 0.0, METHOD_EXACT, f.size)
 
 

@@ -28,17 +28,17 @@ class CapExceededError(ValueError):
     """Raised when an operation would enumerate more than the table cap allows."""
 
 
-def check_cap(q: int, n: int, cap: int = DEFAULT_CAP) -> int:
-    """Return q**n if it fits under ``cap``, else raise.
+def check_cap(q: int, n: int) -> int:
+    """Return q**n if it fits under ``DEFAULT_CAP``, else raise.
 
-    From ``n >= cap.bit_length()`` on, even 2**n exceeds the cap, so q**n is
-    never built there: at large n it has too many digits to format.
+    From ``n >= DEFAULT_CAP.bit_length()`` on, even 2**n exceeds the cap, so
+    q**n is never built there: at large n it has too many digits to format.
     """
-    if q >= 2 and n >= cap.bit_length():
-        raise CapExceededError(f"q^n = {q}^{n} exceeds the enumeration cap {cap}")
+    if q >= 2 and n >= DEFAULT_CAP.bit_length():
+        raise CapExceededError(f"q^n = {q}^{n} exceeds the enumeration cap {DEFAULT_CAP}")
     size = q**n
-    if size > cap:
-        raise CapExceededError(f"q^n = {q}^{n} = {size} exceeds the enumeration cap {cap}")
+    if size > DEFAULT_CAP:
+        raise CapExceededError(f"q^n = {q}^{n} = {size} exceeds the enumeration cap {DEFAULT_CAP}")
     return size
 
 
@@ -172,11 +172,11 @@ def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def materialize_table(f: FunctionSpec, cap: int = DEFAULT_CAP) -> np.ndarray:
+def materialize_table(f: FunctionSpec) -> np.ndarray:
     """Full lexicographic value table, enumerating family-backed functions."""
     if f.table is not None:
         return f.table
-    size = check_cap(f.q, f.n, cap)
+    size = check_cap(f.q, f.n)
     strides = f.q ** np.arange(f.n - 1, -1, -1, dtype=np.int64)
     out = np.empty(size, dtype=np.int32)
     chunk = max(1, _BATCH_CELLS // f.n)
@@ -203,8 +203,8 @@ def leq_a(x, y, a: int) -> bool:
     return all(yv == a or xv == yv for xv, yv in zip(x, y))
 
 
-def _binary_table(f: FunctionSpec, cap: int) -> np.ndarray:
-    tbl = materialize_table(f, cap)
+def _binary_table(f: FunctionSpec) -> np.ndarray:
+    tbl = materialize_table(f)
     if f.kind == KIND_FULL and tbl.size and tbl.max() > 1:
         raise ValueError("monotonicity in this sense is defined for {0,1}-valued functions")
     return tbl
@@ -221,11 +221,11 @@ def _rewrite_monotone(cube: np.ndarray, a: int) -> bool:
     return True
 
 
-def is_a_monotone(f: FunctionSpec, a: int, cap: int = DEFAULT_CAP) -> bool:
+def is_a_monotone(f: FunctionSpec, a: int) -> bool:
     """Whether a {0,1}-valued f is nondecreasing for the rewrite-to-a order."""
     if not 0 <= a < f.q:
         raise ValueError(f"symbol a={a} out of range for q={f.q}")
-    return _rewrite_monotone(_binary_table(f, cap).reshape((f.q,) * f.n), a)
+    return _rewrite_monotone(_binary_table(f).reshape((f.q,) * f.n), a)
 
 
 def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
@@ -308,9 +308,7 @@ def indicator(f: FunctionSpec, a: int) -> FunctionSpec:
     return FunctionSpec(q=f.q, n=f.n, kind=KIND_INDICATOR, family=f.family, indicator_of=a)
 
 
-def random_zero_monotone(
-    q: int, n: int, density: float, seed, cap: int = DEFAULT_CAP
-) -> FunctionSpec:
+def random_zero_monotone(q: int, n: int, density: float, seed) -> FunctionSpec:
     """Random monotone indicator for the rewrite-to-0 order.
 
     Seeds round(density * q^n) distinct points and takes the upward closure:
@@ -319,7 +317,7 @@ def random_zero_monotone(
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
-    size = check_cap(q, n, cap)
+    size = check_cap(q, n)
     rng = np.random.default_rng(seed)
     count = min(size, max(0, round(density * size)))
     hit = np.zeros(size, dtype=bool)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import type_tally, variance_of_indicator
-from .functions import DEFAULT_CAP, FunctionSpec
+from .functions import FunctionSpec
 from .measures import SimplexMeasure
 
 
@@ -28,51 +28,39 @@ def _check_compatible(f: FunctionSpec, mu: SimplexMeasure) -> None:
         raise ValueError(f"measure has q={mu.q}, function has q={f.q}")
 
 
-def _fibre_expectation(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int, g, binary: bool = True) -> float:
+def _fibre_expectation(f: FunctionSpec, mu: SimplexMeasure, k: int, g, binary: bool = True) -> float:
     """E over the rest coordinates of g(nonconstant, mean) of the k-fibre."""
     _check_compatible(f, mu)
     if not 0 <= k < f.n:
         raise ValueError(f"coordinate k={k} out of range for n={f.n}")
-    tally = type_tally(f, cap)
+    tally = type_tally(f)
     if binary and not tally.binary:
         raise ValueError("this influence needs a {0,1}-valued function")
     return tally.fibre_expectation(k, mu.as_array(), g)
 
 
-def influence_bkkkl(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int = DEFAULT_CAP) -> float:
+def influence_bkkkl(f: FunctionSpec, mu: SimplexMeasure, k: int) -> float:
     """Probability over the rest coordinates that the k-fibre is nonconstant."""
-    return _fibre_expectation(f, mu, k, cap, lambda nonconst, m: nonconst, binary=False)
+    return _fibre_expectation(f, mu, k, lambda nonconst, m: nonconst, binary=False)
 
 
-def influence_variance(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int = DEFAULT_CAP) -> float:
+def influence_variance(f: FunctionSpec, mu: SimplexMeasure, k: int) -> float:
     """Expected conditional variance E[m(1-m)] of the k-fibre mean m."""
-    return _fibre_expectation(f, mu, k, cap, lambda nonconst, m: m * (1.0 - m))
+    return _fibre_expectation(f, mu, k, lambda nonconst, m: m * (1.0 - m))
 
 
-def _apply_h(h, m: np.ndarray) -> np.ndarray:
-    # Most profiles (including the built-ins) vectorize; fall back to a
-    # scalar loop for ones that do not.
-    try:
-        out = np.asarray(h(m), dtype=float)
-        if out.shape == m.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(h(t)) for t in m])
+def influence_h(f: FunctionSpec, mu: SimplexMeasure, k: int, h) -> float:
+    """E over rest coordinates of h(fibre mean); h maps an array of means in [0, 1]."""
+    return _fibre_expectation(f, mu, k, lambda nonconst, m: h(m))
 
 
-def influence_h(f: FunctionSpec, mu: SimplexMeasure, k: int, h, cap: int = DEFAULT_CAP) -> float:
-    """E over rest coordinates of h(fibre mean) for a weight profile h on [0, 1]."""
-    return _fibre_expectation(f, mu, k, cap, lambda nonconst, m: _apply_h(h, m))
-
-
-def phi_k(f: FunctionSpec, mu: SimplexMeasure, k: int, cap: int = DEFAULT_CAP) -> float:
+def phi_k(f: FunctionSpec, mu: SimplexMeasure, k: int) -> float:
     """E[ 1[k-fibre nonconstant] * (1 - fibre mean) ] under mu.
 
     Summed over k and divided by (1 - t) this is the exact derivative of
     Pr[f = 1] along the line mixture for 0-monotone indicators.
     """
-    return _fibre_expectation(f, mu, k, cap, lambda nonconst, m: nonconst * (1.0 - m))
+    return _fibre_expectation(f, mu, k, lambda nonconst, m: nonconst * (1.0 - m))
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +146,19 @@ class InfluenceProfile:
     def n(self) -> int:
         return len(self.values)
 
-    def total(self) -> float:
-        return math.fsum(self.values)
-
     def max_coordinate(self) -> tuple[int, float]:
         k = max(range(self.n), key=lambda j: self.values[j])
         return k, self.values[k]
 
 
-def influence_profile(
-    f: FunctionSpec,
-    mu: SimplexMeasure,
-    kind: str,
-    h=None,
-    cap: int = DEFAULT_CAP,
-) -> InfluenceProfile:
-    """All n influences of one kind.  ``kind='h'`` defaults to h_paper."""
+def influence_profile(f: FunctionSpec, mu: SimplexMeasure, kind: str) -> InfluenceProfile:
+    """All n influences of one kind; ``kind='h'`` weights by h_paper."""
     if kind == "bkkkl":
-        vals = [influence_bkkkl(f, mu, k, cap) for k in range(f.n)]
+        vals = [influence_bkkkl(f, mu, k) for k in range(f.n)]
     elif kind == "variance":
-        vals = [influence_variance(f, mu, k, cap) for k in range(f.n)]
+        vals = [influence_variance(f, mu, k) for k in range(f.n)]
     elif kind == "h":
-        vals = [influence_h(f, mu, k, h if h is not None else h_paper, cap) for k in range(f.n)]
+        vals = [influence_h(f, mu, k, h_paper) for k in range(f.n)]
     else:
         raise ValueError(f"kind must be one of {_PROFILE_KINDS}, got {kind!r}")
     return InfluenceProfile(kind=kind, values=tuple(vals))
@@ -201,11 +180,11 @@ class KellerDiagnostic:
     ratio: float | None
 
 
-def keller_diagnostic(f: FunctionSpec, mu: SimplexMeasure, cap: int = DEFAULT_CAP) -> KellerDiagnostic:
+def keller_diagnostic(f: FunctionSpec, mu: SimplexMeasure) -> KellerDiagnostic:
     _check_compatible(f, mu)
-    prof = influence_profile(f, mu, "h", h=h_paper, cap=cap)
+    prof = influence_profile(f, mu, "h")
     argmax_k, max_value = prof.max_coordinate()
-    variance = variance_of_indicator(f, mu, cap)
+    variance = variance_of_indicator(f, mu)
     denominator = variance * math.log(f.n) / f.n
     ratio = max_value / denominator if denominator > 0.0 else None
     return KellerDiagnostic(

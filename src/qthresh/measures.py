@@ -41,9 +41,6 @@ class SimplexMeasure:
     def __getitem__(self, j: int) -> float:
         return self.atoms[j]
 
-    def __iter__(self):
-        return iter(self.atoms)
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.atoms, dtype=float)
 
@@ -67,14 +64,6 @@ class SimplexMeasure:
         if not math.isfinite(total) or total <= 0.0:
             raise ValueError("weights must be finite with positive total mass")
         return cls(tuple(v / total for v in w))
-
-    @classmethod
-    def point_mass(cls, q: int, j: int) -> "SimplexMeasure":
-        if q < 2:
-            raise ValueError("q must be at least 2")
-        if not 0 <= j < q:
-            raise ValueError(f"symbol {j} out of range for q={q}")
-        return cls(tuple(1.0 if i == j else 0.0 for i in range(q)))
 
 
 def require_zero_face(mu: SimplexMeasure) -> None:

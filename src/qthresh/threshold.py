@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluate import ClosedFormEvaluator, MonteCarloEvaluator, binomial_std_error, variance_of_indicator
-from .functions import DEFAULT_CAP, FunctionSpec, build_tribes, evaluate_batch, level_is_zero_monotone
+from .functions import FunctionSpec, build_tribes, evaluate_batch, level_is_zero_monotone
 from .influence import phi_k
 from .measures import (
     SimplexMeasure,
@@ -34,6 +34,7 @@ METHOD_MC_GRID_SCAN = "mc-grid-scan"
 _MC_GRID_POINTS = 33
 _MC_T_TOL = 1e-4
 _DKW_DELTA = 0.05
+_MONOTONE_SLACK = 1e-12  # rounding may dip a monotone probe profile by this much
 
 
 def _check_eps(eps: float) -> float:
@@ -43,7 +44,7 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, t: float, cap: int = DEFAULT_CAP) -> float:
+def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, t: float) -> float:
     """Exact d/dt Pr[f = 1] along mix_t(base, t) for 0-monotone indicators.
 
     Equals sum_k E[ 1[fibre nonconstant] (1 - fibre mean) ] / (1 - t) under
@@ -55,7 +56,7 @@ def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, t: float, cap: in
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1); the identity divides by 1 - t, got {t!r}")
     mu_t = mix_t(base, t)
-    total = math.fsum(phi_k(f, mu_t, k, cap) for k in range(f.n))
+    total = math.fsum(phi_k(f, mu_t, k) for k in range(f.n))
     return total / (1.0 - t)
 
 
@@ -77,15 +78,13 @@ class DerivativeDiagnostic:
     ratio: float | None
 
 
-def derivative_lower_bound_ratio(
-    f: FunctionSpec, base: SimplexMeasure, t: float, cap: int = DEFAULT_CAP
-) -> DerivativeDiagnostic:
+def derivative_lower_bound_ratio(f: FunctionSpec, base: SimplexMeasure, t: float) -> DerivativeDiagnostic:
     require_zero_face(base)
     alpha = second_smallest_atom(base)
     if alpha == 0.0:
         raise ValueError("benchmark needs every symbol 1..q-1 to carry mass (alpha > 0)")
-    derivative = rm_derivative_exact(f, base, t, cap)
-    variance = variance_of_indicator(f, mix_t(base, t), cap)  # E(1-E), both factors from the tally
+    derivative = rm_derivative_exact(f, base, t)
+    variance = variance_of_indicator(f, mix_t(base, t))  # E(1-E), both factors from the tally
     log_inv_alpha = math.log(1.0 / alpha)
     if log_inv_alpha > 0.0:
         denominator = variance * math.log(f.n) / log_inv_alpha
@@ -192,10 +191,10 @@ def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_to
     )
 
 
-def _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points, monotone_slack):
+def _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points):
     grid = np.linspace(0.0, 1.0, grid_points)
     vals = evaluator.batch(f, np.stack([mix_t(base, float(t)).as_array() for t in grid]), a).values
-    if np.any(np.diff(vals) < -monotone_slack):
+    if np.any(np.diff(vals) < -_MONOTONE_SLACK):
         return _grid_scan_report(grid, vals, eps, a, t_tol, METHOD_GRID_SCAN)
 
     def crossing(target: float) -> float:
@@ -296,7 +295,6 @@ def line_width(
     *,
     t_tol: float = 1e-9,
     grid_points: int = 101,
-    monotone_slack: float = 1e-12,
 ) -> ThresholdReport:
     """Threshold width of Pr[f = a] along the line from base toward delta_0.
 
@@ -311,13 +309,13 @@ def line_width(
     eps = _check_eps(eps)
     if not 0 <= a < f.q:
         raise ValueError(f"symbol a={a} out of range for q={f.q}")
-    if t_tol <= 0.0:
-        raise ValueError("t_tol must be positive")
+    if not (math.isfinite(t_tol) and t_tol > 0.0):
+        raise ValueError(f"t_tol must be finite and positive, got {t_tol!r}")
     if grid_points < 3:
         raise ValueError("grid_points must be at least 3")
     if isinstance(evaluator, MonteCarloEvaluator):
         return _line_width_mc(f, base, a, eps, evaluator, t_tol)
-    return _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points, monotone_slack)
+    return _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points)
 
 
 @dataclass(frozen=True)

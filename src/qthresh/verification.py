@@ -12,7 +12,6 @@ tolerances.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -45,19 +44,25 @@ from .influence import (
     influence_bkkkl,
     influence_h,
     influence_variance,
-    phi_k,
 )
 from .measures import SimplexMeasure, central_measure, mix_t, second_smallest_atom
 from .threshold import rm_derivative_exact
 
 
-# Rounding floor of a central difference at dt=1e-5: machine epsilon over
-# 2*dt is about 5.5e-12, so differences below this carry no signal.
+# Step of the finite-difference oracle.  Machine epsilon over 2*FD_STEP is
+# about 5.5e-12, so a central difference below FD_NOISE_FLOOR carries no signal.
+FD_STEP = 1e-5
 FD_NOISE_FLOOR = 1e-10
 
-# The fibre sum and the Bernstein derivative are both exact; they differ only
-# by the rounding of a few dozen terms, far below this.
-EXACT_DERIVATIVE_TOL = 1e-12
+# Two exact routes to one quantity differ only by the rounding of a few dozen
+# terms, far below this; it is also the slack of every exact inequality checked.
+ROUNDING_TOL = 1e-12
+
+FD_REL_TOL = 1e-6  # finite differences against the identity on random upsets
+SINGLE_VARIABLE_REL_TOL = 1e-8  # the n = 1 identity against its direct formula and finite differences
+HENT_GRID_POINTS = 10**6 + 1  # where suite_hent compares h_paper with entropy
+_KEEP_FAILURES = 12  # failure messages a suite keeps; it counts them all
+_BASE_SPREAD = 0.5  # full_support_bases draws each atom weight in 1 +- this
 
 
 def _fd_close(exact: float, approx: float, rel_tol: float) -> tuple[bool, float]:
@@ -78,17 +83,16 @@ class SuiteResult:
 class _Recorder:
     """Counts comparisons and keeps the first few failure messages."""
 
-    def __init__(self, keep: int = 12):
+    def __init__(self):
         self.checks = 0
         self.failed = False
         self.failures: list[str] = []
-        self._keep = keep
 
     def record(self, ok: bool, message: str) -> None:
         self.checks += 1
         if not ok:
             self.failed = True
-            if len(self.failures) < self._keep:
+            if len(self.failures) < _KEEP_FAILURES:
                 self.failures.append(message)
 
     def result(self, name: str, started: float) -> SuiteResult:
@@ -105,14 +109,13 @@ class _Recorder:
 # Shared corpora and oracles
 
 
-def fd_probability_derivative(
-    f: FunctionSpec, base: SimplexMeasure, t: float, dt: float = 1e-5
-) -> float:
+def fd_probability_derivative(f: FunctionSpec, base: SimplexMeasure, t: float) -> float:
     """Finite-difference oracle for d/dt Pr[f = 1] along the line mixture.
 
     Central stencil in the interior, one-sided second-order stencils within
-    dt of the endpoints.  Entirely independent of the fibre-sum identity.
+    FD_STEP of the endpoints.  Entirely independent of the fibre-sum identity.
     """
+    dt = FD_STEP
 
     def p(u: float) -> float:
         return ExactEvaluator()(f, mix_t(base, u), 1)
@@ -124,12 +127,12 @@ def fd_probability_derivative(
     return (p(t + dt) - p(t - dt)) / (2.0 * dt)
 
 
-def full_support_bases(q: int, count: int, seed: int, spread: float = 0.5) -> list[SimplexMeasure]:
+def full_support_bases(q: int, count: int, seed: int) -> list[SimplexMeasure]:
     """Zero-face bases whose remaining atoms stay well away from 0."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        w = rng.uniform(1.0 - spread, 1.0 + spread, size=q - 1)
+        w = rng.uniform(1.0 - _BASE_SPREAD, 1.0 + _BASE_SPREAD, size=q - 1)
         w = w / w.sum()
         out.append(SimplexMeasure((0.0,) + tuple(w)))
     return out
@@ -152,11 +155,9 @@ def upset_corpus(q: int, n: int, count: int, seed: int) -> list[FunctionSpec]:
     return out
 
 
-def dictator_indicator(q: int, n: int, k: int = 0) -> FunctionSpec:
-    """1[x_k = 0]: the sharpest single-coordinate threshold function."""
-    size = q**n
-    stride = q ** (n - 1 - k)
-    digits = (np.arange(size) // stride) % q
+def dictator_indicator(q: int, n: int) -> FunctionSpec:
+    """1[x_0 = 0]: the sharpest single-coordinate threshold function."""
+    digits = np.arange(q**n) // q ** (n - 1)
     return FunctionSpec(q=q, n=n, kind="indicator", table=(digits == 0).astype(np.int32))
 
 
@@ -164,14 +165,15 @@ def dictator_indicator(q: int, n: int, k: int = 0) -> FunctionSpec:
 # Suites
 
 
-def suite_order(leq: Callable = leq_a, *, q: int = 3, max_n: int = 3) -> SuiteResult:
-    """Partial-order laws plus covering-check vs all-pairs-oracle agreement."""
+def suite_order(leq: Callable = leq_a) -> SuiteResult:
+    """Partial-order laws on [3]^n for n <= 3, plus covering-check vs
+    all-pairs-oracle agreement."""
     started = time.perf_counter()
     rec = _Recorder()
-    for n in range(1, max_n + 1):
-        points = list(itertools.product(range(q), repeat=n))
+    for n in (1, 2, 3):
+        points = list(itertools.product(range(3), repeat=n))
         m = len(points)
-        for a in range(q):
+        for a in range(3):
             rel = np.zeros((m, m), dtype=bool)
             for ix, x in enumerate(points):
                 for iy, y in enumerate(points):
@@ -215,17 +217,17 @@ def corrupted_leq(x, y, a: int) -> bool:
     return all(yv == a or xv <= yv for xv, yv in zip(x, y))
 
 
-def suite_rm(rel_tol: float = 1e-6, *, count: int = 20, seed: int = 11) -> SuiteResult:
-    """Derivative identity on random upsets, against two oracles.
+def suite_rm() -> SuiteResult:
+    """Derivative identity on 20 random upsets, against two oracles.
 
     The noise-free one is the Bernstein derivative of the type tally, which
     must agree to rounding; finite differences of the exact probability must
-    agree to ``rel_tol`` or to their noise floor.
+    agree to ``FD_REL_TOL`` or to their noise floor.
     """
     started = time.perf_counter()
     rec = _Recorder()
-    corpus = upset_corpus(3, 3, count, seed=seed)
-    bases = full_support_bases(3, 3, seed=seed + 1)
+    corpus = upset_corpus(3, 3, 20, seed=11)
+    bases = full_support_bases(3, 3, seed=12)
     t_grid = (0.0,) + tuple(np.linspace(0.1, 0.9, 9))
     for fi, f in enumerate(corpus):
         base = bases[fi % len(bases)]
@@ -234,20 +236,20 @@ def suite_rm(rel_tol: float = 1e-6, *, count: int = 20, seed: int = 11) -> Suite
             analytic = bernstein_derivative(f, base, float(t))
             diff = abs(exact - analytic)
             rec.record(
-                diff <= EXACT_DERIVATIVE_TOL * max(1.0, abs(analytic)),
+                diff <= ROUNDING_TOL * max(1.0, abs(analytic)),
                 f"identity vs Bernstein derivative differ by {diff:.3e} (function {fi}, t={t})",
             )
             approx = fd_probability_derivative(f, base, float(t))
-            ok, rel = _fd_close(exact, approx, rel_tol)
+            ok, rel = _fd_close(exact, approx, FD_REL_TOL)
             rec.record(
                 ok,
-                f"identity vs finite difference: rel err {rel:.3e} > {rel_tol:.1e} "
+                f"identity vs finite difference: rel err {rel:.3e} > {FD_REL_TOL:.1e} "
                 f"(function {fi}, t={t})",
             )
     return rec.result("rm", started)
 
 
-def suite_single_variable(rel_tol: float = 1e-8) -> SuiteResult:
+def suite_single_variable() -> SuiteResult:
     """n=1 case: identity equals the direct one-coordinate formula and the
     finite-difference oracle on every 0-monotone indicator over [3]."""
     started = time.perf_counter()
@@ -272,11 +274,11 @@ def suite_single_variable(rel_tol: float = 1e-8) -> SuiteResult:
                     direct = (1.0 - mean) / (1.0 - t)
                 via_identity = rm_derivative_exact(f, base, t)
                 rec.record(
-                    abs(via_identity - direct) <= rel_tol * max(abs(direct), 1e-300) + 1e-15,
+                    abs(via_identity - direct) <= SINGLE_VARIABLE_REL_TOL * max(abs(direct), 1e-300) + 1e-15,
                     f"identity vs direct formula differ on table {values} at t={t:.3f}",
                 )
                 approx = fd_probability_derivative(f, base, t)
-                ok, rel = _fd_close(via_identity, approx, rel_tol)
+                ok, rel = _fd_close(via_identity, approx, SINGLE_VARIABLE_REL_TOL)
                 rec.record(
                     ok,
                     f"finite difference off by rel {rel:.3e} on table {values} at t={t:.3f}",
@@ -284,14 +286,14 @@ def suite_single_variable(rel_tol: float = 1e-8) -> SuiteResult:
     return rec.result("single-variable", started)
 
 
-def suite_alpha(slack: float = 1e-12, *, count: int = 20, seed: int = 23) -> SuiteResult:
+def suite_alpha() -> SuiteResult:
     """Nonconstant fibres keep expected complement mass at least alpha(1-t)."""
     started = time.perf_counter()
     rec = _Recorder()
-    corpus = upset_corpus(3, 4, count, seed=seed)
+    corpus = upset_corpus(3, 4, 20, seed=23)
     corpus.append(indicator(build_tribes(3, 4, 0.5, r=2), 0))
     corpus.append(dictator_indicator(3, 4))
-    bases = full_support_bases(3, 5, seed=seed + 1)
+    bases = full_support_bases(3, 5, seed=24)
     t_grid = (0.0, 0.25, 0.5, 0.75, 0.9)
     for fi, f in enumerate(corpus):
         tbl = materialize_table(f).reshape((f.q,) * f.n)
@@ -305,7 +307,7 @@ def suite_alpha(slack: float = 1e-12, *, count: int = 20, seed: int = 23) -> Sui
             alpha = second_smallest_atom(base)
             for t in t_grid:
                 atoms = mix_t(base, t).as_array()
-                floor = alpha * (1.0 - t) - slack
+                floor = alpha * (1.0 - t) - ROUNDING_TOL
                 for k, rows in fibres:
                     complement = 1.0 - rows @ atoms
                     rec.record(
@@ -315,22 +317,22 @@ def suite_alpha(slack: float = 1e-12, *, count: int = 20, seed: int = 23) -> Sui
     return rec.result("alpha", started)
 
 
-def suite_hent(slack: float = 1e-12, grid_points: int = 10**6 + 1) -> SuiteResult:
+def suite_hent() -> SuiteResult:
     """The h_paper weight dominates binary entropy across [0, 1]."""
     started = time.perf_counter()
     rec = _Recorder()
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, HENT_GRID_POINTS)
     gap = h_paper(grid) - ent(grid)
     worst = float(gap.min())
     rec.record(
-        worst >= -slack,
+        worst >= -ROUNDING_TOL,
         f"profile drops below entropy by {-worst:.3e} at t={grid[int(gap.argmin())]:.6f}",
     )
     rec.record(float(gap[0]) == 0.0 and float(gap[-1]) == 0.0, "endpoints must agree exactly")
     return rec.result("hent", started)
 
 
-def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
+def suite_closed() -> SuiteResult:
     """Tribes closed form against the exact tally at accessible sizes.
 
     Checks level 0 of the full function and output 0 of its indicator view,
@@ -340,7 +342,7 @@ def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
     """
     started = time.perf_counter()
     rec = _Recorder()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     cases = [
         build_tribes(3, 4, 0.5, r=2),
         build_tribes(3, 4, 0.5),
@@ -362,7 +364,7 @@ def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
             for a, tally in enumerate(tallied):
                 brute = float(weights @ (table == a))
                 rec.record(
-                    abs(tally - brute) <= tol,
+                    abs(tally - brute) <= ROUNDING_TOL,
                     f"Pr[f = {a}]: tally {tally!r} vs brute force {brute!r} at q={f.q} n={f.n}",
                 )
             exact = tallied[0]
@@ -371,21 +373,21 @@ def suite_closed(tol: float = 1e-12, *, seed: int = 5) -> SuiteResult:
                 ("Pr[f != 0]", ClosedFormEvaluator()(zero_view, mu, 0), 1.0 - exact),
             ):
                 rec.record(
-                    abs(closed - want) <= tol,
+                    abs(closed - want) <= ROUNDING_TOL,
                     f"{label}: closed form {closed!r} vs exact {want!r} at q={f.q} "
                     f"(r, m, last)=({fam.r}, {fam.m}, {fam.last})",
                 )
     return rec.result("closed", started)
 
 
-def suite_influence(tol: float = 1e-12, *, seed: int = 31) -> SuiteResult:
+def suite_influence() -> SuiteResult:
     """h-influence specializations recover the variance and geometric forms."""
     started = time.perf_counter()
     rec = _Recorder()
     corpus: list[FunctionSpec] = []
-    corpus.extend(upset_corpus(3, 2, 3, seed=seed))
-    corpus.extend(upset_corpus(3, 3, 3, seed=seed + 1))
-    corpus.extend(upset_corpus(3, 4, 3, seed=seed + 2))
+    corpus.extend(upset_corpus(3, 2, 3, seed=31))
+    corpus.extend(upset_corpus(3, 3, 3, seed=32))
+    corpus.extend(upset_corpus(3, 4, 3, seed=33))
     corpus.append(indicator(build_tribes(3, 4, 0.5, r=2), 0))
     corpus.append(dictator_indicator(3, 3))
     full_support = [SimplexMeasure((1 / 3, 1 / 3, 1 / 3)), SimplexMeasure((0.5, 0.25, 0.25)), SimplexMeasure((0.1, 0.6, 0.3))]
@@ -396,7 +398,7 @@ def suite_influence(tol: float = 1e-12, *, seed: int = 31) -> SuiteResult:
                 lhs = influence_h(f, mu, k, h_variance)
                 rhs = influence_variance(f, mu, k)
                 rec.record(
-                    abs(lhs - rhs) <= tol,
+                    abs(lhs - rhs) <= ROUNDING_TOL,
                     f"t(1-t) profile vs variance influence differ by {abs(lhs - rhs):.3e} "
                     f"(function {fi}, k={k})",
                 )
@@ -405,29 +407,29 @@ def suite_influence(tol: float = 1e-12, *, seed: int = 31) -> SuiteResult:
                 lhs = influence_h(f, mu, k, h_nonconstant)
                 rhs = influence_bkkkl(f, mu, k)
                 rec.record(
-                    abs(lhs - rhs) <= tol,
+                    abs(lhs - rhs) <= ROUNDING_TOL,
                     f"indicator profile vs geometric influence differ by {abs(lhs - rhs):.3e} "
                     f"(function {fi}, k={k})",
                 )
     return rec.result("influence", started)
 
 
-def suite_coupling(slack: float = 1e-12, *, grid_points: int = 100, seed: int = 17) -> SuiteResult:
+def suite_coupling() -> SuiteResult:
     """Exact Pr[f = 1] is nondecreasing along the line for 0-monotone f."""
     started = time.perf_counter()
     rec = _Recorder()
-    corpus: list[FunctionSpec] = list(upset_corpus(3, 3, 10, seed=seed))
+    corpus: list[FunctionSpec] = list(upset_corpus(3, 3, 10, seed=17))
     corpus.append(indicator(build_tribes(3, 4, 0.5, r=2), 0))
     corpus.append(indicator(build_tribes(3, 6, 0.5, r=2), 0))
-    bases = full_support_bases(3, 2, seed=seed + 1) + [central_measure(3)]
-    grid = np.linspace(0.0, 1.0, grid_points)
+    bases = full_support_bases(3, 2, seed=18) + [central_measure(3)]
+    grid = np.linspace(0.0, 1.0, 100)
     for fi, f in enumerate(corpus):
         for bi, base in enumerate(bases):
             line = np.stack([mix_t(base, float(t)).as_array() for t in grid])
             vals = ExactEvaluator().batch(f, line, 1).values
             worst = float(np.diff(vals).min())
             rec.record(
-                worst >= -slack,
+                worst >= -ROUNDING_TOL,
                 f"probability drops by {-worst:.3e} along the line (function {fi}, base {bi})",
             )
     return rec.result("coupling", started)

@@ -4,11 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qthresh.cli import SEED_ENV_VAR, main
-from qthresh.functions import build_tribes, random_zero_monotone, write_function_file
+from qthresh.functions import random_zero_monotone, write_function_file
 
 
 def run(argv, capsys):
@@ -368,6 +367,29 @@ def test_unwritable_output_exits_1_and_leaves_no_file(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "nodir" in err
     assert "Traceback" not in err
     assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024", "--out", "{tmp}/s.dat", "--plot-out", "{tmp}/s.dat"],
+    ["width", *TRIBES4, "--level", "0", "--a", "1", "--eps", "0.1",
+     "--out", "{tmp}/w.csv", "--diagnostics", "{tmp}/./w.csv"],
+])
+def test_outputs_naming_one_file_exit_2_and_leave_no_file(tmp_path, capsys, argv):
+    code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert code == 2
+    assert "same file" in err and str(tmp_path) in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_tol, evaluator", [("nan", "exact"), ("inf", "exact"), ("nan", "mc")])
+def test_width_non_finite_t_tol_exits_2_and_leaves_no_file(tmp_path, capsys, t_tol, evaluator):
+    out = tmp_path / "w.csv"
+    code, _, err = run(["width", *TRIBES4, "--a", "0", "--eps", "0.1", "--evaluator", evaluator,
+                        "--t-tol", t_tol, "--out", str(out)], capsys)
+    assert code == 2
+    assert "t_tol" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -296,7 +296,7 @@ def test_materialize_table_family_agrees_with_point_eval():
 def test_enumeration_cap_enforced():
     f = build_tribes(3, 64, 0.5, r=4)
     with pytest.raises(CapExceededError):
-        materialize_table(f, cap=2**20)
+        materialize_table(f)
     assert check_cap(2, 24) == 2**24  # exactly at the cap
     with pytest.raises(CapExceededError):
         check_cap(2, 25)

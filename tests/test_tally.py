@@ -20,7 +20,6 @@ from qthresh.evaluate import (
     variance_of_indicator,
 )
 from qthresh.functions import (
-    CapExceededError,
     build_tribes,
     from_table,
     indicator,
@@ -119,29 +118,10 @@ def test_exact_batch_equals_its_scalar_calls(case):
         assert list(batch) == [ev.batch(f, mu.as_array()[None, :], a).values[0] for mu in mus]
 
 
-@given(function_specs())
-@settings(max_examples=60, deadline=None)
-def test_cap_is_enforced_on_a_cache_hit(f):
-    mu = central_measure(f.q)
-    ExactEvaluator()(f, mu, 0)  # builds and keeps the tally
-    assert f._tally is not None
-    small = f.q**f.n - 1
-    with pytest.raises(CapExceededError):
-        ExactEvaluator(cap=small)(f, mu, 0)
-    with pytest.raises(CapExceededError):
-        ExactEvaluator(cap=small).batch(f, mu.as_array()[None, :], 0)
-    with pytest.raises(CapExceededError):
-        influence_bkkkl(f, mu, 0, cap=small)
-    with pytest.raises(CapExceededError):
-        phi_k(f, mu, 0, cap=small)
-    # the exact cap still admits the function
-    assert ExactEvaluator(cap=f.q**f.n)(f, mu, 0) == ExactEvaluator()(f, mu, 0)
-
-
 def test_tally_is_built_once_per_function(monkeypatch):
     calls = []
     original = evaluate.materialize_table
-    monkeypatch.setattr(evaluate, "materialize_table", lambda f, cap: calls.append(f) or original(f, cap))
+    monkeypatch.setattr(evaluate, "materialize_table", lambda f: calls.append(f) or original(f))
     f = indicator(build_tribes(3, 6, 0.5, r=2), 0)
     mu = SimplexMeasure((0.2, 0.3, 0.5))
     ExactEvaluator()(f, mu, 1)

@@ -230,8 +230,10 @@ def test_line_width_rejections():
         line_width(f, CENTRAL3, 3, 0.1, EXACT)
     with pytest.raises(ValueError):
         line_width(f, SimplexMeasure((0.1, 0.45, 0.45)), 0, 0.1, EXACT)
-    with pytest.raises(ValueError):
-        line_width(f, CENTRAL3, 0, 0.1, EXACT, t_tol=0.0)
+    for evaluator in (EXACT, MonteCarloEvaluator(samples=100, seed=0)):
+        for t_tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_tol"):
+                line_width(f, CENTRAL3, 0, 0.1, evaluator, t_tol=t_tol)
     with pytest.raises(ValueError):
         line_width(f, CENTRAL3, 0, 0.1, EXACT, grid_points=2)
 

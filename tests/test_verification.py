@@ -4,7 +4,7 @@ import pytest
 import qthresh.threshold as threshold
 from qthresh.evaluate import TypeTally
 from qthresh.functions import leq_a
-from qthresh.measures import SimplexMeasure, central_measure
+from qthresh.measures import central_measure
 from qthresh.threshold import rm_derivative_exact
 from qthresh.verification import (
     SUITE_BUILDERS,
