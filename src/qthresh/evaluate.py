@@ -14,22 +14,24 @@ where N_a(c) counts the points of type c that f maps to a.  That is
 C(n+q-1, q-1) terms against q^n points.  :class:`TypeTally` holds N_a(c).
 It is built in one pass over the value table (materialised once for a
 family-backed function) the first time any exact quantity of a
-:class:`~qthresh.functions.FunctionSpec` is asked for, and it stays on that
-spec for as long as the spec lives.  Every later exact probe, batch of probes,
-variance, influence and fibre-sum derivative of the same spec is then a dot
-product over types.  For influences the tally also keeps, per coordinate k
-and built on first use, the counts of (type of the other n-1 coordinates,
-fibre pattern); the pattern is the row of q outputs along coordinate k.  The
-enumeration cap is one constant, ``functions.DEFAULT_CAP``, checked once,
-when the tally is built.
+:class:`~qthresh.functions.FunctionSpec` is asked for, and this module keeps
+it, keyed by the spec, for as long as the spec lives.  Every later exact
+probe, batch of probes, variance, influence and fibre-sum derivative of the
+same spec is then a dot product over types.  For influences the tally also
+keeps, per coordinate k and built on first use, the counts of (type of the
+other n-1 coordinates, fibre pattern); the pattern is the row of q outputs
+along coordinate k.  The enumeration cap is one constant,
+``functions.DEFAULT_CAP``, checked once, when the tally is built.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functions import (
+    BATCH_CELLS,
     KIND_FULL,
     FunctionSpec,
     TribesVariant,
@@ -39,9 +41,9 @@ from .functions import (
 )
 from .measures import SimplexMeasure, require_zero_face
 
-_BATCH_CELLS = 4_000_000  # rough element budget per vectorized chunk
 # Largest fibre key (rest type and pattern digits) that stays inside int64.
 _KEY_LIMIT = 2**62
+_TALLIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # spec, by identity -> TypeTally
 
 METHOD_EXACT = "exact-enumeration"
 METHOD_CLOSED = "closed-form"
@@ -183,7 +185,7 @@ class TypeTally:
             return np.zeros(measures.shape[0])
         column = self.counts[:, a].astype(float)
         out = np.empty(measures.shape[0])
-        chunk = max(1, _BATCH_CELLS // self.types.size)
+        chunk = max(1, BATCH_CELLS // self.types.size)
         for lo in range(0, len(out), chunk):
             out[lo:lo + chunk] = _weighted_sums(_type_weights(measures[lo:lo + chunk], self.types), column)
         return out
@@ -248,15 +250,15 @@ class TypeTally:
 
 
 def type_tally(f: FunctionSpec) -> TypeTally:
-    """The type tally of ``f``: built on first use, then kept on ``f``.
+    """The type tally of ``f``: built on first use, kept until ``f`` is freed.
 
     The enumeration cap is checked once, just before the build, for tables
     and families alike; a tally that exists already passed it.
     """
-    if f._tally is None:
+    if f not in _TALLIES:
         check_cap(f.q, f.n)
-        object.__setattr__(f, "_tally", TypeTally(f, materialize_table(f)))
-    return f._tally
+        _TALLIES[f] = TypeTally(f, materialize_table(f))
+    return _TALLIES[f]
 
 
 def _check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
@@ -361,13 +363,13 @@ def coupled_line_chunks(n: int, base: SimplexMeasure, samples: int, seed):
     base^n by quantile encoding, one row per sample point.  The coupled
     state x_i(t) = 0 if U_i < t, else V_i, has law (t delta_0 + (1-t)
     base)^n at every t, and raising t only rewrites coordinates to 0 (the
-    monotone coupling).  A chunk has at most ``_BATCH_CELLS // n`` rows, so
+    monotone coupling).  A chunk has at most ``BATCH_CELLS // n`` rows, so
     memory stays bounded at any n; the rows are deterministic given
     (n, base, samples, seed).
     """
     rng = np.random.default_rng(seed)
     gmap = quantile_encode(base)
-    batch = max(1, _BATCH_CELLS // n)
+    batch = max(1, BATCH_CELLS // n)
     for done in range(0, samples, batch):
         b = min(batch, samples - done)
         U = rng.random((b, n))
@@ -471,7 +473,7 @@ class MonteCarloEvaluator(Evaluator):
         stream and on (f, measure, samples).
         """
         measures = _check_measures(f, measures, a)
-        chunk = max(1, _BATCH_CELLS // f.n)
+        chunk = max(1, BATCH_CELLS // f.n)
         hits = np.zeros(len(measures), dtype=np.int64)
         for k, row in enumerate(measures):
             rng = np.random.default_rng(self._stream())

@@ -9,7 +9,7 @@ usable at n far beyond enumeration range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 # Hard ceiling on q**n for any operation that materializes a table.
 DEFAULT_CAP = 2**24
 
-_BATCH_CELLS = 4_000_000  # rough element budget per vectorized chunk
+BATCH_CELLS = 4_000_000  # rough element budget per vectorized chunk
 _SHOWN_DIGITS = 100  # a longer q^n is printed in error messages as "q^n"
 
 KIND_FULL = "full"
@@ -90,9 +90,7 @@ class FunctionSpec:
     lexicographic order with coordinate 0 most significant.  ``kind`` is
     ``"full"`` for [q]-valued functions and ``"indicator"`` for {0,1}-valued
     ones; an indicator view of a family records the tracked output symbol in
-    ``indicator_of``.  ``_tally`` is where :mod:`qthresh.evaluate` keeps the
-    type-class tally it builds on first exact use; it lives as long as the
-    spec does.
+    ``indicator_of``.
     """
 
     q: int
@@ -101,7 +99,6 @@ class FunctionSpec:
     table: np.ndarray | None = None
     family: TribesVariant | None = None
     indicator_of: int | None = None
-    _tally: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.q < 2:
@@ -179,7 +176,7 @@ def materialize_table(f: FunctionSpec) -> np.ndarray:
     size = check_cap(f.q, f.n)
     strides = f.q ** np.arange(f.n - 1, -1, -1, dtype=np.int64)
     out = np.empty(size, dtype=np.int32)
-    chunk = max(1, _BATCH_CELLS // f.n)
+    chunk = max(1, BATCH_CELLS // f.n)
     for lo in range(0, size, chunk):
         ids = np.arange(lo, min(lo + chunk, size), dtype=np.int64)
         X = (ids[:, None] // strides[None, :]) % f.q
@@ -369,97 +366,67 @@ def _parse_int(lineno: int, key: str, val: str) -> int:
         raise FunctionFileError(lineno, f"{key} must be an integer, got {val!r}") from None
 
 
-def _table_values(body: str, q: int, n: int, hi: int) -> np.ndarray:
-    """The q^n table entries of a file body (the text after the header line).
+def _clean_table_values(body: str, q: int, n: int, hi: int) -> np.ndarray | None:
+    """The q^n entries of a clean table body, or None for any other body.
 
-    One pass over the UTF-8 bytes: newline positions split the lines, and a
-    line of one to nine ASCII digits is decoded by Horner's rule, one
-    vectorised step per digit position.  Every other nonempty line goes
-    through :func:`_parse_int` on its ``str.strip()`` text, one at a time, so
-    a line is accepted exactly when ``int()`` reads it; a line that strips to
-    nothing is skipped.  An error names the earliest offending line, body
-    line i being file line i + 2; within a line, too many lines comes before
-    not an integer, which comes before out of range.
+    A body is clean when it holds only ASCII digits and newlines, no line
+    has more than nine digits, q^n lines are nonempty and every value is
+    below ``hi``.  Its lines are decoded together by Horner's rule, one
+    vectorised step per digit position.  This pass raises no error.
     """
-    raw = body.encode("utf-8", "surrogatepass")
-    # The body holds at most len(raw) + 1 lines.  When 2^n is past that, no
-    # count reaches q^n and q^n is not built (at large n it has too many
-    # digits to format): any larger number decides the same.
-    most = len(raw) + 1
-    if n < most.bit_length():
-        expected = q**n
-        shown = str(expected)
-    else:
-        expected = most + 1
-        shown = str(q**n) if n * math.log10(q) < _SHOWN_DIGITS else f"{q}^{n}"
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    # Line i spans starts[i] .. starts[i + 1] - 2; the last entry is one past
-    # the newline a final line would end with.
-    line_start = np.ones(len(raw) + 2, dtype=bool)
-    np.equal(buf, 10, out=line_start[1:-1])
-    starts = np.flatnonzero(line_start)
-    del line_start
-    length = np.diff(starts)
-    length -= 1
-    length = np.minimum(length, 10, out=length).astype(np.uint8)  # 10 stands for "too long"
-    # Lines as a text stream yields them: a final newline opens no new line.
-    line_count = len(length) - (not raw or raw[-1] == 10)
-
-    # Horner's rule over the first nine bytes of every line at once; kept
-    # marks the lines of one to nine ASCII digits, whose entry is then exact.
-    # Other lines may wrap around in values; they are never read from it.
-    kept = (length >= 1) & (length <= 9)
-    values = np.zeros(len(length), dtype=np.int32)
-    for j in range(min(9, int(length.max()))):
-        # Byte j of every line; lines of j bytes or fewer read past their end.
-        d = buf[j:].take(starts[:-1], mode="clip") - np.uint8(48)  # non-digits wrap past 9
-        live = length > j
-        kept &= (d < 10) | ~live
+    # The closing newline ends the last line too, so no line reads past it.
+    buf = np.frombuffer((body + "\n").encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    digit = buf - np.uint8(48)  # other bytes wrap past 9
+    newline = buf == 10
+    if not np.all((digit < 10) | newline):
+        return None
+    # Nonempty lines start at a digit that opens the body or follows a newline.
+    starts = np.flatnonzero(np.concatenate(([True], newline[:-1])) & ~newline)
+    # Past 2^n > count, q^n is not built: it is larger than count anyway.
+    if n >= len(starts).bit_length() or len(starts) != q**n:
+        return None
+    values = np.zeros(len(starts), dtype=np.int32)
+    live = np.ones(len(starts), dtype=bool)  # lines not yet at their newline
+    for j in range(10):
+        d = digit[j:].take(starts, mode="clip")  # byte j of every line
+        live &= d < 10
+        if not live.any():
+            return values if values.max() < hi else None
         np.multiply(values, 10, out=values, where=live)
         np.add(values, d, out=values, where=live)
+    return None  # a line of ten or more digits
 
-    def text(i: int) -> str:
-        return raw[starts[i]:starts[i + 1] - 1].decode("utf-8", "surrogatepass").strip()
 
-    # The other nonempty lines, in order, up to the first non-integer: no
-    # line after it can change the outcome.
-    bad = None
-    for i in np.flatnonzero((length > 0) & ~kept).tolist():
-        entry = text(i)
-        if not entry:
+def _read_table_lines(body: str, q: int, n: int, hi: int) -> np.ndarray:
+    """The q^n entries of a table body, read line by line.
+
+    A line is ``str.strip()``-ed, skipped if that leaves nothing, and else
+    read as one entry by ``int()``; body line i is file line i + 2.  Every
+    table error is raised here, at the first line that breaks a rule: too
+    many lines, then not an integer, then out of range.
+    """
+    lines = body.split("\n")
+    # Past 2^n > line count no count reaches q^n, so q^n is not built (at
+    # large n it has too many digits to format): any larger number will do.
+    small = n < len(lines).bit_length()
+    expected = q**n if small else len(lines) + 1
+    values = []
+    for lineno, line in enumerate(lines, start=2):
+        text = line.strip()
+        if not text:
             continue
-        try:
-            v = _parse_int(i + 2, "table entry", entry)
-        except FunctionFileError as exc:
-            bad = exc
-            kept[i:] = False
-            break
-        kept[i] = True
-        values[i] = v if 0 <= v < hi else -1  # -1 marks any value outside [0, hi)
-
-    entries = values[kept]
-    count = len(entries)
-
-    def line(k: int) -> int:  # body line of the k-th entry; only errors ask
-        return int(np.flatnonzero(kept)[k])
-
-    errors = []
-    head = entries[:expected]
-    out_of_range = np.flatnonzero((head < 0) | (head >= hi))
-    if out_of_range.size:
-        i = line(out_of_range[0])
-        errors.append(FunctionFileError(i + 2, f"value {int(text(i))} out of range [0, {hi})"))
-    if count > expected:
-        errors.append(FunctionFileError(line(expected) + 2, f"too many table lines; expected {expected}"))
-    elif bad is not None:
-        if count == expected:
-            bad = FunctionFileError(bad.lineno, f"too many table lines; expected {expected}")
-        errors.append(bad)
-    if errors:
-        raise min(errors, key=lambda exc: exc.lineno)
-    if count != expected:
-        raise FunctionFileError(line_count + 2, f"expected {shown} table lines, found {count}")
-    return entries
+        if len(values) >= expected:
+            raise FunctionFileError(lineno, f"too many table lines; expected {expected}")
+        v = _parse_int(lineno, "table entry", text)
+        if not 0 <= v < hi:
+            raise FunctionFileError(lineno, f"value {v} out of range [0, {hi})")
+        values.append(v)
+    if len(values) != expected:
+        shown = q**n if small or n * math.log10(q) < _SHOWN_DIGITS else f"{q}^{n}"
+        # As a text stream yields lines: a final newline opens no new line.
+        lineno = len(lines) - (lines[-1] == "") + 2
+        raise FunctionFileError(lineno, f"expected {shown} table lines, found {len(values)}")
+    return np.array(values, dtype=np.int32)
 
 
 def parse_function_file(source) -> FunctionSpec:
@@ -468,8 +435,11 @@ def parse_function_file(source) -> FunctionSpec:
     Line 1 holds ``q=<int> n=<int> kind=<full|indicator>``.  A structured
     family follows as a single line ``family=tribes r=<int> p0=<real>`` (plus
     ``a=<symbol>`` for indicator views); otherwise q^n table lines follow,
-    one integer per line in lexicographic point order, read in one
-    vectorised pass by :func:`_table_values`.
+    one integer per line in lexicographic point order.  A line may carry
+    whitespace around its entry, and blank lines are skipped.  A clean body
+    (digits and newlines only, as :func:`write_function_file` writes it) is
+    read in one vectorised pass; any other body, and any malformed one, is
+    read line by line, which is where every table error is raised.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -514,7 +484,10 @@ def parse_function_file(source) -> FunctionSpec:
             raise FunctionFileError(2, "a=<symbol> only applies to indicator kind")
         return f
 
-    values = _table_values(body, q, n, q if kind == KIND_FULL else 2)
+    hi = q if kind == KIND_FULL else 2
+    values = _clean_table_values(body, q, n, hi)
+    if values is None:
+        values = _read_table_lines(body, q, n, hi)
     return FunctionSpec(q=q, n=n, kind=kind, table=values)
 
 

@@ -118,9 +118,9 @@ class ThresholdReport:
 
 
 def _bisect_increasing(probe, target: float, lo: float, hi: float, t_tol: float) -> float:
-    # Invariant: probe(lo) < target <= probe(hi).
-    while hi - lo > t_tol:
-        mid = 0.5 * (lo + hi)
+    # Invariant: probe(lo) < target <= probe(hi).  Once lo and hi are
+    # adjacent floats the midpoint is one of them, and no t_tol can be met.
+    while hi - lo > t_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if probe(mid) < target:
             lo = mid
         else:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from qthresh.cli import SEED_ENV_VAR, main
-from qthresh.functions import random_zero_monotone, write_function_file
+from qthresh.functions import build_tribes, indicator, random_zero_monotone, write_function_file
+from qthresh.influence import influence_bkkkl
+from qthresh.measures import SimplexMeasure
 
 
 def run(argv, capsys):
@@ -166,6 +168,19 @@ def test_influence_keller_constant_reports_na(tmp_path, capsys):
     code, out, _ = run(["influence", "--fn", str(path), "--mu", "0.2,0.4,0.4", "--kind", "keller"], capsys)
     assert code == 0
     assert out.strip().split("\n")[1].endswith(",na")
+
+
+def test_influence_bkkkl_rows_match_influence_bkkkl(capsys):
+    # Blocks of 2 and 3 coordinates, so the coordinates differ.
+    mu = "0.5,0.25,0.25"
+    code, out, _ = run(["influence", "--family", "tribes", "--q", "3", "--n", "5", "--p0", "0.5",
+                        "--r", "2", "--level", "0", "--mu", mu, "--kind", "bkkkl"], capsys)
+    assert code == 0
+    f = indicator(build_tribes(3, 5, 0.5, r=2), 0)
+    want = [["k", "kind", "value"]]
+    want += [[str(k), "bkkkl", format(influence_bkkkl(f, SimplexMeasure.parse(mu), k), ".17g")] for k in range(5)]
+    assert list(csv.reader(out.splitlines())) == want
+    assert len({row[2] for row in want[1:]}) == 2
 
 
 def test_influence_single_measure_enforced(capsys):
@@ -391,6 +406,62 @@ def test_width_non_finite_t_tol_exits_2_and_leaves_no_file(tmp_path, capsys, t_t
     assert code == 2
     assert "t_tol" in err
     assert list(tmp_path.iterdir()) == []
+
+
+FN_EVAL = ["eval", "--fn", "{fn}", "--mu", "0.5,0.25,0.25", "--a", "0"]
+
+
+@pytest.mark.parametrize("text, argv, lineno, message", [
+    pytest.param("q=3 n=2 kind\n", FN_EVAL, 1, "expected key=value tokens", id="bad-token"),
+    pytest.param("q=3 n=2 kind=full colour=red\n", FN_EVAL, 1, "unknown key 'colour'", id="unknown-key"),
+    pytest.param("q=3 n=2 kind=full\nfamily=tribes r=1 p0=0.5 r=2\n", FN_EVAL, 2, "duplicate key 'r'",
+                 id="duplicate-key"),
+    pytest.param("\n", FN_EVAL, 1, "empty file", id="empty-file"),
+    pytest.param("q=3 n=2 kind=partial\n", FN_EVAL, 1, "kind must be full or indicator", id="bad-kind"),
+    pytest.param("q=1 n=2 kind=full\n", FN_EVAL, 1, "need q >= 2 and n >= 1", id="q-below-2"),
+    pytest.param("q=3 n=4 kind=full\nfamily=majority r=2 p0=0.5\n", FN_EVAL, 2, "unknown family 'majority'",
+                 id="unknown-family"),
+    pytest.param("q=3 n=4 kind=full\nfamily=tribes r=2 p0=half\n", FN_EVAL, 2, "p0 must be a real number",
+                 id="p0-not-real"),
+    pytest.param("q=3 n=4 kind=full\nfamily=tribes r=5 p0=0.5\n", FN_EVAL, 2, "explicit r=5 must lie in 1..4",
+                 id="r-out-of-range"),
+    pytest.param("q=3 n=4 kind=indicator\nfamily=tribes r=2 p0=0.5 a=3\n", FN_EVAL, 2,
+                 "a=3 out of range for q=3", id="a-out-of-range"),
+    pytest.param("q=3 n=4 kind=full\nfamily=tribes r=2 p0=0.5 a=0\n", FN_EVAL, 2,
+                 "only applies to indicator kind", id="a-on-full-kind"),
+    pytest.param(None, FN_EVAL, None, "does not exist", id="missing-file"),
+    pytest.param(None, ["eval", "--family", "tribes", "--q", "3", "--mu", "0.5,0.25,0.25", "--a", "0"], None,
+                 "--family tribes needs --n, --p0", id="family-without-n-p0"),
+    pytest.param(None, ["eval", *TRIBES4, "--a", "0"], None, "at least one --mu is required", id="no-mu"),
+    pytest.param(None, ["width", *TRIBES4, "--mu", "0,0.5,0.25,0.25", "--a", "0", "--eps", "0.1"], None,
+                 "base measure has 4 atoms, function needs 3", id="width-mu-atom-count"),
+])
+def test_input_errors_exit_2(tmp_path, capsys, text, argv, lineno, message):
+    path = tmp_path / "fn.txt"
+    if text is not None:
+        path.write_text(text)
+    try:
+        code = main([a.replace("{fn}", str(path)) for a in argv])
+    except SystemExit as exc:  # argparse usage errors and function-file errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    if lineno is not None:
+        assert err.startswith(f"{path}:{lineno}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "tribes", "--q", "3", "--n", "1024", "--p0", "0.5", "--evaluator", "closed"],
+    ["--family", "tribes", "--q", "3", "--n", "8", "--p0", "0.5", "--evaluator", "exact"],
+], ids=["closed", "exact"])
+def test_width_t_tol_below_the_float_spacing_exits_0(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "qthresh.cli", "width", *argv, "--a", "0", "--eps", "0.1",
+                           "--t-tol", "1e-20"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ",bisection," in proc.stdout
 
 
 @pytest.mark.parametrize("argv, want", [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qthresh import functions
 from qthresh.functions import (
     KIND_FULL,
     KIND_INDICATOR,
@@ -655,6 +656,31 @@ def test_table_parse_header_past_any_body_names_its_line():
             parse_function_file(io.StringIO("q=3 n=10000 kind=full\n" + body))
         assert err.value.lineno == lineno
         assert message in str(err.value)
+
+
+def test_clean_table_body_never_reaches_the_line_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    f = from_table(3, 8, rng.integers(0, 3, size=3**8))
+    path = tmp_path / "fn.txt"
+    write_function_file(f, path)
+    clean = path.read_text()
+    header, _, body = clean.partition("\n")
+    lines = body.split("\n")
+    lines[5:5] = ["", ""]  # empty lines inside, and no final newline
+    gappy = "\n".join([header, "", *lines]).rstrip("\n")
+    wide = from_table(12, 2, np.arange(144) % 12)  # two-digit entries
+    write_function_file(wide, path)
+    wide_text = path.read_text()
+
+    def refuse(*args):
+        raise AssertionError("a clean body reached the line reader")
+
+    monkeypatch.setattr(functions, "_read_table_lines", refuse)
+    for text, want in ((clean, f), (gappy, f), (wide_text, wide)):
+        assert np.array_equal(parse_function_file(io.StringIO(text)).table, want.table)
+    # A padded line is not clean, so that body goes through the line reader.
+    with pytest.raises(AssertionError, match="line reader"):
+        parse_function_file(io.StringIO(clean.replace("\n", "\n ", 1)))
 
 
 def reference_write_table(f: FunctionSpec, path) -> None:

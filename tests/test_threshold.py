@@ -7,6 +7,7 @@ import pytest
 
 from qthresh.evaluate import (
     ClosedFormEvaluator,
+    Evaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
     coupled_line_chunks,
@@ -236,6 +237,32 @@ def test_line_width_rejections():
                 line_width(f, CENTRAL3, 0, 0.1, evaluator, t_tol=t_tol)
     with pytest.raises(ValueError):
         line_width(f, CENTRAL3, 0, 0.1, EXACT, grid_points=2)
+
+
+class ProbeBudget(Evaluator):
+    """Delegates to ``inner`` and fails, instead of hanging, past ``budget`` batches."""
+
+    def __init__(self, inner: Evaluator, budget: int):
+        self.inner, self.budget = inner, budget
+
+    def batch(self, f, measures, a):
+        self.budget -= 1
+        if self.budget < 0:
+            raise RuntimeError("probe budget spent")
+        return self.inner.batch(f, measures, a)
+
+
+@pytest.mark.parametrize("evaluator", [EXACT, ClosedFormEvaluator()], ids=["exact", "closed"])
+def test_line_width_t_tol_below_the_float_spacing_returns(evaluator):
+    # No t_tol this small is ever met: the bisection stops once lo and hi
+    # are adjacent floats, after about 60 probes per crossing.
+    f = build_tribes(3, 8, 0.5)
+    fine = line_width(f, CENTRAL3, 0, 0.1, ProbeBudget(evaluator, 1000), t_tol=1e-300)
+    assert fine.method == METHOD_BISECTION
+    for t_tol in (1e-12, 1e-15):
+        rep = line_width(f, CENTRAL3, 0, 0.1, evaluator, t_tol=t_tol)
+        assert fine.t_lo == pytest.approx(rep.t_lo, abs=t_tol)
+        assert fine.t_hi == pytest.approx(rep.t_hi, abs=t_tol)
 
 
 # ---------------------------------------------------------------------------
