@@ -6,10 +6,8 @@ from .evaluate import (
     Evaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
-    QuantileMap,
     binomial_std_error,
     product_weights,
-    quantile_encode,
     tribes_prob_zero,
     variance_of_indicator,
 )

@@ -101,15 +101,17 @@ def _write_outputs(outputs: Outputs) -> None:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+    """``--seed``, else ``QTL_SEED``, else 0; an error names the one that is bad."""
+    source, value = "--seed", getattr(args, "seed", None)
+    if value is None:
+        source, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _add_function_args(p: argparse.ArgumentParser) -> None:
@@ -294,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_width.add_argument("--eps", type=float, required=True)
     _add_evaluator_args(p_width, default_samples=10000)
     p_width.add_argument("--seed", type=int)
-    p_width.add_argument("--grid", type=int, default=101, help="monotonicity-check grid size")
+    p_width.add_argument("--grid", type=int, default=101,
+                         help="monotonicity-check grid size (the MC grid scan reads its own 33 points)")
     p_width.add_argument("--t-tol", type=float, default=1e-9, dest="t_tol")
     p_width.add_argument("--diagnostics", help="also write derivative diagnostics CSV here")
     p_width.add_argument("--diag-grid", type=int, default=20, dest="diag_grid")

@@ -2,8 +2,9 @@
 
 Three routes to Pr[f(x) = a] when the n coordinates are iid from a simplex
 measure: an exact type-class tally, a closed-form product for the tribes
-family, and Monte Carlo via a quantile encoding of the measure.  The routes
-are deliberately independent so they can cross-check each other.
+family, and Monte Carlo via CDF inversion of the measure.  The routes are
+deliberately independent so they can cross-check each other, and they share
+one input contract, :func:`_check_measures`.
 
 The exact route rests on one fact: under mu^n the weight of a point depends
 only on its type, the vector c of symbol counts, so
@@ -32,14 +33,15 @@ import numpy as np
 
 from .functions import (
     BATCH_CELLS,
-    KIND_FULL,
     FunctionSpec,
     TribesVariant,
     check_cap,
+    check_output,
     evaluate_batch,
     materialize_table,
+    tribes_zero_level,
 )
-from .measures import SimplexMeasure, require_zero_face
+from .measures import ATOM_SUM_TOL, SimplexMeasure, require_zero_face
 
 # Largest fibre key (rest type and pattern digits) that stays inside int64.
 _KEY_LIMIT = 2**62
@@ -154,14 +156,14 @@ class TypeTally:
 
     ``types[t]`` is a symbol-count vector (q nonnegative integers summing to
     n) and ``counts[t, a]`` the number of points of that type where f = a,
-    for a below ``outputs`` (q for [q]-valued functions, 2 for indicators).
+    for a below ``outputs`` (``FunctionSpec.outputs``).
     ``rest_types`` are the types of the other n-1 coordinates, which index
     the fibre tallies.
     """
 
     def __init__(self, f: FunctionSpec, table: np.ndarray):
         self.q, self.n = f.q, f.n
-        self.outputs = f.q if f.kind == KIND_FULL else 2
+        self.outputs = f.outputs
         self.rest_types, self._rest_ids, self.types, step = _type_steps(f.q, f.n)
         # Row i of the reshaped table is the fibre of the last coordinate
         # over rest point i: symbol v there extends the rest type by v.
@@ -177,12 +179,7 @@ class TypeTally:
         self._fibres: list = [None] * f.n
 
     def probabilities(self, measures: np.ndarray, a: int) -> np.ndarray:
-        """Pr[f = a] under mu^n for each row mu of an (m, q) matrix.
-
-        An indicator never outputs a >= 2, so those rows read 0.
-        """
-        if a >= self.outputs:
-            return np.zeros(measures.shape[0])
+        """Pr[f = a] under mu^n for each row mu of an (m, q) matrix; a < outputs."""
         column = self.counts[:, a].astype(float)
         out = np.empty(measures.shape[0])
         chunk = max(1, BATCH_CELLS // self.types.size)
@@ -262,14 +259,22 @@ def type_tally(f: FunctionSpec) -> TypeTally:
 
 
 def _check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
-    """The measures of one batch as an (m, q) float matrix, checked against f and a."""
+    """The measures of one batch as an (m, q) float matrix, checked against f and a.
+
+    The one input contract of every route's ``batch``: each row is a point
+    of the simplex (atoms finite and in [0, 1], summing to 1 within
+    ``ATOM_SUM_TOL``) and ``a`` is an output of f (:func:`check_output`).
+    """
     measures = np.asarray(measures, dtype=float)
     if measures.ndim != 2:
         raise ValueError(f"expected an (m, {f.q}) matrix of measures")
     if measures.shape[1] != f.q:
         raise ValueError(f"measure has q={measures.shape[1]}, function has q={f.q}")
-    if not 0 <= a < f.q:
-        raise ValueError(f"symbol a={a} out of range for q={f.q}")
+    check_output(f, a)
+    total = measures @ np.ones(f.q)  # numpy's sum of short rows is slow
+    if measures.size and not (measures.min() >= 0.0 and measures.max() <= 1.0  # NaN fails too
+                              and 1.0 - ATOM_SUM_TOL <= total.min() and total.max() <= 1.0 + ATOM_SUM_TOL):
+        raise ValueError(f"each measure row must be atoms in [0, 1] summing to 1 within {ATOM_SUM_TOL}")
     return measures
 
 
@@ -297,23 +302,20 @@ def tribes_prob_zero(fam: TribesVariant, p0: float | np.ndarray) -> float | np.n
     scalar (the result is a float) or a 1-D array (the result is an array).
     """
     p = np.asarray(p0, dtype=float)
-    if p.ndim > 1:
-        raise ValueError(f"p0 must be a scalar or a 1-D array, got shape {p.shape}")
+    if p.ndim > 1 or not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
+        raise ValueError("p0 must be a scalar or a 1-D array with entries in [0, 1]")
     pz = 1.0 - _tribes_alive(fam, np.atleast_1d(p))
     return float(pz[0]) if p.ndim == 0 else pz
 
 
 def _tribes_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
-    """Pr[no block is all zero] for each entry of a 1-D array of zero masses.
+    """Pr[no block is all zero] for each entry of a 1-D array of zero masses in [0, 1].
 
     Factors go by ascending block size, equal sizes share one power, so the
-    rounding is fixed by (r, m, last) alone.  The indicator's output 0 reads
-    this product directly: 1 - (1 - alive) would lose the digits of a small
-    product.
+    rounding is fixed by (r, m, last) alone.  The complement of the zero
+    event reads this product directly: 1 - (1 - alive) would lose the digits
+    of a small product.
     """
-    ok = (p0 >= 0.0) & (p0 <= 1.0)
-    if not ok.all():
-        raise ValueError(f"p0 must lie in [0, 1], got {float(p0[~ok][0])!r}")
     if fam.last == fam.r:
         sizes, mult = [fam.r], [fam.m]
     else:
@@ -322,58 +324,22 @@ def _tribes_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
     return np.prod((1.0 - p0[:, None] ** sizes[None, :]) ** mult[None, :], axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class QuantileMap:
-    """CDF inversion of a simplex measure: [0, 1] -> symbols.
+def _inverse_cdf(atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Symbols G(u) for an array of uniforms u in [0, 1], by CDF inversion.
 
     G(u) is the smallest symbol whose cumulative mass strictly exceeds u,
-    with G(1) pinned to q-1.  The pushforward of the uniform distribution on
-    [0, 1] is exactly the measure; symbol i owns an interval whose length is
-    atom i (empty for zero atoms).
+    with G(1) pinned to q-1, so the pushforward of the uniform distribution
+    is exactly the measure: symbol i owns an interval of length atom i
+    (empty for a zero atom).  ``atoms`` is a row that
+    :func:`_check_measures` accepted; ``u`` is not checked.
     """
-
-    atoms: tuple[float, ...]
-    boundaries: np.ndarray
-
-    def __call__(self, u):
-        arr = np.asarray(u, dtype=float)
-        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
-            raise ValueError("quantile arguments must lie in [0, 1]")
-        # G(u) counts the boundaries at or below u; the last boundary (the
-        # total mass) is left out, which pins G(1) to q-1.  One comparison
-        # per symbol beats a binary search for small q.
-        idx = np.zeros(arr.shape, dtype=np.int32)
-        for bound in self.boundaries[:-1]:
-            idx += arr >= bound
-        if np.isscalar(u) or arr.ndim == 0:
-            return int(idx)
-        return idx
-
-
-def quantile_encode(mu: SimplexMeasure) -> QuantileMap:
-    bounds = np.cumsum(mu.as_array())
-    bounds.setflags(write=False)
-    return QuantileMap(atoms=mu.atoms, boundaries=bounds)
-
-
-def coupled_line_chunks(n: int, base: SimplexMeasure, samples: int, seed):
-    """One coupled sample of the line t delta_0 + (1-t) base, in row chunks.
-
-    Yields ``(U, V)`` pairs: U is uniform on [0, 1)^n and V is drawn from
-    base^n by quantile encoding, one row per sample point.  The coupled
-    state x_i(t) = 0 if U_i < t, else V_i, has law (t delta_0 + (1-t)
-    base)^n at every t, and raising t only rewrites coordinates to 0 (the
-    monotone coupling).  A chunk has at most ``BATCH_CELLS // n`` rows, so
-    memory stays bounded at any n; the rows are deterministic given
-    (n, base, samples, seed).
-    """
-    rng = np.random.default_rng(seed)
-    gmap = quantile_encode(base)
-    batch = max(1, BATCH_CELLS // n)
-    for done in range(0, samples, batch):
-        b = min(batch, samples - done)
-        U = rng.random((b, n))
-        yield U, gmap(rng.random((b, n)))
+    # G(u) counts the boundaries at or below u; the last boundary (the
+    # total mass) is left out, which pins G(1) to q-1.  One comparison per
+    # symbol beats a binary search for small q.
+    idx = np.zeros(u.shape, dtype=np.int32)
+    for bound in np.cumsum(atoms)[:-1]:
+        idx += u >= bound
+    return idx
 
 
 def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure) -> float:
@@ -418,31 +384,23 @@ class ExactEvaluator(Evaluator):
 
 
 class ClosedFormEvaluator(Evaluator):
-    """Product-formula Pr for the tribes family's zero event.
+    """Product-formula Pr for the tribes family's zero event and its complement.
 
-    Covers the [q]-valued family at a = 0 and its indicator-of-0 view at
-    either output; the probability depends on mu only through atom 0, so no
-    enumeration or sampling happens at any n.
+    Covers every level 1[f = a] that :func:`~qthresh.functions.tribes_zero_level`
+    names: the full family at a = 0 (and a = 1 when q = 2), and the
+    indicator views of those outputs at either a.  The probability depends
+    on mu only through atom 0, so no enumeration or sampling happens at any
+    n.  Any other level is refused.
     """
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         if f.family is None:
             raise ValueError("closed form requires a tribes family function")
         measures = _check_measures(f, measures, a)
-        if f.kind == KIND_FULL:
-            if a != 0:
-                raise ValueError("closed form covers only the a=0 output of the full family")
-            want_zero_event = True
-        else:
-            if f.indicator_of != 0:
-                raise ValueError("closed form covers only the indicator of output 0")
-            if a not in (0, 1):
-                raise ValueError("indicator outputs are 0 and 1")
-            want_zero_event = a == 1
-        if want_zero_event:
-            values = tribes_prob_zero(f.family, measures[:, 0])
-        else:
-            values = _tribes_alive(f.family, measures[:, 0])
+        zero = tribes_zero_level(f, a)
+        if zero is None:
+            raise ValueError("closed form covers only the tribes zero event and its complement")
+        values = (tribes_prob_zero if zero else _tribes_alive)(f.family, measures[:, 0])
         return Estimate(values, 0.0, METHOD_CLOSED, 0)
 
 
@@ -467,29 +425,37 @@ class MonteCarloEvaluator(Evaluator):
         return stream
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
-        """Each row's rate of f = a over ``samples`` draws: uniforms, quantile-encoded.
+        """Each row's rate of f = a over ``samples`` draws: uniforms, CDF-inverted.
 
-        The chunk layout is fixed, so a row's draws depend only on its
-        stream and on (f, measure, samples).
+        The rows are checked before any stream is taken.  The chunk layout
+        is fixed, so a row's draws depend only on its stream and on
+        (f, measure, samples).
         """
         measures = _check_measures(f, measures, a)
         chunk = max(1, BATCH_CELLS // f.n)
         hits = np.zeros(len(measures), dtype=np.int64)
         for k, row in enumerate(measures):
             rng = np.random.default_rng(self._stream())
-            gmap = quantile_encode(SimplexMeasure(tuple(row)))
             for done in range(0, self.samples, chunk):
-                X = gmap(rng.random((min(chunk, self.samples - done), f.n)))
+                X = _inverse_cdf(row, rng.random((min(chunk, self.samples - done), f.n)))
                 hits[k] += np.count_nonzero(evaluate_batch(f, X) == a)
         return Estimate(hits / self.samples, binomial_std_error(hits, self.samples), METHOD_MC, self.samples)
 
     def coupled_line(self, n: int, base: SimplexMeasure, samples: int):
-        """Row chunks of one coupled sample along the line from ``base``.
+        """One coupled sample of the line t delta_0 + (1-t) base, in row chunks.
 
-        ``samples`` overrides the evaluator's own count for this call.  It
-        takes one call's stream, like one batch row; see
-        :func:`coupled_line_chunks`.
+        Returns an iterator of ``(U, V)`` pairs: U is uniform on [0, 1)^n
+        and V is drawn from base^n, one row per sample point.  The coupled state
+        x_i(t) = 0 if U_i < t, else V_i, has law (t delta_0 + (1-t) base)^n
+        at every t, and raising t only rewrites coordinates to 0 (the
+        monotone coupling).  ``samples`` overrides the evaluator's own count
+        for this call, which takes one stream, like one batch row.  Chunks
+        of at most ``BATCH_CELLS // n`` rows keep memory bounded at any n.
         """
         if samples < 1:
             raise ValueError("samples must be positive")  # before the stream is taken
-        return coupled_line_chunks(n, base, samples, self._stream())
+        rng = np.random.default_rng(self._stream())
+        chunk = max(1, BATCH_CELLS // n)
+        sizes = (min(chunk, samples - done) for done in range(0, samples, chunk))
+        # Each chunk draws U, then V, from the stream: that order fixes the rows a seed gives.
+        return ((rng.random((b, n)), _inverse_cdf(base.as_array(), rng.random((b, n)))) for b in sizes)

@@ -114,9 +114,8 @@ class FunctionSpec:
             tbl = np.array(self.table, dtype=np.int32, copy=True).reshape(-1)
             if tbl.shape[0] != self.q**self.n:
                 raise ValueError(f"table has {tbl.shape[0]} entries, expected q^n = {self.q ** self.n}")
-            hi = self.q if self.kind == KIND_FULL else 2
-            if tbl.size and (tbl.min() < 0 or tbl.max() >= hi):
-                raise ValueError(f"table values must lie in [0, {hi})")
+            if tbl.size and (tbl.min() < 0 or tbl.max() >= self.outputs):
+                raise ValueError(f"table values must lie in [0, {self.outputs})")
             tbl.setflags(write=False)
             object.__setattr__(self, "table", tbl)
             if self.indicator_of is not None:
@@ -135,6 +134,17 @@ class FunctionSpec:
     @property
     def size(self) -> int:
         return self.q**self.n
+
+    @property
+    def outputs(self) -> int:
+        """Number of output symbols: q for a [q]-valued f, 2 for an indicator."""
+        return self.q if self.kind == KIND_FULL else 2
+
+
+def check_output(f: FunctionSpec, a: int) -> None:
+    """Raise unless ``a`` is an output symbol of f, one of 0..outputs-1."""
+    if not 0 <= a < f.outputs:
+        raise ValueError(f"a={a} is not an output of f, whose outputs are 0..{f.outputs - 1}")
 
 
 def from_table(q: int, n: int, values, kind: str = KIND_FULL) -> FunctionSpec:
@@ -234,15 +244,23 @@ def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
     so the zero event is monotone.  Every other level reads as not
     monotone; the few that are (blocks of size 1) only lose a faster search.
     """
-    if not 0 <= a < f.q:
-        raise ValueError(f"symbol a={a} out of range for q={f.q}")
+    check_output(f, a)
     if f.table is not None:
         return _rewrite_monotone(f.table.reshape((f.q,) * f.n) == a, 0)
-    if f.kind == KIND_FULL:
-        return a == 0
-    if f.q == 2:  # 1[f = 1] = 1 - 1[f = 0]
-        return a == int(f.indicator_of == 0)
-    return f.indicator_of == 0 and a == 1
+    return tribes_zero_level(f, a) is True
+
+
+def tribes_zero_level(f: FunctionSpec, a: int) -> bool | None:
+    """For a tribes family f and an output a of f: True when 1[f = a] is
+    the zero event (some block is all zero), False when it is the
+    complement, None when it is neither.  f = 0 is the zero event and, with
+    q = 2, f = 1 the complement; an indicator of b flips b's level at a = 0.
+    """
+    b = a if f.kind == KIND_FULL else f.indicator_of
+    zero = True if b == 0 else False if f.q == 2 else None
+    if zero is None or f.kind == KIND_FULL or a == 1:
+        return zero
+    return not zero
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +316,7 @@ def indicator(f: FunctionSpec, a: int) -> FunctionSpec:
     """The {0,1}-valued level function 1[f = a]."""
     if f.kind != KIND_FULL:
         raise ValueError("indicator expects a [q]-valued function")
-    if not 0 <= a < f.q:
-        raise ValueError(f"symbol a={a} out of range for q={f.q}")
+    check_output(f, a)
     if f.table is not None:
         return FunctionSpec(q=f.q, n=f.n, kind=KIND_INDICATOR, table=(f.table == a).astype(np.int32))
     return FunctionSpec(q=f.q, n=f.n, kind=KIND_INDICATOR, family=f.family, indicator_of=a)
@@ -444,7 +461,8 @@ def parse_function_file(source) -> FunctionSpec:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_function_file(fh)
-    header, _, body = source.read().partition("\n")
+    # A byte-order mark some editors write is not part of the header.
+    header, _, body = source.read().removeprefix("\ufeff").partition("\n")
     if not header.strip():
         raise FunctionFileError(1, "empty file; expected a header line")
     head = _parse_tokens(1, header, required=("q", "n", "kind"))

@@ -28,8 +28,8 @@ class SimplexMeasure:
         if len(atoms) < 2:
             raise ValueError("a measure needs at least two atoms (q >= 2)")
         for j, a in enumerate(atoms):
-            if not math.isfinite(a) or a < 0.0:
-                raise ValueError(f"atom {j} is {a!r}; atoms must be finite and nonnegative")
+            if not 0.0 <= a <= 1.0:  # NaN fails too
+                raise ValueError(f"atom {j} is {a!r}; atoms must lie in [0, 1]")
         total = math.fsum(atoms)
         if abs(total - 1.0) > ATOM_SUM_TOL:
             raise ValueError(f"atoms sum to {total!r}; must equal 1 within {ATOM_SUM_TOL}")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluate import ClosedFormEvaluator, MonteCarloEvaluator, binomial_std_error, variance_of_indicator
-from .functions import FunctionSpec, build_tribes, evaluate_batch, level_is_zero_monotone
+from .functions import FunctionSpec, build_tribes, check_output, evaluate_batch, level_is_zero_monotone
 from .influence import phi_k
 from .measures import (
     SimplexMeasure,
@@ -307,8 +307,7 @@ def line_width(
     """
     require_zero_face(base)
     eps = _check_eps(eps)
-    if not 0 <= a < f.q:
-        raise ValueError(f"symbol a={a} out of range for q={f.q}")
+    check_output(f, a)
     if not (math.isfinite(t_tol) and t_tol > 0.0):
         raise ValueError(f"t_tol must be finite and positive, got {t_tol!r}")
     if grid_points < 3:
@@ -346,8 +345,7 @@ def region_measure(
     eps = _check_eps(eps)
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not 0 <= a < f.q:
-        raise ValueError(f"symbol a={a} out of range for q={f.q}")
+    check_output(f, a)
     probs = evaluator.batch(f, sample_uniform_batch(f.q, samples, seed), a).values
     hits = int(((probs >= eps) & (probs <= 1.0 - eps)).sum())
     return RegionMeasureEstimate(fraction=hits / samples, std_error=float(binomial_std_error(hits, samples)),

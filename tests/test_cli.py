@@ -1,13 +1,21 @@
 import csv
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qthresh.cli import SEED_ENV_VAR, main
-from qthresh.functions import build_tribes, indicator, random_zero_monotone, write_function_file
+from qthresh.functions import (
+    build_tribes,
+    indicator,
+    parse_function_file,
+    random_zero_monotone,
+    write_function_file,
+)
 from qthresh.influence import influence_bkkkl
 from qthresh.measures import SimplexMeasure
 
@@ -90,6 +98,26 @@ def test_eval_function_file(tmp_path, capsys):
     row = next(csv.reader([out.strip().split("\n")[1]]))
     assert row[4] == "exact-enumeration"
     assert 0.0 < float(row[5]) < 1.0
+
+
+@pytest.mark.parametrize("f", [random_zero_monotone(3, 3, 0.4, seed=21), indicator(build_tribes(3, 4, 0.5, r=2), 1)],
+                         ids=["table", "family"])
+def test_eval_function_file_with_byte_order_mark(f, tmp_path, capsys):
+    clean, marked = tmp_path / "clean.txt", tmp_path / "marked.txt"
+    write_function_file(f, clean)
+    marked.write_bytes(b"\xef\xbb\xbf" + clean.read_bytes())
+    want = parse_function_file(clean)
+    for source in (marked, io.StringIO(marked.read_text(encoding="utf-8"))):
+        got = parse_function_file(source)
+        assert (got.table is None) == (want.table is None)
+        assert got.table is None or np.array_equal(got.table, want.table)
+        assert (got.kind, got.family, got.indicator_of) == (want.kind, want.family, want.indicator_of)
+    outs = []
+    for path in (clean, marked):
+        code, out, err = run(["eval", "--fn", str(path), "--mu", "0.2,0.4,0.4", "--a", "1"], capsys)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_eval_constant_function_file(tmp_path, capsys):
@@ -288,6 +316,41 @@ def test_region_bad_env_seed(capsys, monkeypatch):
     )
     assert code == 2
     assert SEED_ENV_VAR in err
+
+
+TRIBES16 = ["--family", "tribes", "--q", "3", "--n", "16", "--p0", "0.5", "--r", "4"]
+
+
+@pytest.mark.parametrize("argv, env, named", [
+    (["region", *TRIBES16, "--a", "0", "--eps", "0.1", "--samples", "100", "--evaluator", "closed",
+      "--seed", "-1"], None, "--seed"),
+    (["eval", *TRIBES16, "--mu", "0.5,0.25,0.25", "--a", "0", "--evaluator", "mc", "--samples", "100",
+      "--seed", "-3"], None, "--seed"),
+    (["eval", *TRIBES16, "--mu", "0.5,0.25,0.25", "--a", "0", "--evaluator", "mc", "--samples", "100"],
+     "-2", SEED_ENV_VAR),
+], ids=["region-flag", "eval-mc-flag", "eval-env"])
+def test_negative_seed_names_its_source(argv, env, named, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert f"error: {named} must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("evaluator", ["exact", "closed", "mc"])
+@pytest.mark.parametrize("command", ["eval", "width", "region"])
+def test_indicator_output_2_exits_2(command, evaluator, capsys):
+    # An indicator's outputs are 0 and 1, so Pr[1[f = 0] = 2] is refused
+    # on every route, not read as 0 by one and estimated by another.
+    argv = [command, "--family", "tribes", "--q", "3", "--n", "6", "--p0", "0.5", "--r", "2",
+            "--level", "0", "--a", "2", "--evaluator", evaluator]
+    argv += {"eval": ["--mu", "0.5,0.25,0.25", "--samples", "100"],
+             "width": ["--eps", "0.1", "--eval-samples", "100"],
+             "region": ["--eps", "0.1", "--samples", "10", "--eval-samples", "100"]}[command]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "a=2 is not an output of f" in err
 
 
 # ---------------------------------------------------------------------------

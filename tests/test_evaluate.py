@@ -14,8 +14,8 @@ from qthresh.evaluate import (
     ExactEvaluator,
     MonteCarloEvaluator,
     binomial_std_error,
+    _inverse_cdf,
     product_weights,
-    quantile_encode,
     tribes_prob_zero,
     variance_of_indicator,
 )
@@ -26,9 +26,11 @@ from qthresh.functions import (
     evaluate_batch,
     from_table,
     indicator,
+    materialize_table,
     random_zero_monotone,
+    tribes_zero_level,
 )
-from qthresh.measures import SimplexMeasure, central_measure, mix_t
+from qthresh.measures import SimplexMeasure, central_measure, mix_t, sample_uniform_batch
 
 
 HALF_QUARTER = SimplexMeasure((0.5, 0.25, 0.25))
@@ -161,29 +163,23 @@ def test_tribes_prob_zero_rejects():
 
 
 def test_quantile_map_intervals():
-    gmap = quantile_encode(HALF_QUARTER)
-    assert gmap(0.0) == 0
-    assert gmap(0.49) == 0
-    assert gmap(0.5) == 1  # boundary belongs to the next symbol
-    assert gmap(0.7) == 1
-    assert gmap(0.75) == 2
-    assert gmap(1.0) == 2  # top endpoint folds into the last symbol
+    u = np.array([0.0, 0.49, 0.5, 0.7, 0.75, 1.0])
+    # 0.5 belongs to the next symbol; the top endpoint folds into the last.
+    np.testing.assert_array_equal(_inverse_cdf(HALF_QUARTER.as_array(), u), [0, 0, 1, 1, 2, 2])
 
 
 def test_quantile_map_pushforward_is_exact():
     # empirical mass of each preimage interval converges to the atom
     mu = SimplexMeasure((0.125, 0.375, 0.5))
-    gmap = quantile_encode(mu)
     u = np.linspace(0.0, 1.0, 8193)[:-1]  # uniform grid on [0, 1)
-    counts = np.bincount(gmap(u), minlength=3) / u.size
+    counts = np.bincount(_inverse_cdf(mu.as_array(), u), minlength=3) / u.size
     assert counts == pytest.approx(mu.atoms, abs=1e-3)
 
 
 def test_quantile_map_handles_zero_atoms():
     mu = SimplexMeasure((0.0, 0.5, 0.5))
-    gmap = quantile_encode(mu)
-    assert gmap(0.0) == 1  # zero-length interval is never hit
-    assert gmap(0.5) == 2
+    # The zero-length interval of symbol 0 is never hit.
+    np.testing.assert_array_equal(_inverse_cdf(mu.as_array(), np.array([0.0, 0.5])), [1, 2])
 
 
 def searchsorted_quantile(mu, u):
@@ -201,30 +197,18 @@ def test_quantile_map_matches_searchsorted(q):
         if atoms.sum() == 0.0:
             atoms[-1] = 1.0
         mu = SimplexMeasure.normalized(atoms)
-        gmap = quantile_encode(mu)
-        bounds = gmap.boundaries
+        bounds = np.cumsum(mu.as_array())
         # Uniforms, every boundary exactly and one ulp either side, both ends.
         u = np.concatenate([rng.random(2000), bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0),
                             [0.0, 1.0]])
         u = np.clip(u, 0.0, 1.0)
         want = searchsorted_quantile(mu, u)
-        got = gmap(u)
+        got = _inverse_cdf(mu.as_array(), u)
         assert got.dtype == np.int32
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(gmap(u.reshape(-1, 1)), want.reshape(-1, 1))
+        np.testing.assert_array_equal(_inverse_cdf(mu.as_array(), u.reshape(-1, 1)), want.reshape(-1, 1))
         for v in (0.0, 1.0, float(bounds[0]), float(u[5])):
-            for arg in (v, np.float64(v), np.array(v)):
-                g = gmap(arg)
-                assert type(g) is int
-                assert g == int(searchsorted_quantile(mu, v))
-        with pytest.raises(ValueError):
-            gmap(np.array([0.5, np.nan]))
-
-
-def test_quantile_map_rejects_out_of_range():
-    gmap = quantile_encode(HALF_QUARTER)
-    with pytest.raises(ValueError):
-        gmap(np.array([0.5, 1.5]))
+            assert _inverse_cdf(mu.as_array(), np.array(v)) == searchsorted_quantile(mu, v)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +360,61 @@ def test_closed_form_evaluator_batch_matches_scalar():
     assert len(batch) == len(ts)
     for t, v in zip(ts, batch.values):
         assert v == ev(f, mix_t(base, float(t)), 0)
+
+
+# ---------------------------------------------------------------------------
+# The input contract every route shares
+
+
+ROUTES = {"exact": ExactEvaluator, "closed": ClosedFormEvaluator,
+          "mc": lambda: MonteCarloEvaluator(samples=200, seed=1)}
+ZERO_VIEW = indicator(build_tribes(3, 6, 0.5, r=2), 0)  # every route answers it at a = 0 and 1
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("row, a", [
+    ((0.2, 0.2, 0.2), 1),  # sums to 0.6
+    ((-0.25, 0.75, 0.5), 1),
+    ((np.nan, 0.5, 0.5), 1),
+    ((np.inf, 0.5, 0.5), 1),
+    ((1.0 + 4e-13, 0.0, 0.0), 1),  # sums to 1 within the tolerance, but an atom passes 1
+    ((0.5, 0.25, 0.25), 2),  # an indicator outputs 0 and 1
+], ids=["sum-0.6", "negative", "nan", "inf", "atom-past-1", "indicator-a2"])
+def test_every_route_rejects_what_the_contract_rejects(route, row, a):
+    ev = ROUTES[route]()
+    good = HALF_QUARTER.as_array()
+    assert len(ev.batch(ZERO_VIEW, good[None, :], 1)) == 1  # the same call with a valid input passes
+    calls = getattr(ev, "calls", None)
+    with pytest.raises(ValueError):
+        ev.batch(ZERO_VIEW, np.stack([good, np.array(row)]), a)  # the bad row is not row 0
+    assert getattr(ev, "calls", None) == calls  # a rejected batch takes no MC stream
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_closed_form_answers_exactly_the_levels_the_tribes_rule_names(q):
+    # The rule must name each level's event as the materialised table shows
+    # it; the closed form must answer every named level as the exact route
+    # does, and refuse every other one.
+    f = build_tribes(q, 5, 0.5, r=2)
+    zero_event = materialize_table(f) == 0
+    rng = np.random.default_rng(q)
+    measures = np.vstack([sample_uniform_batch(q, 6, rng), np.eye(q)[0], np.full(q, 1.0 / q)])
+    views = [f] + [indicator(f, b) for b in range(q)]
+    answered = 0
+    for g in views:
+        for a in range(g.outputs):
+            level = materialize_table(g) == a
+            zero = tribes_zero_level(g, a)
+            assert zero == (True if np.array_equal(level, zero_event)
+                            else False if np.array_equal(level, ~zero_event) else None)
+            if zero is None:
+                with pytest.raises(ValueError):
+                    ClosedFormEvaluator().batch(g, measures, a)
+                continue
+            closed = ClosedFormEvaluator().batch(g, measures, a).values
+            np.testing.assert_allclose(closed, EXACT.batch(g, measures, a).values, rtol=0, atol=1e-12)
+            answered += 1
+    assert answered == (6 if q == 2 else 3)  # every view at q = 2; f = 0 and its indicator at q = 3
 
 
 def test_monte_carlo_evaluator_samples_override():

@@ -31,6 +31,13 @@ def test_construction_accepts_tiny_sum_drift():
     assert mu.q == 3
 
 
+def test_construction_refuses_an_atom_past_one_within_the_sum_drift():
+    # The sum passes the 1e-12 tolerance but the atom is not a probability;
+    # every evaluator batch refuses such a row too.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SimplexMeasure((1.0 + 5e-13, 0.0))
+
+
 def test_point_mass_and_indexing():
     mu = SimplexMeasure((0, 0, 1, 0))
     assert mu.atoms == (0.0, 0.0, 1.0, 0.0)

@@ -79,7 +79,7 @@ def test_tally_matches_enumeration(case):
     tbl = materialize_table(f)
     for mu in mus:
         w = product_weights(mu, f.n)
-        for a in range(f.q):
+        for a in range(f.outputs):
             assert abs(ExactEvaluator()(f, mu, a) - float(w @ (tbl == a))) <= 1e-12
 
 
@@ -111,7 +111,7 @@ def test_exact_batch_equals_its_scalar_calls(case):
     f, mus = case
     ev = ExactEvaluator()
     M = np.array([mu.as_array() for mu in mus])
-    for a in range(f.q):
+    for a in range(f.outputs):
         batch = ev.batch(f, M, a).values
         assert batch.shape == (len(mus),)
         assert list(batch) == [ev(f, mu, a) for mu in mus]

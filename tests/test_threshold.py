@@ -10,7 +10,6 @@ from qthresh.evaluate import (
     Evaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
-    coupled_line_chunks,
     tribes_prob_zero,
     variance_of_indicator,
 )
@@ -351,7 +350,7 @@ def test_line_width_mc_crossings_are_switching_time_quantiles(seed):
     base = SimplexMeasure((0.0, 0.3, 0.7))
     eps, samples = 0.1, 3000
     rep = line_width(f, base, 1, eps, MonteCarloEvaluator(samples=samples, seed=seed))
-    rows = coupled_line_chunks(f.n, base, samples, np.random.SeedSequence((seed, 0)))
+    rows = MonteCarloEvaluator(samples=samples, seed=seed).coupled_line(f.n, base, samples)
     T = np.sort([brute_switching_time(f, 1, u, v) for U, V in rows for u, v in zip(U, V)])
     assert rep.method == METHOD_MC_BISECTION
     assert rep.t_lo == T[math.ceil(eps * samples) - 1]
