@@ -152,12 +152,13 @@ def _add_evaluator_args(p: argparse.ArgumentParser, default_samples: int) -> Non
                         "sample for width (raised to the DKW count of --eps)")
 
 
-def _build_evaluator(args, seed: int, samples: int):
+def _build_evaluator(args, samples: int, seed_offset: int = 0):
+    """The ``--evaluator`` route; only MC draws, so only MC resolves the seed."""
     if args.evaluator == "exact":
         return ExactEvaluator()
     if args.evaluator == "closed":
         return ClosedFormEvaluator()
-    return MonteCarloEvaluator(samples=samples, seed=seed)
+    return MonteCarloEvaluator(samples=samples, seed=_resolve_seed(args) + seed_offset)
 
 
 def _parse_measures(args, parser: argparse.ArgumentParser, q: int) -> list[SimplexMeasure]:
@@ -179,7 +180,7 @@ def _parse_measures(args, parser: argparse.ArgumentParser, q: int) -> list[Simpl
 def cmd_eval(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
     mus = _parse_measures(args, parser, f.q)
-    evaluator = _build_evaluator(args, _resolve_seed(args), args.samples)
+    evaluator = _build_evaluator(args, args.samples)
     est = evaluator.batch(f, np.stack([mu.as_array() for mu in mus]), args.a)
     rows = [[f.q, f.n, mu.serialize(), args.a, est.method, float(value), float(se), est.samples]
             for mu, value, se in zip(mus, est.values, est.std_errors)]
@@ -204,12 +205,11 @@ def cmd_influence(args, parser) -> tuple[int, Outputs]:
 
 def cmd_width(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
-    seed = _resolve_seed(args)
     base = SimplexMeasure.parse(args.mu) if args.mu else central_measure(f.q)
     if base.q != f.q:
         raise ValueError(f"base measure has {base.q} atoms, function needs {f.q}")
-    evaluator = _build_evaluator(args, seed, args.eval_samples)
-    rep = line_width(f, base, args.a, args.eps, evaluator, t_tol=args.t_tol, grid_points=args.grid)
+    evaluator = _build_evaluator(args, args.eval_samples)
+    rep = line_width(f, base, args.a, args.eps, evaluator, t_tol=args.t_tol)
     rows = [[f.q, f.n, args.a, rep.eps, args.evaluator, rep.method, rep.t_lo, rep.t_hi,
              rep.width, rep.grid_points, rep.t_tol, rep.lo_absent, rep.hi_absent]]
     outputs = [(args.out, _csv(["q", "n", "a", "eps", "evaluator", "method", "t_lo", "t_hi",
@@ -227,8 +227,8 @@ def cmd_width(args, parser) -> tuple[int, Outputs]:
 
 def cmd_region(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
-    seed = _resolve_seed(args)
-    evaluator = _build_evaluator(args, seed + 1, args.eval_samples)
+    seed = _resolve_seed(args)  # the simplex sample draws on every route
+    evaluator = _build_evaluator(args, args.eval_samples, seed_offset=1)
     est = region_measure(f, args.a, args.eps, args.samples, seed, evaluator)
     rows = [[f.q, f.n, args.a, args.eps, est.samples, est.fraction, est.std_error, est.seed]]
     return 0, [(args.out, _csv(["q", "n", "a", "eps", "samples", "fraction", "std_error", "seed"], rows))]
@@ -296,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_width.add_argument("--eps", type=float, required=True)
     _add_evaluator_args(p_width, default_samples=10000)
     p_width.add_argument("--seed", type=int)
-    p_width.add_argument("--grid", type=int, default=101,
-                         help="monotonicity-check grid size (the MC grid scan reads its own 33 points)")
     p_width.add_argument("--t-tol", type=float, default=1e-9, dest="t_tol")
     p_width.add_argument("--diagnostics", help="also write derivative diagnostics CSV here")
     p_width.add_argument("--diag-grid", type=int, default=20, dest="diag_grid")

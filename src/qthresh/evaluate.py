@@ -36,6 +36,7 @@ from .functions import (
     FunctionSpec,
     TribesVariant,
     check_cap,
+    check_measure_q,
     check_output,
     evaluate_batch,
     materialize_table,
@@ -268,8 +269,7 @@ def _check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
     measures = np.asarray(measures, dtype=float)
     if measures.ndim != 2:
         raise ValueError(f"expected an (m, {f.q}) matrix of measures")
-    if measures.shape[1] != f.q:
-        raise ValueError(f"measure has q={measures.shape[1]}, function has q={f.q}")
+    check_measure_q(f, measures.shape[1])
     check_output(f, a)
     total = measures @ np.ones(f.q)  # numpy's sum of short rows is slow
     if measures.size and not (measures.min() >= 0.0 and measures.max() <= 1.0  # NaN fails too
@@ -286,8 +286,7 @@ def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float) -> flo
     with finite differences.
     """
     require_zero_face(base)
-    if base.q != f.q:
-        raise ValueError(f"measure has q={base.q}, function has q={f.q}")
+    check_measure_q(f, base.q)
     t = float(t)
     if not 0.0 <= t < 1.0:
         raise ValueError(f"t must lie in [0, 1), got {t!r}")

@@ -59,15 +59,13 @@ class TribesVariant:
     ``r <= last < 2r`` that takes the remainder.  The function reports
     symbol 0 when some block is entirely zero, and otherwise the first
     nonzero coordinate value.  ``p0`` records the design point used to size
-    the blocks; ``r_clamped`` records that the block-size formula left
-    [1, n] and was clamped.
+    the blocks.
     """
 
     r: int
     m: int
     last: int
     p0: float
-    r_clamped: bool = False
 
     def __post_init__(self) -> None:
         if self.r < 1 or self.m < 1:
@@ -145,6 +143,12 @@ def check_output(f: FunctionSpec, a: int) -> None:
     """Raise unless ``a`` is an output symbol of f, one of 0..outputs-1."""
     if not 0 <= a < f.outputs:
         raise ValueError(f"a={a} is not an output of f, whose outputs are 0..{f.outputs - 1}")
+
+
+def check_measure_q(f: FunctionSpec, q: int) -> None:
+    """Raise unless a measure with ``q`` atoms lives on the alphabet [f.q] that f reads."""
+    if q != f.q:
+        raise ValueError(f"measure has q={q}, function has q={f.q}")
 
 
 def from_table(q: int, n: int, values, kind: str = KIND_FULL) -> FunctionSpec:
@@ -297,18 +301,15 @@ def build_tribes(q: int, n: int, p0: float, r: int | None = None) -> FunctionSpe
         raise ValueError("q must be at least 2")
     if n < 1:
         raise ValueError("n must be at least 1")
-    clamped = False
     if r is None:
-        raw = tribes_block_size(n, p0)
-        r = min(n, max(1, raw))
-        clamped = r != raw
+        r = min(n, max(1, tribes_block_size(n, p0)))
     else:
         if not 0.0 < p0 < 1.0:
             raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0!r}")
         if not 1 <= r <= n:
             raise ValueError(f"explicit r={r} must lie in 1..{n}")
     m = n // r
-    fam = TribesVariant(r=r, m=m, last=n - (m - 1) * r, p0=float(p0), r_clamped=clamped)
+    fam = TribesVariant(r=r, m=m, last=n - (m - 1) * r, p0=float(p0))
     return FunctionSpec(q=q, n=n, kind=KIND_FULL, family=fam)
 
 

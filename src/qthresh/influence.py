@@ -19,18 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluate import type_tally, variance_of_indicator
-from .functions import FunctionSpec
+from .functions import FunctionSpec, check_measure_q
 from .measures import SimplexMeasure
-
-
-def _check_compatible(f: FunctionSpec, mu: SimplexMeasure) -> None:
-    if mu.q != f.q:
-        raise ValueError(f"measure has q={mu.q}, function has q={f.q}")
 
 
 def _fibre_expectation(f: FunctionSpec, mu: SimplexMeasure, k: int, g, binary: bool = True) -> float:
     """E over the rest coordinates of g(nonconstant, mean) of the k-fibre."""
-    _check_compatible(f, mu)
+    check_measure_q(f, mu.q)
     if not 0 <= k < f.n:
         raise ValueError(f"coordinate k={k} out of range for n={f.n}")
     tally = type_tally(f)
@@ -172,7 +167,6 @@ class KellerDiagnostic:
     benchmark degenerates (constant f, or n = 1 where ln n = 0).
     """
 
-    values: tuple[float, ...]
     max_value: float
     argmax_k: int
     variance: float
@@ -181,14 +175,12 @@ class KellerDiagnostic:
 
 
 def keller_diagnostic(f: FunctionSpec, mu: SimplexMeasure) -> KellerDiagnostic:
-    _check_compatible(f, mu)
     prof = influence_profile(f, mu, "h")
     argmax_k, max_value = prof.max_coordinate()
     variance = variance_of_indicator(f, mu)
     denominator = variance * math.log(f.n) / f.n
     ratio = max_value / denominator if denominator > 0.0 else None
     return KellerDiagnostic(
-        values=prof.values,
         max_value=max_value,
         argmax_k=argmax_k,
         variance=variance,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluate import ClosedFormEvaluator, MonteCarloEvaluator, binomial_std_error, variance_of_indicator
-from .functions import FunctionSpec, build_tribes, check_output, evaluate_batch, level_is_zero_monotone
+from .functions import FunctionSpec, build_tribes, check_measure_q, check_output, evaluate_batch, level_is_zero_monotone
 from .influence import phi_k
 from .measures import (
     SimplexMeasure,
@@ -31,6 +31,7 @@ METHOD_GRID_SCAN = "grid-scan"
 METHOD_MC_BISECTION = "mc-bisection"
 METHOD_MC_GRID_SCAN = "mc-grid-scan"
 
+_GRID_POINTS = 101  # the deterministic route's monotonicity check, one batch
 _MC_GRID_POINTS = 33
 _MC_T_TOL = 1e-4
 _DKW_DELTA = 0.05
@@ -191,8 +192,8 @@ def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_to
     )
 
 
-def _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points):
-    grid = np.linspace(0.0, 1.0, grid_points)
+def _line_width_deterministic(f, base, a, eps, evaluator, t_tol):
+    grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     vals = evaluator.batch(f, np.stack([mix_t(base, float(t)).as_array() for t in grid]), a).values
     if np.any(np.diff(vals) < -_MONOTONE_SLACK):
         return _grid_scan_report(grid, vals, eps, a, t_tol, METHOD_GRID_SCAN)
@@ -201,7 +202,7 @@ def _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points):
         return _bisect_increasing(lambda t: evaluator(f, mix_t(base, t), a), target, 0.0, 1.0, t_tol)
 
     return _crossing_report(eps, a, float(vals[0]), float(vals[-1]), crossing, METHOD_BISECTION,
-                            grid_points, t_tol)
+                            _GRID_POINTS, t_tol)
 
 
 def _dkw_samples(eps: float) -> int:
@@ -294,27 +295,25 @@ def line_width(
     evaluator,
     *,
     t_tol: float = 1e-9,
-    grid_points: int = 101,
 ) -> ThresholdReport:
     """Threshold width of Pr[f = a] along the line from base toward delta_0.
 
-    A deterministic evaluator gets a monotonicity check on a coarse grid,
-    one batch, and then bisection to ``t_tol``; a visibly non-monotone
+    A deterministic evaluator gets a monotonicity check on a 101-point
+    grid, one batch, and then bisection to ``t_tol``; a visibly non-monotone
     probe profile falls back to a grid scan of the band.  A
     :class:`~qthresh.evaluate.MonteCarloEvaluator` draws one coupled sample
     for the whole line, see :func:`_line_width_mc`; its reported ``t_tol``
     is at least 1e-4.
     """
     require_zero_face(base)
+    check_measure_q(f, base.q)
     eps = _check_eps(eps)
     check_output(f, a)
     if not (math.isfinite(t_tol) and t_tol > 0.0):
         raise ValueError(f"t_tol must be finite and positive, got {t_tol!r}")
-    if grid_points < 3:
-        raise ValueError("grid_points must be at least 3")
     if isinstance(evaluator, MonteCarloEvaluator):
         return _line_width_mc(f, base, a, eps, evaluator, t_tol)
-    return _line_width_deterministic(f, base, a, eps, evaluator, t_tol, grid_points)
+    return _line_width_deterministic(f, base, a, eps, evaluator, t_tol)
 
 
 @dataclass(frozen=True)

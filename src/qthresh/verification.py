@@ -4,10 +4,10 @@ Each suite pits an implementation against an independent oracle (the
 Bernstein derivative of the type tally and finite differences against the
 fibre-sum derivative, the exact tally against the closed form and against
 brute-force enumeration, an all-pairs order oracle against the
-covering-relation check) and
-reports how many comparisons ran and which failed.  The CLI exposes the
-suites behind ``verify``; the acceptance tests run them at pinned
-tolerances.
+covering-relation check) and records every comparison into the recorder it
+is given.  :func:`run_suites` is the harness: it names, times and collects
+the suites, one :class:`SuiteResult` each.  The CLI exposes the suites
+behind ``verify``; the acceptance tests run them at pinned tolerances.
 """
 from __future__ import annotations
 
@@ -95,15 +95,6 @@ class _Recorder:
             if len(self.failures) < _KEEP_FAILURES:
                 self.failures.append(message)
 
-    def result(self, name: str, started: float) -> SuiteResult:
-        return SuiteResult(
-            name=name,
-            passed=not self.failed,
-            checks=self.checks,
-            failures=tuple(self.failures),
-            seconds=time.perf_counter() - started,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Shared corpora and oracles
@@ -165,11 +156,9 @@ def dictator_indicator(q: int, n: int) -> FunctionSpec:
 # Suites
 
 
-def suite_order(leq: Callable = leq_a) -> SuiteResult:
+def suite_order(rec: _Recorder, leq: Callable = leq_a) -> None:
     """Partial-order laws on [3]^n for n <= 3, plus covering-check vs
     all-pairs-oracle agreement."""
-    started = time.perf_counter()
-    rec = _Recorder()
     for n in (1, 2, 3):
         points = list(itertools.product(range(3), repeat=n))
         m = len(points)
@@ -206,7 +195,6 @@ def suite_order(leq: Callable = leq_a) -> SuiteResult:
                 f"covering check ({fast}) disagrees with all-pairs oracle ({oracle}) "
                 f"on a {f.q}^{f.n} table at a={a}",
             )
-    return rec.result("order", started)
 
 
 def corrupted_leq(x, y, a: int) -> bool:
@@ -217,15 +205,13 @@ def corrupted_leq(x, y, a: int) -> bool:
     return all(yv == a or xv <= yv for xv, yv in zip(x, y))
 
 
-def suite_rm() -> SuiteResult:
+def suite_rm(rec: _Recorder) -> None:
     """Derivative identity on 20 random upsets, against two oracles.
 
     The noise-free one is the Bernstein derivative of the type tally, which
     must agree to rounding; finite differences of the exact probability must
     agree to ``FD_REL_TOL`` or to their noise floor.
     """
-    started = time.perf_counter()
-    rec = _Recorder()
     corpus = upset_corpus(3, 3, 20, seed=11)
     bases = full_support_bases(3, 3, seed=12)
     t_grid = (0.0,) + tuple(np.linspace(0.1, 0.9, 9))
@@ -246,14 +232,11 @@ def suite_rm() -> SuiteResult:
                 f"identity vs finite difference: rel err {rel:.3e} > {FD_REL_TOL:.1e} "
                 f"(function {fi}, t={t})",
             )
-    return rec.result("rm", started)
 
 
-def suite_single_variable() -> SuiteResult:
+def suite_single_variable(rec: _Recorder) -> None:
     """n=1 case: identity equals the direct one-coordinate formula and the
     finite-difference oracle on every 0-monotone indicator over [3]."""
-    started = time.perf_counter()
-    rec = _Recorder()
     monotone = []
     for values in itertools.product((0, 1), repeat=3):
         f = from_table(3, 1, values, kind="indicator")
@@ -283,13 +266,10 @@ def suite_single_variable() -> SuiteResult:
                     ok,
                     f"finite difference off by rel {rel:.3e} on table {values} at t={t:.3f}",
                 )
-    return rec.result("single-variable", started)
 
 
-def suite_alpha() -> SuiteResult:
+def suite_alpha(rec: _Recorder) -> None:
     """Nonconstant fibres keep expected complement mass at least alpha(1-t)."""
-    started = time.perf_counter()
-    rec = _Recorder()
     corpus = upset_corpus(3, 4, 20, seed=23)
     corpus.append(indicator(build_tribes(3, 4, 0.5, r=2), 0))
     corpus.append(dictator_indicator(3, 4))
@@ -314,13 +294,10 @@ def suite_alpha() -> SuiteResult:
                         bool((complement >= floor).all()),
                         f"complement mass dips below alpha(1-t) (function {fi}, k={k}, t={t})",
                     )
-    return rec.result("alpha", started)
 
 
-def suite_hent() -> SuiteResult:
+def suite_hent(rec: _Recorder) -> None:
     """The h_paper weight dominates binary entropy across [0, 1]."""
-    started = time.perf_counter()
-    rec = _Recorder()
     grid = np.linspace(0.0, 1.0, HENT_GRID_POINTS)
     gap = h_paper(grid) - ent(grid)
     worst = float(gap.min())
@@ -329,10 +306,9 @@ def suite_hent() -> SuiteResult:
         f"profile drops below entropy by {-worst:.3e} at t={grid[int(gap.argmin())]:.6f}",
     )
     rec.record(float(gap[0]) == 0.0 and float(gap[-1]) == 0.0, "endpoints must agree exactly")
-    return rec.result("hent", started)
 
 
-def suite_closed() -> SuiteResult:
+def suite_closed(rec: _Recorder) -> None:
     """Tribes closed form against the exact tally at accessible sizes.
 
     Checks level 0 of the full function and output 0 of its indicator view,
@@ -340,8 +316,6 @@ def suite_closed() -> SuiteResult:
     tally is also checked against brute-force enumeration: the weights of
     the points under mu^n summed over the table, with no type counts.
     """
-    started = time.perf_counter()
-    rec = _Recorder()
     rng = np.random.default_rng(5)
     cases = [
         build_tribes(3, 4, 0.5, r=2),
@@ -377,13 +351,10 @@ def suite_closed() -> SuiteResult:
                     f"{label}: closed form {closed!r} vs exact {want!r} at q={f.q} "
                     f"(r, m, last)=({fam.r}, {fam.m}, {fam.last})",
                 )
-    return rec.result("closed", started)
 
 
-def suite_influence() -> SuiteResult:
+def suite_influence(rec: _Recorder) -> None:
     """h-influence specializations recover the variance and geometric forms."""
-    started = time.perf_counter()
-    rec = _Recorder()
     corpus: list[FunctionSpec] = []
     corpus.extend(upset_corpus(3, 2, 3, seed=31))
     corpus.extend(upset_corpus(3, 3, 3, seed=32))
@@ -411,13 +382,10 @@ def suite_influence() -> SuiteResult:
                     f"indicator profile vs geometric influence differ by {abs(lhs - rhs):.3e} "
                     f"(function {fi}, k={k})",
                 )
-    return rec.result("influence", started)
 
 
-def suite_coupling() -> SuiteResult:
+def suite_coupling(rec: _Recorder) -> None:
     """Exact Pr[f = 1] is nondecreasing along the line for 0-monotone f."""
-    started = time.perf_counter()
-    rec = _Recorder()
     corpus: list[FunctionSpec] = list(upset_corpus(3, 3, 10, seed=17))
     corpus.append(indicator(build_tribes(3, 4, 0.5, r=2), 0))
     corpus.append(indicator(build_tribes(3, 6, 0.5, r=2), 0))
@@ -432,10 +400,9 @@ def suite_coupling() -> SuiteResult:
                 worst >= -ROUNDING_TOL,
                 f"probability drops by {-worst:.3e} along the line (function {fi}, base {bi})",
             )
-    return rec.result("coupling", started)
 
 
-SUITE_BUILDERS: dict[str, Callable[[], SuiteResult]] = {
+SUITE_BUILDERS: dict[str, Callable[[_Recorder], None]] = {
     "order": suite_order,
     "single-variable": suite_single_variable,
     "rm": suite_rm,
@@ -450,9 +417,11 @@ SUITE_BUILDERS: dict[str, Callable[[], SuiteResult]] = {
 def run_suites(names: Iterable[str] | None = None, *, inject_fault: str | None = None) -> list[SuiteResult]:
     """Run the named suites (all by default) in declaration order.
 
-    ``inject_fault='leq'`` swaps the corrupted comparator into the order
-    suite; the run must then report a failure, which exercises the harness
-    itself.
+    This is the one place that names, times and collects the suites: each
+    runs on a fresh recorder, and its result carries its ``SUITE_BUILDERS``
+    key and its wall time.  ``inject_fault='leq'`` swaps the corrupted
+    comparator into the order suite; the run must then report a failure,
+    which exercises the harness itself.
     """
     selected = list(SUITE_BUILDERS) if names is None else list(names)
     unknown = [s for s in selected if s not in SUITE_BUILDERS]
@@ -462,8 +431,12 @@ def run_suites(names: Iterable[str] | None = None, *, inject_fault: str | None =
         raise ValueError(f"unknown fault {inject_fault!r}")
     results = []
     for name in selected:
+        started = time.perf_counter()
+        rec = _Recorder()
         if name == "order" and inject_fault == "leq":
-            results.append(suite_order(leq=corrupted_leq))
+            suite_order(rec, leq=corrupted_leq)
         else:
-            results.append(SUITE_BUILDERS[name]())
+            SUITE_BUILDERS[name](rec)
+        results.append(SuiteResult(name=name, passed=not rec.failed, checks=rec.checks,
+                                   failures=tuple(rec.failures), seconds=time.perf_counter() - started))
     return results

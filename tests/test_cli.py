@@ -338,6 +338,30 @@ def test_negative_seed_names_its_source(argv, env, named, capsys, monkeypatch):
     assert f"error: {named} must be a non-negative integer" in err
 
 
+TRIBES6 = ["--family", "tribes", "--q", "3", "--n", "6", "--p0", "0.5", "--r", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", *TRIBES6, "--mu", "0.5,0.25,0.25", "--a", "0", "--evaluator", "exact"],
+    ["width", *TRIBES6, "--a", "0", "--eps", "0.1", "--evaluator", "closed"],
+], ids=["eval-exact", "width-closed"])
+def test_bad_env_seed_leaves_a_command_that_draws_nothing_alone(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert run(argv + ["--out", str(tmp_path / "clean.csv")], capsys)[0] == 0
+    monkeypatch.setenv(SEED_ENV_VAR, "x")
+    code, _, err = run(argv + ["--out", str(tmp_path / "env.csv")], capsys)
+    assert code == 0 and err == ""
+    assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
+
+def test_bad_env_seed_fails_an_mc_eval(capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "x")
+    code, out, err = run(["eval", *TRIBES6, "--mu", "0.5,0.25,0.25", "--a", "0", "--evaluator", "mc",
+                          "--samples", "100"], capsys)
+    assert code == 2 and out == ""
+    assert f"error: {SEED_ENV_VAR} must be an integer" in err
+
+
 @pytest.mark.parametrize("evaluator", ["exact", "closed", "mc"])
 @pytest.mark.parametrize("command", ["eval", "width", "region"])
 def test_indicator_output_2_exits_2(command, evaluator, capsys):

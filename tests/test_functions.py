@@ -246,7 +246,6 @@ def test_build_tribes_partition():
 def test_build_tribes_formula_clamps():
     f = build_tribes(3, 4, 0.5)  # raw formula gives 0 here
     assert f.family.r == 1
-    assert f.family.r_clamped
 
 
 def test_build_tribes_rejects():

@@ -249,9 +249,10 @@ def test_influence_profile_validation():
 def test_keller_diagnostic_tribes():
     g = indicator(build_tribes(3, 4, 0.5, r=2), 0)
     diag = keller_diagnostic(g, UNIFORM3)
-    assert len(diag.values) == 4
-    assert diag.max_value == max(diag.values)
-    assert diag.values[diag.argmax_k] == diag.max_value
+    values = influence_profile(g, UNIFORM3, "h").values
+    assert len(values) == 4
+    assert diag.max_value == max(values)
+    assert values[diag.argmax_k] == diag.max_value
     assert diag.denominator == pytest.approx(diag.variance * math.log(4) / 4, abs=1e-18)
     assert diag.ratio == pytest.approx(diag.max_value / diag.denominator, abs=1e-12)
 

@@ -28,6 +28,7 @@ from qthresh.threshold import (
     METHOD_MC_BISECTION,
     METHOD_MC_GRID_SCAN,
     ThresholdReport,
+    _grid_scan_report,
     derivative_lower_bound_ratio,
     line_width,
     region_measure,
@@ -234,8 +235,17 @@ def test_line_width_rejections():
         for t_tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="t_tol"):
                 line_width(f, CENTRAL3, 0, 0.1, evaluator, t_tol=t_tol)
-    with pytest.raises(ValueError):
-        line_width(f, CENTRAL3, 0, 0.1, EXACT, grid_points=2)
+
+
+@pytest.mark.parametrize("f, a", [(build_tribes(3, 8, 0.5, r=2), 0), (random_zero_monotone(3, 6, 0.05, seed=3), 1)],
+                         ids=["tribes", "table"])
+@pytest.mark.parametrize("atoms", [(0.0, 0.2, 0.3, 0.5), (0.0, 1.0)], ids=["q4", "q2"])
+def test_line_width_refuses_a_base_of_the_wrong_size_on_every_route(f, a, atoms):
+    mc = MonteCarloEvaluator(samples=2000, seed=1)
+    for evaluator in (EXACT, mc):
+        with pytest.raises(ValueError, match=f"measure has q={len(atoms)}, function has q=3"):
+            line_width(f, SimplexMeasure(atoms), a, 0.1, evaluator)
+    assert mc.calls == 0
 
 
 class ProbeBudget(Evaluator):
@@ -311,9 +321,11 @@ def test_line_width_mc_grid_scan_matches_exact_grid_scan(level):
     f, a = (indicator(f, 1), 1) if level else (f, 2)
     ev = MonteCarloEvaluator(samples=10000, seed=5)
     rep = line_width(f, CENTRAL3, a, 0.1, ev)
-    exact = line_width(f, CENTRAL3, a, 0.1, EXACT, grid_points=33)
+    grid = np.linspace(0.0, 1.0, 33)
+    vals = EXACT.batch(f, np.stack([mix_t(CENTRAL3, float(t)).as_array() for t in grid]), a).values
+    exact = _grid_scan_report(grid, vals, 0.1, a, 1e-9, METHOD_GRID_SCAN)
     assert rep.method == METHOD_MC_GRID_SCAN
-    assert exact.method == METHOD_GRID_SCAN
+    assert line_width(f, CENTRAL3, a, 0.1, EXACT).method == METHOD_GRID_SCAN
     assert rep.grid_points == 33
     assert rep.width == pytest.approx(exact.width, abs=0.02)
     # The band's first and last grid points inside may move by one step.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qthresh.threshold as threshold
+import qthresh.verification as verification
 from qthresh.evaluate import TypeTally
 from qthresh.functions import leq_a
 from qthresh.measures import central_measure
@@ -13,9 +14,6 @@ from qthresh.verification import (
     fd_probability_derivative,
     full_support_bases,
     run_suites,
-    suite_closed,
-    suite_order,
-    suite_rm,
     upset_corpus,
 )
 
@@ -66,12 +64,12 @@ def test_corrupted_comparator_is_actually_wrong():
 
 
 def test_suite_order_passes_and_detects_fault():
-    good = suite_order()
+    good = run_suites(["order"])[0]
     assert good.passed
     assert good.checks > 50
     assert good.failures == ()
 
-    bad = suite_order(corrupted_leq)
+    bad = run_suites(["order"], inject_fault="leq")[0]
     assert not bad.passed
     assert bad.failures  # carries messages naming the broken law
 
@@ -99,7 +97,7 @@ def test_run_suites_fault_injection():
 
 
 def test_suite_rm_catches_a_corrupted_phi_k(monkeypatch):
-    assert suite_rm().passed
+    assert run_suites(["rm"])[0].passed
     original = threshold.phi_k
 
     # An offset of 1e-11 per coordinate hides under the finite-difference
@@ -108,19 +106,19 @@ def test_suite_rm_catches_a_corrupted_phi_k(monkeypatch):
         return original(f, mu, k) + 1e-11
 
     monkeypatch.setattr(threshold, "phi_k", corrupted)
-    bad = suite_rm()
+    bad = run_suites(["rm"])[0]
     assert not bad.passed
     assert bad.failures
     assert all("Bernstein" in msg for msg in bad.failures)
 
     monkeypatch.setattr(threshold, "phi_k", lambda f, mu, k, cap=None: 1.5 * original(f, mu, k))
-    bad = suite_rm()
+    bad = run_suites(["rm"])[0]
     assert not bad.passed
     assert any("finite difference" in msg for msg in bad.failures)
 
 
 def test_suite_closed_catches_a_corrupted_tally(monkeypatch):
-    assert suite_closed().passed
+    assert run_suites(["closed"])[0].passed
     original = TypeTally.probabilities
 
     # Outputs 1 and 2 of the full function are not closed-form quantities;
@@ -130,12 +128,41 @@ def test_suite_closed_catches_a_corrupted_tally(monkeypatch):
         return out * (1.0 + 1e-9) if a == 2 else out
 
     monkeypatch.setattr(TypeTally, "probabilities", corrupted)
-    bad = suite_closed()
+    bad = run_suites(["closed"])[0]
     assert not bad.passed
     assert bad.failures
     assert all("brute force" in msg and msg.startswith("Pr[f = 2]") for msg in bad.failures)
 
     monkeypatch.setattr(TypeTally, "probabilities", lambda self, measures, a: original(self, measures, a) + 1e-11)
-    bad = suite_closed()
+    bad = run_suites(["closed"])[0]
     assert not bad.passed
     assert any("closed form" in msg for msg in bad.failures)
+
+
+def _odd_rows_lowered(probabilities):
+    def corrupted(self, measures, a):
+        out = probabilities(self, measures, a).copy()
+        out[1::2] *= 0.9
+        return out
+
+    return corrupted
+
+
+@pytest.mark.parametrize("name, owner, attr, corrupt", [
+    pytest.param("single-variable", threshold, "phi_k",
+                 lambda phi_k: lambda f, mu, k: 1.5 * phi_k(f, mu, k), id="single-variable"),
+    pytest.param("alpha", verification, "second_smallest_atom",
+                 lambda atom: lambda mu: 2.0 * atom(mu), id="alpha"),
+    # h_paper at half strength still dominates the entropy; at 0.4 it does not.
+    pytest.param("hent", verification, "h_paper", lambda h: lambda t: 0.4 * h(t), id="hent"),
+    pytest.param("influence", verification, "influence_variance",
+                 lambda var: lambda f, mu, k: var(f, mu, k) + 1e-9, id="influence"),
+    # An alternating +-1e-9 hides under the rise of one grid step; a 10% dip does not.
+    pytest.param("coupling", TypeTally, "probabilities", _odd_rows_lowered, id="coupling"),
+])
+def test_suite_fails_under_a_corruption(monkeypatch, name, owner, attr, corrupt):
+    assert run_suites([name])[0].passed
+    monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+    bad = run_suites([name])[0]
+    assert not bad.passed
+    assert bad.failures
