@@ -18,7 +18,6 @@ from .functions import (
     FunctionSpec,
     TribesVariant,
     build_tribes,
-    constant_function,
     evaluate_batch,
     from_table,
     indicator,

@@ -19,11 +19,13 @@ import numpy as np
 
 from .evaluate import ClosedFormEvaluator, ExactEvaluator, MonteCarloEvaluator
 from .functions import (
+    KIND_FULL,
     CapExceededError,
     FunctionFileError,
     FunctionSpec,
     build_tribes,
     indicator,
+    level_is_zero_monotone,
     parse_function_file,
 )
 from .influence import influence_profile, keller_diagnostic
@@ -208,6 +210,8 @@ def cmd_width(args, parser) -> tuple[int, Outputs]:
     base = SimplexMeasure.parse(args.mu) if args.mu else central_measure(f.q)
     if base.q != f.q:
         raise ValueError(f"base measure has {base.q} atoms, function needs {f.q}")
+    if args.diagnostics:
+        level = _diagnostics_level(f, args.a)
     evaluator = _build_evaluator(args, args.eval_samples)
     rep = line_width(f, base, args.a, args.eps, evaluator, t_tol=args.t_tol)
     rows = [[f.q, f.n, args.a, rep.eps, args.evaluator, rep.method, rep.t_lo, rep.t_hi,
@@ -217,12 +221,25 @@ def cmd_width(args, parser) -> tuple[int, Outputs]:
     if args.diagnostics:
         diag_rows = []
         for t in np.linspace(0.0, 0.95, args.diag_grid):
-            d = derivative_lower_bound_ratio(f, base, float(t))
+            d = derivative_lower_bound_ratio(level, base, float(t))
             diag_rows.append([d.n, d.t, d.alpha, d.derivative, d.denominator,
                               d.ratio if d.ratio is not None else "na"])
         outputs.append((args.diagnostics, _csv(["n", "t", "alpha", "derivative",
                                                 "lower_bound_denominator", "ratio"], diag_rows)))
     return 0, outputs
+
+
+def _diagnostics_level(f: FunctionSpec, a: int) -> FunctionSpec:
+    """The level g = 1[f = a] whose d/dt Pr[g = 1] ``--diagnostics`` tabulates.
+
+    The fibre-sum identity behind the table holds only when g rises toward
+    delta_0, so any other level is refused before the width is computed.
+    """
+    if f.kind != KIND_FULL and a == 0:
+        raise ValueError("--diagnostics tabulates d/dt Pr[g = 1]; on an indicator use --a 1")
+    if not level_is_zero_monotone(f, a):
+        raise ValueError(f"--diagnostics needs a level that only rises toward delta_0, and 1[f = {a}] is not one")
+    return indicator(f, a) if f.kind == KIND_FULL else f
 
 
 def cmd_region(args, parser) -> tuple[int, Outputs]:
@@ -252,7 +269,7 @@ def cmd_sweep(args, parser) -> tuple[int, Outputs]:
 
 def cmd_verify(args, parser) -> tuple[int, Outputs]:
     names = args.suite if args.suite else None
-    results = run_suites(names, inject_fault=args.inject_fault)
+    results = run_suites(names)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -325,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run self-check suites")
     p_verify.add_argument("--suite", action="append", choices=sorted(SUITE_BUILDERS))
-    p_verify.add_argument("--inject-fault", choices=["leq"], dest="inject_fault",
-                          help="corrupt the order comparator to prove the harness notices")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

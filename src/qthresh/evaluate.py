@@ -33,6 +33,7 @@ import numpy as np
 
 from .functions import (
     BATCH_CELLS,
+    KIND_FULL,
     FunctionSpec,
     TribesVariant,
     check_cap,
@@ -40,7 +41,6 @@ from .functions import (
     check_output,
     evaluate_batch,
     materialize_table,
-    tribes_zero_level,
 )
 from .measures import ATOM_SUM_TOL, SimplexMeasure, require_zero_face
 
@@ -383,23 +383,34 @@ class ExactEvaluator(Evaluator):
 
 
 class ClosedFormEvaluator(Evaluator):
-    """Product-formula Pr for the tribes family's zero event and its complement.
+    """Product formulas for every level of the tribes family.
 
-    Covers every level 1[f = a] that :func:`~qthresh.functions.tribes_zero_level`
-    names: the full family at a = 0 (and a = 1 when q = 2), and the
-    indicator views of those outputs at either a.  The probability depends
-    on mu only through atom 0, so no enumeration or sampling happens at any
-    n.  Any other level is refused.
+    With alive = Pr[no block is all zero] (:func:`_tribes_alive`),
+
+        Pr[f = 0] = 1 - alive,
+        Pr[f = b] = alive mu_b / (mu_1 + ... + mu_{q-1})  for b >= 1:
+
+    when no block is all zero, the first block holds a nonzero coordinate,
+    and given the zero pattern the nonzero symbols are iid with law
+    mu_b / (1 - mu_0), so the first of them is b with that chance.  A row
+    with mu_0 = 1 reads 0 there.  The indicator view of b reads Pr[f = b]
+    at a = 1 and its complement at a = 0, with the zero event's complement
+    read as ``alive`` itself.  No enumeration or sampling happens at any n.
     """
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         if f.family is None:
             raise ValueError("closed form requires a tribes family function")
         measures = _check_measures(f, measures, a)
-        zero = tribes_zero_level(f, a)
-        if zero is None:
-            raise ValueError("closed form covers only the tribes zero event and its complement")
-        values = (tribes_prob_zero if zero else _tribes_alive)(f.family, measures[:, 0])
+        b, complement = (a, False) if f.kind == KIND_FULL else (f.indicator_of, a == 0)
+        alive = _tribes_alive(f.family, measures[:, 0])
+        if b == 0:
+            values = alive if complement else 1.0 - alive
+        else:
+            rest = measures[:, 1:] @ np.ones(f.q - 1)
+            values = alive * np.divide(measures[:, b], rest, out=np.zeros(len(rest)), where=rest > 0)
+            if complement:
+                values = 1.0 - values
         return Estimate(values, 0.0, METHOD_CLOSED, 0)
 
 

@@ -155,13 +155,6 @@ def from_table(q: int, n: int, values, kind: str = KIND_FULL) -> FunctionSpec:
     return FunctionSpec(q=q, n=n, kind=kind, table=np.asarray(values))
 
 
-def constant_function(q: int, n: int, value: int, kind: str = KIND_FULL) -> FunctionSpec:
-    hi = q if kind == KIND_FULL else 2
-    if not 0 <= value < hi:
-        raise ValueError(f"constant value {value} out of range")
-    return FunctionSpec(q=q, n=n, kind=kind, table=np.full(q**n, value, dtype=np.int32))
-
-
 def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
     """Evaluate at every row of an (m, n) matrix of symbols."""
     X = np.asarray(X)
@@ -244,27 +237,18 @@ def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
 
     A table is checked over every covering relation.  A tribes family is
     decided from its definition, never from a table (it may be past the
-    cap): an all-zero block stays all zero when more coordinates turn to 0,
-    so the zero event is monotone.  Every other level reads as not
-    monotone; the few that are (blocks of size 1) only lose a faster search.
+    cap): a level is monotone iff it is the zero event, f = 0.  An all-zero
+    block stays all zero when more coordinates turn to 0, so the zero event
+    only rises; every other level can drop to f = 0.  With blocks of size 1
+    a few other levels are monotone too; they read as not monotone here.
     """
     check_output(f, a)
     if f.table is not None:
         return _rewrite_monotone(f.table.reshape((f.q,) * f.n) == a, 0)
-    return tribes_zero_level(f, a) is True
-
-
-def tribes_zero_level(f: FunctionSpec, a: int) -> bool | None:
-    """For a tribes family f and an output a of f: True when 1[f = a] is
-    the zero event (some block is all zero), False when it is the
-    complement, None when it is neither.  f = 0 is the zero event and, with
-    q = 2, f = 1 the complement; an indicator of b flips b's level at a = 0.
-    """
-    b = a if f.kind == KIND_FULL else f.indicator_of
-    zero = True if b == 0 else False if f.q == 2 else None
-    if zero is None or f.kind == KIND_FULL or a == 1:
-        return zero
-    return not zero
+    if f.kind == KIND_FULL:
+        return a == 0
+    b = f.indicator_of  # the level is f = b at a = 1, f != b at a = 0
+    return (b == 0) if a == 1 else (f.q == 2 and b == 1)
 
 
 # ---------------------------------------------------------------------------

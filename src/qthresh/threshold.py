@@ -29,10 +29,8 @@ from .measures import (
 METHOD_BISECTION = "bisection"
 METHOD_GRID_SCAN = "grid-scan"
 METHOD_MC_BISECTION = "mc-bisection"
-METHOD_MC_GRID_SCAN = "mc-grid-scan"
 
 _GRID_POINTS = 101  # the deterministic route's monotonicity check, one batch
-_MC_GRID_POINTS = 33
 _MC_T_TOL = 1e-4
 _DKW_DELTA = 0.05
 _MONOTONE_SLACK = 1e-12  # rounding may dip a monotone probe profile by this much
@@ -129,9 +127,7 @@ def _bisect_increasing(probe, target: float, lo: float, hi: float, t_tol: float)
     return 0.5 * (lo + hi)
 
 
-def _grid_scan_report(
-    grid: np.ndarray, vals: np.ndarray, eps: float, a: int, t_tol: float, method: str
-) -> ThresholdReport:
+def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, a: int, t_tol: float) -> ThresholdReport:
     # Linear interpolation inside each cell; exact when the probability is
     # piecewise linear, a controlled estimate otherwise.
     lo_band, hi_band = eps, 1.0 - eps
@@ -155,7 +151,7 @@ def _grid_scan_report(
         t_lo=t_lo,
         t_hi=t_hi,
         width=width,
-        method=method,
+        method=METHOD_GRID_SCAN,
         grid_points=len(grid),
         t_tol=t_tol,
         lo_absent=t_lo is None,
@@ -196,7 +192,7 @@ def _line_width_deterministic(f, base, a, eps, evaluator, t_tol):
     grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     vals = evaluator.batch(f, np.stack([mix_t(base, float(t)).as_array() for t in grid]), a).values
     if np.any(np.diff(vals) < -_MONOTONE_SLACK):
-        return _grid_scan_report(grid, vals, eps, a, t_tol, METHOD_GRID_SCAN)
+        return _grid_scan_report(grid, vals, eps, a, t_tol)
 
     def crossing(target: float) -> float:
         return _bisect_increasing(lambda t: evaluator(f, mix_t(base, t), a), target, 0.0, 1.0, t_tol)
@@ -258,23 +254,18 @@ def _line_width_mc(f, base, a, eps, evaluator, t_tol):
     Row i of the sample is x(t) with x_j(t) = 0 if U_j < t, else V_j, so
     the rows have the law of the line's measure at every t at once.  Its
     size, max(evaluator.samples, DKW count), bounds the error of the
-    empirical curve along the whole line, not only at single probes.  When
-    1[f = a] is 0-monotone every row switches once, and the crossings are
-    quantiles of the switching times (``mc-bisection``, ``grid_points`` 0).
-    Otherwise the sample is read on a 33-point grid (``mc-grid-scan``).
+    empirical curve along the whole line, not only at single probes.  The
+    level 1[f = a] must be 0-monotone (:func:`level_is_zero_monotone`): then
+    every row switches once, and the crossings are quantiles of the
+    switching times (``mc-bisection``, ``grid_points`` 0).  Any other level
+    is refused before a stream is taken; the exact or closed route answers it.
     """
+    if not level_is_zero_monotone(f, a):
+        raise ValueError(f"Monte Carlo width needs a level that only rises toward delta_0, and 1[f = {a}] "
+                         "is not one; use --evaluator exact or closed")
     samples = max(evaluator.samples, _dkw_samples(eps))
     t_tol = max(t_tol, _MC_T_TOL)
     chunks = evaluator.coupled_line(f.n, base, samples)
-    if not level_is_zero_monotone(f, a):
-        # Paths may rise and fall: read the same sample on a grid.
-        grid = np.linspace(0.0, 1.0, _MC_GRID_POINTS)
-        hits = np.zeros(len(grid))
-        for U, V in chunks:
-            for j, t in enumerate(grid):
-                hits[j] += np.count_nonzero(evaluate_batch(f, V * (U >= t)) == a)
-        return _grid_scan_report(grid, hits / samples, eps, a, t_tol, METHOD_MC_GRID_SCAN)
-
     # Each path is one step at its switching time T, so the probability
     # curve is the empirical CDF of T and a crossing is a quantile of T.
     T, start, end = (np.concatenate(part) for part in zip(*(_switching_times(f, a, U, V) for U, V in chunks)))
@@ -302,8 +293,8 @@ def line_width(
     grid, one batch, and then bisection to ``t_tol``; a visibly non-monotone
     probe profile falls back to a grid scan of the band.  A
     :class:`~qthresh.evaluate.MonteCarloEvaluator` draws one coupled sample
-    for the whole line, see :func:`_line_width_mc`; its reported ``t_tol``
-    is at least 1e-4.
+    for the whole line, see :func:`_line_width_mc`; it takes only 0-monotone
+    levels, and its reported ``t_tol`` is at least 1e-4.
     """
     require_zero_face(base)
     check_measure_q(f, base.q)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qthresh.verification as verification
 from qthresh.cli import SEED_ENV_VAR, main
 from qthresh.functions import (
     build_tribes,
@@ -266,6 +267,28 @@ def test_width_failing_diagnostics_leave_no_file(tmp_path, capsys):
     assert not diag.exists() and not out.exists()
 
 
+def test_width_diagnostics_follow_a(tmp_path, capsys):
+    # The full function at --a 0 tabulates the level 1[f = 0], as --level 0 --a 1 does.
+    for name, tail in (("full", ["--a", "0"]), ("level", ["--level", "0", "--a", "1"])):
+        code, _, _ = run(["width", *TRIBES6, *tail, "--eps", "0.1", "--diagnostics", str(tmp_path / f"{name}.csv"),
+                          "--out", str(tmp_path / f"w-{name}.csv")], capsys)
+        assert code == 0
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "level.csv").read_bytes()
+
+
+@pytest.mark.parametrize("tail, message", [
+    (["--level", "0", "--a", "0", "--diagnostics", "{tmp}/d.csv"], "on an indicator use --a 1"),
+    (["--a", "1", "--diagnostics", "{tmp}/d.csv"], "1[f = 1] is not one"),
+    (["--a", "2", "--evaluator", "mc"], "use --evaluator exact or closed"),
+], ids=["diagnostics-level-a0", "diagnostics-full-a1", "mc-full-a2"])
+def test_width_refuses_a_level_that_does_not_rise(tmp_path, capsys, tail, message):
+    code, out, err = run(["width", *TRIBES6, "--eps", "0.1", *[a.replace("{tmp}", str(tmp_path)) for a in tail],
+                          "--out", str(tmp_path / "w.csv")], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_width_custom_base_measure(capsys):
     code, out, _ = run(
         ["width", "--family", "tribes", "--q", "3", "--n", "8", "--p0", "0.5", "--r", "2",
@@ -442,8 +465,9 @@ def test_verify_suite_filter(capsys):
     assert lines[0].startswith("suite hent: PASS")
 
 
-def test_verify_fault_injection_fails(capsys):
-    code, out, _ = run(["verify", "--suite", "order", "--inject-fault", "leq"], capsys)
+def test_verify_fault_injection_fails(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "leq_a", lambda x, y, a: all(yv == a or xv <= yv for xv, yv in zip(x, y)))
+    code, out, _ = run(["verify", "--suite", "order"], capsys)
     assert code == 1
     assert "suite order: FAIL" in out
     assert "  - " in out  # at least one failure bullet
@@ -551,14 +575,20 @@ def test_width_t_tol_below_the_float_spacing_exits_0(argv):
     assert ",bisection," in proc.stdout
 
 
+# verify with a numeric order comparator patched in: the order suite fails, exit 1.
+FAILING_VERIFY = ("import sys, qthresh.cli as cli, qthresh.verification as v; "
+                  "v.leq_a = lambda x, y, a: all(yv == a or xv <= yv for xv, yv in zip(x, y)); "
+                  "sys.exit(cli.main(['verify', '--suite', 'order']))")
+
+
 @pytest.mark.parametrize("argv, want", [
-    (["verify", "--suite", "order", "--inject-fault", "leq"], 1),
-    (["influence", *TRIBES4, "--level", "0", "--mu", "0.5,0.25,0.25"], 0),
+    (["-c", FAILING_VERIFY], 1),
+    (["-m", "qthresh.cli", "influence", *TRIBES4, "--level", "0", "--mu", "0.5,0.25,0.25"], 0),
 ])
 def test_closed_stdout_keeps_exit_code_without_traceback(argv, want):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "qthresh.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # the reader goes away before the command writes
     err = proc.stderr.read().decode()

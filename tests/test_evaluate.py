@@ -21,14 +21,14 @@ from qthresh.evaluate import (
 )
 from qthresh.functions import (
     TribesVariant,
+    _rewrite_monotone,
     build_tribes,
-    constant_function,
     evaluate_batch,
     from_table,
     indicator,
     materialize_table,
+    level_is_zero_monotone,
     random_zero_monotone,
-    tribes_zero_level,
 )
 from qthresh.measures import SimplexMeasure, central_measure, mix_t, sample_uniform_batch
 
@@ -233,7 +233,7 @@ def test_mc_probability_within_four_sigma():
 
 
 def test_mc_probability_rule_of_three_at_extremes():
-    f = constant_function(3, 4, 1, kind="full")
+    f = from_table(3, 4, np.full(3**4, 1), kind="full")
     est = MonteCarloEvaluator(samples=900, seed=0).batch(f, rows(HALF_QUARTER), 0)
     assert est.values[0] == 0.0
     assert est.std_errors[0] == pytest.approx(3.0 / 900, abs=0)
@@ -344,7 +344,7 @@ def test_closed_form_evaluator_rejections():
     ev = ClosedFormEvaluator()
     f = build_tribes(3, 4, 0.5, r=2)
     with pytest.raises(ValueError):
-        ev(f, HALF_QUARTER, 1)  # only the zero level has a closed form
+        ev(f, HALF_QUARTER, 3)  # not an output of f
     g = random_zero_monotone(3, 3, 0.4, seed=1)
     with pytest.raises(ValueError):
         ev(g, central_measure(3), 1)  # not a tribes family
@@ -390,31 +390,24 @@ def test_every_route_rejects_what_the_contract_rejects(route, row, a):
     assert getattr(ev, "calls", None) == calls  # a rejected batch takes no MC stream
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_closed_form_answers_exactly_the_levels_the_tribes_rule_names(q):
-    # The rule must name each level's event as the materialised table shows
-    # it; the closed form must answer every named level as the exact route
-    # does, and refuse every other one.
+    # The closed form must answer every output of every view as the exact
+    # route does, and the tribes rule must call monotone exactly the levels
+    # whose materialised table passes the covering check.
     f = build_tribes(q, 5, 0.5, r=2)
-    zero_event = materialize_table(f) == 0
     rng = np.random.default_rng(q)
-    measures = np.vstack([sample_uniform_batch(q, 6, rng), np.eye(q)[0], np.full(q, 1.0 / q)])
+    measures = np.vstack([sample_uniform_batch(q, 6, rng), np.eye(q), np.full(q, 1.0 / q)])
     views = [f] + [indicator(f, b) for b in range(q)]
-    answered = 0
+    monotone = 0
     for g in views:
         for a in range(g.outputs):
-            level = materialize_table(g) == a
-            zero = tribes_zero_level(g, a)
-            assert zero == (True if np.array_equal(level, zero_event)
-                            else False if np.array_equal(level, ~zero_event) else None)
-            if zero is None:
-                with pytest.raises(ValueError):
-                    ClosedFormEvaluator().batch(g, measures, a)
-                continue
             closed = ClosedFormEvaluator().batch(g, measures, a).values
             np.testing.assert_allclose(closed, EXACT.batch(g, measures, a).values, rtol=0, atol=1e-12)
-            answered += 1
-    assert answered == (6 if q == 2 else 3)  # every view at q = 2; f = 0 and its indicator at q = 3
+            level = materialize_table(g).reshape((q,) * g.n) == a
+            assert level_is_zero_monotone(g, a) == _rewrite_monotone(level, 0)
+            monotone += level_is_zero_monotone(g, a)
+    assert monotone == (3 if q == 2 else 2)  # the zero event: f = 0, 1[f = 0] = 1, and 1[f = 1] = 0 at q = 2
 
 
 def test_monte_carlo_evaluator_samples_override():

@@ -17,7 +17,6 @@ from qthresh.functions import (
     FunctionSpec,
     build_tribes,
     check_cap,
-    constant_function,
     evaluate_batch,
     from_table,
     indicator,
@@ -137,7 +136,7 @@ def test_rewriting_one_coordinate_moves_up():
 
 
 def test_constant_is_monotone_every_way():
-    f = constant_function(3, 2, 1, kind="indicator")
+    f = from_table(3, 2, np.full(3**2, 1), kind="indicator")
     for a in range(3):
         assert is_a_monotone(f, a)
 

@@ -7,7 +7,6 @@ import pytest
 from qthresh.evaluate import product_weights
 from qthresh.functions import (
     build_tribes,
-    constant_function,
     from_table,
     indicator,
     materialize_table,
@@ -84,7 +83,7 @@ def test_dictator_influences():
 
 
 def test_constant_function_has_zero_influence():
-    f = constant_function(3, 3, 1, kind="indicator")
+    f = from_table(3, 3, np.full(3**3, 1), kind="indicator")
     for k in range(3):
         assert influence_bkkkl(f, UNIFORM3, k) == 0.0
         assert influence_variance(f, UNIFORM3, k) == 0.0
@@ -258,7 +257,7 @@ def test_keller_diagnostic_tribes():
 
 
 def test_keller_diagnostic_degenerate():
-    f = constant_function(3, 3, 0, kind="indicator")
+    f = from_table(3, 3, np.full(3**3, 0), kind="indicator")
     diag = keller_diagnostic(f, UNIFORM3)
     assert diag.variance == 0.0
     assert diag.ratio is None

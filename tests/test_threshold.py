@@ -15,7 +15,6 @@ from qthresh.evaluate import (
 )
 from qthresh.functions import (
     build_tribes,
-    constant_function,
     evaluate_batch,
     from_table,
     indicator,
@@ -26,9 +25,7 @@ from qthresh.threshold import (
     METHOD_BISECTION,
     METHOD_GRID_SCAN,
     METHOD_MC_BISECTION,
-    METHOD_MC_GRID_SCAN,
     ThresholdReport,
-    _grid_scan_report,
     derivative_lower_bound_ratio,
     line_width,
     region_measure,
@@ -57,7 +54,7 @@ def dictator_indicator(q=3, n=3):
 
 
 def test_rm_derivative_constant_function_is_zero():
-    f = constant_function(3, 3, 1, kind="indicator")
+    f = from_table(3, 3, np.full(3**3, 1), kind="indicator")
     for t in (0.0, 0.3, 0.9):
         assert rm_derivative_exact(f, CENTRAL3, t) == 0.0
 
@@ -141,7 +138,7 @@ def test_variance_near_one_keeps_full_precision():
 
 
 def test_derivative_lower_bound_ratio_degenerate_cases():
-    f = constant_function(3, 3, 0, kind="indicator")
+    f = from_table(3, 3, np.full(3**3, 0), kind="indicator")
     diag = derivative_lower_bound_ratio(f, CENTRAL3, 0.2)
     assert diag.denominator == 0.0
     assert diag.ratio is None
@@ -196,7 +193,7 @@ def test_line_width_t_tol_controls_precision():
 
 def test_line_width_absent_crossings():
     # a constant-0 indicator never reaches eps: zero width, both ends absent
-    f = constant_function(3, 3, 0, kind="indicator")
+    f = from_table(3, 3, np.full(3**3, 0), kind="indicator")
     rep = line_width(f, CENTRAL3, 1, 0.1, EXACT)
     assert rep.width == 0.0
     assert rep.lo_absent and rep.hi_absent
@@ -313,24 +310,21 @@ def test_line_width_mc_crossings_within_6_se_of_closed_form():
     assert worst <= 6.0
 
 
-@pytest.mark.parametrize("level", [False, True])
-def test_line_width_mc_grid_scan_matches_exact_grid_scan(level):
-    # Pr[tribes = 2] and Pr[1[tribes = 1] = 1] rise and fall along the line,
-    # so MC reads its coupled sample on the 33-point grid.
+@pytest.mark.parametrize("level", [False, True], ids=["full-a2", "level1-a1"])
+def test_line_width_mc_refuses_a_non_monotone_level(level):
+    # Pr[tribes = 2] and Pr[1[tribes = 1] = 1] rise and fall along the line.
+    # MC width refuses them before it takes a stream; the exact and closed
+    # routes answer them with the same grid scan.
     f = build_tribes(3, 10, 0.5, r=2)
     f, a = (indicator(f, 1), 1) if level else (f, 2)
     ev = MonteCarloEvaluator(samples=10000, seed=5)
-    rep = line_width(f, CENTRAL3, a, 0.1, ev)
-    grid = np.linspace(0.0, 1.0, 33)
-    vals = EXACT.batch(f, np.stack([mix_t(CENTRAL3, float(t)).as_array() for t in grid]), a).values
-    exact = _grid_scan_report(grid, vals, 0.1, a, 1e-9, METHOD_GRID_SCAN)
-    assert rep.method == METHOD_MC_GRID_SCAN
-    assert line_width(f, CENTRAL3, a, 0.1, EXACT).method == METHOD_GRID_SCAN
-    assert rep.grid_points == 33
-    assert rep.width == pytest.approx(exact.width, abs=0.02)
-    # The band's first and last grid points inside may move by one step.
-    assert rep.t_lo == pytest.approx(exact.t_lo, abs=1 / 32 + 1e-12)
-    assert rep.t_hi == pytest.approx(exact.t_hi, abs=1 / 32 + 1e-12)
+    with pytest.raises(ValueError, match="--evaluator exact or closed"):
+        line_width(f, CENTRAL3, a, 0.1, ev)
+    assert ev.calls == 0
+    exact = line_width(f, CENTRAL3, a, 0.1, EXACT)
+    closed = line_width(f, CENTRAL3, a, 0.1, ClosedFormEvaluator())
+    assert exact.method == closed.method == METHOD_GRID_SCAN
+    assert closed.width == pytest.approx(exact.width, abs=1e-12)
 
 
 def test_line_width_mc_bisection_on_a_monotone_table():
@@ -390,11 +384,11 @@ def test_line_width_mc_absent_crossings():
     assert rep.lo_absent and rep.t_lo is None and not rep.hi_absent
     assert rep.t_hi == pytest.approx(0.8, abs=0.02)
     assert rep.width == rep.t_hi
-    never = constant_function(3, 3, 0, kind="indicator")
+    never = from_table(3, 3, np.full(3**3, 0), kind="indicator")
     rep = line_width(never, CENTRAL3, 1, 0.1, MonteCarloEvaluator(samples=100, seed=2))
     assert rep.method == METHOD_MC_BISECTION
     assert rep.lo_absent and rep.hi_absent and rep.width == 0.0
-    always = constant_function(3, 3, 1, kind="indicator")
+    always = from_table(3, 3, np.full(3**3, 1), kind="indicator")
     rep = line_width(always, CENTRAL3, 1, 0.1, MonteCarloEvaluator(samples=100, seed=2))
     assert rep.lo_absent and rep.hi_absent and rep.width == 0.0
 
@@ -404,7 +398,7 @@ def test_line_width_mc_absent_crossings():
 
 
 def test_region_measure_constant_function():
-    f = constant_function(3, 4, 0, kind="indicator")
+    f = from_table(3, 4, np.full(3**4, 0), kind="indicator")
     est = region_measure(f, 1, 0.1, samples=500, seed=3, evaluator=EXACT)
     assert est.fraction == 0.0
     assert est.std_error == pytest.approx(3.0 / 500, abs=0)

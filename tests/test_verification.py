@@ -3,19 +3,23 @@ import pytest
 
 import qthresh.threshold as threshold
 import qthresh.verification as verification
-from qthresh.evaluate import TypeTally
+from qthresh.evaluate import ClosedFormEvaluator, Estimate, TypeTally
 from qthresh.functions import leq_a
 from qthresh.measures import central_measure
 from qthresh.threshold import rm_derivative_exact
 from qthresh.verification import (
     SUITE_BUILDERS,
-    corrupted_leq,
     dictator_indicator,
     fd_probability_derivative,
     full_support_bases,
     run_suites,
     upset_corpus,
 )
+
+
+def numeric_leq(x, y, a: int) -> bool:
+    """A wrong comparator, numeric instead of rewrite-to-a: the order suite must fail on it."""
+    return all(yv == a or xv <= yv for xv, yv in zip(x, y))
 
 
 def test_fd_oracle_interior_and_edges():
@@ -60,18 +64,7 @@ def test_corrupted_comparator_is_actually_wrong():
         ((1, 2), (2, 2), 0)  # numeric comparison accepts, rewrite order refuses
     ]
     for x, y, a in disagreements:
-        assert corrupted_leq(x, y, a) != leq_a(x, y, a)
-
-
-def test_suite_order_passes_and_detects_fault():
-    good = run_suites(["order"])[0]
-    assert good.passed
-    assert good.checks > 50
-    assert good.failures == ()
-
-    bad = run_suites(["order"], inject_fault="leq")[0]
-    assert not bad.passed
-    assert bad.failures  # carries messages naming the broken law
+        assert numeric_leq(x, y, a) != leq_a(x, y, a)
 
 
 def test_run_suites_all_pass():
@@ -86,14 +79,6 @@ def test_run_suites_filter_and_unknown():
     assert [r.name for r in results] == ["hent", "closed"]
     with pytest.raises(ValueError):
         run_suites(["no-such-suite"])
-
-
-def test_run_suites_fault_injection():
-    results = run_suites(["order"], inject_fault="leq")
-    assert len(results) == 1
-    assert not results[0].passed
-    with pytest.raises(ValueError):
-        run_suites(["order"], inject_fault="bogus")
 
 
 def test_suite_rm_catches_a_corrupted_phi_k(monkeypatch):
@@ -121,8 +106,8 @@ def test_suite_closed_catches_a_corrupted_tally(monkeypatch):
     assert run_suites(["closed"])[0].passed
     original = TypeTally.probabilities
 
-    # Outputs 1 and 2 of the full function are not closed-form quantities;
-    # only the brute-force enumeration can see them go wrong.
+    # Output 2 of the full function: brute-force enumeration and the
+    # closed form both see it go wrong, and nothing else does.
     def corrupted(self, measures, a):
         out = original(self, measures, a)
         return out * (1.0 + 1e-9) if a == 2 else out
@@ -130,13 +115,30 @@ def test_suite_closed_catches_a_corrupted_tally(monkeypatch):
     monkeypatch.setattr(TypeTally, "probabilities", corrupted)
     bad = run_suites(["closed"])[0]
     assert not bad.passed
-    assert bad.failures
-    assert all("brute force" in msg and msg.startswith("Pr[f = 2]") for msg in bad.failures)
+    assert all("Pr[f = 2]" in msg for msg in bad.failures)
+    assert any("brute force" in msg for msg in bad.failures)
+    assert any("closed form" in msg for msg in bad.failures)
 
     monkeypatch.setattr(TypeTally, "probabilities", lambda self, measures, a: original(self, measures, a) + 1e-11)
     bad = run_suites(["closed"])[0]
     assert not bad.passed
     assert any("closed form" in msg for msg in bad.failures)
+
+
+def test_suite_closed_catches_a_corrupted_closed_form_at_nonzero_symbols(monkeypatch):
+    original = ClosedFormEvaluator.batch
+
+    # Levels of a symbol b >= 1 only: the zero event's checks stay clean.
+    def corrupted(self, f, measures, a):
+        est = original(self, f, measures, a)
+        b = a if f.kind == "full" else f.indicator_of
+        return est if b == 0 else Estimate(est.values * (1.0 - 1e-9), 0.0, est.method, est.samples)
+
+    monkeypatch.setattr(ClosedFormEvaluator, "batch", corrupted)
+    bad = run_suites(["closed"])[0]
+    assert not bad.passed
+    assert all("closed form" in msg for msg in bad.failures)
+    assert not any("f = 0]" in msg for msg in bad.failures)
 
 
 def _odd_rows_lowered(probabilities):
@@ -149,6 +151,7 @@ def _odd_rows_lowered(probabilities):
 
 
 @pytest.mark.parametrize("name, owner, attr, corrupt", [
+    pytest.param("order", verification, "leq_a", lambda leq: numeric_leq, id="order"),
     pytest.param("single-variable", threshold, "phi_k",
                  lambda phi_k: lambda f, mu, k: 1.5 * phi_k(f, mu, k), id="single-variable"),
     pytest.param("alpha", verification, "second_smallest_atom",
