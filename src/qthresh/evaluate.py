@@ -26,6 +26,7 @@ along coordinate k.  The enumeration cap is one constant,
 """
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -47,6 +48,7 @@ from .measures import ATOM_SUM_TOL, SimplexMeasure, require_zero_face
 # Largest fibre key (rest type and pattern digits) that stays inside int64.
 _KEY_LIMIT = 2**62
 _TALLIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # spec, by identity -> TypeTally
+_SAMPLE_CELLS = 2**17  # uniforms per chunk of an MC batch row: one cache-sized buffer, refilled
 
 METHOD_EXACT = "exact-enumeration"
 METHOD_CLOSED = "closed-form"
@@ -118,6 +120,7 @@ def product_weights(mu: SimplexMeasure, n: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=8)
 def _type_steps(q: int, n: int):
     """Types of n-1 and of n coordinates, with the type id of each point.
 
@@ -126,6 +129,8 @@ def _type_steps(q: int, n: int):
     lexicographic order, and ``step[t, v]`` is the row of ``types`` reached
     by appending symbol v to a point of type ``rest_types[t]``.  The ids grow
     one coordinate at a time, so no (q^n, n) digit matrix is ever built.
+    They depend on (q, n) alone, so every tally of that shape shares one
+    read-only copy.
     """
 
     def grow(types: np.ndarray):
@@ -139,6 +144,8 @@ def _type_steps(q: int, n: int):
         longer, step = grow(types)
         types, ids = longer, step[ids].reshape(-1)
     longer, step = grow(types)
+    for arr in (types, ids, longer, step):
+        arr.setflags(write=False)
     return types, ids, longer, step
 
 
@@ -334,10 +341,11 @@ def _inverse_cdf(atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     # G(u) counts the boundaries at or below u; the last boundary (the
     # total mass) is left out, which pins G(1) to q-1.  One comparison per
-    # symbol beats a binary search for small q.
+    # symbol, into one reused mask, beats a binary search for small q.
     idx = np.zeros(u.shape, dtype=np.int32)
+    above = np.empty(u.shape, dtype=bool)
     for bound in np.cumsum(atoms)[:-1]:
-        idx += u >= bound
+        idx += np.greater_equal(u, bound, out=above)
     return idx
 
 
@@ -437,18 +445,22 @@ class MonteCarloEvaluator(Evaluator):
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         """Each row's rate of f = a over ``samples`` draws: uniforms, CDF-inverted.
 
-        The rows are checked before any stream is taken.  The chunk layout
-        is fixed, so a row's draws depend only on its stream and on
-        (f, measure, samples).
+        The rows are checked before any stream is taken.  A row draws only
+        uniforms, ``samples`` rows of n in row-major order from its own
+        stream, so its draws are those of one ``random((samples, n))`` call
+        and depend only on the stream and on (f, measure, samples), not on
+        the chunks they are drawn in.  Every chunk of every row refills one
+        buffer of about ``_SAMPLE_CELLS`` uniforms.
         """
         measures = _check_measures(f, measures, a)
-        chunk = max(1, BATCH_CELLS // f.n)
+        chunk = max(1, _SAMPLE_CELLS // f.n)
+        buffer = np.empty((min(chunk, self.samples), f.n))
         hits = np.zeros(len(measures), dtype=np.int64)
         for k, row in enumerate(measures):
             rng = np.random.default_rng(self._stream())
             for done in range(0, self.samples, chunk):
-                X = _inverse_cdf(row, rng.random((min(chunk, self.samples - done), f.n)))
-                hits[k] += np.count_nonzero(evaluate_batch(f, X) == a)
+                U = rng.random(out=buffer[:min(chunk, self.samples - done)])
+                hits[k] += np.count_nonzero(evaluate_batch(f, _inverse_cdf(row, U)) == a)
         return Estimate(hits / self.samples, binomial_std_error(hits, self.samples), METHOD_MC, self.samples)
 
     def coupled_line(self, n: int, base: SimplexMeasure, samples: int):
@@ -461,6 +473,8 @@ class MonteCarloEvaluator(Evaluator):
         monotone coupling).  ``samples`` overrides the evaluator's own count
         for this call, which takes one stream, like one batch row.  Chunks
         of at most ``BATCH_CELLS // n`` rows keep memory bounded at any n.
+        Each chunk draws its U and then its V, so unlike a batch row the
+        rows a seed gives depend on this chunk size.
         """
         if samples < 1:
             raise ValueError("samples must be positive")  # before the stream is taken

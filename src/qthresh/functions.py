@@ -164,10 +164,16 @@ def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
         strides = f.q ** np.arange(f.n - 1, -1, -1, dtype=np.int64)
         idx = X.astype(np.int64) @ strides
         return f.table[idx].astype(np.int32)
-    fam = f.family
-    starts = fam.r * np.arange(fam.m, dtype=np.int64)
+    r, full = f.family.r, (f.family.m - 1) * f.family.r
     zero = X == 0
-    tribe_dead = np.logical_and.reduceat(zero, starts, axis=1).any(axis=1)
+    # A full block is all zero when its j-th columns are, for every j < r:
+    # r strided slices, ANDed, test every full block at once.
+    tribe_dead = zero[:, full:].all(axis=1)  # the last block
+    if full:
+        block_dead = zero[:, 0:full:r].copy()
+        for j in range(1, r):
+            block_dead &= zero[:, j:full:r]
+        tribe_dead |= block_dead.any(axis=1)
     first_nz = np.argmax(~zero, axis=1)
     vals = X[np.arange(X.shape[0]), first_nz].astype(np.int32)
     out = np.where(tribe_dead, np.int32(0), vals)
@@ -237,10 +243,13 @@ def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
 
     A table is checked over every covering relation.  A tribes family is
     decided from its definition, never from a table (it may be past the
-    cap): a level is monotone iff it is the zero event, f = 0.  An all-zero
-    block stays all zero when more coordinates turn to 0, so the zero event
-    only rises; every other level can drop to f = 0.  With blocks of size 1
-    a few other levels are monotone too; they read as not monotone here.
+    cap).  An all-zero block stays all zero when more coordinates turn to
+    0, so the zero event f = 0 only rises, and every level f = b, b >= 1,
+    can drop to f = 0.  The level f != b, b >= 1, only rises when q = 2
+    (it is f = 0) or when the blocks have size 1: then f = 0 once any
+    coordinate is 0 and f = x_0 before, so f != b holds from the first
+    zero on.  With larger blocks and q >= 3, zeroing the first nonzero
+    coordinate can expose b behind it in the same block.
     """
     check_output(f, a)
     if f.table is not None:
@@ -248,7 +257,7 @@ def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
     if f.kind == KIND_FULL:
         return a == 0
     b = f.indicator_of  # the level is f = b at a = 1, f != b at a = 0
-    return (b == 0) if a == 1 else (f.q == 2 and b == 1)
+    return (b == 0) if a == 1 else (b != 0 and (f.q == 2 or f.family.r == 1))
 
 
 # ---------------------------------------------------------------------------

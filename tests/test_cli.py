@@ -655,6 +655,15 @@ PINNED = {
         '3,64,"0,0.5,0.5",0,monte-carlo,0,0.0015,2000\n'
         '3,64,"0.90000000000000002,0.050000000000000003,0.050000000000000003",0,monte-carlo,1,0.0015,2000\n',
     ),
+    "eval-mc-chunks": (  # 5000 rows of n = 2048: several sample chunks per measure
+        ["eval", *_tribes(2048), "--mu", "0.4,0.3,0.3", "--mu", "0.45,0.5,0.05", "--a", "0",
+         "--evaluator", "mc", "--samples", "5000", "--seed", "13"],
+        'q,n,mu,a,method,value,std_error,samples\n'
+        '3,2048,"0.40000000000000002,0.29999999999999999,0.29999999999999999",0,monte-carlo,'
+        '0.37480000000000002,0.0068458010488181729,5000\n'
+        '3,2048,"0.45000000000000001,0.5,0.050000000000000003",0,monte-carlo,'
+        '0.66720000000000002,0.0066639951980775013,5000\n',
+    ),
     "region-exact": (
         ["region", *_tribes(6, "--r", "2"), "--level", "0", "--a", "1", "--eps", "0.1",
          "--samples", "500", "--evaluator", "exact", "--seed", "3"],

@@ -442,6 +442,28 @@ def test_monte_carlo_evaluator_tracks_accuracy():
     assert abs(value - truth) <= 4 * est.std_errors[0]
 
 
+def tribes_row(fam, x):
+    """Per-row tribes definition: 0 if some block of x is all zero, else the first nonzero symbol."""
+    bounds = [j * fam.r for j in range(fam.m)] + [fam.n]
+    if any(not any(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])):
+        return 0
+    return next(v for v in x if v)
+
+
+def test_monte_carlo_batch_draws_do_not_depend_on_the_chunk_layout():
+    # 5000 rows of n = 1024 span several sample chunks.  Row k must still
+    # count the hits of one random((samples, n)) call on stream (seed, k),
+    # inverted by binary search and evaluated row by row.
+    f = build_tribes(3, 1024, 0.5)
+    mus = [SimplexMeasure((0.4, 0.3, 0.3)), SimplexMeasure((0.45, 0.5, 0.05))]
+    est = MonteCarloEvaluator(samples=5000, seed=11).batch(f, rows(*mus), 0)
+    for k, mu in enumerate(mus):
+        U = np.random.default_rng(np.random.SeedSequence((11, k))).random((5000, f.n))
+        hits = sum(tribes_row(f.family, x) == 0 for x in searchsorted_quantile(mu, U).tolist())
+        assert est.values[k] == hits / 5000
+    assert 0.2 < est.values.min() and est.values.max() < 0.8  # both outcomes are common
+
+
 @pytest.mark.parametrize("f", [build_tribes(3, 6, 0.5, r=2), random_zero_monotone(3, 4, 0.3, seed=4)])
 def test_monte_carlo_batch_rows_are_one_row_batches(f):
     # Row k of a batch draws from stream (seed, k), as the k-th one-row

@@ -30,7 +30,7 @@ from qthresh.functions import (
     tribes_block_size,
     write_function_file,
 )
-from qthresh.functions import _parse_int, _parse_tokens
+from qthresh.functions import _parse_int, _parse_tokens, _rewrite_monotone
 
 
 def tribes_point(fam, x):
@@ -178,15 +178,18 @@ def test_level_is_zero_monotone_matches_all_pairs_oracle_on_tables():
     assert seen == {True, False}
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_level_is_zero_monotone_tribes_rule_matches_the_table(q):
-    # With blocks of two or more, the family rule must agree with a check
-    # of the materialised table for every view and level.
-    f = build_tribes(q, 5, 0.5, r=2)
-    views = [(f, range(q))] + [(indicator(f, b), range(2)) for b in range(q)]
-    for g, levels in views:
-        for a in levels:
-            assert level_is_zero_monotone(g, a) == is_a_monotone(level_table(g, a), 0)
+    # Blocks of size 1, of size 2 and one block of size n: the family rule
+    # must agree with the covering check of the materialised table for
+    # every view and level.
+    for n in range(1, 6):
+        for r in sorted({1, min(2, n), n}):
+            f = build_tribes(q, n, 0.5, r=r)
+            for g in [f] + [indicator(f, b) for b in range(q)]:
+                for a in range(g.outputs):
+                    want = _rewrite_monotone(materialize_table(g).reshape((q,) * n) == a, 0)
+                    assert level_is_zero_monotone(g, a) == want, (n, r, g.indicator_of, a)
 
 
 def test_level_is_zero_monotone_never_enumerates_a_family():
@@ -195,6 +198,8 @@ def test_level_is_zero_monotone_never_enumerates_a_family():
     assert level_is_zero_monotone(indicator(f, 0), 1)
     assert not level_is_zero_monotone(f, 2)
     assert not level_is_zero_monotone(indicator(f, 1), 1)
+    assert not level_is_zero_monotone(indicator(f, 1), 0)
+    assert level_is_zero_monotone(indicator(build_tribes(3, 10**6, 0.5, r=1), 1), 0)
     with pytest.raises(ValueError):
         level_is_zero_monotone(f, 3)
 
@@ -275,6 +280,48 @@ def test_tribes_batch_matches_point():
     batch = evaluate_batch(f, X)
     for row, val in zip(X, batch):
         assert tribes_point(f.family, tuple(row)) == val
+
+
+def block_fill_rows(fam, q):
+    """Rows that zero exactly one block, and that block but for one end cell.
+
+    The rest holds the nonzero symbols in turn, so a block test that reads
+    one column too many or too few, or skips a block, gets some row wrong.
+    """
+    bounds = [j * fam.r for j in range(fam.m)] + [fam.n]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = 1 + np.arange(fam.n) % (q - 1)
+        row[lo:hi] = 0
+        out.append(row.copy())
+        for end in (lo, hi - 1):
+            alive = row.copy()
+            alive[end] = q - 1
+            out.append(alive)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n, r", [(1, 1), (5, 1), (4, 4), (9, 2), (7, 3), (11, 3), (12, 3)])
+def test_tribes_batch_matches_point_on_every_block_layout(q, n, r):
+    # Blocks of size 1, a single block (r = n), last blocks of 3, 4 and 5
+    # behind blocks of 2 or 3, and a last block of size r.
+    f = build_tribes(q, n, 0.5, r=r)
+    rng = np.random.default_rng(100 * q + n)
+    V = rng.integers(1, q, size=(300, n), dtype=np.int32)  # zero-free rows
+    U = rng.random((300, n))
+    # The states the coupled MC width evaluates: V with the coordinates
+    # under a cut zeroed, an int32 times bool product.
+    coupled = V * (U > rng.random((300, 1)))
+    X = np.vstack([np.zeros((1, n), dtype=np.int32), V, coupled, *block_fill_rows(f.family, q)])
+    assert coupled.dtype == np.int32 and not coupled.all() and coupled.any()
+    want = [tribes_point(f.family, x) for x in X.tolist()]
+    assert 0 < sum(w == 0 for w in want) < len(want)
+    for rows in (X, X.astype(np.int64)):
+        got = evaluate_batch(f, rows)
+        assert got.dtype == np.int32 and got.tolist() == want
+        for b in range(q):
+            assert evaluate_batch(indicator(f, b), rows).tolist() == [int(w == b) for w in want]
 
 
 def test_table_batch_matches_point():

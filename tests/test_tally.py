@@ -24,6 +24,7 @@ from qthresh.functions import (
     from_table,
     indicator,
     materialize_table,
+    random_zero_monotone,
 )
 from qthresh.influence import (
     h_paper,
@@ -136,6 +137,18 @@ def test_tally_is_built_once_per_function(monkeypatch):
     g = indicator(build_tribes(3, 6, 0.5, r=2), 0)
     ExactEvaluator()(g, mu, 1)
     assert calls == [f, g]
+
+
+def test_tallies_of_one_shape_share_read_only_type_steps():
+    # Types and steps depend on (q, n) alone: two functions of one shape
+    # read the same arrays, which no tally can write through.
+    f = indicator(build_tribes(3, 5, 0.5, r=2), 0)
+    g = random_zero_monotone(3, 5, 0.2, seed=3)
+    tf, tg = evaluate.type_tally(f), evaluate.type_tally(g)
+    assert tf.types is tg.types and tf.rest_types is tg.rest_types and tf._rest_ids is tg._rest_ids
+    for arr in (tf.types, tf.rest_types, tf._rest_ids):
+        assert not arr.flags.writeable
+    assert evaluate.type_tally(build_tribes(3, 4, 0.5, r=2)).types is not tf.types
 
 
 def test_fibre_patterns_beyond_int64_codes():

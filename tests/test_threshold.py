@@ -327,6 +327,21 @@ def test_line_width_mc_refuses_a_non_monotone_level(level):
     assert closed.width == pytest.approx(exact.width, abs=1e-12)
 
 
+def test_line_width_mc_answers_a_nonzero_level_with_blocks_of_size_1():
+    # With blocks of size 1, f != 1 only rises toward delta_0, so MC width
+    # answers it by switching times.  Along the central line
+    # Pr[f != 1] = 1 - (1 - t)^n / 2 starts at 1/2 > eps, so only t_hi
+    # exists; the closed form there must sit within 6 SE of 1 - eps.
+    g = indicator(build_tribes(3, 64, 0.5, r=1), 1)
+    eps, samples = 0.1, 10000
+    rep = line_width(g, CENTRAL3, 0, eps, MonteCarloEvaluator(samples=samples, seed=4))
+    closed = line_width(g, CENTRAL3, 0, eps, ClosedFormEvaluator())
+    assert rep.method == METHOD_MC_BISECTION and rep.lo_absent and closed.lo_absent
+    se = math.sqrt(eps * (1 - eps) / samples)
+    assert abs(ClosedFormEvaluator()(g, mix_t(CENTRAL3, rep.t_hi), 0) - (1 - eps)) <= 6 * se
+    assert closed.t_hi == pytest.approx(1 - 0.2 ** (1 / 64), abs=1e-8)
+
+
 def test_line_width_mc_bisection_on_a_monotone_table():
     f = random_zero_monotone(3, 6, 0.05, seed=3)
     exact = line_width(f, CENTRAL3, 1, 0.1, EXACT)
