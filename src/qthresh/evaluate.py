@@ -27,6 +27,7 @@ along coordinate k.  The enumeration cap is one constant,
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -379,6 +380,14 @@ class Evaluator:
     def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int) -> float:
         return float(self.batch(f, mu.as_array()[None, :], a).values[0])
 
+    def row_cells(self, f: FunctionSpec) -> float:
+        """The work of one batch row for f, in cells, weighed against one call.
+
+        A route that does not state it is taken to cost more per row than
+        a call, so a search asks it one row at a time.
+        """
+        return math.inf
+
 
 class ExactEvaluator(Evaluator):
     """Tally-backed Pr[f = a]; exact but capped at q^n table size."""
@@ -388,6 +397,10 @@ class ExactEvaluator(Evaluator):
         # A sum of nonnegative terms; rounding can only overshoot 1.
         values = np.minimum(type_tally(f).probabilities(measures, a), 1.0)
         return Estimate(values, 0.0, METHOD_EXACT, f.size)
+
+    def row_cells(self, f: FunctionSpec) -> int:
+        """One weight per symbol of every type: C(n+q-1, q-1) q."""
+        return math.comb(f.n + f.q - 1, f.q - 1) * f.q
 
 
 class ClosedFormEvaluator(Evaluator):
@@ -415,11 +428,19 @@ class ClosedFormEvaluator(Evaluator):
         if b == 0:
             values = alive if complement else 1.0 - alive
         else:
-            rest = measures[:, 1:] @ np.ones(f.q - 1)
+            # mu_1 + ... + mu_{q-1} left to right, column by column: a row
+            # gets the same digits alone or in a batch, which a matrix
+            # product of several rows does not promise for q >= 5.
+            rest = measures[:, 1].copy()
+            for j in range(2, f.q):
+                rest += measures[:, j]
             values = alive * np.divide(measures[:, b], rest, out=np.zeros(len(rest)), where=rest > 0)
             if complement:
                 values = 1.0 - values
         return Estimate(values, 0.0, METHOD_CLOSED, 0)
+
+    def row_cells(self, f: FunctionSpec) -> int:
+        return 1
 
 
 class MonteCarloEvaluator(Evaluator):

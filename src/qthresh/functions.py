@@ -87,8 +87,9 @@ class FunctionSpec:
     Exactly one of ``table`` and ``family`` is set.  Tables are stored in
     lexicographic order with coordinate 0 most significant.  ``kind`` is
     ``"full"`` for [q]-valued functions and ``"indicator"`` for {0,1}-valued
-    ones; an indicator view of a family records the tracked output symbol in
-    ``indicator_of``.
+    ones.  An indicator view made by :func:`indicator` records the tracked
+    output symbol in ``indicator_of``; a family view needs it, and an
+    indicator table read from a file has none.
     """
 
     q: int
@@ -116,18 +117,16 @@ class FunctionSpec:
                 raise ValueError(f"table values must lie in [0, {self.outputs})")
             tbl.setflags(write=False)
             object.__setattr__(self, "table", tbl)
-            if self.indicator_of is not None:
-                raise ValueError("indicator_of only applies to family-backed indicators")
         else:
             if self.family.n != self.n:
                 raise ValueError(f"family covers {self.family.n} coordinates, expected n={self.n}")
-            if self.kind == KIND_INDICATOR:
-                if self.indicator_of is None:
-                    raise ValueError("family-backed indicator needs indicator_of")
-                if not 0 <= self.indicator_of < self.q:
-                    raise ValueError(f"indicator_of={self.indicator_of} out of range for q={self.q}")
-            elif self.indicator_of is not None:
+            if self.kind == KIND_INDICATOR and self.indicator_of is None:
+                raise ValueError("family-backed indicator needs indicator_of")
+        if self.indicator_of is not None:
+            if self.kind != KIND_INDICATOR:
                 raise ValueError("indicator_of only applies to kind='indicator'")
+            if not 0 <= self.indicator_of < self.q:
+                raise ValueError(f"indicator_of={self.indicator_of} out of range for q={self.q}")
 
     @property
     def size(self) -> int:
@@ -260,6 +259,18 @@ def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
     return (b == 0) if a == 1 else (b != 0 and (f.q == 2 or f.family.r == 1))
 
 
+def level_name(f: FunctionSpec, a: int) -> str:
+    """The level 1[f = a] named by the function it was taken from.
+
+    An indicator view of b (:func:`indicator`) is 1[f = b] at a = 1 and
+    1[f != b] at a = 0; any other f names its own level 1[f = a].
+    """
+    b = f.indicator_of
+    if b is None:
+        return f"1[f = {a}]"
+    return f"1[f = {b}]" if a == 1 else f"1[f != {b}]"
+
+
 # ---------------------------------------------------------------------------
 # Families and constructions
 
@@ -311,9 +322,8 @@ def indicator(f: FunctionSpec, a: int) -> FunctionSpec:
     if f.kind != KIND_FULL:
         raise ValueError("indicator expects a [q]-valued function")
     check_output(f, a)
-    if f.table is not None:
-        return FunctionSpec(q=f.q, n=f.n, kind=KIND_INDICATOR, table=(f.table == a).astype(np.int32))
-    return FunctionSpec(q=f.q, n=f.n, kind=KIND_INDICATOR, family=f.family, indicator_of=a)
+    table = None if f.table is None else (f.table == a).astype(np.int32)
+    return FunctionSpec(q=f.q, n=f.n, kind=KIND_INDICATOR, table=table, family=f.family, indicator_of=a)
 
 
 def random_zero_monotone(q: int, n: int, density: float, seed) -> FunctionSpec:

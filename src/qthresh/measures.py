@@ -72,18 +72,27 @@ def require_zero_face(mu: SimplexMeasure) -> None:
         raise ValueError(f"base measure must place zero mass at symbol 0, got {mu.atoms[0]!r}")
 
 
-def mix_t(base: SimplexMeasure, t: float) -> SimplexMeasure:
-    """Line mixture t*delta_0 + (1-t)*base.
+def line_rows(base: SimplexMeasure, ts) -> np.ndarray:
+    """The line mixtures t*delta_0 + (1-t)*base, one row per t of ``ts``.
 
-    ``base`` must have no mass at symbol 0.  Atom 0 of the result equals t
-    exactly; the remaining atoms are scaled by (1-t).
+    ``base`` must have no mass at symbol 0 and every t must lie in [0, 1].
+    Returns an (m, q) matrix whose row k has atom 0 equal to ``ts[k]``
+    exactly and base's other atoms scaled by (1 - ts[k]).
     """
     require_zero_face(base)
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    rest = tuple((1.0 - t) * a for a in base.atoms[1:])
-    return SimplexMeasure((t,) + rest)
+    ts = np.asarray(ts, dtype=float)
+    bad = ts[~((ts >= 0.0) & (ts <= 1.0))]  # NaN is bad too
+    if bad.size:
+        raise ValueError(f"t must lie in [0, 1], got {float(bad[0])!r}")
+    rows = np.empty((len(ts), base.q))
+    rows[:, 0] = ts
+    rows[:, 1:] = np.outer(1.0 - ts, base.atoms[1:])
+    return rows
+
+
+def mix_t(base: SimplexMeasure, t: float) -> SimplexMeasure:
+    """Line mixture t*delta_0 + (1-t)*base: the one-row case of :func:`line_rows`."""
+    return SimplexMeasure(tuple(line_rows(base, [t])[0].tolist()))
 
 
 def second_smallest_atom(mu: SimplexMeasure) -> float:

@@ -15,11 +15,20 @@ from typing import Sequence
 import numpy as np
 
 from .evaluate import ClosedFormEvaluator, MonteCarloEvaluator, binomial_std_error, variance_of_indicator
-from .functions import FunctionSpec, build_tribes, check_measure_q, check_output, evaluate_batch, level_is_zero_monotone
+from .functions import (
+    FunctionSpec,
+    build_tribes,
+    check_measure_q,
+    check_output,
+    evaluate_batch,
+    level_is_zero_monotone,
+    level_name,
+)
 from .influence import phi_k
 from .measures import (
     SimplexMeasure,
     central_measure,
+    line_rows,
     mix_t,
     require_zero_face,
     sample_uniform_batch,
@@ -31,6 +40,8 @@ METHOD_GRID_SCAN = "grid-scan"
 METHOD_MC_BISECTION = "mc-bisection"
 
 _GRID_POINTS = 101  # the deterministic route's monotonicity check, one batch
+_MAX_DEPTH = 5  # bisection steps one batch may look ahead: 31 rows
+_BATCH_CELLS = 2**13  # look-ahead row cells per batch; past this the rows cost more than the calls they save
 _MC_T_TOL = 1e-4
 _DKW_DELTA = 0.05
 _MONOTONE_SLACK = 1e-12  # rounding may dip a monotone probe profile by this much
@@ -116,15 +127,56 @@ class ThresholdReport:
     hi_absent: bool
 
 
-def _bisect_increasing(probe, target: float, lo: float, hi: float, t_tol: float) -> float:
-    # Invariant: probe(lo) < target <= probe(hi).  Once lo and hi are
-    # adjacent floats the midpoint is one of them, and no t_tol can be met.
-    while hi - lo > t_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if probe(mid) < target:
+def _midpoint(lo: float, hi: float, t_tol: float) -> float | None:
+    """The next probe of a bisection on [lo, hi], or None once it stops.
+
+    It stops at t_tol, or once lo and hi are adjacent floats: the midpoint
+    is then one of them, and no t_tol can be met.
+    """
+    mid = 0.5 * (lo + hi)
+    return mid if hi - lo > t_tol and lo < mid < hi else None
+
+
+def _probe_tree(lo: float, hi: float, t_tol: float, depth: int) -> list[float]:
+    """Every midpoint the next ``depth`` steps of a bisection on [lo, hi] can probe.
+
+    Level by level, each by :func:`_midpoint`: at most 2^depth - 1 points.
+    """
+    ts, intervals = [], [(lo, hi)]
+    for _ in range(depth):
+        below = []
+        for a, b in intervals:
+            if (mid := _midpoint(a, b, t_tol)) is not None:
+                ts.append(mid)
+                below += [(a, mid), (mid, b)]
+        intervals = below
+    return ts
+
+
+def _bisect_increasing(values, target: float, lo: float, hi: float, t_tol: float, depth: int) -> float:
+    """Where a nondecreasing curve crosses target, bisected to t_tol.
+
+    Invariant: P(lo) < target <= P(hi).  ``values(ts)`` returns P at a list
+    of positions in one batch.  When the next midpoint is not yet known,
+    one batch evaluates every midpoint the next ``depth`` steps can probe
+    (:func:`_probe_tree`), so the loop probes the same floats, and returns
+    the same crossing, at every depth; depth 1 is one row per step.
+    """
+    known: dict[float, float] = {}
+    while (mid := _midpoint(lo, hi, t_tol)) is not None:
+        if mid not in known:
+            ts = _probe_tree(lo, hi, t_tol, depth)
+            known.update(zip(ts, values(ts)))
+        if known[mid] < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _probe_depth(row_cells: float) -> int:
+    """The deepest probe tree, up to _MAX_DEPTH levels, whose rows fit _BATCH_CELLS."""
+    return max((d for d in range(1, _MAX_DEPTH + 1) if (2**d - 1) * row_cells <= _BATCH_CELLS), default=1)
 
 
 def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, a: int, t_tol: float) -> ThresholdReport:
@@ -189,13 +241,17 @@ def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_to
 
 
 def _line_width_deterministic(f, base, a, eps, evaluator, t_tol):
+    def values(ts) -> np.ndarray:
+        return evaluator.batch(f, line_rows(base, ts), a).values
+
     grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    vals = evaluator.batch(f, np.stack([mix_t(base, float(t)).as_array() for t in grid]), a).values
+    vals = values(grid)
     if np.any(np.diff(vals) < -_MONOTONE_SLACK):
         return _grid_scan_report(grid, vals, eps, a, t_tol)
+    depth = _probe_depth(evaluator.row_cells(f))
 
     def crossing(target: float) -> float:
-        return _bisect_increasing(lambda t: evaluator(f, mix_t(base, t), a), target, 0.0, 1.0, t_tol)
+        return _bisect_increasing(values, target, 0.0, 1.0, t_tol, depth)
 
     return _crossing_report(eps, a, float(vals[0]), float(vals[-1]), crossing, METHOD_BISECTION,
                             _GRID_POINTS, t_tol)
@@ -261,8 +317,8 @@ def _line_width_mc(f, base, a, eps, evaluator, t_tol):
     is refused before a stream is taken; the exact or closed route answers it.
     """
     if not level_is_zero_monotone(f, a):
-        raise ValueError(f"Monte Carlo width needs a level that only rises toward delta_0, and 1[f = {a}] "
-                         "is not one; use --evaluator exact or closed")
+        raise ValueError(f"Monte Carlo width needs a level that only rises toward delta_0, and "
+                         f"{level_name(f, a)} is not one; use --evaluator exact or closed")
     samples = max(evaluator.samples, _dkw_samples(eps))
     t_tol = max(t_tol, _MC_T_TOL)
     chunks = evaluator.coupled_line(f.n, base, samples)
@@ -291,7 +347,11 @@ def line_width(
 
     A deterministic evaluator gets a monotonicity check on a 101-point
     grid, one batch, and then bisection to ``t_tol``; a visibly non-monotone
-    probe profile falls back to a grid scan of the band.  A
+    probe profile falls back to a grid scan of the band.  The bisection
+    asks for the midpoints of up to 5 steps in one batch, as many as
+    ``evaluator.row_cells(f)`` lets fit 2^13 cells
+    (:func:`_bisect_increasing`), and returns the same floats as one row
+    per step.  A
     :class:`~qthresh.evaluate.MonteCarloEvaluator` draws one coupled sample
     for the whole line, see :func:`_line_width_mc`; it takes only 0-monotone
     levels, and its reported ``t_tol`` is at least 1e-4.

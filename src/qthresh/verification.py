@@ -45,7 +45,7 @@ from .influence import (
     influence_h,
     influence_variance,
 )
-from .measures import SimplexMeasure, central_measure, mix_t, second_smallest_atom
+from .measures import SimplexMeasure, central_measure, line_rows, mix_t, second_smallest_atom
 from .threshold import rm_derivative_exact
 
 
@@ -397,8 +397,7 @@ def suite_coupling(rec: _Recorder) -> None:
     grid = np.linspace(0.0, 1.0, 100)
     for fi, f in enumerate(corpus):
         for bi, base in enumerate(bases):
-            line = np.stack([mix_t(base, float(t)).as_array() for t in grid])
-            vals = ExactEvaluator().batch(f, line, 1).values
+            vals = ExactEvaluator().batch(f, line_rows(base, grid), 1).values
             worst = float(np.diff(vals).min())
             rec.record(
                 worst >= -ROUNDING_TOL,

@@ -12,7 +12,9 @@ import qthresh.verification as verification
 from qthresh.cli import SEED_ENV_VAR, main
 from qthresh.functions import (
     build_tribes,
+    from_table,
     indicator,
+    materialize_table,
     parse_function_file,
     random_zero_monotone,
     write_function_file,
@@ -287,6 +289,29 @@ def test_width_refuses_a_level_that_does_not_rise(tmp_path, capsys, tail, messag
     assert code == 2 and out == ""
     assert message in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_width_refusals_name_the_level_of_the_original_function(tmp_path, capsys):
+    # --level b --a 0 measures f != b, and --level b --a 1 measures f = b.
+    tribes = ["--family", "tribes", "--q", "3", "--n", "64", "--p0", "0.5", "--r", "2", "--eps", "0.1"]
+    errors = {}
+    for level in ("0", "1"):
+        code, out, err = run(["width", *tribes, "--level", level, "--a", "0", "--evaluator", "mc"], capsys)
+        assert code == 2 and out == ""
+        errors[level] = err
+    assert errors["1"] != errors["0"]
+    assert "1[f != 1] is not one" in errors["1"] and "1[f != 0] is not one" in errors["0"]
+    code, _, err = run(["width", *tribes, "--level", "2", "--a", "1", "--diagnostics", str(tmp_path / "d.csv")],
+                       capsys)
+    assert code == 2 and "1[f = 2] is not one" in err
+    assert list(tmp_path.iterdir()) == []
+    # A view of a table names its level the same way.
+    path = tmp_path / "tribes.txt"
+    write_function_file(from_table(3, 4, materialize_table(build_tribes(3, 4, 0.5, r=2))), path)
+    for a, level in (("1", "1[f = 2]"), ("0", "1[f != 2]")):
+        code, _, err = run(["width", "--fn", str(path), "--level", "2", "--a", a, "--eps", "0.1",
+                            "--evaluator", "mc"], capsys)
+        assert code == 2 and f"{level} is not one" in err
 
 
 def test_width_custom_base_measure(capsys):
@@ -693,6 +718,19 @@ PINNED = {
         'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
         '3,64,0,0.10000000000000001,mc,mc-bisection,0.17224551366852281,0.47416946532043391,'
         '0.3019239516519111,0,0.0001,false,false\n',
+    ),
+    "sweep-closed": (  # every row's crossings are closed-form line bisections
+        ["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024,65536,1048576", "--eps", "0.1"],
+        'n,r,p_lo,p_hi,width,width_times_ln_n\n'
+        '1024,6,0.29226233204826713,0.48813314875587821,0.19587081670761108,1.3576730435485445\n'
+        '65536,12,0.40469071781262755,0.52329163486137986,0.11860091704875231,1.3153262602266658\n'
+        '1048576,15,0.40914589585736394,0.5025510978884995,0.093405202031135559,1.2948710487502737\n',
+    ),
+    "width-closed-adjacent-floats": (  # a t_tol below the float spacing: bisection stops at adjacent floats
+        ["width", *_tribes(1048576), "--a", "0", "--eps", "0.1", "--evaluator", "closed", "--t-tol", "1e-300"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,1048576,0,0.10000000000000001,closed,bisection,0.40914589611157415,0.50255109750985394,'
+        '0.093405201398279791,101,1e-300,false,false\n',
     ),
 }
 

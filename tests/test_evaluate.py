@@ -362,6 +362,21 @@ def test_closed_form_evaluator_batch_matches_scalar():
         assert v == ev(f, mix_t(base, float(t)), 0)
 
 
+@pytest.mark.parametrize("q", [4, 5, 8, 13])
+def test_closed_form_rows_read_the_same_alone_or_in_a_batch(q):
+    # Pr[f = b], b >= 1, divides by mu_1 + ... + mu_{q-1}; a matrix product
+    # of several rows may sum them in another order than of one row.
+    rng = np.random.default_rng(q)
+    ev = ClosedFormEvaluator()
+    f = build_tribes(q, 64, 0.5, r=1)
+    for b in (0, 1, q - 1):
+        for g, a in ((f, b), (indicator(f, b), 0), (indicator(f, b), 1)):
+            measures = sample_uniform_batch(q, 64, rng)
+            batch = ev.batch(g, measures, a).values
+            alone = [ev.batch(g, measures[k:k + 1], a).values[0] for k in range(len(measures))]
+            assert batch.tobytes() == np.array(alone).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The input contract every route shares
 

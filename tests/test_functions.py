@@ -368,6 +368,17 @@ def test_indicator_zero_matches_dead_tribe_predicate():
         assert val == int(dead) == int(tribes_point(f.family, x) == 0)
 
 
+def test_indicator_views_record_their_symbol_on_tables_and_families():
+    f = build_tribes(3, 4, 0.5, r=2)
+    for source in (f, from_table(3, 4, materialize_table(f))):
+        assert [indicator(source, b).indicator_of for b in range(3)] == [0, 1, 2]
+    tbl = np.zeros(9, dtype=int)
+    with pytest.raises(ValueError, match="only applies to kind='indicator'"):
+        FunctionSpec(q=3, n=2, kind="full", table=tbl, indicator_of=0)
+    with pytest.raises(ValueError, match="out of range"):
+        FunctionSpec(q=3, n=2, kind="indicator", table=tbl, indicator_of=3)
+
+
 def test_indicator_rejects_indicator_input():
     f = indicator(build_tribes(3, 4, 0.5, r=2), 0)
     with pytest.raises(ValueError):

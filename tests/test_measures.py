@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qthresh.measures import (
     SimplexMeasure,
     central_measure,
+    line_rows,
     mix_t,
     sample_uniform_batch,
     second_smallest_atom,
@@ -77,6 +78,32 @@ def test_mix_t_rejects_bad_inputs():
         mix_t(SimplexMeasure((0.1, 0.4, 0.5)), 0.5)  # mass at symbol 0
     with pytest.raises(ValueError):
         mix_t(SimplexMeasure((0.0, 1.0)), 1.5)
+
+
+@pytest.mark.parametrize("atoms", [(0.0, 0.5, 0.5), (0.0, 0.3, 0.7), (0.0, 0.1, 0.2, 0.3, 0.4), (0.0, 1.0)])
+def test_line_rows_are_stacked_mix_t_rows_bytewise(atoms):
+    base = SimplexMeasure(atoms)
+    ts = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53, *np.random.default_rng(3).random(20)]
+    rows = line_rows(base, ts)
+    assert rows.shape == (len(ts), base.q) and rows.dtype == np.float64
+    stacked = np.stack([mix_t(base, t).as_array() for t in ts])
+    # The rule in Python floats: atom 0 is t, the others base's scaled by 1 - t.
+    rule = np.array([(t, *((1.0 - t) * a for a in atoms[1:])) for t in map(float, ts)])
+    assert rows.tobytes() == stacked.tobytes() == rule.tobytes()
+    assert line_rows(base, []).shape == (0, base.q)
+
+
+@pytest.mark.parametrize("ts", [[0.5, math.nan], [-0.25], [0.2, 1.5, 2.0]])
+def test_line_rows_refuses_what_mix_t_refuses_with_its_message(ts):
+    base = SimplexMeasure((0.0, 0.5, 0.5))
+    bad = next(t for t in ts if not 0.0 <= t <= 1.0)
+    for call in (lambda: line_rows(base, ts), lambda: mix_t(base, bad)):
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\], got " + repr(bad) + "$"):
+            call()
+    off_face = SimplexMeasure((0.1, 0.4, 0.5))
+    for call in (lambda: line_rows(off_face, [0.5]), lambda: mix_t(off_face, 0.5)):
+        with pytest.raises(ValueError, match="^base measure must place zero mass at symbol 0, got 0.1$"):
+            call()
 
 
 def test_second_smallest_atom():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from qthresh.evaluate import (
+    METHOD_CLOSED,
     ClosedFormEvaluator,
+    Estimate,
     Evaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
@@ -269,6 +271,100 @@ def test_line_width_t_tol_below_the_float_spacing_returns(evaluator):
         rep = line_width(f, CENTRAL3, 0, 0.1, evaluator, t_tol=t_tol)
         assert fine.t_lo == pytest.approx(rep.t_lo, abs=t_tol)
         assert fine.t_hi == pytest.approx(rep.t_hi, abs=t_tol)
+
+
+def scalar_bisect(probe, target, lo, hi, t_tol):
+    # The plain bisection: one probe per step, kept here as the reference.
+    while hi - lo > t_tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if probe(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_crossings(f, base, a, eps, evaluator, t_tol):
+    """(t_lo, t_hi) of a nondecreasing level from one-row probes at mix_t points."""
+    def probe(t):
+        return evaluator(f, mix_t(base, t), a)
+
+    p_start, p_end = probe(0.0), probe(1.0)
+    assert eps <= p_end and p_start <= 1 - eps
+    t_lo = scalar_bisect(probe, eps, 0.0, 1.0, t_tol) if p_start < eps else None
+    t_hi = scalar_bisect(probe, 1 - eps, 0.0, 1.0, t_tol) if p_end > 1 - eps else None
+    return t_lo, t_hi
+
+
+class Staircase(Evaluator):
+    """Pr = floor(7 t) / 7 at t = atom 0: flat steps whose edges the bisection must find."""
+
+    def batch(self, f, measures, a):
+        return Estimate(np.floor(7.0 * np.asarray(measures)[:, 0]) / 7.0, 0.0, METHOD_CLOSED, 0)
+
+    def row_cells(self, f):
+        return 1
+
+
+class Counting(Evaluator):
+    """Delegates to ``inner`` and records the row count of every batch."""
+
+    def __init__(self, inner: Evaluator):
+        self.inner, self.sizes = inner, []
+
+    def batch(self, f, measures, a):
+        self.sizes.append(len(measures))
+        return self.inner.batch(f, measures, a)
+
+    def row_cells(self, f):
+        return self.inner.row_cells(f)
+
+
+BISECTION_CASES = {  # exact rows of 84, 480, 1050 and 1512 cells: look-ahead depths 5, 4, 3 and 2
+    "closed-zero-event": (build_tribes(3, 2**20, 0.5), CENTRAL3, 0, 0.1, ClosedFormEvaluator()),
+    "closed-q5-not-1": (indicator(build_tribes(5, 64, 0.5, r=1), 1), SimplexMeasure((0.0, 0.05, 0.2, 0.3, 0.45)),
+                        0, 0.01, ClosedFormEvaluator()),
+    "exact-tribes": (build_tribes(3, 6, 0.5, r=2), SimplexMeasure((0.0, 0.3, 0.7)), 0, 0.1, EXACT),
+    "exact-table": (random_zero_monotone(3, 6, 0.05, seed=3), CENTRAL3, 1, 0.1, EXACT),
+    "exact-q4": (build_tribes(4, 7, 0.5, r=2), central_measure(4), 0, 0.05, EXACT),
+    "exact-q5": (build_tribes(5, 6, 0.5, r=2), central_measure(5), 0, 0.1, EXACT),
+    "exact-q6": (build_tribes(6, 5, 0.5, r=2), central_measure(6), 0, 0.1, EXACT),
+    "staircase": (build_tribes(3, 6, 0.5, r=2), CENTRAL3, 0, 0.1, Staircase()),
+}
+
+
+@pytest.mark.parametrize("t_tol", [0.3, 1e-9, 1e-15, 1e-300])
+@pytest.mark.parametrize("case", sorted(BISECTION_CASES))
+def test_batched_bisection_returns_the_scalar_loop_floats(case, t_tol):
+    f, base, a, eps, evaluator = BISECTION_CASES[case]
+    rep = line_width(f, base, a, eps, evaluator, t_tol=t_tol)
+    assert rep.method == METHOD_BISECTION
+    assert (rep.t_lo, rep.t_hi) == scalar_crossings(f, base, a, eps, evaluator, t_tol)
+
+
+def test_closed_width_takes_13_batches_where_one_row_probes_took_61():
+    # 1 grid batch of 101 rows, then per crossing 30 bisection steps in 6
+    # batches of 31 rows: 13 calls and 473 rows, against 1 + 2 * 30 calls.
+    f = build_tribes(3, 2**20, 0.5)
+    counting = Counting(ClosedFormEvaluator())
+    rep = line_width(f, CENTRAL3, 0, 0.1, counting, t_tol=1e-9)
+    assert counting.sizes == [101] + [31] * 12
+    assert rep == line_width(f, CENTRAL3, 0, 0.1, ClosedFormEvaluator(), t_tol=1e-9)
+
+
+def test_a_dear_row_gets_one_row_batches():
+    # An exact row at q = 8, n = 6 weighs 1716 types times 8 symbols, more
+    # than a call costs: the bisection asks one row per step.  A route that
+    # states no row cost is asked the same way.
+    f = build_tribes(8, 6, 0.5, r=2)
+    counting = Counting(EXACT)
+    rep = line_width(f, central_measure(8), 0, 0.1, counting)
+    assert counting.sizes[0] == 101 and set(counting.sizes[1:]) == {1}
+    assert len(counting.sizes) == 1 + 2 * 30
+    assert (rep.t_lo, rep.t_hi) == scalar_crossings(f, central_measure(8), 0, 0.1, EXACT, 1e-9)
+    budget = ProbeBudget(ClosedFormEvaluator(), 1000)
+    assert Evaluator().row_cells(f) == budget.row_cells(f) == math.inf
+    line_width(f, central_measure(8), 0, 0.1, budget)
+    assert budget.budget == 1000 - 61
 
 
 # ---------------------------------------------------------------------------
