@@ -301,20 +301,6 @@ def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float) -> flo
     return type_tally(f).line_derivative(base.as_array(), t)
 
 
-def tribes_prob_zero(fam: TribesVariant, p0: float | np.ndarray) -> float | np.ndarray:
-    """Pr[some block is all zero] = 1 - (1 - p0^r)^(m-1) (1 - p0^last).
-
-    Valid for any product measure whose zero-symbol mass is p0; the event
-    depends on the coordinates only through their zero pattern.  ``p0`` is a
-    scalar (the result is a float) or a 1-D array (the result is an array).
-    """
-    p = np.asarray(p0, dtype=float)
-    if p.ndim > 1 or not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails too
-        raise ValueError("p0 must be a scalar or a 1-D array with entries in [0, 1]")
-    pz = 1.0 - _tribes_alive(fam, np.atleast_1d(p))
-    return float(pz[0]) if p.ndim == 0 else pz
-
-
 def _tribes_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
     """Pr[no block is all zero] for each entry of a 1-D array of zero masses in [0, 1].
 

@@ -114,7 +114,18 @@ def h_nonconstant(t):
 # Profiles across coordinates and the max-influence diagnostic
 
 
-_PROFILE_KINDS = ("bkkkl", "variance", "h")
+# Kind of profile -> influence of coordinate k; 'h' weights by h_paper.  The
+# names are looked up at call time, so a wrapped or patched function is used.
+_INFLUENCE_BY_KIND = {
+    "bkkkl": lambda f, mu, k: influence_bkkkl(f, mu, k),
+    "variance": lambda f, mu, k: influence_variance(f, mu, k),
+    "h": lambda f, mu, k: influence_h(f, mu, k, h_paper),
+}
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _INFLUENCE_BY_KIND:
+        raise ValueError(f"kind must be one of {tuple(_INFLUENCE_BY_KIND)}, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -125,8 +136,7 @@ class InfluenceProfile:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _PROFILE_KINDS:
-            raise ValueError(f"kind must be one of {_PROFILE_KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", values)
         for k, v in enumerate(values):
@@ -148,15 +158,9 @@ class InfluenceProfile:
 
 def influence_profile(f: FunctionSpec, mu: SimplexMeasure, kind: str) -> InfluenceProfile:
     """All n influences of one kind; ``kind='h'`` weights by h_paper."""
-    if kind == "bkkkl":
-        vals = [influence_bkkkl(f, mu, k) for k in range(f.n)]
-    elif kind == "variance":
-        vals = [influence_variance(f, mu, k) for k in range(f.n)]
-    elif kind == "h":
-        vals = [influence_h(f, mu, k, h_paper) for k in range(f.n)]
-    else:
-        raise ValueError(f"kind must be one of {_PROFILE_KINDS}, got {kind!r}")
-    return InfluenceProfile(kind=kind, values=tuple(vals))
+    _check_kind(kind)
+    influence = _INFLUENCE_BY_KIND[kind]
+    return InfluenceProfile(kind=kind, values=tuple(influence(f, mu, k) for k in range(f.n)))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .evaluate import (
     ExactEvaluator,
     bernstein_derivative,
     product_weights,
-    tribes_prob_zero,
 )
 from .functions import (
     FunctionSpec,
@@ -104,18 +103,22 @@ def fd_probability_derivative(f: FunctionSpec, base: SimplexMeasure, t: float) -
     """Finite-difference oracle for d/dt Pr[f = 1] along the line mixture.
 
     Central stencil in the interior, one-sided second-order stencils within
-    FD_STEP of the endpoints.  Entirely independent of the fibre-sum identity.
+    FD_STEP of the endpoints, all points of a stencil in one exact batch.
+    Entirely independent of the fibre-sum identity.
     """
     dt = FD_STEP
 
-    def p(u: float) -> float:
-        return ExactEvaluator()(f, mix_t(base, u), 1)
+    def p(*us: float) -> list[float]:
+        return ExactEvaluator().batch(f, line_rows(base, us), 1).values.tolist()
 
     if t < dt:
-        return (-3.0 * p(t) + 4.0 * p(t + dt) - p(t + 2.0 * dt)) / (2.0 * dt)
+        p0, p1, p2 = p(t, t + dt, t + 2.0 * dt)
+        return (-3.0 * p0 + 4.0 * p1 - p2) / (2.0 * dt)
     if t > 1.0 - dt:
-        return (3.0 * p(t) - 4.0 * p(t - dt) + p(t - 2.0 * dt)) / (2.0 * dt)
-    return (p(t + dt) - p(t - dt)) / (2.0 * dt)
+        p0, p1, p2 = p(t, t - dt, t - 2.0 * dt)
+        return (3.0 * p0 - 4.0 * p1 + p2) / (2.0 * dt)
+    p_hi, p_lo = p(t + dt, t - dt)
+    return (p_hi - p_lo) / (2.0 * dt)
 
 
 def full_support_bases(q: int, count: int, seed: int) -> list[SimplexMeasure]:
@@ -277,8 +280,7 @@ def suite_alpha(rec: _Recorder) -> None:
                 fibres.append((k, rows[nonconst]))
         for base in bases:
             alpha = second_smallest_atom(base)
-            for t in t_grid:
-                atoms = mix_t(base, t).as_array()
+            for t, atoms in zip(t_grid, line_rows(base, t_grid)):
                 floor = alpha * (1.0 - t) - ROUNDING_TOL
                 for k, rows in fibres:
                     complement = 1.0 - rows @ atoms
@@ -303,12 +305,12 @@ def suite_hent(rec: _Recorder) -> None:
 def suite_closed(rec: _Recorder) -> None:
     """Tribes closed form against the exact tally at accessible sizes.
 
-    Checks ``tribes_prob_zero`` and the zero event's complement per measure,
-    then every output of every view (the full function and the indicator
+    Checks every output of every view (the full function and the indicator
     of each symbol), one batch of all the measures per output.  Every
-    output of the tally is also checked against brute-force enumeration:
+    output of the tally is then checked against brute-force enumeration:
     the weights of the points under mu^n summed over the table, with no
-    type counts.
+    type counts.  The closed-form checks of a case come first, so a fault
+    they see is among the failure messages a suite keeps.
     """
     rng = np.random.default_rng(5)
     cases = [
@@ -324,27 +326,6 @@ def suite_closed(rec: _Recorder) -> None:
             w = rng.exponential(size=f.q)
             mus.append(SimplexMeasure.normalized(w))
         fam = f.family
-        zero_view = indicator(f, 0)
-        table = materialize_table(f)
-        for mu in mus:
-            weights = product_weights(mu, f.n)
-            tallied = [ExactEvaluator()(f, mu, a) for a in range(f.q)]
-            for a, tally in enumerate(tallied):
-                brute = float(weights @ (table == a))
-                rec.record(
-                    abs(tally - brute) <= ROUNDING_TOL,
-                    f"Pr[f = {a}]: tally {tally!r} vs brute force {brute!r} at q={f.q} n={f.n}",
-                )
-            exact = tallied[0]
-            for label, closed, want in (
-                ("Pr[f = 0]", tribes_prob_zero(fam, mu[0]), exact),
-                ("Pr[f != 0]", ClosedFormEvaluator()(zero_view, mu, 0), 1.0 - exact),
-            ):
-                rec.record(
-                    abs(closed - want) <= ROUNDING_TOL,
-                    f"{label}: closed form {closed!r} vs exact {want!r} at q={f.q} "
-                    f"(r, m, last)=({fam.r}, {fam.m}, {fam.last})",
-                )
         rows = np.stack([mu.as_array() for mu in mus])
         for name, g in [("f", f)] + [(f"1[f = {b}]", indicator(f, b)) for b in range(f.q)]:
             for a in range(g.outputs):
@@ -354,6 +335,16 @@ def suite_closed(rec: _Recorder) -> None:
                     float(gap.max()) <= ROUNDING_TOL,
                     f"Pr[{name} = {a}]: closed form vs exact differ by {gap.max():.3e} at measure "
                     f"{int(gap.argmax())}, q={f.q} (r, m, last)=({fam.r}, {fam.m}, {fam.last})",
+                )
+        table = materialize_table(f)
+        for mu in mus:
+            weights = product_weights(mu, f.n)
+            for a in range(f.q):
+                tally = ExactEvaluator()(f, mu, a)
+                brute = float(weights @ (table == a))
+                rec.record(
+                    abs(tally - brute) <= ROUNDING_TOL,
+                    f"Pr[f = {a}]: tally {tally!r} vs brute force {brute!r} at q={f.q} n={f.n}",
                 )
 
 

@@ -16,7 +16,6 @@ from qthresh.evaluate import (
     binomial_std_error,
     _inverse_cdf,
     product_weights,
-    tribes_prob_zero,
     variance_of_indicator,
 )
 from qthresh.functions import (
@@ -30,7 +29,7 @@ from qthresh.functions import (
     level_is_zero_monotone,
     random_zero_monotone,
 )
-from qthresh.measures import SimplexMeasure, central_measure, mix_t, sample_uniform_batch
+from qthresh.measures import SimplexMeasure, central_measure, line_rows, mix_t, sample_uniform_batch
 
 
 HALF_QUARTER = SimplexMeasure((0.5, 0.25, 0.25))
@@ -113,45 +112,42 @@ def tribes_and_measures(draw):
     return build_tribes(q, n, 0.5, r=r), SimplexMeasure.normalized(weights)
 
 
+def closed_zero_event(f, ts):
+    """Pr[f = 0] by the closed form at zero masses ``ts``: it reads atom 0 only."""
+    return ClosedFormEvaluator().batch(f, line_rows(central_measure(f.q), ts), 0).values
+
+
 @given(tribes_and_measures())
 @settings(max_examples=120, deadline=None)
-def test_tribes_prob_zero_matches_exact(case):
+def test_closed_form_zero_event_matches_exact(case):
     # r in 1..n covers uneven last blocks (r <= last < 2r) and m = 1.
     f, mu = case
-    closed = tribes_prob_zero(f.family, mu[0])
-    assert abs(closed - EXACT(f, mu, 0)) <= 1e-12
+    assert abs(closed_zero_event(f, [mu[0]])[0] - EXACT(f, mu, 0)) <= 1e-12
     g = indicator(f, 0)
     ev = ClosedFormEvaluator()
     for out in (0, 1):
         assert abs(ev(g, mu, out) - EXACT(g, mu, out)) <= 1e-12
 
 
-def test_tribes_prob_zero_edges():
-    fam = build_tribes(3, 4, 0.5, r=2).family
-    assert tribes_prob_zero(fam, 0.0) == 0.0
-    assert tribes_prob_zero(fam, 1.0) == 1.0
+def test_closed_form_zero_event_edges():
+    f = build_tribes(3, 4, 0.5, r=2)
+    assert closed_zero_event(f, [0.0])[0] == 0.0
+    assert closed_zero_event(f, [1.0])[0] == 1.0
     # one block of size 1: f = 0 iff that coordinate is 0 when n = r = 1
-    single = build_tribes(3, 1, 0.5, r=1).family
-    assert tribes_prob_zero(single, 0.25) == pytest.approx(0.25, abs=1e-15)
+    single = build_tribes(3, 1, 0.5, r=1)
+    assert closed_zero_event(single, [0.25])[0] == pytest.approx(0.25, abs=1e-15)
 
 
-def test_tribes_prob_zero_formula_value():
+def test_closed_form_zero_event_formula_value():
     # 1 - (1 - p0^2)^2 at p0 = 1/2 is 1 - (3/4)^2 = 7/16
-    fam = build_tribes(3, 4, 0.5, r=2).family
-    assert tribes_prob_zero(fam, 0.5) == pytest.approx(0.4375, abs=1e-15)
-    # a 1-D p0 gives one value per entry, equal to the scalar calls
-    p0 = np.array([0.0, 0.5, 0.9, 1.0])
-    assert list(tribes_prob_zero(fam, p0)) == [tribes_prob_zero(fam, float(p)) for p in p0]
+    f = build_tribes(3, 4, 0.5, r=2)
+    assert closed_zero_event(f, [0.5])[0] == pytest.approx(0.4375, abs=1e-15)
+    # a batch of rows gives one value per row, equal to the one-row calls
+    p0 = [0.0, 0.5, 0.9, 1.0]
+    assert list(closed_zero_event(f, p0)) == [closed_zero_event(f, [p])[0] for p in p0]
 
 
-def test_tribes_prob_zero_rejects():
-    fam = build_tribes(3, 4, 0.5, r=2).family
-    with pytest.raises(ValueError):
-        tribes_prob_zero(fam, 1.5)
-    with pytest.raises(ValueError):
-        tribes_prob_zero(fam, np.array([0.5, -0.1]))
-    with pytest.raises(ValueError):
-        tribes_prob_zero(fam, np.full((2, 2), 0.5))
+def test_tribes_variant_rejects_bad_blocks():
     with pytest.raises(ValueError):
         TribesVariant(r=2, m=0, last=2, p0=0.5)  # no blocks
     with pytest.raises(ValueError):

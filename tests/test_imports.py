@@ -1,9 +1,8 @@
 """No module imports a name it never uses.
 
-Every module of ``src/qthresh`` except ``__init__.py``, which imports in
-order to re-export, and every test module is parsed with ``ast``.  Each name
-an import binds must appear elsewhere in the module as a name, which covers
-the base of an attribute such as ``np.zeros``.
+Every module of ``src/qthresh`` and every test module is parsed with
+``ast``.  Each name an import binds must appear elsewhere in the module as a
+name, which covers the base of an attribute such as ``np.zeros``.
 """
 import ast
 from pathlib import Path
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = [p for p in sorted((ROOT / "src" / "qthresh").glob("*.py")) if p.name != "__init__.py"]
+MODULES = sorted((ROOT / "src" / "qthresh").glob("*.py"))
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 

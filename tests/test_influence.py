@@ -261,3 +261,12 @@ def test_keller_diagnostic_degenerate():
     diag = keller_diagnostic(f, UNIFORM3)
     assert diag.variance == 0.0
     assert diag.ratio is None
+
+
+def test_profile_and_constructor_refuse_an_unknown_kind_alike():
+    g = indicator(build_tribes(3, 4, 0.5, r=2), 0)
+    message = "kind must be one of ('bkkkl', 'variance', 'h'), got 'bogus'"
+    for refuse in (lambda: influence_profile(g, UNIFORM3, "bogus"), lambda: InfluenceProfile("bogus", (0.1,))):
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value) == message

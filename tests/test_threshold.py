@@ -12,7 +12,6 @@ from qthresh.evaluate import (
     Evaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
-    tribes_prob_zero,
     variance_of_indicator,
 )
 from qthresh.functions import (
@@ -22,7 +21,7 @@ from qthresh.functions import (
     indicator,
     random_zero_monotone,
 )
-from qthresh.measures import SimplexMeasure, central_measure, mix_t, sample_uniform_batch
+from qthresh.measures import SimplexMeasure, central_measure, line_rows, mix_t, sample_uniform_batch
 from qthresh.threshold import (
     METHOD_BISECTION,
     METHOD_GRID_SCAN,
@@ -399,10 +398,12 @@ def test_line_width_mc_crossings_within_6_se_of_closed_form():
     worst = 0.0
     for seed in range(24):
         b = float(rng.uniform(0.1, 0.9))
-        rep = line_width(f, SimplexMeasure((0.0, b, 1.0 - b)), 0, eps, MonteCarloEvaluator(samples=2000, seed=seed))
+        base = SimplexMeasure((0.0, b, 1.0 - b))
+        rep = line_width(f, base, 0, eps, MonteCarloEvaluator(samples=2000, seed=seed))
         assert rep.method == METHOD_MC_BISECTION
-        for t, target in ((rep.t_lo, eps), (rep.t_hi, 1 - eps)):
-            worst = max(worst, abs(tribes_prob_zero(f.family, t) - target) / se)
+        closed = ClosedFormEvaluator().batch(f, line_rows(base, [rep.t_lo, rep.t_hi]), 0).values
+        for p, target in zip(closed, (eps, 1 - eps)):
+            worst = max(worst, abs(p - target) / se)
     assert worst <= 6.0
 
 

@@ -87,7 +87,7 @@ def test_suite_rm_catches_a_corrupted_phi_k(monkeypatch):
 
     # An offset of 1e-11 per coordinate hides under the finite-difference
     # noise floor (1e-10); only the Bernstein derivative can see it.
-    def corrupted(f, mu, k, cap=None):
+    def corrupted(f, mu, k):
         return original(f, mu, k) + 1e-11
 
     monkeypatch.setattr(threshold, "phi_k", corrupted)
@@ -96,7 +96,7 @@ def test_suite_rm_catches_a_corrupted_phi_k(monkeypatch):
     assert bad.failures
     assert all("Bernstein" in msg for msg in bad.failures)
 
-    monkeypatch.setattr(threshold, "phi_k", lambda f, mu, k, cap=None: 1.5 * original(f, mu, k))
+    monkeypatch.setattr(threshold, "phi_k", lambda f, mu, k: 1.5 * original(f, mu, k))
     bad = run_suites(["rm"])[0]
     assert not bad.passed
     assert any("finite difference" in msg for msg in bad.failures)
