@@ -49,7 +49,9 @@ from .measures import ATOM_SUM_TOL, SimplexMeasure, require_zero_face
 # Largest fibre key (rest type and pattern digits) that stays inside int64.
 _KEY_LIMIT = 2**62
 _TALLIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # spec, by identity -> TypeTally
-_SAMPLE_CELLS = 2**17  # uniforms per chunk of an MC batch row: one cache-sized buffer, refilled
+# Cells of one sample chunk: the uniforms of an MC batch row's reused buffer,
+# or the simplex points of a region block.  Cache-sized.
+SAMPLE_CELLS = 2**17
 
 METHOD_EXACT = "exact-enumeration"
 METHOD_CLOSED = "closed-form"
@@ -305,16 +307,14 @@ def _tribes_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
     """Pr[no block is all zero] for each entry of a 1-D array of zero masses in [0, 1].
 
     Factors go by ascending block size, equal sizes share one power, so the
-    rounding is fixed by (r, m, last) alone.  The complement of the zero
-    event reads this product directly: 1 - (1 - alive) would lose the digits
-    of a small product.
+    rounding is fixed by (r, m, last) alone.  Each factor is one 1-D column
+    op, with no (rows, sizes) matrix.  The complement of the zero event
+    reads this product directly: 1 - (1 - alive) would lose the digits of a
+    small product.
     """
     if fam.last == fam.r:
-        sizes, mult = [fam.r], [fam.m]
-    else:
-        sizes, mult = [fam.r, fam.last], [fam.m - 1, 1]
-    sizes, mult = np.array(sizes, dtype=float), np.array(mult, dtype=float)
-    return np.prod((1.0 - p0[:, None] ** sizes[None, :]) ** mult[None, :], axis=1)
+        return (1.0 - p0**fam.r) ** fam.m
+    return (1.0 - p0**fam.r) ** (fam.m - 1) * (1.0 - p0**fam.last)
 
 
 def _inverse_cdf(atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -457,10 +457,10 @@ class MonteCarloEvaluator(Evaluator):
         stream, so its draws are those of one ``random((samples, n))`` call
         and depend only on the stream and on (f, measure, samples), not on
         the chunks they are drawn in.  Every chunk of every row refills one
-        buffer of about ``_SAMPLE_CELLS`` uniforms.
+        buffer of about ``SAMPLE_CELLS`` uniforms.
         """
         measures = _check_measures(f, measures, a)
-        chunk = max(1, _SAMPLE_CELLS // f.n)
+        chunk = max(1, SAMPLE_CELLS // f.n)
         buffer = np.empty((min(chunk, self.samples), f.n))
         hits = np.zeros(len(measures), dtype=np.int64)
         for k, row in enumerate(measures):

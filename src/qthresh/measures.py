@@ -112,12 +112,18 @@ def sample_uniform_batch(q: int, count: int, rng) -> np.ndarray:
 
     Uses the exponential trick: q iid Exp(1) variates divided by their sum
     are Dirichlet(1, ..., 1), which is the uniform distribution.  ``rng``
-    may be a seed or an ``np.random.Generator``.
+    may be a seed or an ``np.random.Generator``; the variates are drawn
+    row-major from it, so k rows and then m more from one generator are
+    the rows of one draw of k + m.  Each row sum adds its columns left to
+    right.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    gen = np.random.default_rng(rng)
-    g = gen.exponential(size=(count, q))
-    return g / g.sum(axis=1, keepdims=True)
+    g = np.random.default_rng(rng).exponential(size=(count, q))
+    total = g[:, 0].copy()
+    for j in range(1, q):
+        total += g[:, j]
+    g /= total[:, None]
+    return g

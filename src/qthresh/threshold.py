@@ -14,7 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluate import ClosedFormEvaluator, MonteCarloEvaluator, binomial_std_error, variance_of_indicator
+from .evaluate import (
+    SAMPLE_CELLS,
+    ClosedFormEvaluator,
+    MonteCarloEvaluator,
+    binomial_std_error,
+    variance_of_indicator,
+)
 from .functions import (
     FunctionSpec,
     build_tribes,
@@ -388,16 +394,25 @@ def region_measure(
 ) -> RegionMeasureEstimate:
     """Monte Carlo fraction of uniform simplex points with eps <= Pr[f=a] <= 1-eps.
 
-    All points go to the evaluator in one ``batch``.  With a deterministic
-    evaluator the randomness is only in the simplex sample, so the estimate
-    is reproducible from the seed alone.
+    The points come in blocks of ``SAMPLE_CELLS // q`` rows, one
+    ``sample_uniform_batch`` from one generator and one ``batch`` each, so
+    memory does not grow with ``samples``.  The blocks are the rows of one
+    ``sample_uniform_batch(q, samples, seed)``, and a row reads the same
+    alone or in a batch on every route (Monte Carlo rows take their streams
+    in order), so the count is that of one batch of all the points.  With
+    a deterministic evaluator the randomness is only in the simplex sample,
+    so the estimate is reproducible from the seed alone.
     """
     eps = _check_eps(eps)
     if samples < 1:
         raise ValueError("samples must be positive")
     check_output(f, a)
-    probs = evaluator.batch(f, sample_uniform_batch(f.q, samples, seed), a).values
-    hits = int(((probs >= eps) & (probs <= 1.0 - eps)).sum())
+    gen = np.random.default_rng(seed)
+    block = max(1, SAMPLE_CELLS // f.q)
+    hits = 0
+    for done in range(0, samples, block):
+        probs = evaluator.batch(f, sample_uniform_batch(f.q, min(block, samples - done), gen), a).values
+        hits += int(np.count_nonzero((probs >= eps) & (probs <= 1.0 - eps)))
     return RegionMeasureEstimate(fraction=hits / samples, std_error=float(binomial_std_error(hits, samples)),
                                  samples=samples, seed=int(seed))
 

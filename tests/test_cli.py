@@ -701,6 +701,18 @@ PINNED = {
         'q,n,a,eps,samples,fraction,std_error,seed\n'
         '3,1024,0,0.10000000000000001,2000,0.246,0.0096302647938673012,4\n',
     ),
+    "region-closed-blocks": (  # 100000 points: several sample blocks
+        ["region", *_tribes(65536), "--a", "0", "--eps", "0.1", "--samples", "100000",
+         "--evaluator", "closed", "--seed", "7"],
+        'q,n,a,eps,samples,fraction,std_error,seed\n'
+        '3,65536,0,0.10000000000000001,100000,0.12873999999999999,0.0010590845688612407,7\n',
+    ),
+    "region-closed-blocks-q4": (
+        ["region", "--family", "tribes", "--q", "4", "--n", "65536", "--p0", "0.5", "--a", "2", "--eps", "0.1",
+         "--samples", "100000", "--evaluator", "closed", "--seed", "7"],
+        'q,n,a,eps,samples,fraction,std_error,seed\n'
+        '4,65536,2,0.10000000000000001,100000,0.69472999999999996,0.001456297452789093,7\n',
+    ),
     "region-mc": (
         ["region", *_tribes(32), "--a", "0", "--eps", "0.1", "--samples", "40",
          "--evaluator", "mc", "--eval-samples", "500", "--seed", "5"],

@@ -147,6 +147,25 @@ def test_closed_form_zero_event_formula_value():
     assert list(closed_zero_event(f, p0)) == [closed_zero_event(f, [p])[0] for p in p0]
 
 
+@pytest.mark.parametrize("n", [1024, 4096, 2**20])  # (r, m, last) = (6, 170, 10), (8, 512, 8), (15, 69905, 16)
+def test_closed_form_zero_event_keeps_the_sizes_matrix_floats(n):
+    # The factors (1 - p0^size)^count were once columns of a (rows, sizes)
+    # matrix multiplied along axis 1; the 1-D columns give the same floats.
+    # Not at a two-size count or size of 2 (r = 2 with last = 3, or m = 3):
+    # numpy squares a constant exponent of 2, and a matrix column of 2
+    # went through its general power, which can differ in the last bit.
+    f = build_tribes(3, n, 0.5)
+    fam = f.family
+    sizes = [fam.r] if fam.last == fam.r else [fam.r, fam.last]
+    counts = [fam.m] if fam.last == fam.r else [fam.m - 1, 1]
+    measures = sample_uniform_batch(3, 10**5, n)
+    p0 = measures[:, 0]
+    matrix = np.prod((1.0 - p0[:, None] ** np.array(sizes, dtype=float)[None, :])
+                     ** np.array(counts, dtype=float)[None, :], axis=1)
+    assert np.array_equal(ClosedFormEvaluator().batch(f, measures, 0).values, 1.0 - matrix)
+    assert np.array_equal(ClosedFormEvaluator().batch(indicator(f, 0), measures, 0).values, matrix)
+
+
 def test_tribes_variant_rejects_bad_blocks():
     with pytest.raises(ValueError):
         TribesVariant(r=2, m=0, last=2, p0=0.5)  # no blocks

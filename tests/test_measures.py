@@ -137,6 +137,29 @@ def test_sample_uniform_batch_rows_normalized():
     assert np.allclose(M.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("q", [2, 3, 7, 8, 13])
+def test_sample_uniform_batch_is_exponentials_over_their_sum(q):
+    # The rows are one exponential((count, q)) draw over its row sums.  The
+    # sums add columns left to right: numpy's row sum adds in that order up
+    # to 7 columns, and in another order from 8 on, within a few ulps.
+    g = np.random.default_rng(q).exponential(size=(5000, q))
+    got = sample_uniform_batch(q, 5000, q)
+    numpy_sum = g / g.sum(axis=1, keepdims=True)
+    if q <= 7:
+        assert np.array_equal(got, numpy_sum)
+    assert np.allclose(got, numpy_sum, rtol=4 * np.finfo(float).eps, atol=0.0)
+    total = g[:, 0].copy()
+    for j in range(1, q):
+        total += g[:, j]
+    assert np.array_equal(got, g / total[:, None])
+
+
+def test_sample_uniform_batch_in_parts_is_one_draw():
+    gen = np.random.default_rng(4)
+    parts = [sample_uniform_batch(3, size, gen) for size in (7, 7, 3)]
+    assert np.array_equal(np.concatenate(parts), sample_uniform_batch(3, 17, 4))
+
+
 def test_sample_uniform_mean_matches_dirichlet():
     # Under Dirichlet(1,..,1) each atom has mean 1/q.
     M = sample_uniform_batch(3, 200_000, rng=np.random.default_rng(2))

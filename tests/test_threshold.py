@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import qthresh.threshold as threshold
 from qthresh.evaluate import (
     METHOD_CLOSED,
     ClosedFormEvaluator,
@@ -12,6 +14,7 @@ from qthresh.evaluate import (
     Evaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
+    binomial_std_error,
     variance_of_indicator,
 )
 from qthresh.functions import (
@@ -26,6 +29,7 @@ from qthresh.threshold import (
     METHOD_BISECTION,
     METHOD_GRID_SCAN,
     METHOD_MC_BISECTION,
+    RegionMeasureEstimate,
     ThresholdReport,
     derivative_lower_bound_ratio,
     line_width,
@@ -554,6 +558,64 @@ def test_region_measure_matches_analytic_small_case():
     est = region_measure(f, 0, 0.1, samples=40000, seed=19, evaluator=EXACT)
     analytic = 0.9**2 - 0.1**2
     assert abs(est.fraction - analytic) <= 4 * est.std_error
+
+
+def _region_one_batch(f, a, eps, samples, seed, evaluator):
+    """The region estimate from one batch of every point of one sample_uniform_batch."""
+    probs = evaluator.batch(f, sample_uniform_batch(f.q, samples, seed), a).values
+    hits = int(((probs >= eps) & (probs <= 1.0 - eps)).sum())
+    return RegionMeasureEstimate(fraction=hits / samples, std_error=float(binomial_std_error(hits, samples)),
+                                 samples=samples, seed=seed)
+
+
+def _block_edges(q):
+    block = threshold.SAMPLE_CELLS // q
+    return (block - 1, block, block + 1, 3 * block + 7)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_region_blocks_match_one_batch_closed(q):
+    f = build_tribes(q, 64, 0.5, r=3)
+    for a in (0, 1):
+        for samples in _block_edges(q):
+            ev = ClosedFormEvaluator()
+            assert region_measure(f, a, 0.1, samples, 8, ev) == _region_one_batch(f, a, 0.1, samples, 8, ev)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_region_blocks_match_one_batch_exact(q):
+    f = indicator(build_tribes(q, 3, 0.5, r=2), 1)
+    for samples in _block_edges(q):
+        got = region_measure(f, 1, 0.1, samples, 9, EXACT)
+        assert got == _region_one_batch(f, 1, 0.1, samples, 9, EXACT)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_region_blocks_match_one_batch_mc(q, monkeypatch):
+    # 128 cells per block (18 to 64 points), so every block edge is crossed
+    # at a few dozen points: each point costs one MC row.
+    monkeypatch.setattr(threshold, "SAMPLE_CELLS", 2**7)
+    f = build_tribes(q, 8, 0.5, r=2)
+    for samples in _block_edges(q):
+        blocked, one_batch = MonteCarloEvaluator(samples=50, seed=4), MonteCarloEvaluator(samples=50, seed=4)
+        assert region_measure(f, 0, 0.1, samples, 10, blocked) == _region_one_batch(f, 0, 0.1, samples, 10,
+                                                                                     one_batch)
+        assert blocked.calls == one_batch.calls == samples
+
+
+def test_region_memory_does_not_grow_with_samples():
+    # numpy reports its buffers to tracemalloc.  One batch of 10^6 points
+    # holds 24 MB of points alone, and its peak is about 57 MB; the blocks
+    # need about 3 MB.
+    f = build_tribes(3, 2**20, 0.5)
+    samples = 10**6
+    tracemalloc.start()
+    try:
+        region_measure(f, 0, 0.1, samples, 1, ClosedFormEvaluator())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samples * f.q * 8 // 4
 
 
 def test_region_measure_rejections():

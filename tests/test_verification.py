@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qthresh.functions import leq_a
 from qthresh.measures import central_measure
 from qthresh.threshold import rm_derivative_exact
 from qthresh.verification import (
+    HENT_GRID_POINTS,
     SUITE_BUILDERS,
     dictator_indicator,
     fd_probability_derivative,
@@ -139,6 +142,57 @@ def test_suite_closed_catches_a_corrupted_closed_form_at_nonzero_symbols(monkeyp
     assert not bad.passed
     assert all("closed form" in msg for msg in bad.failures)
     assert not any("f = 0]" in msg for msg in bad.failures)
+
+
+def _hent_blocks():
+    block = verification._HENT_BLOCK
+    return [verification._hent_grid(lo, min(lo + block, HENT_GRID_POINTS))
+            for lo in range(0, HENT_GRID_POINTS, block)]
+
+
+def test_hent_blocks_are_the_linspace_grid():
+    blocks = _hent_blocks()
+    assert len(blocks[-1]) < verification._HENT_BLOCK  # the last block is partial
+    assert np.array_equal(np.concatenate(blocks), np.linspace(0.0, 1.0, HENT_GRID_POINTS))
+
+
+@pytest.mark.parametrize("where, value", [("middle-block-start", 0.0), ("last-block", 0.0),
+                                          ("middle-block-start", np.nan)])
+def test_suite_hent_sees_a_dip_at_one_grid_point(monkeypatch, where, value):
+    blocks = _hent_blocks()
+    t_bad = float(blocks[len(blocks) // 2][0] if where == "middle-block-start" else blocks[-1][-2])
+    original = verification.h_paper
+
+    def dipped(t):  # value at t_bad alone, where the entropy is positive
+        return np.where(t == t_bad, value, original(t))
+
+    monkeypatch.setattr(verification, "h_paper", dipped)
+    bad = run_suites(["hent"])[0]
+    assert not bad.passed and bad.checks == 2
+    drop = float(verification.ent(t_bad)) - value
+    assert bad.failures == (f"profile drops below entropy by {drop:.3e} at t={t_bad:.6f}",)
+
+
+def test_suite_hent_names_the_first_of_equal_dips(monkeypatch):
+    blocks = _hent_blocks()
+    first, second = float(blocks[3][100]), float(blocks[20][5])
+    h_paper, ent = verification.h_paper, verification.ent
+    monkeypatch.setattr(verification, "h_paper", lambda t: np.where(np.isin(t, (first, second)), -1.0, h_paper(t)))
+    monkeypatch.setattr(verification, "ent", lambda t: np.where(np.isin(t, (first, second)), 0.0, ent(t)))
+    bad = run_suites(["hent"])[0]
+    assert bad.failures == (f"profile drops below entropy by 1.000e+00 at t={first:.6f}",)
+
+
+def test_suite_hent_memory_stays_a_fraction_of_its_grid():
+    # The 10^6 + 1 grid points alone take 8 MB; one pass over all of them
+    # peaks at about 48 MB, the blocks at about 2 MB.
+    tracemalloc.start()
+    try:
+        run_suites(["hent"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < HENT_GRID_POINTS * 8 // 2
 
 
 def _odd_rows_lowered(probabilities):
