@@ -154,6 +154,20 @@ def from_table(q: int, n: int, values, kind: str = KIND_FULL) -> FunctionSpec:
     return FunctionSpec(q=q, n=n, kind=kind, table=np.asarray(values))
 
 
+def _fold_blocks(fam: TribesVariant, A: np.ndarray, op: np.ufunc):
+    """``op`` folded over the columns of every tribes block, for each row of A.
+
+    Returns ``(full, last)``: one column per full block, and the last block.
+    A full block's j-th columns, j < r, are one strided slice, so r slices
+    fold every full block at once; a reshape would copy A first.
+    """
+    r, full = fam.r, (fam.m - 1) * fam.r
+    blocks = A[:, 0:full:r].copy()
+    for j in range(1, r):
+        op(blocks, A[:, j:full:r], out=blocks)
+    return blocks, op.reduce(A[:, full:], axis=1)
+
+
 def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
     """Evaluate at every row of an (m, n) matrix of symbols."""
     X = np.asarray(X)
@@ -163,16 +177,9 @@ def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
         strides = f.q ** np.arange(f.n - 1, -1, -1, dtype=np.int64)
         idx = X.astype(np.int64) @ strides
         return f.table[idx].astype(np.int32)
-    r, full = f.family.r, (f.family.m - 1) * f.family.r
     zero = X == 0
-    # A full block is all zero when its j-th columns are, for every j < r:
-    # r strided slices, ANDed, test every full block at once.
-    tribe_dead = zero[:, full:].all(axis=1)  # the last block
-    if full:
-        block_dead = zero[:, 0:full:r].copy()
-        for j in range(1, r):
-            block_dead &= zero[:, j:full:r]
-        tribe_dead |= block_dead.any(axis=1)
+    full_dead, last_dead = _fold_blocks(f.family, zero, np.logical_and)
+    tribe_dead = last_dead | full_dead.any(axis=1)
     first_nz = np.argmax(~zero, axis=1)
     vals = X[np.arange(X.shape[0]), first_nz].astype(np.int32)
     out = np.where(tribe_dead, np.int32(0), vals)
@@ -248,7 +255,9 @@ def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
     (it is f = 0) or when the blocks have size 1: then f = 0 once any
     coordinate is 0 and f = x_0 before, so f != b holds from the first
     zero on.  With larger blocks and q >= 3, zeroing the first nonzero
-    coordinate can expose b behind it in the same block.
+    coordinate can expose b behind it in the same block.  For a tribes
+    family these are exactly the levels :func:`tribes_switching_times`
+    answers without bisection.
     """
     check_output(f, a)
     if f.table is not None:
@@ -257,6 +266,35 @@ def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
         return a == 0
     b = f.indicator_of  # the level is f = b at a = 1, f != b at a = 0
     return (b == 0) if a == 1 else (b != 0 and (f.q == 2 or f.family.r == 1))
+
+
+def tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
+    """Where 1[f = a] steps from 0 to 1 on each coupled row, read off the blocks.
+
+    Row i is the path x_j(t) = 0 if U_ij < t, else V_ij, with V zero-free
+    (drawn from a zero-face base).  Returns ``(T, start, end)`` as
+    ``threshold._switching_times`` does: the switching time, and whether
+    f = a at t = 0 and at t = 1.  Only the levels
+    :func:`level_is_zero_monotone` names have a rule; any other level, and
+    any table, raises ValueError.
+
+    - The zero event (f = 0; f != b at q = 2): block B is all zero once t
+      passes max_{j in B} U_j, so T = min_B max_{j in B} U_j, no row starts
+      at the level and every row ends there.
+    - f != b, b >= 1, with blocks of size 1: f = x_0 until the first
+      coordinate turns to 0 and f = 0 after, so T = 0 where V_0 != b and
+      min_j U_j elsewhere.
+    """
+    if f.family is None or not level_is_zero_monotone(f, a):
+        raise ValueError(f"tribes_switching_times needs a tribes level that only rises toward delta_0, "
+                         f"and {level_name(f, a)} of this f is not one")
+    end = np.ones(U.shape[0], dtype=bool)
+    if f.kind == KIND_INDICATOR and a == 0 and f.q > 2:  # f != b with blocks of size 1
+        start = V[:, 0] != f.indicator_of
+        return np.where(start, 0.0, U.min(axis=1)), start, end
+    full_max, last_max = _fold_blocks(f.family, U, np.maximum)
+    T = np.minimum(last_max, full_max.min(axis=1, initial=np.inf))
+    return T, np.zeros(U.shape[0], dtype=bool), end
 
 
 def level_name(f: FunctionSpec, a: int) -> str:

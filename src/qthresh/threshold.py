@@ -29,6 +29,7 @@ from .functions import (
     evaluate_batch,
     level_is_zero_monotone,
     level_name,
+    tribes_switching_times,
 )
 from .influence import phi_k
 from .measures import (
@@ -278,14 +279,27 @@ def _switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
     """Where 1[f(x(t)) = a] steps from 0 to 1 on each coupled row.
 
     For a level that only rises as coordinates turn to 0, each row's path
-    is one step.  x(t) changes only when t passes an order statistic of U,
-    so the step is at the k-th smallest U_i for the least k such that
-    zeroing the k smallest-U coordinates reaches f = a; k is found by
-    bisection over all rows at once.  Returns ``(T, start, end)``: T is the
-    switching time (0 for rows with f = a already at t = 0), ``start`` and
-    ``end`` say whether f = a at t = 0 and at t = 1.  Every point rewrites
-    to the all-zero point, so a row with f != a at t = 1 means the level is
-    identically 0; its crossings are then absent and T is never read.
+    is one step.  Returns ``(T, start, end)``: T is the switching time (0
+    for rows with f = a already at t = 0), ``start`` and ``end`` say whether
+    f = a at t = 0 and at t = 1.  A tribes family reads T off its blocks in
+    one pass (:func:`~qthresh.functions.tribes_switching_times`); a table
+    takes :func:`_bisect_switching_times`.  Both give the same floats.
+    """
+    if f.family is not None:
+        return tribes_switching_times(f, a, U, V)
+    return _bisect_switching_times(f, a, U, V)
+
+
+def _bisect_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
+    """:func:`_switching_times` for any f, by bisection over the order statistics of U.
+
+    x(t) changes only when t passes an order statistic of U, so the step is
+    at the k-th smallest U_i for the least k such that zeroing the k
+    smallest-U coordinates reaches f = a; k is found by bisection over all
+    rows at once, in ceil(log2 n) + 2 evaluations of f.  Every point
+    rewrites to the all-zero point, so a row with f != a at t = 1 means the
+    level is identically 0; its crossings are then absent and T is never
+    read.
     """
     b, n = U.shape
     rows = np.arange(b)
@@ -319,8 +333,10 @@ def _line_width_mc(f, base, a, eps, evaluator, t_tol):
     empirical curve along the whole line, not only at single probes.  The
     level 1[f = a] must be 0-monotone (:func:`level_is_zero_monotone`): then
     every row switches once, and the crossings are quantiles of the
-    switching times (``mc-bisection``, ``grid_points`` 0).  Any other level
-    is refused before a stream is taken; the exact or closed route answers it.
+    switching times (:func:`_switching_times`: one pass over the blocks for
+    a tribes family, a bisection for a table; ``mc-bisection`` and
+    ``grid_points`` 0 on both).  Any other level is refused before a stream
+    is taken; the exact or closed route answers it.
     """
     if not level_is_zero_monotone(f, a):
         raise ValueError(f"Monte Carlo width needs a level that only rises toward delta_0, and "

@@ -731,6 +731,26 @@ PINNED = {
         '3,64,0,0.10000000000000001,mc,mc-bisection,0.17224551366852281,0.47416946532043391,'
         '0.3019239516519111,0,0.0001,false,false\n',
     ),
+    "width-mc-chunks": (  # 10000 rows of n = 1024: three coupled sample chunks
+        ["width", *_tribes(1024), "--a", "0", "--eps", "0.1", "--evaluator", "mc", "--seed", "11"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,1024,0,0.10000000000000001,mc,mc-bisection,0.29079190614103589,0.4877120002432026,'
+        '0.19692009410216671,0,0.0001,false,false\n',
+    ),
+    "width-mc-blocks-of-one": (  # 1[f != 1] with r = 1: rows with V_0 != 1 start at the level
+        ["width", *_tribes(64, "--r", "1"), "--level", "1", "--a", "0", "--eps", "0.1", "--evaluator", "mc",
+         "--seed", "11"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,64,0,0.10000000000000001,mc,mc-bisection,,0.025069286842083871,0.025069286842083871,0,0.0001,'
+        'true,false\n',
+    ),
+    "width-mc-q2-level": (  # at q = 2, 1[f != 1] is the zero event
+        ["width", "--family", "tribes", "--q", "2", "--n", "256", "--p0", "0.5", "--level", "1", "--a", "0",
+         "--eps", "0.1", "--evaluator", "mc", "--seed", "11"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '2,256,0,0.10000000000000001,mc,mc-bisection,0.19946558563245842,0.4341848108630364,'
+        '0.23471922523057798,0,0.0001,false,false\n',
+    ),
     "sweep-closed": (  # every row's crossings are closed-form line bisections
         ["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024,65536,1048576", "--eps", "0.1"],
         'n,r,p_lo,p_hi,width,width_times_ln_n\n'

@@ -22,7 +22,10 @@ from qthresh.functions import (
     evaluate_batch,
     from_table,
     indicator,
+    level_is_zero_monotone,
+    materialize_table,
     random_zero_monotone,
+    tribes_switching_times,
 )
 from qthresh.measures import SimplexMeasure, central_measure, line_rows, mix_t, sample_uniform_batch
 from qthresh.threshold import (
@@ -477,6 +480,82 @@ def test_line_width_mc_crossings_are_switching_time_quantiles(seed):
     assert rep.method == METHOD_MC_BISECTION
     assert rep.t_lo == T[math.ceil(eps * samples) - 1]
     assert rep.t_hi == T[math.ceil((1 - eps) * samples) - 1]
+
+
+# The block layouts of test_functions.py::test_tribes_batch_matches_point_on_every_block_layout
+BLOCK_LAYOUTS = [(1, 1), (5, 1), (4, 4), (9, 2), (7, 3), (11, 3), (12, 3)]
+
+
+def tribes_views(f):
+    """f and each of its indicator views, with every output a of each."""
+    return [(g, a) for g in [f, *(indicator(f, b) for b in range(f.q))] for a in range(g.outputs)]
+
+
+def blocks_of_one_rule(g, a):
+    """Whether tribes_switching_times answers (g, a) by its V_0 rule, not the zero event."""
+    return g.kind == "indicator" and a == 0 and g.q > 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n, r", BLOCK_LAYOUTS)
+def test_tribes_switching_times_match_the_bisection_bit_for_bit(q, n, r):
+    # The same (U, V) through the family rule and through the bisection on
+    # the same spec.  Half the rows draw U from {0, 1/4, 1/2}, so ties and
+    # exact zeros occur, and one row is all 0.0.
+    f = build_tribes(q, n, 0.5, r=r)
+    rng = np.random.default_rng(1000 * q + 10 * n + r)
+    U = np.vstack([rng.random((300, n)), rng.integers(0, 3, size=(300, n)) / 4.0, np.zeros((1, n))])
+    V = rng.integers(1, q, size=U.shape, dtype=np.int32)  # zero-free, as drawn from a zero-face base
+    assert (U[300:-1] == 0.0).any() and not (U[300:-1] == 0.0).all()
+    levels = [(g, a) for g, a in tribes_views(f) if level_is_zero_monotone(g, a)]
+    assert {blocks_of_one_rule(g, a) for g, a in levels} == ({False, True} if r == 1 and q > 2 else {False})
+    for g, a in levels:
+        got = tribes_switching_times(g, a, U, V)
+        want = threshold._bisect_switching_times(g, a, U, V)
+        for x, w in zip(got, want):
+            assert x.dtype == w.dtype and np.array_equal(x, w)
+        _, start, end = got
+        assert end.all() and start.any() == blocks_of_one_rule(g, a) and not start.all()
+        if q**n <= 4**7:  # the table of the same level takes the bisection
+            table = from_table(q, n, materialize_table(g), kind=g.kind)
+            for x, w in zip(threshold._switching_times(table, a, U, V), got):
+                assert np.array_equal(x, w)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_tribes_switching_times_answer_exactly_the_zero_monotone_levels(q, r):
+    # A level added to level_is_zero_monotone cannot reach the rule unawares,
+    # and the rule answers no level the MC width refuses.
+    f = build_tribes(q, 7, 0.5, r=r)
+    rng = np.random.default_rng(q + 10 * r)
+    U, V = rng.random((50, 7)), rng.integers(1, q, size=(50, 7), dtype=np.int32)
+    answered = 0
+    for g, a in tribes_views(f):
+        if level_is_zero_monotone(g, a):
+            T, start, end = tribes_switching_times(g, a, U, V)
+            assert T.shape == start.shape == end.shape == (50,)
+            answered += 1
+        else:
+            with pytest.raises(ValueError, match="only rises toward delta_0"):
+                tribes_switching_times(g, a, U, V)
+    assert answered == 2 + (q - 1) * (q == 2 or r == 1)  # f = 0 twice, then f != b for every b >= 1
+    table = from_table(q, 7, materialize_table(indicator(f, 0)), kind="indicator")
+    assert level_is_zero_monotone(table, 1)
+    with pytest.raises(ValueError, match="tribes level"):
+        tribes_switching_times(table, 1, U, V)
+
+
+def test_line_width_mc_on_tribes_evaluates_no_state(monkeypatch):
+    # The family rule replaces every evaluation of f on a coupled state.
+    f = build_tribes(3, 256, 0.5)
+    want = line_width(f, CENTRAL3, 0, 0.1, MonteCarloEvaluator(samples=2000, seed=6))
+
+    def refuse(*args):
+        raise AssertionError("the MC width on tribes evaluated f")
+
+    monkeypatch.setattr(threshold, "evaluate_batch", refuse)
+    assert line_width(f, CENTRAL3, 0, 0.1, MonteCarloEvaluator(samples=2000, seed=6)) == want
 
 
 def test_line_width_mc_one_stream_per_line():
