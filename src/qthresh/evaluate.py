@@ -43,6 +43,7 @@ from .functions import (
     check_output,
     evaluate_batch,
     materialize_table,
+    tribes_values,
 )
 from .measures import ATOM_SUM_TOL, SimplexMeasure, require_zero_face
 
@@ -336,6 +337,20 @@ def _inverse_cdf(atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _sampled_values(f: FunctionSpec, atoms: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """f at each row of G(U), the CDF inversion of an (m, n) matrix of uniforms.
+
+    A table is evaluated on G(U).  A tribes family never builds G(U): its
+    zero pattern is U < mu_0, since G(u) = 0 exactly when u lies below the
+    first CDF bound, and :func:`~qthresh.functions.tribes_values` inverts
+    one uniform per row, at the first nonzero coordinate.  The values are
+    those of ``evaluate_batch(f, _inverse_cdf(atoms, U))`` either way.
+    """
+    if f.family is None:
+        return evaluate_batch(f, _inverse_cdf(atoms, U))
+    return tribes_values(f, U < atoms[0], lambda rows, cols: _inverse_cdf(atoms, U[rows, cols]))
+
+
 def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure) -> float:
     """Var[f] = Pr[f = 1] Pr[f = 0] for a {0,1}-valued f.
 
@@ -458,6 +473,9 @@ class MonteCarloEvaluator(Evaluator):
         and depend only on the stream and on (f, measure, samples), not on
         the chunks they are drawn in.  Every chunk of every row refills one
         buffer of about ``SAMPLE_CELLS`` uniforms.
+
+        :func:`_sampled_values` evaluates f on each chunk: a table inverts
+        the whole chunk, a tribes family one uniform per sample.
         """
         measures = _check_measures(f, measures, a)
         chunk = max(1, SAMPLE_CELLS // f.n)
@@ -467,7 +485,7 @@ class MonteCarloEvaluator(Evaluator):
             rng = np.random.default_rng(self._stream())
             for done in range(0, self.samples, chunk):
                 U = rng.random(out=buffer[:min(chunk, self.samples - done)])
-                hits[k] += np.count_nonzero(evaluate_batch(f, _inverse_cdf(row, U)) == a)
+                hits[k] += np.count_nonzero(_sampled_values(f, row, U) == a)
         return Estimate(hits / self.samples, binomial_std_error(hits, self.samples), METHOD_MC, self.samples)
 
     def coupled_line(self, n: int, base: SimplexMeasure, samples: int):

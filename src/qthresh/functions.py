@@ -168,8 +168,34 @@ def _fold_blocks(fam: TribesVariant, A: np.ndarray, op: np.ufunc):
     return blocks, op.reduce(A[:, full:], axis=1)
 
 
+def tribes_values(f: FunctionSpec, zero: np.ndarray, symbol_at) -> np.ndarray:
+    """Values of a tribes family at every row, read off the rows' zero pattern.
+
+    ``zero`` is the (m, n) mask of the zero coordinates, and
+    ``symbol_at(rows, cols)`` returns the symbol at each (row, col) pair.
+    It is asked once, for each row's first nonzero coordinate (column 0 on
+    an all-zero row, which is dead anyway), so a caller holding uniforms
+    instead of symbols inverts one per row.  A row is 0 when some block is
+    all zero and its first nonzero symbol otherwise; an indicator view then
+    compares that with its symbol.  :func:`evaluate_batch` on symbols and
+    Monte Carlo on uniforms both take their values from here.
+    """
+    full_dead, last_dead = _fold_blocks(f.family, zero, np.logical_and)
+    tribe_dead = last_dead | full_dead.any(axis=1)
+    first_nz = np.argmin(zero, axis=1)  # the first False; 0 on an all-zero row
+    vals = symbol_at(np.arange(zero.shape[0]), first_nz).astype(np.int32)
+    out = np.where(tribe_dead, np.int32(0), vals)
+    if f.kind == KIND_INDICATOR:
+        out = (out == f.indicator_of).astype(np.int32)
+    return out
+
+
 def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
-    """Evaluate at every row of an (m, n) matrix of symbols."""
+    """Evaluate at every row of an (m, n) matrix of symbols.
+
+    A table is indexed by each row's lexicographic rank.  A tribes family
+    hands ``X == 0`` and a reader of X to :func:`tribes_values`.
+    """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != f.n:
         raise ValueError(f"expected an (m, {f.n}) matrix, got shape {X.shape}")
@@ -177,15 +203,7 @@ def evaluate_batch(f: FunctionSpec, X: np.ndarray) -> np.ndarray:
         strides = f.q ** np.arange(f.n - 1, -1, -1, dtype=np.int64)
         idx = X.astype(np.int64) @ strides
         return f.table[idx].astype(np.int32)
-    zero = X == 0
-    full_dead, last_dead = _fold_blocks(f.family, zero, np.logical_and)
-    tribe_dead = last_dead | full_dead.any(axis=1)
-    first_nz = np.argmax(~zero, axis=1)
-    vals = X[np.arange(X.shape[0]), first_nz].astype(np.int32)
-    out = np.where(tribe_dead, np.int32(0), vals)
-    if f.kind == KIND_INDICATOR:
-        out = (out == f.indicator_of).astype(np.int32)
-    return out
+    return tribes_values(f, X == 0, lambda rows, cols: X[rows, cols])
 
 
 def materialize_table(f: FunctionSpec) -> np.ndarray:

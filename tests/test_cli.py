@@ -689,6 +689,27 @@ PINNED = {
         '3,2048,"0.45000000000000001,0.5,0.050000000000000003",0,monte-carlo,'
         '0.66720000000000002,0.0066639951980775013,5000\n',
     ),
+    "eval-mc-level": (  # f = 1 reads the first nonzero symbol; zero atoms, mu_0 = 0 and mu_0 = 1
+        ["eval", *_tribes(256), "--mu", "0.3,0.4,0.3", "--mu", "0.5,0,0.5", "--mu", "0.5,0.5,0",
+         "--mu", "0,0.5,0.5", "--mu", "1,0,0", "--a", "1", "--evaluator", "mc", "--samples", "3000", "--seed", "9"],
+        'q,n,mu,a,method,value,std_error,samples\n'
+        '3,256,"0.29999999999999999,0.40000000000000002,0.29999999999999999",1,monte-carlo,'
+        '0.34300000000000003,0.0086670064035974971,3000\n'
+        '3,256,"0.5,0,0.5",1,monte-carlo,0,0.001,3000\n'
+        '3,256,"0.5,0.5,0",1,monte-carlo,0.017000000000000001,0.002360155362117785,3000\n'
+        '3,256,"0,0.5,0.5",1,monte-carlo,0.50900000000000001,0.0091272303210411729,3000\n'
+        '3,256,"1,0,0",1,monte-carlo,0,0.001,3000\n',
+    ),
+    "eval-mc-level-q4-chunks": (  # 3000 rows of n = 2048: 47 sample chunks per measure
+        ["eval", "--family", "tribes", "--q", "4", "--n", "2048", "--p0", "0.5", "--level", "2", "--a", "1",
+         "--mu", "0.4,0.2,0.3,0.1", "--mu", "0.3,0,0.5,0.2", "--evaluator", "mc", "--samples", "3000",
+         "--seed", "13"],
+        'q,n,mu,a,method,value,std_error,samples\n'
+        '4,2048,"0.40000000000000002,0.20000000000000001,0.29999999999999999,0.10000000000000001",1,'
+        'monte-carlo,0.31333333333333335,0.0084686786760697508,3000\n'
+        '4,2048,"0.29999999999999999,0,0.5,0.20000000000000001",1,monte-carlo,'
+        '0.67400000000000004,0.0085581150572619277,3000\n',
+    ),
     "region-exact": (
         ["region", *_tribes(6, "--r", "2"), "--level", "0", "--a", "1", "--eps", "0.1",
          "--samples", "500", "--evaluator", "exact", "--seed", "3"],
@@ -718,6 +739,12 @@ PINNED = {
          "--evaluator", "mc", "--eval-samples", "500", "--seed", "5"],
         'q,n,a,eps,samples,fraction,std_error,seed\n'
         '3,32,0,0.10000000000000001,40,0.47499999999999998,0.078958058486768776,5\n',
+    ),
+    "region-mc-level": (  # every point's MC row reads the first nonzero symbol
+        ["region", *_tribes(64), "--a", "2", "--eps", "0.1", "--samples", "40",
+         "--evaluator", "mc", "--eval-samples", "500", "--seed", "5"],
+        'q,n,a,eps,samples,fraction,std_error,seed\n'
+        '3,64,2,0.10000000000000001,40,0.52500000000000002,0.078958058486768776,5\n',
     ),
     "width-exact": (
         ["width", *_tribes(6, "--r", "2"), "--a", "0", "--eps", "0.1", "--evaluator", "exact"],

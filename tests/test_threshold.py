@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qthresh.evaluate as evaluate
 import qthresh.threshold as threshold
 from qthresh.evaluate import (
     METHOD_CLOSED,
@@ -556,6 +557,65 @@ def test_line_width_mc_on_tribes_evaluates_no_state(monkeypatch):
 
     monkeypatch.setattr(threshold, "evaluate_batch", refuse)
     assert line_width(f, CENTRAL3, 0, 0.1, MonteCarloEvaluator(samples=2000, seed=6)) == want
+
+
+# Atoms with mu_0 = 0, mu_0 = 1 and zero atoms behind mu_0, per q
+SAMPLED_ATOMS = {
+    2: [(0.0, 1.0), (1.0, 0.0), (0.3, 0.7)],
+    3: [(0.0, 0.5, 0.5), (1.0, 0.0, 0.0), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0), (0.3, 0.4, 0.3)],
+    4: [(0.0, 0.2, 0.3, 0.5), (1.0, 0.0, 0.0, 0.0), (0.4, 0.0, 0.6, 0.0), (0.25, 0.25, 0.25, 0.25)],
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n, r", BLOCK_LAYOUTS)
+def test_tribes_sampled_values_match_the_inverted_chunk_bit_for_bit(q, n, r):
+    # The family route reads zeros off U < mu_0 and inverts one uniform per
+    # row; it must give the ints f takes on the whole inverted chunk.  Half
+    # the cells hold 0.0, a CDF bound or the float just below one, one row
+    # is all 0.0 and one row sits just below mu_0 everywhere.
+    f = build_tribes(q, n, 0.5, r=r)
+    rng = np.random.default_rng(1000 * q + 10 * n + r)
+    for atoms in map(np.array, SAMPLED_ATOMS[q]):
+        bounds = np.cumsum(atoms)[:-1]
+        special = np.concatenate([[0.0], bounds, np.nextafter(bounds, 0.0)])
+        U = rng.random((400, n))
+        U[200:] = rng.choice(special, size=(200, n))
+        U[-2] = 0.0
+        U[-1] = np.nextafter(atoms[0], 0.0)
+        assert (U == atoms[0]).any() and (U == np.nextafter(atoms[0], 0.0)).any()
+        for g in {g for g, _ in tribes_views(f)}:  # equal values give equal hits at every a
+            got = evaluate._sampled_values(g, atoms, U)
+            want = evaluate_batch(g, evaluate._inverse_cdf(atoms, U))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_monte_carlo_on_tribes_builds_no_symbol_matrix(monkeypatch):
+    # A family batch, and an MC region through it, never evaluate f on
+    # symbols and invert no matrix of uniforms; a table batch still does.
+    f = build_tribes(3, 256, 0.5)
+    table = random_zero_monotone(3, 4, 0.3, seed=4)
+    measures = line_rows(CENTRAL3, [0.3, 0.45, 0.6])
+    want = MonteCarloEvaluator(samples=2000, seed=6).batch(f, measures, 1)
+    want_region = region_measure(f, 0, 0.1, samples=20, seed=3, evaluator=MonteCarloEvaluator(samples=300, seed=5))
+
+    def refuse(*args):
+        raise AssertionError("evaluate_batch was called")
+
+    inverse = evaluate._inverse_cdf
+
+    def one_uniform_per_row(atoms, u):
+        assert np.ndim(u) == 1, "a matrix of uniforms was inverted"
+        return inverse(atoms, u)
+
+    monkeypatch.setattr(evaluate, "evaluate_batch", refuse)
+    with pytest.raises(AssertionError, match="evaluate_batch was called"):
+        MonteCarloEvaluator(samples=100, seed=6).batch(table, measures, 1)
+    monkeypatch.setattr(evaluate, "_inverse_cdf", one_uniform_per_row)
+    got = MonteCarloEvaluator(samples=2000, seed=6).batch(f, measures, 1)
+    assert np.array_equal(got.values, want.values) and np.array_equal(got.std_errors, want.std_errors)
+    region = region_measure(f, 0, 0.1, samples=20, seed=3, evaluator=MonteCarloEvaluator(samples=300, seed=5))
+    assert region == want_region
 
 
 def test_line_width_mc_one_stream_per_line():
