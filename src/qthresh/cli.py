@@ -117,6 +117,13 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_function_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fn", type=Path, help="function file (table or family header)")
     p.add_argument("--family", choices=["tribes"], help="structured family instead of a file")
@@ -220,11 +227,8 @@ def cmd_width(args, parser) -> tuple[int, Outputs]:
     outputs = [(args.out, _csv(["q", "n", "a", "eps", "evaluator", "method", "t_lo", "t_hi",
                                 "width", "grid_points", "t_tol", "lo_absent", "hi_absent"], rows))]
     if args.diagnostics:
-        diag_rows = []
-        for t in np.linspace(0.0, 0.95, args.diag_grid):
-            d = derivative_lower_bound_ratio(level, base, float(t))
-            diag_rows.append([d.n, d.t, d.alpha, d.derivative, d.denominator,
-                              d.ratio if d.ratio is not None else "na"])
+        diag_rows = [[d.n, d.t, d.alpha, d.derivative, d.denominator, d.ratio if d.ratio is not None else "na"]
+                     for d in derivative_lower_bound_ratio(level, base, np.linspace(0.0, 0.95, args.diag_grid))]
         outputs.append((args.diagnostics, _csv(["n", "t", "alpha", "derivative",
                                                 "lower_bound_denominator", "ratio"], diag_rows)))
     return 0, outputs
@@ -317,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_width.add_argument("--seed", type=int)
     p_width.add_argument("--t-tol", type=float, default=1e-9, dest="t_tol")
     p_width.add_argument("--diagnostics", help="also write derivative diagnostics CSV here")
-    p_width.add_argument("--diag-grid", type=int, default=20, dest="diag_grid")
+    p_width.add_argument("--diag-grid", type=_positive_int, default=20, dest="diag_grid",
+                         help="diagnostics grid points on [0, 0.95] (at least 1)")
     p_width.add_argument("--out", default="-")
     p_width.set_defaults(func=cmd_width)
 

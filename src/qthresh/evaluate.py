@@ -45,7 +45,7 @@ from .functions import (
     materialize_table,
     tribes_values,
 )
-from .measures import ATOM_SUM_TOL, SimplexMeasure, require_zero_face
+from .measures import ATOM_SUM_TOL, SimplexMeasure, derivative_ts, require_zero_face
 
 # Largest fibre key (rest type and pattern digits) that stays inside int64.
 _KEY_LIMIT = 2**62
@@ -159,8 +159,9 @@ def _type_weights(measures: np.ndarray, types: np.ndarray) -> np.ndarray:
 
 
 def _weighted_sums(w: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # Row by row, so one measure gets the same digits alone or in a batch.
-    return (w * values[None, :]).sum(axis=1)
+    # Row by row, so one measure gets the same digits alone or in a batch;
+    # ``values`` is one row shared by all rows of w, or one row per row.
+    return (w * values).sum(axis=1)
 
 
 class TypeTally:
@@ -202,10 +203,12 @@ class TypeTally:
     def fibre_tally(self, k: int):
         """Distinct (rest type, pattern) pairs of the coordinate-k fibres.
 
-        Returns ``(rest, patterns, count)``, sorted by rest type and then
-        pattern: ``count[i]`` rest points of type ``rest_types[rest[i]]``
-        have the fibre ``patterns[i]``, the q outputs of f with coordinate k
-        set to 0, ..., q-1.  Built on first use.
+        Returns ``(rest, patterns, count, nonconstant)``, sorted by rest
+        type and then pattern: ``count[i]`` rest points of type
+        ``rest_types[rest[i]]`` have the fibre ``patterns[i]``, the q outputs
+        of f with coordinate k set to 0, ..., q-1 (as floats, ready for the
+        fibre means); ``nonconstant`` masks the patterns that are not
+        constant.  Built on first use.
         """
         if self._fibres[k] is None:
             q, hi = self.q, self.outputs
@@ -225,25 +228,30 @@ class TypeTally:
                 pairs, count = np.unique(np.column_stack([self._rest_ids, *columns]), axis=0,
                                          return_counts=True)
                 rest, patterns = pairs[:, 0], pairs[:, 1:]
-            self._fibres[k] = (rest, patterns, count)
+            self._fibres[k] = (rest, patterns.astype(float), count, patterns.min(axis=1) != patterns.max(axis=1))
         return self._fibres[k]
 
-    def fibre_expectation(self, k: int, atoms: np.ndarray, g) -> float:
-        """E over the other n-1 coordinates of g(nonconstant, mean) of the k-fibre.
+    def fibre_expectation(self, k: int, rows: np.ndarray, g) -> np.ndarray:
+        """E over the other n-1 coordinates of g(nonconstant, mean) of the k-fibre, per measure row.
 
-        ``g`` maps the arrays (fibre is nonconstant, fibre mean under
-        ``atoms``) to one value per fibre.
+        ``g`` maps the fibres' nonconstant mask and the (rows, fibres) matrix
+        of fibre means to values that broadcast to that matrix.  A row gets
+        the digits of a one-row call: its means are its own matrix-vector
+        product (a matrix product may round otherwise at q >= 4), and a
+        bincount keyed by row sums its rest types in fibre order.
         """
-        rest, patterns, count = self.fibre_tally(k)
-        nonconstant = patterns.min(axis=1) != patterns.max(axis=1)
+        rest, patterns, count, nonconstant = self.fibre_tally(k)
         # A {0,1} fibre's mean is a partial sum of the atoms, which can round
         # an ulp past 1; h profiles are defined on [0, 1] only.
-        mean = np.minimum(patterns @ atoms, 1.0)
-        per_type = np.bincount(rest, weights=count * g(nonconstant, mean), minlength=len(self.rest_types))
-        return float(_weighted_sums(_type_weights(atoms[None, :], self.rest_types), per_type)[0])
+        mean = np.minimum(np.reshape([patterns @ atoms for atoms in rows], (len(rows), len(patterns))), 1.0)
+        values = np.multiply(count, g(nonconstant, mean), out=np.empty(mean.shape))
+        width = len(self.rest_types)
+        keys = rest + width * np.arange(len(rows))[:, None]
+        per_type = np.bincount(keys.ravel(), weights=values.ravel(), minlength=len(rows) * width)
+        return _weighted_sums(_type_weights(rows, self.rest_types), per_type.reshape(len(rows), width))
 
-    def line_derivative(self, base: np.ndarray, t: float) -> float:
-        """d/dt Pr[f = 1] under (t delta_0 + (1-t) base)^n, base_0 = 0.
+    def line_derivative(self, base: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """d/dt Pr[f = 1] under (t delta_0 + (1-t) base)^n, base_0 = 0, at each t of ``ts``.
 
         The weight of type c is t^c0 (1-t)^(n-c0) prod_{j>0} base_j^c_j, a
         Bernstein polynomial in t, so the derivative is exact:
@@ -253,9 +261,10 @@ class TypeTally:
         c0 = self.types[:, 0]
         rest = self.n - c0
         scale = _type_weights(base[None, 1:], self.types[:, 1:])[0]
+        t = np.asarray(ts, dtype=float)[:, None]
         dw = (c0 * t ** np.maximum(c0 - 1, 0) * (1.0 - t) ** rest
               - rest * t**c0 * (1.0 - t) ** np.maximum(rest - 1, 0))
-        return float((self.counts[:, 1] * scale * dw).sum())
+        return (self.counts[:, 1] * scale * dw).sum(axis=1)
 
 
 def type_tally(f: FunctionSpec) -> TypeTally:
@@ -289,19 +298,29 @@ def _check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
     return measures
 
 
-def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float) -> float:
-    """d/dt Pr[f = 1] along mix_t(base, t), read off the type tally.
+def measure_rows(f: FunctionSpec, mu: SimplexMeasure | np.ndarray) -> np.ndarray:
+    """mu as checked measure rows of f: a :class:`SimplexMeasure` as a one-row matrix.
+
+    The influences and the variance answer a matrix with one value per row,
+    and a SimplexMeasure with the float in row 0 of its one-row matrix.
+    """
+    if isinstance(mu, SimplexMeasure):  # a point of the simplex by construction
+        check_measure_q(f, mu.q)
+        return mu.as_array()[None, :]
+    return _check_measures(f, mu, 0)
+
+
+def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float | np.ndarray) -> float | np.ndarray:
+    """d/dt Pr[f = 1] along line_rows(base, t), t in [0, 1), read off the type tally.
 
     Along the line the probability is a degree-n polynomial in t, so this
     derivative is exact and shares no code with the fibre-sum identity or
-    with finite differences.
+    with finite differences.  A grid of t gives one value per t.
     """
     require_zero_face(base)
     check_measure_q(f, base.q)
-    t = float(t)
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must lie in [0, 1), got {t!r}")
-    return type_tally(f).line_derivative(base.as_array(), t)
+    values = type_tally(f).line_derivative(base.as_array(), derivative_ts(t))
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 def _tribes_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
@@ -351,16 +370,17 @@ def _sampled_values(f: FunctionSpec, atoms: np.ndarray, U: np.ndarray) -> np.nda
     return tribes_values(f, U < atoms[0], lambda rows, cols: _inverse_cdf(atoms, U[rows, cols]))
 
 
-def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure) -> float:
-    """Var[f] = Pr[f = 1] Pr[f = 0] for a {0,1}-valued f.
+def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure | np.ndarray) -> float | np.ndarray:
+    """Var[f] = Pr[f = 1] Pr[f = 0] for a {0,1}-valued f, under mu or each of its rows (:func:`measure_rows`).
 
     Both factors are read from the tally.  Forming 1 - Pr[f = 1] instead
     would keep only the last digits of Pr[f = 1] when it is close to 1.
     """
     if not type_tally(f).binary:
         raise ValueError("variance in this sense is defined for {0,1}-valued functions")
-    evaluator = ExactEvaluator()
-    return evaluator(f, mu, 1) * evaluator(f, mu, 0)
+    rows = measure_rows(f, mu)
+    values = ExactEvaluator().batch(f, rows, 1).values * ExactEvaluator().batch(f, rows, 0).values
+    return float(values[0]) if isinstance(mu, SimplexMeasure) else values
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ other n-1 coordinates of a statistic of the one-coordinate fibre:
 * variance: expected conditional variance of the fibre,
 * h-weighted: expectation of h(fibre mean) for a supplied weight profile h.
 
+Each takes one measure or an (m, q) matrix of measure rows
+(:func:`~qthresh.evaluate.measure_rows`), with one value per row.
 The weight profile ``h_paper`` dominating the binary entropy is the one the
 threshold lower-bound machinery needs, alongside the per-coordinate
 derivative contribution ``phi_k``.
@@ -18,38 +20,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import type_tally, variance_of_indicator
-from .functions import FunctionSpec, check_measure_q
+from .evaluate import measure_rows, type_tally, variance_of_indicator
+from .functions import FunctionSpec
 from .measures import SimplexMeasure
 
 
-def _fibre_expectation(f: FunctionSpec, mu: SimplexMeasure, k: int, g, binary: bool = True) -> float:
-    """E over the rest coordinates of g(nonconstant, mean) of the k-fibre."""
-    check_measure_q(f, mu.q)
+def _fibre_expectation(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int, g, binary: bool = True):
+    """E over the rest coordinates of g(nonconstant, mean) of the k-fibre, under mu or each of its rows."""
+    rows = measure_rows(f, mu)
     if not 0 <= k < f.n:
         raise ValueError(f"coordinate k={k} out of range for n={f.n}")
     tally = type_tally(f)
     if binary and not tally.binary:
         raise ValueError("this influence needs a {0,1}-valued function")
-    return tally.fibre_expectation(k, mu.as_array(), g)
+    values = tally.fibre_expectation(k, rows, g)
+    return float(values[0]) if isinstance(mu, SimplexMeasure) else values
 
 
-def influence_bkkkl(f: FunctionSpec, mu: SimplexMeasure, k: int) -> float:
+def influence_bkkkl(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int) -> float | np.ndarray:
     """Probability over the rest coordinates that the k-fibre is nonconstant."""
     return _fibre_expectation(f, mu, k, lambda nonconst, m: nonconst, binary=False)
 
 
-def influence_variance(f: FunctionSpec, mu: SimplexMeasure, k: int) -> float:
+def influence_variance(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int) -> float | np.ndarray:
     """Expected conditional variance E[m(1-m)] of the k-fibre mean m."""
     return _fibre_expectation(f, mu, k, lambda nonconst, m: m * (1.0 - m))
 
 
-def influence_h(f: FunctionSpec, mu: SimplexMeasure, k: int, h) -> float:
-    """E over rest coordinates of h(fibre mean); h maps an array of means in [0, 1]."""
+def influence_h(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int, h) -> float | np.ndarray:
+    """E over rest coordinates of h(fibre mean); h maps an array of means in [0, 1] elementwise."""
     return _fibre_expectation(f, mu, k, lambda nonconst, m: h(m))
 
 
-def phi_k(f: FunctionSpec, mu: SimplexMeasure, k: int) -> float:
+def phi_k(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int) -> float | np.ndarray:
     """E[ 1[k-fibre nonconstant] * (1 - fibre mean) ] under mu.
 
     Summed over k and divided by (1 - t) this is the exact derivative of
@@ -184,10 +187,5 @@ def keller_diagnostic(f: FunctionSpec, mu: SimplexMeasure) -> KellerDiagnostic:
     variance = variance_of_indicator(f, mu)
     denominator = variance * math.log(f.n) / f.n
     ratio = max_value / denominator if denominator > 0.0 else None
-    return KellerDiagnostic(
-        max_value=max_value,
-        argmax_k=argmax_k,
-        variance=variance,
-        denominator=denominator,
-        ratio=ratio,
-    )
+    return KellerDiagnostic(max_value=max_value, argmax_k=argmax_k, variance=variance, denominator=denominator,
+                            ratio=ratio)

@@ -90,6 +90,15 @@ def line_rows(base: SimplexMeasure, ts) -> np.ndarray:
     return rows
 
 
+def derivative_ts(t) -> np.ndarray:
+    """One t or a grid of them, where a line derivative is taken, as a 1-D array; each in [0, 1)."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    bad = ts[~((ts >= 0.0) & (ts < 1.0))]  # NaN is bad too
+    if bad.size:
+        raise ValueError(f"t must lie in [0, 1), got {float(bad[0])!r}")
+    return ts
+
+
 def mix_t(base: SimplexMeasure, t: float) -> SimplexMeasure:
     """Line mixture t*delta_0 + (1-t)*base: the one-row case of :func:`line_rows`."""
     return SimplexMeasure(tuple(line_rows(base, [t])[0].tolist()))

@@ -35,8 +35,8 @@ from .influence import phi_k
 from .measures import (
     SimplexMeasure,
     central_measure,
+    derivative_ts,
     line_rows,
-    mix_t,
     require_zero_face,
     sample_uniform_batch,
     second_smallest_atom,
@@ -61,20 +61,21 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, t: float) -> float:
-    """Exact d/dt Pr[f = 1] along mix_t(base, t) for 0-monotone indicators.
+def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, t: float | np.ndarray) -> float | np.ndarray:
+    """Exact d/dt Pr[f = 1] along line_rows(base, t) for 0-monotone indicators, t in [0, 1).
 
     Equals sum_k E[ 1[fibre nonconstant] (1 - fibre mean) ] / (1 - t) under
     the mixed measure; an identity, not an approximation, so finite
     differences of the exact probability must reproduce it to rounding.
+    A grid of t takes one ``phi_k`` call per coordinate and returns one
+    value per t; a single t is row 0 of the one-point grid.
     """
     require_zero_face(base)
-    t = float(t)
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must lie in [0, 1); the identity divides by 1 - t, got {t!r}")
-    mu_t = mix_t(base, t)
-    total = math.fsum(phi_k(f, mu_t, k) for k in range(f.n))
-    return total / (1.0 - t)
+    ts = derivative_ts(t)
+    rows = line_rows(base, ts)
+    terms = np.column_stack([phi_k(f, rows, k) for k in range(f.n)])
+    values = np.array([math.fsum(row) for row in terms]) / (1.0 - ts)
+    return float(values[0]) if np.ndim(t) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -95,22 +96,21 @@ class DerivativeDiagnostic:
     ratio: float | None
 
 
-def derivative_lower_bound_ratio(f: FunctionSpec, base: SimplexMeasure, t: float) -> DerivativeDiagnostic:
+def derivative_lower_bound_ratio(f: FunctionSpec, base: SimplexMeasure, t: float | np.ndarray):
+    """The :class:`DerivativeDiagnostic` at t, or a list for a grid of t: one derivative call, one variance batch."""
     require_zero_face(base)
     alpha = second_smallest_atom(base)
     if alpha == 0.0:
         raise ValueError("benchmark needs every symbol 1..q-1 to carry mass (alpha > 0)")
-    derivative = rm_derivative_exact(f, base, t)
-    variance = variance_of_indicator(f, mix_t(base, t))  # E(1-E), both factors from the tally
+    ts = derivative_ts(t)
+    derivative = rm_derivative_exact(f, base, ts)
+    variance = variance_of_indicator(f, line_rows(base, ts))  # E(1-E), both factors from the tally
     log_inv_alpha = math.log(1.0 / alpha)
-    if log_inv_alpha > 0.0:
-        denominator = variance * math.log(f.n) / log_inv_alpha
-    else:
-        denominator = math.inf
-    ratio = derivative / denominator if 0.0 < denominator < math.inf else None
-    return DerivativeDiagnostic(
-        n=f.n, t=float(t), alpha=alpha, derivative=derivative, denominator=denominator, ratio=ratio
-    )
+    denominator = variance * math.log(f.n) / log_inv_alpha if log_inv_alpha > 0.0 else np.full(len(ts), math.inf)
+    out = [DerivativeDiagnostic(n=f.n, t=float(u), alpha=alpha, derivative=float(d), denominator=float(den),
+                                ratio=float(d / den) if 0.0 < den < math.inf else None)
+           for u, d, den in zip(ts, derivative, denominator)]
+    return out[0] if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -204,18 +204,8 @@ def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, a: int, t_
     inside = np.nonzero((vals >= lo_band) & (vals <= hi_band))[0]
     t_lo = float(grid[inside[0]]) if inside.size else None
     t_hi = float(grid[inside[-1]]) if inside.size else None
-    return ThresholdReport(
-        eps=eps,
-        a=a,
-        t_lo=t_lo,
-        t_hi=t_hi,
-        width=width,
-        method=METHOD_GRID_SCAN,
-        grid_points=len(grid),
-        t_tol=t_tol,
-        lo_absent=t_lo is None,
-        hi_absent=t_hi is None,
-    )
+    return ThresholdReport(eps=eps, a=a, t_lo=t_lo, t_hi=t_hi, width=width, method=METHOD_GRID_SCAN,
+                           grid_points=len(grid), t_tol=t_tol, lo_absent=t_lo is None, hi_absent=t_hi is None)
 
 
 def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_tol) -> ThresholdReport:
@@ -233,18 +223,8 @@ def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_to
         if p_end > 1.0 - eps:
             t_hi = crossing(1.0 - eps)
         width = max(0.0, (1.0 if t_hi is None else t_hi) - (0.0 if t_lo is None else t_lo))
-    return ThresholdReport(
-        eps=eps,
-        a=a,
-        t_lo=t_lo,
-        t_hi=t_hi,
-        width=width,
-        method=method,
-        grid_points=grid_points,
-        t_tol=t_tol,
-        lo_absent=t_lo is None,
-        hi_absent=t_hi is None,
-    )
+    return ThresholdReport(eps=eps, a=a, t_lo=t_lo, t_hi=t_hi, width=width, method=method,
+                           grid_points=grid_points, t_tol=t_tol, lo_absent=t_lo is None, hi_absent=t_hi is None)
 
 
 def _line_width_deterministic(f, base, a, eps, evaluator, t_tol):
@@ -460,14 +440,6 @@ def sweep_scaling(q: int, p0: float, n_list: Sequence[int], eps: float) -> list[
         rep = line_width(f, central_measure(q), 0, eps, evaluator)
         if rep.t_lo is None or rep.t_hi is None:
             raise AssertionError("tribes zero-probability spans [0, 1]; crossings must exist")
-        rows.append(
-            ScalingRow(
-                n=n,
-                r=f.family.r,
-                p_lo=rep.t_lo,
-                p_hi=rep.t_hi,
-                width=rep.width,
-                width_times_ln_n=rep.width * math.log(n),
-            )
-        )
+        rows.append(ScalingRow(n=n, r=f.family.r, p_lo=rep.t_lo, p_hi=rep.t_hi, width=rep.width,
+                               width_times_ln_n=rep.width * math.log(n)))
     return rows

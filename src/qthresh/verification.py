@@ -100,26 +100,28 @@ class _Recorder:
 # Shared corpora and oracles
 
 
-def fd_probability_derivative(f: FunctionSpec, base: SimplexMeasure, t: float) -> float:
-    """Finite-difference oracle for d/dt Pr[f = 1] along the line mixture.
+def fd_probability_derivative(f: FunctionSpec, base: SimplexMeasure, t: float | np.ndarray) -> float | np.ndarray:
+    """Finite-difference oracle for d/dt Pr[f = 1] along the line mixture, t in [0, 1].
 
-    Central stencil in the interior, one-sided second-order stencils within
-    FD_STEP of the endpoints, all points of a stencil in one exact batch.
+    Central stencil in the interior, one-sided second-order stencils
+    stepping inward within FD_STEP of the endpoints.  A grid of t gives one
+    value per t, with every stencil point of the grid in one exact batch.
     Entirely independent of the fibre-sum identity.
     """
     dt = FD_STEP
-
-    def p(*us: float) -> list[float]:
-        return ExactEvaluator().batch(f, line_rows(base, us), 1).values.tolist()
-
-    if t < dt:
-        p0, p1, p2 = p(t, t + dt, t + 2.0 * dt)
-        return (-3.0 * p0 + 4.0 * p1 - p2) / (2.0 * dt)
-    if t > 1.0 - dt:
-        p0, p1, p2 = p(t, t - dt, t - 2.0 * dt)
-        return (3.0 * p0 - 4.0 * p1 + p2) / (2.0 * dt)
-    p_hi, p_lo = p(t + dt, t - dt)
-    return (p_hi - p_lo) / (2.0 * dt)
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    steps = [dt if u < dt else -dt if u > 1.0 - dt else 0.0 for u in ts]  # 0: central
+    points = [(u, u + h, u + 2.0 * h) if h else (u + dt, u - dt) for u, h in zip(ts, steps)]
+    p = iter(ExactEvaluator().batch(f, line_rows(base, [u for s in points for u in s]), 1).values.tolist())
+    out = []
+    for h in steps:
+        if h:  # at h = -dt this is (3 p0 - 4 p1 + p2) / (2 dt) to the bit: negation is exact
+            p0, p1, p2 = next(p), next(p), next(p)
+            out.append((-3.0 * p0 + 4.0 * p1 - p2) / (2.0 * h))
+        else:
+            p_hi, p_lo = next(p), next(p)
+            out.append((p_hi - p_lo) / (2.0 * dt))
+    return out[0] if np.ndim(t) == 0 else np.array(out)
 
 
 def full_support_bases(q: int, count: int, seed: int) -> list[SimplexMeasure]:
@@ -187,12 +189,12 @@ def suite_order(rec: _Recorder) -> None:
     for f in corpus:
         points = list(itertools.product(range(f.q), repeat=f.n))
         tbl = materialize_table(f)
+        values = [tbl[point_index(x, f.q)] for x in points]
+        # Only a pair where the table drops can refute monotonicity, so the
+        # comparator is asked about those pairs alone.
+        drops = [(x, y) for (x, u), (y, v) in itertools.product(zip(points, values), repeat=2) if u > v]
         for a in range(f.q):
-            oracle = True
-            for x, y in itertools.product(points, repeat=2):
-                if leq_a(x, y, a) and tbl[point_index(x, f.q)] > tbl[point_index(y, f.q)]:
-                    oracle = False
-                    break
+            oracle = not any(leq_a(x, y, a) for x, y in drops)
             fast = is_a_monotone(f, a)
             rec.record(
                 fast == oracle,
@@ -213,15 +215,14 @@ def suite_rm(rec: _Recorder) -> None:
     t_grid = (0.0,) + tuple(np.linspace(0.1, 0.9, 9))
     for fi, f in enumerate(corpus):
         base = bases[fi % len(bases)]
-        for t in t_grid:
-            exact = rm_derivative_exact(f, base, float(t))
-            analytic = bernstein_derivative(f, base, float(t))
+        rows = zip(t_grid, rm_derivative_exact(f, base, t_grid).tolist(),
+                   bernstein_derivative(f, base, t_grid).tolist(), fd_probability_derivative(f, base, t_grid).tolist())
+        for t, exact, analytic, approx in rows:
             diff = abs(exact - analytic)
             rec.record(
                 diff <= ROUNDING_TOL * max(1.0, abs(analytic)),
                 f"identity vs Bernstein derivative differ by {diff:.3e} (function {fi}, t={t})",
             )
-            approx = fd_probability_derivative(f, base, float(t))
             ok, rel = _fd_close(exact, approx, FD_REL_TOL)
             rec.record(
                 ok,
@@ -244,17 +245,17 @@ def suite_single_variable(rec: _Recorder) -> None:
     for values, f in monotone:
         nonconst = min(values) != max(values)
         for base in bases:
-            for t, atoms in zip(t_grid.tolist(), line_rows(base, t_grid)):
+            rows = zip(t_grid.tolist(), line_rows(base, t_grid), rm_derivative_exact(f, base, t_grid).tolist(),
+                       fd_probability_derivative(f, base, t_grid).tolist())
+            for t, atoms, via_identity, approx in rows:
                 direct = 0.0
                 if nonconst:
                     mean = sum(atoms[v] * values[v] for v in range(3))
                     direct = (1.0 - mean) / (1.0 - t)
-                via_identity = rm_derivative_exact(f, base, t)
                 rec.record(
                     abs(via_identity - direct) <= SINGLE_VARIABLE_REL_TOL * max(abs(direct), 1e-300) + 1e-15,
                     f"identity vs direct formula differ on table {values} at t={t:.3f}",
                 )
-                approx = fd_probability_derivative(f, base, t)
                 ok, rel = _fd_close(via_identity, approx, SINGLE_VARIABLE_REL_TOL)
                 rec.record(
                     ok,
@@ -279,14 +280,13 @@ def suite_alpha(rec: _Recorder) -> None:
                 fibres.append((k, rows[nonconst]))
         for base in bases:
             alpha = second_smallest_atom(base)
-            for t, atoms in zip(t_grid, line_rows(base, t_grid)):
-                floor = alpha * (1.0 - t) - ROUNDING_TOL
-                for k, rows in fibres:
-                    complement = 1.0 - rows @ atoms
-                    rec.record(
-                        bool((complement >= floor).all()),
-                        f"complement mass dips below alpha(1-t) (function {fi}, k={k}, t={t})",
-                    )
+            floor = alpha * (1.0 - np.array(t_grid)) - ROUNDING_TOL
+            line = line_rows(base, t_grid)
+            # held[k][i]: every nonconstant k-fibre keeps the mass at t_grid[i]
+            held = [((1.0 - rows @ line.T) >= floor).all(axis=0) for _, rows in fibres]
+            for i, t in enumerate(t_grid):
+                for (k, _), ok in zip(fibres, held):
+                    rec.record(bool(ok[i]), f"complement mass dips below alpha(1-t) (function {fi}, k={k}, t={t})")
 
 
 def _hent_grid(lo: int, hi: int) -> np.ndarray:
@@ -357,10 +357,11 @@ def suite_closed(rec: _Recorder) -> None:
                     f"{int(gap.argmax())}, q={f.q} (r, m, last)=({fam.r}, {fam.m}, {fam.last})",
                 )
         table = materialize_table(f)
-        for mu in mus:
+        tallies = [ExactEvaluator().batch(f, rows, a).values.tolist() for a in range(f.q)]
+        for i, mu in enumerate(mus):
             weights = product_weights(mu, f.n)
             for a in range(f.q):
-                tally = ExactEvaluator()(f, mu, a)
+                tally = tallies[a][i]
                 brute = float(weights @ (table == a))
                 rec.record(
                     abs(tally - brute) <= ROUNDING_TOL,
@@ -378,25 +379,19 @@ def suite_influence(rec: _Recorder) -> None:
     corpus.append(dictator_indicator(3, 3))
     full_support = [SimplexMeasure((1 / 3, 1 / 3, 1 / 3)), SimplexMeasure((0.5, 0.25, 0.25)), SimplexMeasure((0.1, 0.6, 0.3))]
     with_zero = [SimplexMeasure((0.0, 0.5, 0.5)), SimplexMeasure((0.5, 0.5, 0.0))]
+    # (measure rows, profile, influence it recovers, what the message calls them)
+    groups = [(np.stack([mu.as_array() for mu in full_support + with_zero]), h_variance, influence_variance,
+               "t(1-t) profile vs variance influence"),
+              (np.stack([mu.as_array() for mu in full_support]), h_nonconstant, influence_bkkkl,
+               "indicator profile vs geometric influence")]
     for fi, f in enumerate(corpus):
-        for mu in full_support + with_zero:
-            for k in range(f.n):
-                lhs = influence_h(f, mu, k, h_variance)
-                rhs = influence_variance(f, mu, k)
-                rec.record(
-                    abs(lhs - rhs) <= ROUNDING_TOL,
-                    f"t(1-t) profile vs variance influence differ by {abs(lhs - rhs):.3e} "
-                    f"(function {fi}, k={k})",
-                )
-        for mu in full_support:
-            for k in range(f.n):
-                lhs = influence_h(f, mu, k, h_nonconstant)
-                rhs = influence_bkkkl(f, mu, k)
-                rec.record(
-                    abs(lhs - rhs) <= ROUNDING_TOL,
-                    f"indicator profile vs geometric influence differ by {abs(lhs - rhs):.3e} "
-                    f"(function {fi}, k={k})",
-                )
+        for rows, h, influence, what in groups:
+            # gaps[k, i]: both sides at coordinate k under row i, from one call per side and coordinate
+            gaps = np.abs([influence_h(f, rows, k, h) - influence(f, rows, k) for k in range(f.n)])
+            for i in range(len(rows)):
+                for k in range(f.n):
+                    rec.record(bool(gaps[k, i] <= ROUNDING_TOL),
+                               f"{what} differ by {gaps[k, i]:.3e} (function {fi}, k={k})")
 
 
 def suite_coupling(rec: _Recorder) -> None:

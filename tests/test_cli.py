@@ -255,6 +255,18 @@ def test_width_diagnostics_file(tmp_path, capsys):
     assert float(rows[1][2]) == 0.5  # alpha of the central base
 
 
+@pytest.mark.parametrize("grid", ["-1", "0"])
+def test_width_diag_grid_below_one_is_a_usage_error(tmp_path, capsys, grid):
+    # A grid of no points would write a header-only table; -1 reached numpy.
+    diag, out = tmp_path / "d.csv", tmp_path / "w.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["width", "--family", "tribes", "--q", "3", "--n", "6", "--p0", "0.5", "--r", "2", "--level", "0",
+              "--a", "1", "--eps", "0.1", "--diagnostics", str(diag), "--diag-grid", grid, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --diag-grid: must be a positive integer, got '{grid}'" in capsys.readouterr().err
+    assert not diag.exists() and not out.exists()
+
+
 def test_width_failing_diagnostics_leave_no_file(tmp_path, capsys):
     # width succeeds through the closed form; the diagnostics need the table
     diag, out = tmp_path / "d.csv", tmp_path / "w.csv"
@@ -654,6 +666,10 @@ def _tribes(n, *extra):
     return ["--family", "tribes", "--q", "3", "--n", str(n), "--p0", "0.5", *extra]
 
 
+TABLE4 = str(Path(__file__).resolve().parent / "data" / "upset-q3-n4.txt")  # a 0-monotone upset on [3]^4
+TABLE_Q4 = str(Path(__file__).resolve().parent / "data" / "upset-q4-n3.txt")  # one on [4]^3
+
+
 PINNED = {
     "eval-exact": (
         ["eval", *_tribes(6, "--r", "2"), "--mu", "0.5,0.25,0.25", "--mu", "0,0.5,0.5",
@@ -791,6 +807,106 @@ PINNED = {
         '3,1048576,0,0.10000000000000001,closed,bisection,0.40914589611157415,0.50255109750985394,'
         '0.093405201398279791,101,1e-300,false,false\n',
     ),
+    "influence-table-bkkkl": (
+        ["influence", "--fn", TABLE4, "--mu", "0.45,0.2,0.35", "--kind", "bkkkl"],
+        'k,kind,value\n'
+        '0,bkkkl,0.46174999999999999\n'
+        '1,bkkkl,0.42525000000000002\n'
+        '2,bkkkl,0.49937500000000001\n'
+        '3,bkkkl,0.40837499999999999\n',
+    ),
+    "influence-table-q4-variance": (  # at q = 4 a matrix product of rows rounds fibre means otherwise
+        ["influence", "--fn", TABLE_Q4, "--mu", "0.1234567,0.3141592,0.2718281,0.290556", "--kind", "variance"],
+        'k,kind,value\n'
+        '0,variance,0.10907510666855361\n'
+        '1,variance,0.15903492937412383\n'
+        '2,variance,0.14056054421368408\n',
+    ),
+    "influence-tribes-bkkkl": (
+        ["influence", *_tribes(6, "--r", "2", "--level", "0"), "--mu", "0.3,0.3,0.4", "--kind", "bkkkl"],
+        'k,kind,value\n'
+        '0,bkkkl,0.24842999999999998\n'
+        '1,bkkkl,0.24842999999999998\n'
+        '2,bkkkl,0.24842999999999998\n'
+        '3,bkkkl,0.24842999999999998\n'
+        '4,bkkkl,0.24842999999999998\n'
+        '5,bkkkl,0.24842999999999998\n',
+    ),
+    "influence-table-h": (
+        ["influence", "--fn", TABLE4, "--mu", "0.45,0.2,0.35", "--kind", "h"],
+        'k,kind,value\n'
+        '0,h,0.66549531615670143\n'
+        '1,h,0.62677888860110031\n'
+        '2,h,0.81852843391861529\n'
+        '3,h,0.65316396893690654\n',
+    ),
+    "influence-tribes-h": (
+        ["influence", *_tribes(6, "--r", "2", "--level", "0"), "--mu", "0.3,0.3,0.4", "--kind", "h"],
+        'k,kind,value\n'
+        '0,h,0.47185425885177895\n'
+        '1,h,0.47185425885177895\n'
+        '2,h,0.47185425885177895\n'
+        '3,h,0.47185425885177895\n'
+        '4,h,0.47185425885177895\n'
+        '5,h,0.47185425885177895\n',
+    ),
+    "influence-table-keller": (
+        ["influence", "--fn", TABLE4, "--mu", "0.45,0.2,0.35", "--kind", "keller"],
+        'q,n,max_k,max_value,variance,denominator,ratio\n'
+        '3,4,2,0.81852843391861529,0.24413148246093752,0.084609524376859285,9.674187864155904\n',
+    ),
+    "influence-tribes-keller": (
+        ["influence", *_tribes(6, "--r", "2", "--level", "0"), "--mu", "0.3,0.3,0.4", "--kind", "keller"],
+        'q,n,max_k,max_value,variance,denominator,ratio\n'
+        '3,6,0,0.47185425885177895,0.18570174795899999,0.055455477559623316,8.5087042726205322\n',
+    ),
+    "influence-table-variance": (
+        ["influence", "--fn", TABLE4, "--mu", "0.45,0.2,0.35", "--kind", "variance"],
+        'k,kind,value\n'
+        '0,variance,0.1021640625\n'
+        '1,variance,0.090812812499999992\n'
+        '2,variance,0.11992781250000002\n'
+        '3,variance,0.095706562499999995\n',
+    ),
+    "influence-tribes-variance": (
+        ["influence", *_tribes(6, "--r", "2", "--level", "0"), "--mu", "0.3,0.3,0.4", "--kind", "variance"],
+        'k,kind,value\n'
+        '0,variance,0.052170299999999996\n'
+        '1,variance,0.052170299999999996\n'
+        '2,variance,0.052170299999999996\n'
+        '3,variance,0.052170299999999996\n'
+        '4,variance,0.052170299999999996\n'
+        '5,variance,0.052170299999999996\n',
+    ),
+    "width-diagnostics": (  # the width row, then the 20-point derivative table, both on stdout
+        ["width", *_tribes(8, "--level", "0"), "--mu", "0,0.35,0.65", "--a", "1", "--eps", "0.1",
+         "--diagnostics", "-"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,8,1,0.10000000000000001,exact,bisection,0.013083718251436949,0.25010579032823443,'
+        '0.23702207207679749,101,1.0000000000000001e-09,false,false\n'
+        'n,t,alpha,derivative,lower_bound_denominator,ratio\n'
+        '8,0,0.34999999999999998,8,0,na\n'
+        '8,0.049999999999999996,0.34999999999999998,5.586698368749996,0.44229047491994994,12.631288000857651\n'
+        '8,0.099999999999999992,0.34999999999999998,3.8263752000000024,0.48561243955634226,7.8794834899530093\n'
+        '8,0.14999999999999999,0.34999999999999998,2.5646167062499998,0.39266397099709033,6.5313267721957713\n'
+        '8,0.19999999999999998,0.34999999999999998,1.6777215999999997,0.27656239691886148,6.0663402497636492\n'
+        '8,0.24999999999999997,0.34999999999999998,1.06787109375,0.1784469464353248,5.9842497452711108\n'
+        '8,0.29999999999999999,0.34999999999999998,0.6588343999999996,0.10760401263718815,6.1227679512418591\n'
+        '8,0.34999999999999998,0.34999999999999998,0.39217823125000001,0.061104613513530803,6.4181443707709134\n'
+        '8,0.39999999999999997,0.34999999999999998,0.22394880000000025,0.032710302754934598,6.8464300583771234\n'
+        '8,0.44999999999999996,0.34999999999999998,0.12179481875000008,0.016446772360299362,7.4053933551119684\n'
+        '8,0.49999999999999994,0.34999999999999998,0.0625,0.0077071044451442715,8.1094009358309727\n'
+        '8,0.54999999999999993,0.34999999999999998,0.029893556250000019,0.0033250656054611728,8.9903658444820085\n'
+        '8,0.59999999999999998,0.34999999999999998,0.013107199999999998,0.0012972575673846603,10.103776096234153\n'
+        '8,0.64999999999999991,0.34999999999999998,0.0051471437500000081,0.00044594114105583199,11.542204286900688\n'
+        '8,0.69999999999999996,0.34999999999999998,0.001749600000000002,0.00012994887900726269,13.463756004407079\n'
+        '8,0.74999999999999989,0.34999999999999998,0.00048828125000000173,3.0223477819856068e-05,16.155693693172967\n'
+        '8,0.79999999999999993,0.34999999999999998,0.00010240000000000029,5.0707225487502235e-06,20.19436066862675\n'
+        '8,0.84999999999999998,0.34999999999999998,1.3668750000000015e-05,5.0764598517959657e-07,26.92575219552705\n'
+        '8,0.89999999999999991,0.34999999999999998,8.0000000000000505e-07,1.9807560465335327e-08,40.388618346013047\n'
+        '8,0.94999999999999996,0.34999999999999998,6.2500000000000394e-09,7.7373283838426561e-11,80.777235887409091\n',
+    ),
+
 }
 
 

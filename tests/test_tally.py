@@ -33,9 +33,9 @@ from qthresh.influence import (
     influence_variance,
     phi_k,
 )
-from qthresh.measures import SimplexMeasure, central_measure, mix_t
+from qthresh.measures import SimplexMeasure, central_measure, line_rows, mix_t
 from qthresh.threshold import rm_derivative_exact
-from qthresh.verification import fd_probability_derivative, upset_corpus
+from qthresh.verification import FD_STEP, fd_probability_derivative, upset_corpus
 
 # Zero weights make zero atoms (and, all but one zero, point masses) common.
 WEIGHTS = st.sampled_from((0.0, 0.0, 0.1, 0.25, 0.5, 1.0, 3.7))
@@ -204,3 +204,75 @@ def test_bernstein_derivative_is_the_fibre_sum_on_upsets():
         bernstein_derivative(dictator, base, 1.0)
     with pytest.raises(ValueError):
         bernstein_derivative(dictator, mix_t(base, 0.5), 0.1)
+
+
+# t = 0, and t within FD_STEP of either end, where the stencils are one-sided.
+EDGE_TS = (0.0, 0.25 * FD_STEP, FD_STEP, 1.0 - FD_STEP, 1.0 - 0.25 * FD_STEP)
+T_VALUES = st.one_of(st.sampled_from(EDGE_TS), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+
+
+@st.composite
+def row_cases(draw):
+    """A random upset at q = 3 or 4, or a small tribes zero event, with measure rows and a line."""
+    q = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(min_value=1, max_value=5 if q == 3 else 4))
+    if draw(st.booleans()):
+        f = random_zero_monotone(q, n, draw(st.sampled_from((0.05, 0.2, 0.5))), seed=draw(st.integers(0, 2**32 - 1)))
+    else:
+        f = indicator(build_tribes(q, n, 0.5, r=draw(st.integers(min_value=1, max_value=n))), 0)
+    # Rows with zero atoms, as in the influence suite, besides the drawn ones.
+    with_zero = [(0.0,) + (1.0,) * (q - 1), (1.0, 1.0) + (0.0,) * (q - 2)]
+    # Rounding shows only on atoms with full mantissas: draw those, or a zero.
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=1.0)), min_size=q, max_size=q)
+    mus = [SimplexMeasure.normalized(w) for w in draw(st.lists(weights.filter(any), min_size=1, max_size=4))]
+    mus += [SimplexMeasure.normalized(w) for w in with_zero]
+    rest = draw(st.lists(WEIGHTS, min_size=q - 1, max_size=q - 1).filter(lambda w: math.fsum(w) > 0.0))
+    base = SimplexMeasure.normalized((0.0, *rest))
+    return f, mus, base, draw(st.lists(T_VALUES, min_size=1, max_size=6))
+
+
+@given(row_cases())
+@settings(max_examples=80, deadline=None)
+def test_row_forms_equal_their_one_row_calls(case):
+    # Row i of every row form is the one-row call on measure or position i, to the bit.
+    f, mus, base, ts = case
+    rows = np.stack([mu.as_array() for mu in mus])
+    for k in range(f.n):
+        for influence in (phi_k, influence_bkkkl, influence_variance,
+                          lambda f, mu, k: influence_h(f, mu, k, h_paper)):
+            assert np.array_equal(influence(f, rows, k), [influence(f, mu, k) for mu in mus])
+    assert np.array_equal(variance_of_indicator(f, rows), [variance_of_indicator(f, mu) for mu in mus])
+    for derivative in (rm_derivative_exact, bernstein_derivative):
+        assert np.array_equal(derivative(f, base, np.array(ts)), [derivative(f, base, t) for t in ts])
+    fd_ts = ts + [1.0]  # the oracle alone also answers at t = 1
+    assert np.array_equal(fd_probability_derivative(f, base, fd_ts),
+                          [fd_probability_derivative(f, base, t) for t in fd_ts])
+
+
+@given(row_cases())
+@settings(max_examples=40, deadline=None)
+def test_grid_oracles_are_their_textbook_formulas(case):
+    # The identity: fsum over k of one-measure phi_k calls, over 1 - t.
+    f, _, base, ts = case
+    want = [math.fsum(phi_k(f, mix_t(base, t), k) for k in range(f.n)) / (1.0 - t) for t in ts]
+    assert np.array_equal(rm_derivative_exact(f, base, ts), want)
+    # Finite differences: the backward stencil is the forward one with a
+    # negative step; the negation is exact in floating point, so the digits
+    # are those of (3 p0 - 4 p1 + p2) / (2 dt).
+    dt = FD_STEP
+
+    def p(*us):
+        return ExactEvaluator().batch(f, line_rows(base, us), 1).values.tolist()
+
+    want = []
+    for t in ts + [1.0]:
+        if t < dt:
+            p0, p1, p2 = p(t, t + dt, t + 2.0 * dt)
+            want.append((-3.0 * p0 + 4.0 * p1 - p2) / (2.0 * dt))
+        elif t > 1.0 - dt:
+            p0, p1, p2 = p(t, t - dt, t - 2.0 * dt)
+            want.append((3.0 * p0 - 4.0 * p1 + p2) / (2.0 * dt))
+        else:
+            p_hi, p_lo = p(t + dt, t - dt)
+            want.append((p_hi - p_lo) / (2.0 * dt))
+    assert np.array_equal(fd_probability_derivative(f, base, ts + [1.0]), want)
