@@ -215,7 +215,7 @@ def cmd_influence(args, parser) -> tuple[int, Outputs]:
 
 def cmd_width(args, parser) -> tuple[int, Outputs]:
     f = _load_function(args, parser)
-    base = SimplexMeasure.parse(args.mu) if args.mu else central_measure(f.q)
+    base = central_measure(f.q) if args.mu is None else SimplexMeasure.parse(args.mu)
     if base.q != f.q:
         raise ValueError(f"base measure has {base.q} atoms, function needs {f.q}")
     if args.diagnostics:

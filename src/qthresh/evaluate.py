@@ -4,7 +4,7 @@ Three routes to Pr[f(x) = a] when the n coordinates are iid from a simplex
 measure: an exact type-class tally, a closed-form product for the tribes
 family, and Monte Carlo via CDF inversion of the measure.  The routes are
 deliberately independent so they can cross-check each other, and they share
-one input contract, :func:`_check_measures`.
+one input contract, :func:`check_measures`.
 
 The exact route rests on one fact: under mu^n the weight of a point depends
 only on its type, the vector c of symbol counts, so
@@ -45,7 +45,7 @@ from .functions import (
     materialize_table,
     tribes_values,
 )
-from .measures import ATOM_SUM_TOL, SimplexMeasure, derivative_ts, require_zero_face
+from .measures import ATOM_SUM_TOL, SimplexMeasure, derivative_ts, require_zero_face, row_sums, sums_to_one
 
 # Largest fibre key (rest type and pattern digits) that stays inside int64.
 _KEY_LIMIT = 2**62
@@ -279,48 +279,33 @@ def type_tally(f: FunctionSpec) -> TypeTally:
     return _TALLIES[f]
 
 
-def _check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
+def check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
     """The measures of one batch as an (m, q) float matrix, checked against f and a.
 
     The one input contract of every route's ``batch``: each row is a point
     of the simplex (atoms finite and in [0, 1], summing to 1 within
-    ``ATOM_SUM_TOL``) and ``a`` is an output of f (:func:`check_output`).
+    ``ATOM_SUM_TOL``, :func:`sums_to_one`) and ``a`` is an output of f.
     """
     measures = np.asarray(measures, dtype=float)
     if measures.ndim != 2:
         raise ValueError(f"expected an (m, {f.q}) matrix of measures")
     check_measure_q(f, measures.shape[1])
     check_output(f, a)
-    total = measures @ np.ones(f.q)  # numpy's sum of short rows is slow
     if measures.size and not (measures.min() >= 0.0 and measures.max() <= 1.0  # NaN fails too
-                              and 1.0 - ATOM_SUM_TOL <= total.min() and total.max() <= 1.0 + ATOM_SUM_TOL):
+                              and sums_to_one(row_sums(measures))):
         raise ValueError(f"each measure row must be atoms in [0, 1] summing to 1 within {ATOM_SUM_TOL}")
     return measures
 
 
-def measure_rows(f: FunctionSpec, mu: SimplexMeasure | np.ndarray) -> np.ndarray:
-    """mu as checked measure rows of f: a :class:`SimplexMeasure` as a one-row matrix.
+def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, ts) -> np.ndarray:
+    """d/dt Pr[f = 1] along line_rows(base, ts), one value per t in [0, 1), read off the type tally.
 
-    The influences and the variance answer a matrix with one value per row,
-    and a SimplexMeasure with the float in row 0 of its one-row matrix.
-    """
-    if isinstance(mu, SimplexMeasure):  # a point of the simplex by construction
-        check_measure_q(f, mu.q)
-        return mu.as_array()[None, :]
-    return _check_measures(f, mu, 0)
-
-
-def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, t: float | np.ndarray) -> float | np.ndarray:
-    """d/dt Pr[f = 1] along line_rows(base, t), t in [0, 1), read off the type tally.
-
-    Along the line the probability is a degree-n polynomial in t, so this
-    derivative is exact and shares no code with the fibre-sum identity or
-    with finite differences.  A grid of t gives one value per t.
+    Along the line the probability is a degree-n polynomial in t, so this derivative is exact
+    and shares no code with the fibre-sum identity or with finite differences.
     """
     require_zero_face(base)
     check_measure_q(f, base.q)
-    values = type_tally(f).line_derivative(base.as_array(), derivative_ts(t))
-    return float(values[0]) if np.ndim(t) == 0 else values
+    return type_tally(f).line_derivative(base.as_array(), derivative_ts(ts))
 
 
 def _tribes_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
@@ -344,7 +329,7 @@ def _inverse_cdf(atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
     with G(1) pinned to q-1, so the pushforward of the uniform distribution
     is exactly the measure: symbol i owns an interval of length atom i
     (empty for a zero atom).  ``atoms`` is a row that
-    :func:`_check_measures` accepted; ``u`` is not checked.
+    :func:`check_measures` accepted; ``u`` is not checked.
     """
     # G(u) counts the boundaries at or below u; the last boundary (the
     # total mass) is left out, which pins G(1) to q-1.  One comparison per
@@ -370,17 +355,15 @@ def _sampled_values(f: FunctionSpec, atoms: np.ndarray, U: np.ndarray) -> np.nda
     return tribes_values(f, U < atoms[0], lambda rows, cols: _inverse_cdf(atoms, U[rows, cols]))
 
 
-def variance_of_indicator(f: FunctionSpec, mu: SimplexMeasure | np.ndarray) -> float | np.ndarray:
-    """Var[f] = Pr[f = 1] Pr[f = 0] for a {0,1}-valued f, under mu or each of its rows (:func:`measure_rows`).
+def variance_of_indicator(f: FunctionSpec, rows) -> np.ndarray:
+    """Var[f] = Pr[f = 1] Pr[f = 0] for a {0,1}-valued f, one value per row of an (m, q) matrix of measures.
 
     Both factors are read from the tally.  Forming 1 - Pr[f = 1] instead
     would keep only the last digits of Pr[f = 1] when it is close to 1.
     """
     if not type_tally(f).binary:
         raise ValueError("variance in this sense is defined for {0,1}-valued functions")
-    rows = measure_rows(f, mu)
-    values = ExactEvaluator().batch(f, rows, 1).values * ExactEvaluator().batch(f, rows, 0).values
-    return float(values[0]) if isinstance(mu, SimplexMeasure) else values
+    return ExactEvaluator().batch(f, rows, 1).values * ExactEvaluator().batch(f, rows, 0).values
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +374,12 @@ class Evaluator:
     """One route to Pr[f = a] under product measures.
 
     A route implements only ``batch(f, measures, a)``: one row of an (m, q)
-    matrix of measures in, one row of an :class:`Estimate` out.  The scalar
-    probe ``evaluator(f, mu, a)`` is row 0 of a one-row batch.
+    matrix of measures in, one row of an :class:`Estimate` out.  One
+    measure is a one-row batch.
     """
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         raise NotImplementedError
-
-    def __call__(self, f: FunctionSpec, mu: SimplexMeasure, a: int) -> float:
-        return float(self.batch(f, mu.as_array()[None, :], a).values[0])
 
     def row_cells(self, f: FunctionSpec) -> float:
         """The work of one batch row for f, in cells, weighed against one call.
@@ -414,7 +394,7 @@ class ExactEvaluator(Evaluator):
     """Tally-backed Pr[f = a]; exact but capped at q^n table size."""
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
-        measures = _check_measures(f, measures, a)
+        measures = check_measures(f, measures, a)
         # A sum of nonnegative terms; rounding can only overshoot 1.
         values = np.minimum(type_tally(f).probabilities(measures, a), 1.0)
         return Estimate(values, 0.0, METHOD_EXACT, f.size)
@@ -443,18 +423,13 @@ class ClosedFormEvaluator(Evaluator):
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         if f.family is None:
             raise ValueError("closed form requires a tribes family function")
-        measures = _check_measures(f, measures, a)
+        measures = check_measures(f, measures, a)
         b, complement = (a, False) if f.kind == KIND_FULL else (f.indicator_of, a == 0)
         alive = _tribes_alive(f.family, measures[:, 0])
         if b == 0:
             values = alive if complement else 1.0 - alive
         else:
-            # mu_1 + ... + mu_{q-1} left to right, column by column: a row
-            # gets the same digits alone or in a batch, which a matrix
-            # product of several rows does not promise for q >= 5.
-            rest = measures[:, 1].copy()
-            for j in range(2, f.q):
-                rest += measures[:, j]
+            rest = row_sums(measures[:, 1:])  # mu_1 + ... + mu_{q-1}
             values = alive * np.divide(measures[:, b], rest, out=np.zeros(len(rest)), where=rest > 0)
             if complement:
                 values = 1.0 - values
@@ -497,7 +472,7 @@ class MonteCarloEvaluator(Evaluator):
         :func:`_sampled_values` evaluates f on each chunk: a table inverts
         the whole chunk, a tribes family one uniform per sample.
         """
-        measures = _check_measures(f, measures, a)
+        measures = check_measures(f, measures, a)
         chunk = max(1, SAMPLE_CELLS // f.n)
         buffer = np.empty((min(chunk, self.samples), f.n))
         hits = np.zeros(len(measures), dtype=np.int64)

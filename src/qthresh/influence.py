@@ -7,8 +7,8 @@ other n-1 coordinates of a statistic of the one-coordinate fibre:
 * variance: expected conditional variance of the fibre,
 * h-weighted: expectation of h(fibre mean) for a supplied weight profile h.
 
-Each takes one measure or an (m, q) matrix of measure rows
-(:func:`~qthresh.evaluate.measure_rows`), with one value per row.
+Each takes an (m, q) matrix of measure rows
+(:func:`~qthresh.evaluate.check_measures`) and returns one value per row.
 The weight profile ``h_paper`` dominating the binary entropy is the one the
 threshold lower-bound machinery needs, alongside the per-coordinate
 derivative contribution ``phi_k``.
@@ -20,59 +20,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import measure_rows, type_tally, variance_of_indicator
+from .evaluate import check_measures, type_tally, variance_of_indicator
 from .functions import FunctionSpec
 from .measures import SimplexMeasure
 
 
-def _fibre_expectation(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int, g, binary: bool = True):
-    """E over the rest coordinates of g(nonconstant, mean) of the k-fibre, under mu or each of its rows."""
-    rows = measure_rows(f, mu)
+def _fibre_expectation(f: FunctionSpec, rows, k: int, g, binary: bool = True) -> np.ndarray:
+    """E over the rest coordinates of g(nonconstant, mean) of the k-fibre, under each measure row."""
+    rows = check_measures(f, rows, 0)
     if not 0 <= k < f.n:
         raise ValueError(f"coordinate k={k} out of range for n={f.n}")
     tally = type_tally(f)
     if binary and not tally.binary:
         raise ValueError("this influence needs a {0,1}-valued function")
-    values = tally.fibre_expectation(k, rows, g)
-    return float(values[0]) if isinstance(mu, SimplexMeasure) else values
+    return tally.fibre_expectation(k, rows, g)
 
 
-def influence_bkkkl(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int) -> float | np.ndarray:
+def influence_bkkkl(f: FunctionSpec, rows, k: int) -> np.ndarray:
     """Probability over the rest coordinates that the k-fibre is nonconstant."""
-    return _fibre_expectation(f, mu, k, lambda nonconst, m: nonconst, binary=False)
+    return _fibre_expectation(f, rows, k, lambda nonconst, m: nonconst, binary=False)
 
 
-def influence_variance(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int) -> float | np.ndarray:
+def influence_variance(f: FunctionSpec, rows, k: int) -> np.ndarray:
     """Expected conditional variance E[m(1-m)] of the k-fibre mean m."""
-    return _fibre_expectation(f, mu, k, lambda nonconst, m: m * (1.0 - m))
+    return _fibre_expectation(f, rows, k, lambda nonconst, m: m * (1.0 - m))
 
 
-def influence_h(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int, h) -> float | np.ndarray:
+def influence_h(f: FunctionSpec, rows, k: int, h) -> np.ndarray:
     """E over rest coordinates of h(fibre mean); h maps an array of means in [0, 1] elementwise."""
-    return _fibre_expectation(f, mu, k, lambda nonconst, m: h(m))
+    return _fibre_expectation(f, rows, k, lambda nonconst, m: h(m))
 
 
-def phi_k(f: FunctionSpec, mu: SimplexMeasure | np.ndarray, k: int) -> float | np.ndarray:
-    """E[ 1[k-fibre nonconstant] * (1 - fibre mean) ] under mu.
+def phi_k(f: FunctionSpec, rows, k: int) -> np.ndarray:
+    """E[ 1[k-fibre nonconstant] * (1 - fibre mean) ] under each measure row.
 
     Summed over k and divided by (1 - t) this is the exact derivative of
     Pr[f = 1] along the line mixture for 0-monotone indicators.
     """
-    return _fibre_expectation(f, mu, k, lambda nonconst, m: nonconst * (1.0 - m))
+    return _fibre_expectation(f, rows, k, lambda nonconst, m: nonconst * (1.0 - m))
 
 
 # ---------------------------------------------------------------------------
 # Weight profiles on [0, 1]
 
 
-def _profile(t, values_fn):
+def _profile(t, values_fn) -> np.ndarray:
+    """values_fn at every t of an array of the shape of t (0-d for one t); each t in [0, 1]."""
     arr = np.asarray(t, dtype=float)
     if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
         raise ValueError("weight profiles are defined on [0, 1]")
-    out = values_fn(arr)
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(out)
-    return out
+    return values_fn(arr)
 
 
 def ent(t):
@@ -160,10 +157,11 @@ class InfluenceProfile:
 
 
 def influence_profile(f: FunctionSpec, mu: SimplexMeasure, kind: str) -> InfluenceProfile:
-    """All n influences of one kind; ``kind='h'`` weights by h_paper."""
+    """All n influences of one kind under mu, a one-row matrix; ``kind='h'`` weights by h_paper."""
     _check_kind(kind)
     influence = _INFLUENCE_BY_KIND[kind]
-    return InfluenceProfile(kind=kind, values=tuple(influence(f, mu, k) for k in range(f.n)))
+    row = mu.as_array()[None, :]
+    return InfluenceProfile(kind=kind, values=tuple(influence(f, row, k)[0] for k in range(f.n)))
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ class KellerDiagnostic:
 def keller_diagnostic(f: FunctionSpec, mu: SimplexMeasure) -> KellerDiagnostic:
     prof = influence_profile(f, mu, "h")
     argmax_k, max_value = prof.max_coordinate()
-    variance = variance_of_indicator(f, mu)
+    variance = float(variance_of_indicator(f, mu.as_array()[None, :])[0])
     denominator = variance * math.log(f.n) / f.n
     ratio = max_value / denominator if denominator > 0.0 else None
     return KellerDiagnostic(max_value=max_value, argmax_k=argmax_k, variance=variance, denominator=denominator,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Constructors accept atom vectors whose sum strays from 1 by at most this.
+# A measure's atoms may sum to 1 within this (:func:`sums_to_one`).
 ATOM_SUM_TOL = 1e-12
 
 
@@ -30,9 +30,9 @@ class SimplexMeasure:
         for j, a in enumerate(atoms):
             if not 0.0 <= a <= 1.0:  # NaN fails too
                 raise ValueError(f"atom {j} is {a!r}; atoms must lie in [0, 1]")
-        total = math.fsum(atoms)
-        if abs(total - 1.0) > ATOM_SUM_TOL:
-            raise ValueError(f"atoms sum to {total!r}; must equal 1 within {ATOM_SUM_TOL}")
+        total = row_sums(np.array([atoms]))
+        if not sums_to_one(total):
+            raise ValueError(f"atoms sum to {float(total[0])!r}; must equal 1 within {ATOM_SUM_TOL}")
 
     @property
     def q(self) -> int:
@@ -66,6 +66,19 @@ class SimplexMeasure:
         return cls(tuple(v / total for v in w))
 
 
+def row_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum, left to right column by column: a row gets the same digits alone or in a batch."""
+    total = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        total += rows[:, j]
+    return total
+
+
+def sums_to_one(total: np.ndarray) -> bool:
+    """The one simplex-sum rule: every :func:`row_sums` atom total (at least one) is 1 within ATOM_SUM_TOL."""
+    return abs(total.min() - 1.0) <= ATOM_SUM_TOL and abs(total.max() - 1.0) <= ATOM_SUM_TOL  # a NaN total is not
+
+
 def require_zero_face(mu: SimplexMeasure) -> None:
     """Reject measures with mass at symbol 0 (sweep bases must have atom 0 == 0)."""
     if mu.atoms[0] != 0.0:
@@ -90,18 +103,15 @@ def line_rows(base: SimplexMeasure, ts) -> np.ndarray:
     return rows
 
 
-def derivative_ts(t) -> np.ndarray:
-    """One t or a grid of them, where a line derivative is taken, as a 1-D array; each in [0, 1)."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+def derivative_ts(ts) -> np.ndarray:
+    """A grid of t where a line derivative is taken, as a 1-D array; each in [0, 1)."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"expected a 1-D grid of t, got shape {ts.shape}")
     bad = ts[~((ts >= 0.0) & (ts < 1.0))]  # NaN is bad too
     if bad.size:
         raise ValueError(f"t must lie in [0, 1), got {float(bad[0])!r}")
     return ts
-
-
-def mix_t(base: SimplexMeasure, t: float) -> SimplexMeasure:
-    """Line mixture t*delta_0 + (1-t)*base: the one-row case of :func:`line_rows`."""
-    return SimplexMeasure(tuple(line_rows(base, [t])[0].tolist()))
 
 
 def second_smallest_atom(mu: SimplexMeasure) -> float:
@@ -123,16 +133,13 @@ def sample_uniform_batch(q: int, count: int, rng) -> np.ndarray:
     are Dirichlet(1, ..., 1), which is the uniform distribution.  ``rng``
     may be a seed or an ``np.random.Generator``; the variates are drawn
     row-major from it, so k rows and then m more from one generator are
-    the rows of one draw of k + m.  Each row sum adds its columns left to
-    right.
+    the rows of one draw of k + m.  Each row is divided by its
+    :func:`row_sums`.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     if count < 0:
         raise ValueError("count must be nonnegative")
     g = np.random.default_rng(rng).exponential(size=(count, q))
-    total = g[:, 0].copy()
-    for j in range(1, q):
-        total += g[:, j]
-    g /= total[:, None]
+    g /= row_sums(g)[:, None]
     return g

@@ -61,21 +61,18 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, t: float | np.ndarray) -> float | np.ndarray:
-    """Exact d/dt Pr[f = 1] along line_rows(base, t) for 0-monotone indicators, t in [0, 1).
+def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, ts) -> np.ndarray:
+    """Exact d/dt Pr[f = 1] along line_rows(base, ts) for 0-monotone indicators, one value per t in [0, 1).
 
     Equals sum_k E[ 1[fibre nonconstant] (1 - fibre mean) ] / (1 - t) under
     the mixed measure; an identity, not an approximation, so finite
     differences of the exact probability must reproduce it to rounding.
-    A grid of t takes one ``phi_k`` call per coordinate and returns one
-    value per t; a single t is row 0 of the one-point grid.
+    The grid takes one ``phi_k`` call per coordinate.
     """
-    require_zero_face(base)
-    ts = derivative_ts(t)
+    ts = derivative_ts(ts)
     rows = line_rows(base, ts)
     terms = np.column_stack([phi_k(f, rows, k) for k in range(f.n)])
-    values = np.array([math.fsum(row) for row in terms]) / (1.0 - ts)
-    return float(values[0]) if np.ndim(t) == 0 else values
+    return np.array([math.fsum(row) for row in terms]) / (1.0 - ts)
 
 
 @dataclass(frozen=True)
@@ -96,21 +93,18 @@ class DerivativeDiagnostic:
     ratio: float | None
 
 
-def derivative_lower_bound_ratio(f: FunctionSpec, base: SimplexMeasure, t: float | np.ndarray):
-    """The :class:`DerivativeDiagnostic` at t, or a list for a grid of t: one derivative call, one variance batch."""
-    require_zero_face(base)
+def derivative_lower_bound_ratio(f: FunctionSpec, base: SimplexMeasure, ts) -> list[DerivativeDiagnostic]:
+    """One :class:`DerivativeDiagnostic` per t of a grid: one derivative call, one variance batch."""
     alpha = second_smallest_atom(base)
     if alpha == 0.0:
         raise ValueError("benchmark needs every symbol 1..q-1 to carry mass (alpha > 0)")
-    ts = derivative_ts(t)
-    derivative = rm_derivative_exact(f, base, ts)
+    derivative = rm_derivative_exact(f, base, ts)  # checks the grid and that base is on the zero face
     variance = variance_of_indicator(f, line_rows(base, ts))  # E(1-E), both factors from the tally
     log_inv_alpha = math.log(1.0 / alpha)
     denominator = variance * math.log(f.n) / log_inv_alpha if log_inv_alpha > 0.0 else np.full(len(ts), math.inf)
-    out = [DerivativeDiagnostic(n=f.n, t=float(u), alpha=alpha, derivative=float(d), denominator=float(den),
-                                ratio=float(d / den) if 0.0 < den < math.inf else None)
-           for u, d, den in zip(ts, derivative, denominator)]
-    return out[0] if np.ndim(t) == 0 else out
+    return [DerivativeDiagnostic(n=f.n, t=float(u), alpha=alpha, derivative=float(d), denominator=float(den),
+                                 ratio=float(d / den) if 0.0 < den < math.inf else None)
+            for u, d, den in zip(ts, derivative, denominator)]
 
 
 @dataclass(frozen=True)

@@ -100,16 +100,16 @@ class _Recorder:
 # Shared corpora and oracles
 
 
-def fd_probability_derivative(f: FunctionSpec, base: SimplexMeasure, t: float | np.ndarray) -> float | np.ndarray:
-    """Finite-difference oracle for d/dt Pr[f = 1] along the line mixture, t in [0, 1].
+def fd_probability_derivative(f: FunctionSpec, base: SimplexMeasure, ts) -> np.ndarray:
+    """Finite-difference oracle for d/dt Pr[f = 1] along the line mixture, one value per t in [0, 1].
 
     Central stencil in the interior, one-sided second-order stencils
-    stepping inward within FD_STEP of the endpoints.  A grid of t gives one
-    value per t, with every stencil point of the grid in one exact batch.
-    Entirely independent of the fibre-sum identity.
+    stepping inward within FD_STEP of the endpoints, with every stencil
+    point of the grid in one exact batch.  Entirely independent of the
+    fibre-sum identity.
     """
     dt = FD_STEP
-    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    ts = np.asarray(ts, dtype=float).tolist()
     steps = [dt if u < dt else -dt if u > 1.0 - dt else 0.0 for u in ts]  # 0: central
     points = [(u, u + h, u + 2.0 * h) if h else (u + dt, u - dt) for u, h in zip(ts, steps)]
     p = iter(ExactEvaluator().batch(f, line_rows(base, [u for s in points for u in s]), 1).values.tolist())
@@ -121,7 +121,7 @@ def fd_probability_derivative(f: FunctionSpec, base: SimplexMeasure, t: float | 
         else:
             p_hi, p_lo = next(p), next(p)
             out.append((p_hi - p_lo) / (2.0 * dt))
-    return out[0] if np.ndim(t) == 0 else np.array(out)
+    return np.array(out)
 
 
 def full_support_bases(q: int, count: int, seed: int) -> list[SimplexMeasure]:

@@ -34,7 +34,7 @@ from qthresh.influence import (
 from qthresh.measures import (
     SimplexMeasure,
     central_measure,
-    mix_t,
+    line_rows,
     sample_uniform_batch,
     second_smallest_atom,
 )
@@ -72,8 +72,8 @@ def test_criterion_01_derivative_identity():
     ok = True
     for f in corpus:
         for t in t_grid:
-            exact = rm_derivative_exact(f, base, float(t))
-            approx = fd_probability_derivative(f, base, float(t))
+            exact = rm_derivative_exact(f, base, [float(t)])[0]
+            approx = fd_probability_derivative(f, base, [float(t)])[0]
             good, rel, diff = fd_ok(exact, approx, 1e-6)
             worst_rel = max(worst_rel, rel)
             worst_diff = max(worst_diff, diff)
@@ -104,8 +104,8 @@ def test_criterion_02_single_variable_exhaustive():
     for f in monotone:
         for base in bases:
             for t in np.linspace(0.05, 0.95, 19):
-                exact = rm_derivative_exact(f, base, float(t))
-                approx = fd_probability_derivative(f, base, float(t))
+                exact = rm_derivative_exact(f, base, [float(t)])[0]
+                approx = fd_probability_derivative(f, base, [float(t)])[0]
                 good, rel, diff = fd_ok(exact, approx, 1e-8)
                 worst_rel = max(worst_rel, rel)
                 worst_diff = max(worst_diff, diff)
@@ -131,7 +131,7 @@ def test_criterion_03_alpha_bound_exhaustive_fibres():
             for base in bases:
                 alpha = second_smallest_atom(base)
                 for t in t_values:
-                    mu_t = mix_t(base, t).as_array()
+                    mu_t = line_rows(base, [t])[0]
                     expected_zero = 1.0 - rows @ mu_t
                     floor = alpha * (1.0 - t)
                     margin = float((expected_zero - floor).min()) if rows.size else math.inf
@@ -169,9 +169,10 @@ def test_criterion_05_influence_specializations():
     checks = 0
     for f in corpus:
         for mu in measures:
+            row = mu.as_array()[None, :]  # the influences answer a one-row matrix in row 0
             for k in range(f.n):
-                d1 = abs(influence_h(f, mu, k, h_variance) - influence_variance(f, mu, k))
-                d2 = abs(influence_h(f, mu, k, h_nonconstant) - influence_bkkkl(f, mu, k))
+                d1 = abs(influence_h(f, row, k, h_variance)[0] - influence_variance(f, row, k)[0])
+                d2 = abs(influence_h(f, row, k, h_nonconstant)[0] - influence_bkkkl(f, row, k)[0])
                 worst = max(worst, d1, d2)
                 checks += 2
     ok = worst <= 1e-12
@@ -244,7 +245,7 @@ def test_criterion_09_monotone_coupling():
     for f in corpus:
         for base in bases:
             vals = np.array(
-                [ExactEvaluator()(f, mix_t(base, float(t)), 1) for t in t_grid]
+                [ExactEvaluator().batch(f, line_rows(base, [float(t)]), 1).values[0] for t in t_grid]
             )
             worst_drop = min(worst_drop, float(np.diff(vals).min()))
     ok = worst_drop >= -1e-12

@@ -209,7 +209,8 @@ def test_influence_bkkkl_rows_match_influence_bkkkl(capsys):
     assert code == 0
     f = indicator(build_tribes(3, 5, 0.5, r=2), 0)
     want = [["k", "kind", "value"]]
-    want += [[str(k), "bkkkl", format(influence_bkkkl(f, SimplexMeasure.parse(mu), k), ".17g")] for k in range(5)]
+    row = SimplexMeasure.parse(mu).as_array()[None, :]
+    want += [[str(k), "bkkkl", format(influence_bkkkl(f, row, k)[0], ".17g")] for k in range(5)]
     assert list(csv.reader(out.splitlines())) == want
     assert len({row[2] for row in want[1:]}) == 2
 
@@ -279,6 +280,18 @@ def test_width_failing_diagnostics_leave_no_file(tmp_path, capsys):
     assert code == 1
     assert "enumeration cap" in err
     assert not diag.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("tail", [["eval", "--a", "0"], ["influence"], ["width", "--a", "0", "--eps", "0.1"]],
+                         ids=["eval", "influence", "width"])
+def test_empty_mu_is_a_bad_measure_string(tmp_path, capsys, tail):
+    # An empty --mu is a measure string like any other, not "no --mu given":
+    # width once read it as the central base.
+    out = tmp_path / "out.csv"
+    code, stdout, err = run([tail[0], *TRIBES6, *tail[1:], "--mu", "", "--out", str(out)], capsys)
+    assert code == 2
+    assert "error: bad measure string '': atoms must be decimal numbers" in err
+    assert stdout == "" and not out.exists()
 
 
 def test_width_diagnostics_follow_a(tmp_path, capsys):
@@ -905,6 +918,20 @@ PINNED = {
         '8,0.84999999999999998,0.34999999999999998,1.3668750000000015e-05,5.0764598517959657e-07,26.92575219552705\n'
         '8,0.89999999999999991,0.34999999999999998,8.0000000000000505e-07,1.9807560465335327e-08,40.388618346013047\n'
         '8,0.94999999999999996,0.34999999999999998,6.2500000000000394e-09,7.7373283838426561e-11,80.777235887409091\n',
+    ),
+    "width-diagnostics-one-point": (  # --diag-grid 1: the one-point grid at t = 0
+        ["width", *_tribes(8, "--level", "0"), "--mu", "0,0.35,0.65", "--a", "1", "--eps", "0.1",
+         "--diagnostics", "-", "--diag-grid", "1"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,8,1,0.10000000000000001,exact,bisection,0.013083718251436949,0.25010579032823443,'
+        '0.23702207207679749,101,1.0000000000000001e-09,false,false\n'
+        'n,t,alpha,derivative,lower_bound_denominator,ratio\n'
+        '8,0,0.34999999999999998,8,0,na\n',
+    ),
+    "influence-tribes-keller-zero-atom": (  # a zero atom: the measure row has no mass at symbol 2
+        ["influence", *_tribes(6, "--r", "2", "--level", "0"), "--mu", "0.5,0.5,0", "--kind", "keller"],
+        'q,n,max_k,max_value,variance,denominator,ratio\n'
+        '3,6,0,0.47619764453248464,0.243896484375,0.072833972565056429,6.5381253797070809\n',
     ),
 
 }

@@ -14,6 +14,7 @@ from qthresh.evaluate import (
     ExactEvaluator,
     MonteCarloEvaluator,
     binomial_std_error,
+    check_measures,
     _inverse_cdf,
     product_weights,
     variance_of_indicator,
@@ -29,7 +30,7 @@ from qthresh.functions import (
     level_is_zero_monotone,
     random_zero_monotone,
 )
-from qthresh.measures import SimplexMeasure, central_measure, line_rows, mix_t, sample_uniform_batch
+from qthresh.measures import ATOM_SUM_TOL, SimplexMeasure, central_measure, line_rows, sample_uniform_batch
 
 
 HALF_QUARTER = SimplexMeasure((0.5, 0.25, 0.25))
@@ -38,6 +39,11 @@ EXACT = ExactEvaluator()
 
 def rows(*mus):
     return np.stack([mu.as_array() for mu in mus])
+
+
+def probe(evaluator, f, mu, a):
+    """Pr[f = a] under the one measure mu: row 0 of a one-row batch."""
+    return evaluator.batch(f, rows(mu), a).values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +74,7 @@ def test_exact_probability_tribes_frozen():
 
 def test_exact_probability_partitions():
     f = build_tribes(3, 4, 0.5, r=2)
-    total = sum(EXACT(f, HALF_QUARTER, a) for a in range(3))
+    total = sum(probe(EXACT, f, HALF_QUARTER, a) for a in range(3))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -77,7 +83,7 @@ def test_exact_probability_dictator():
     f = from_table(3, 2, tbl)
     mu = SimplexMeasure((0.2, 0.5, 0.3))
     for a in range(3):
-        assert EXACT(f, mu, a) == pytest.approx(mu[a], abs=1e-15)
+        assert probe(EXACT, f, mu, a) == pytest.approx(mu[a], abs=1e-15)
 
 
 def test_exact_probability_point_mass():
@@ -85,17 +91,54 @@ def test_exact_probability_point_mass():
     for j in range(3):
         mu = SimplexMeasure(tuple(float(i == j) for i in range(3)))
         want = 1.0 if evaluate_batch(f, np.full((1, 4), j))[0] == 0 else 0.0
-        assert EXACT(f, mu, 0) == want
+        assert probe(EXACT, f, mu, 0) == want
 
 
 def test_exact_probability_rejects_bad_inputs():
     f = build_tribes(3, 4, 0.5, r=2)
     with pytest.raises(ValueError):
-        EXACT(f, SimplexMeasure((0.5, 0.5)), 0)
+        probe(EXACT, f, SimplexMeasure((0.5, 0.5)), 0)
     with pytest.raises(ValueError):
-        EXACT(f, HALF_QUARTER, 3)
+        probe(EXACT, f, HALF_QUARTER, 3)
     with pytest.raises(ValueError):
         EXACT.batch(f, HALF_QUARTER.as_array(), 0)  # one row must still be a matrix
+
+
+# The atoms add up to the float 1 + 1.00009e-12, past the tolerance; the float
+# 1.0 + ATOM_SUM_TOL is that same float, so a test of total <= 1 + tol let it pass.
+EDGE_ATOMS = (0.13509650502241122, 0.6240177870194408, 0.2408857079591481)
+
+
+def test_measure_and_batch_refuse_a_row_just_past_the_sum_tolerance():
+    with pytest.raises(ValueError, match=r"^atoms sum to 1\.000000000001; must equal 1 within 1e-12$"):
+        SimplexMeasure(EDGE_ATOMS)
+    f = build_tribes(3, 6, 0.5, r=2)
+    with pytest.raises(ValueError, match=r"^each measure row must be atoms in \[0, 1\] summing to 1 within 1e-12$"):
+        EXACT.batch(f, np.array([EDGE_ATOMS]), 0)
+
+
+@given(st.integers(min_value=3, max_value=5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_measure_and_batch_agree_at_the_sum_tolerance(q, data):
+    # Atoms scaled to sum, up to rounding, within 2e-4 tolerances of 1 +- ATOM_SUM_TOL.
+    weights = data.draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=q, max_size=q))
+    side = data.draw(st.sampled_from((-1.0, 1.0)))
+    nudge = data.draw(st.floats(min_value=-2e-4, max_value=2e-4))
+    target = 1.0 + side * ATOM_SUM_TOL * (1.0 + nudge)
+    atoms = tuple(w / math.fsum(weights) * target for w in weights)
+    assume(max(atoms) <= 1.0)
+    try:
+        SimplexMeasure(atoms)
+        measure_ok = True
+    except ValueError:
+        measure_ok = False
+    f = from_table(q, 1, np.arange(q) % 2, kind="indicator")
+    try:
+        check_measures(f, np.array([atoms]), 0)
+        rows_ok = True
+    except ValueError:
+        rows_ok = False
+    assert measure_ok == rows_ok
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +165,11 @@ def closed_zero_event(f, ts):
 def test_closed_form_zero_event_matches_exact(case):
     # r in 1..n covers uneven last blocks (r <= last < 2r) and m = 1.
     f, mu = case
-    assert abs(closed_zero_event(f, [mu[0]])[0] - EXACT(f, mu, 0)) <= 1e-12
+    assert abs(closed_zero_event(f, [mu[0]])[0] - probe(EXACT, f, mu, 0)) <= 1e-12
     g = indicator(f, 0)
     ev = ClosedFormEvaluator()
     for out in (0, 1):
-        assert abs(ev(g, mu, out) - EXACT(g, mu, out)) <= 1e-12
+        assert abs(probe(ev, g, mu, out) - probe(EXACT, g, mu, out)) <= 1e-12
 
 
 def test_closed_form_zero_event_edges():
@@ -240,7 +283,7 @@ def test_mc_probability_deterministic():
 
 def test_mc_probability_within_four_sigma():
     f = build_tribes(3, 6, 0.5, r=2)
-    truth = EXACT(f, HALF_QUARTER, 0)
+    truth = probe(EXACT, f, HALF_QUARTER, 0)
     est = MonteCarloEvaluator(samples=40000, seed=7).batch(f, rows(HALF_QUARTER), 0)
     assert abs(est.values[0] - truth) <= 4 * est.std_errors[0]
     assert est.method == METHOD_MC
@@ -262,7 +305,7 @@ def test_mc_probability_rejects():
     with pytest.raises(ValueError):
         ev.batch(f, rows(SimplexMeasure((0.5, 0.5))), 0)
     with pytest.raises(ValueError):
-        ev(f, HALF_QUARTER, 3)
+        probe(ev, f, HALF_QUARTER, 3)
     assert ev.calls == 0  # a rejected batch draws no stream
 
 
@@ -283,22 +326,22 @@ def test_binomial_std_error_and_rule_of_three():
 def test_variance_of_indicator_moment_oracle():
     f = build_tribes(3, 4, 0.5, r=2)
     g = indicator(f, 0)
-    p = EXACT(f, HALF_QUARTER, 0)
-    assert variance_of_indicator(g, HALF_QUARTER) == pytest.approx(p * (1 - p), abs=1e-15)
+    p = probe(EXACT, f, HALF_QUARTER, 0)
+    assert variance_of_indicator(g, rows(HALF_QUARTER))[0] == pytest.approx(p * (1 - p), abs=1e-15)
 
 
 def test_variance_of_indicator_accepts_binary_full_table():
     tbl = np.zeros(9, dtype=np.int32)
     tbl[4:] = 1
     f = from_table(3, 2, tbl, kind="full")
-    p = EXACT(f, HALF_QUARTER, 1)
-    assert variance_of_indicator(f, HALF_QUARTER) == pytest.approx(p * (1 - p), abs=1e-15)
+    p = probe(EXACT, f, HALF_QUARTER, 1)
+    assert variance_of_indicator(f, rows(HALF_QUARTER))[0] == pytest.approx(p * (1 - p), abs=1e-15)
 
 
 def test_variance_of_indicator_rejects_wider_range():
     f = build_tribes(3, 4, 0.5, r=2)  # values 0..2
     with pytest.raises(ValueError):
-        variance_of_indicator(f, HALF_QUARTER)
+        variance_of_indicator(f, rows(HALF_QUARTER))
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +374,16 @@ def test_estimate_validation():
 def test_exact_evaluator():
     ev = ExactEvaluator()
     f = build_tribes(3, 4, 0.5, r=2)
-    assert ev(f, HALF_QUARTER, 0) == pytest.approx(0.4375, abs=1e-15)
-    assert ev(f, HALF_QUARTER, 0) == ev.batch(f, rows(HALF_QUARTER), 0).values[0]
+    assert probe(ev, f, HALF_QUARTER, 0) == pytest.approx(0.4375, abs=1e-15)
+    assert probe(ev, f, HALF_QUARTER, 0) == ev.batch(f, rows(HALF_QUARTER, central_measure(3)), 0).values[0]
 
 
 def test_closed_form_evaluator_full_zero_level():
     ev = ClosedFormEvaluator()
     f = build_tribes(3, 6, 0.5, r=2)
     mu = SimplexMeasure((0.3, 0.4, 0.3))
-    exact = EXACT(f, mu, 0)
-    assert ev(f, mu, 0) == pytest.approx(exact, abs=1e-12)
+    exact = probe(EXACT, f, mu, 0)
+    assert probe(ev, f, mu, 0) == pytest.approx(exact, abs=1e-12)
     est = ev.batch(f, rows(mu), 0)
     assert (est.method, est.samples, est.std_errors[0]) == (METHOD_CLOSED, 0, 0.0)
 
@@ -350,19 +393,19 @@ def test_closed_form_evaluator_indicator_levels():
     g = indicator(base, 0)
     ev = ClosedFormEvaluator()
     mu = SimplexMeasure((0.3, 0.4, 0.3))
-    pz = EXACT(base, mu, 0)
-    assert ev(g, mu, 1) == pytest.approx(pz, abs=1e-12)
-    assert ev(g, mu, 0) == pytest.approx(1 - pz, abs=1e-12)
+    pz = probe(EXACT, base, mu, 0)
+    assert probe(ev, g, mu, 1) == pytest.approx(pz, abs=1e-12)
+    assert probe(ev, g, mu, 0) == pytest.approx(1 - pz, abs=1e-12)
 
 
 def test_closed_form_evaluator_rejections():
     ev = ClosedFormEvaluator()
     f = build_tribes(3, 4, 0.5, r=2)
     with pytest.raises(ValueError):
-        ev(f, HALF_QUARTER, 3)  # not an output of f
+        probe(ev, f, HALF_QUARTER, 3)  # not an output of f
     g = random_zero_monotone(3, 3, 0.4, seed=1)
     with pytest.raises(ValueError):
-        ev(g, central_measure(3), 1)  # not a tribes family
+        probe(ev, g, central_measure(3), 1)  # not a tribes family
 
 
 def test_closed_form_evaluator_batch_matches_scalar():
@@ -370,11 +413,10 @@ def test_closed_form_evaluator_batch_matches_scalar():
     f = build_tribes(3, 8, 0.5, r=2)
     base = central_measure(3)
     ts = np.linspace(0.05, 0.95, 7)
-    measures = np.stack([mix_t(base, float(t)).as_array() for t in ts])
-    batch = ev.batch(f, measures, 0)
+    batch = ev.batch(f, line_rows(base, ts), 0)
     assert len(batch) == len(ts)
     for t, v in zip(ts, batch.values):
-        assert v == ev(f, mix_t(base, float(t)), 0)
+        assert v == ev.batch(f, line_rows(base, [t]), 0).values[0]
 
 
 @pytest.mark.parametrize("q", [4, 5, 8, 13])
@@ -456,8 +498,8 @@ def test_monte_carlo_evaluator_deterministic_replay():
     f = build_tribes(3, 6, 0.5, r=2)
     ev1 = MonteCarloEvaluator(samples=20000, seed=5)
     ev2 = MonteCarloEvaluator(samples=20000, seed=5)
-    vals1 = [ev1(f, HALF_QUARTER, 0) for _ in range(3)]
-    vals2 = [ev2(f, HALF_QUARTER, 0) for _ in range(3)]
+    vals1 = [probe(ev1, f, HALF_QUARTER, 0) for _ in range(3)]
+    vals2 = [probe(ev2, f, HALF_QUARTER, 0) for _ in range(3)]
     assert vals1 == vals2
     # the call counter advances the substream, so repeated calls differ
     assert len(set(vals1)) > 1
@@ -465,10 +507,10 @@ def test_monte_carlo_evaluator_deterministic_replay():
 
 def test_monte_carlo_evaluator_tracks_accuracy():
     f = build_tribes(3, 6, 0.5, r=2)
-    truth = EXACT(f, HALF_QUARTER, 0)
-    value = MonteCarloEvaluator(samples=50000, seed=11)(f, HALF_QUARTER, 0)
+    truth = probe(EXACT, f, HALF_QUARTER, 0)
+    value = probe(MonteCarloEvaluator(samples=50000, seed=11), f, HALF_QUARTER, 0)
     est = MonteCarloEvaluator(samples=50000, seed=11).batch(f, rows(HALF_QUARTER), 0)
-    assert est.values[0] == value  # the scalar call is row 0 of a one-row batch
+    assert est.values[0] == value  # a fresh evaluator of the same seed replays the row
     assert abs(value - truth) <= 4 * est.std_errors[0]
 
 

@@ -33,6 +33,11 @@ UNIFORM3 = SimplexMeasure((1 / 3, 1 / 3, 1 / 3))
 SKEWED3 = SimplexMeasure((0.5, 0.25, 0.25))
 
 
+def row(mu):
+    """mu as a one-row matrix of measures: the influences answer in row 0."""
+    return mu.as_array()[None, :]
+
+
 def dictator(q=3, n=3, k=0):
     """Indicator of x_k >= 1."""
     size = q**n
@@ -74,21 +79,21 @@ def brute_force_influences(f, mu, h):
 def test_dictator_influences():
     # the deciding coordinate has geometric influence 1, the rest 0
     f = dictator(3, 3, k=0)
-    assert influence_bkkkl(f, SKEWED3, 0) == pytest.approx(1.0, abs=0)
-    assert influence_bkkkl(f, SKEWED3, 1) == pytest.approx(0.0, abs=0)
-    assert influence_bkkkl(f, SKEWED3, 2) == pytest.approx(0.0, abs=0)
+    assert influence_bkkkl(f, row(SKEWED3), 0)[0] == pytest.approx(1.0, abs=0)
+    assert influence_bkkkl(f, row(SKEWED3), 1)[0] == pytest.approx(0.0, abs=0)
+    assert influence_bkkkl(f, row(SKEWED3), 2)[0] == pytest.approx(0.0, abs=0)
     # fibre mean is 1 - mu(0) everywhere, so variance influence is mu0(1-mu0)
-    assert influence_variance(f, SKEWED3, 0) == pytest.approx(0.25, abs=1e-15)
-    assert influence_variance(f, SKEWED3, 1) == pytest.approx(0.0, abs=0)
+    assert influence_variance(f, row(SKEWED3), 0)[0] == pytest.approx(0.25, abs=1e-15)
+    assert influence_variance(f, row(SKEWED3), 1)[0] == pytest.approx(0.0, abs=0)
 
 
 def test_constant_function_has_zero_influence():
     f = from_table(3, 3, np.full(3**3, 1), kind="indicator")
     for k in range(3):
-        assert influence_bkkkl(f, UNIFORM3, k) == 0.0
-        assert influence_variance(f, UNIFORM3, k) == 0.0
-        assert influence_h(f, UNIFORM3, k, h_paper) == 0.0
-        assert phi_k(f, UNIFORM3, k) == 0.0
+        assert influence_bkkkl(f, row(UNIFORM3), k)[0] == 0.0
+        assert influence_variance(f, row(UNIFORM3), k)[0] == 0.0
+        assert influence_h(f, row(UNIFORM3), k, h_paper)[0] == 0.0
+        assert phi_k(f, row(UNIFORM3), k)[0] == 0.0
 
 
 def test_tribes_indicator_uniform_influence_frozen():
@@ -96,7 +101,7 @@ def test_tribes_indicator_uniform_influence_frozen():
     # influence under the uniform measure
     g = indicator(build_tribes(3, 4, 0.5, r=2), 0)
     for k in range(4):
-        assert influence_variance(g, UNIFORM3, k) == pytest.approx(16 / 243, abs=1e-15)
+        assert influence_variance(g, row(UNIFORM3), k)[0] == pytest.approx(16 / 243, abs=1e-15)
 
 
 def test_influences_match_brute_force():
@@ -109,20 +114,20 @@ def test_influences_match_brute_force():
         for mu in (UNIFORM3, SKEWED3):
             bk, var, hw = brute_force_influences(f, mu, h_paper)
             for k in range(f.n):
-                assert influence_bkkkl(f, mu, k) == pytest.approx(bk[k], abs=1e-12)
-                assert influence_variance(f, mu, k) == pytest.approx(var[k], abs=1e-12)
-                assert influence_h(f, mu, k, h_paper) == pytest.approx(hw[k], abs=1e-12)
+                assert influence_bkkkl(f, row(mu), k)[0] == pytest.approx(bk[k], abs=1e-12)
+                assert influence_variance(f, row(mu), k)[0] == pytest.approx(var[k], abs=1e-12)
+                assert influence_h(f, row(mu), k, h_paper)[0] == pytest.approx(hw[k], abs=1e-12)
 
 
 def test_influence_specializations():
     f = random_zero_monotone(3, 3, 0.45, seed=6)
     for mu in (UNIFORM3, SKEWED3):
         for k in range(f.n):
-            assert influence_h(f, mu, k, h_variance) == pytest.approx(
-                influence_variance(f, mu, k), abs=1e-12
+            assert influence_h(f, row(mu), k, h_variance)[0] == pytest.approx(
+                influence_variance(f, row(mu), k)[0], abs=1e-12
             )
-            assert influence_h(f, mu, k, h_nonconstant) == pytest.approx(
-                influence_bkkkl(f, mu, k), abs=1e-12
+            assert influence_h(f, row(mu), k, h_nonconstant)[0] == pytest.approx(
+                influence_bkkkl(f, row(mu), k)[0], abs=1e-12
             )
 
 
@@ -133,18 +138,18 @@ def test_nonconstant_profile_misses_hidden_fibres_on_zero_atoms():
     tbl = [1, 1, 0]
     f = from_table(3, 1, tbl, kind="indicator")
     mu = SimplexMeasure((0.5, 0.5, 0.0))
-    assert influence_bkkkl(f, mu, 0) == 1.0
-    assert influence_h(f, mu, 0, h_nonconstant) == 0.0
+    assert influence_bkkkl(f, row(mu), 0)[0] == 1.0
+    assert influence_h(f, row(mu), 0, h_nonconstant)[0] == 0.0
 
 
 def test_influence_rejects_nonbinary_function():
     f = build_tribes(3, 4, 0.5, r=2)  # values 0..2
     with pytest.raises(ValueError):
-        influence_variance(f, UNIFORM3, 0)
+        influence_variance(f, row(UNIFORM3), 0)
     with pytest.raises(ValueError):
-        influence_h(f, UNIFORM3, 0, h_paper)
+        influence_h(f, row(UNIFORM3), 0, h_paper)
     # the geometric notion only asks about constancy, so it still applies
-    assert 0.0 <= influence_bkkkl(f, UNIFORM3, 0) <= 1.0
+    assert 0.0 <= influence_bkkkl(f, row(UNIFORM3), 0)[0] <= 1.0
 
 
 def test_influence_permutation_equivariance():
@@ -156,8 +161,8 @@ def test_influence_permutation_equivariance():
     g = from_table(3, 3, cube.transpose(inverse), kind="indicator")
     # g reads its coordinate k through position sigma^{-1}(k) of f
     for k in range(3):
-        assert influence_bkkkl(g, SKEWED3, k) == pytest.approx(
-            influence_bkkkl(f, SKEWED3, inverse[k]), abs=1e-15
+        assert influence_bkkkl(g, row(SKEWED3), k)[0] == pytest.approx(
+            influence_bkkkl(f, row(SKEWED3), inverse[k])[0], abs=1e-15
         )
 
 
@@ -169,14 +174,14 @@ def test_phi_dictator():
     # nonconstant everywhere, fibre mean = 1 - mu(0), so phi = mu(0)
     f = dictator(3, 2, k=0)
     for mu in (UNIFORM3, SKEWED3):
-        assert phi_k(f, mu, 0) == pytest.approx(mu[0], abs=1e-15)
-        assert phi_k(f, mu, 1) == 0.0
+        assert phi_k(f, row(mu), 0)[0] == pytest.approx(mu[0], abs=1e-15)
+        assert phi_k(f, row(mu), 1)[0] == 0.0
 
 
 def test_phi_bounded_by_bkkkl():
     f = indicator(build_tribes(3, 6, 0.5, r=2), 0)
     for k in range(6):
-        assert 0.0 <= phi_k(f, SKEWED3, k) <= influence_bkkkl(f, SKEWED3, k) + 1e-15
+        assert 0.0 <= phi_k(f, row(SKEWED3), k)[0] <= influence_bkkkl(f, row(SKEWED3), k)[0] + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +236,7 @@ def test_influence_profile_construction():
 def test_influence_profile_h_defaults_to_h_paper():
     g = indicator(build_tribes(3, 4, 0.5, r=2), 0)
     by_default = influence_profile(g, SKEWED3, "h")
-    assert by_default.values == tuple(influence_h(g, SKEWED3, k, h_paper) for k in range(g.n))
+    assert by_default.values == tuple(influence_h(g, row(SKEWED3), k, h_paper)[0] for k in range(g.n))
 
 
 def test_influence_profile_validation():

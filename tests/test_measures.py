@@ -9,7 +9,6 @@ from qthresh.measures import (
     SimplexMeasure,
     central_measure,
     line_rows,
-    mix_t,
     sample_uniform_batch,
     second_smallest_atom,
 )
@@ -60,50 +59,35 @@ def test_serialize_parse_round_trip():
         SimplexMeasure.parse("0.5,oops,0.5")
 
 
-def test_mix_t_endpoints():
-    base = SimplexMeasure((0.0, 0.5, 0.5))
-    assert mix_t(base, 0.0).atoms == (0.0, 0.5, 0.5)
-    assert mix_t(base, 1.0).atoms == (1.0, 0.0, 0.0)  # exactly delta_0
-    assert mix_t(base, 0.5).atoms == (0.5, 0.25, 0.25)
-
-
-def test_mix_t_atom_zero_is_exact():
-    base = SimplexMeasure((0.0, 0.3, 0.7))
-    for t in np.linspace(0.0, 1.0, 101):
-        assert mix_t(base, float(t))[0] == float(t)
-
-
-def test_mix_t_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        mix_t(SimplexMeasure((0.1, 0.4, 0.5)), 0.5)  # mass at symbol 0
-    with pytest.raises(ValueError):
-        mix_t(SimplexMeasure((0.0, 1.0)), 1.5)
-
-
 @pytest.mark.parametrize("atoms", [(0.0, 0.5, 0.5), (0.0, 0.3, 0.7), (0.0, 0.1, 0.2, 0.3, 0.4), (0.0, 1.0)])
 def test_line_rows_are_stacked_mix_t_rows_bytewise(atoms):
+    # Row k of a grid is the one-point grid at ts[k], byte for byte.
     base = SimplexMeasure(atoms)
     ts = [0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53, *np.random.default_rng(3).random(20)]
     rows = line_rows(base, ts)
     assert rows.shape == (len(ts), base.q) and rows.dtype == np.float64
-    stacked = np.stack([mix_t(base, t).as_array() for t in ts])
+    stacked = np.concatenate([line_rows(base, [t]) for t in ts])
     # The rule in Python floats: atom 0 is t, the others base's scaled by 1 - t.
     rule = np.array([(t, *((1.0 - t) * a for a in atoms[1:])) for t in map(float, ts)])
     assert rows.tobytes() == stacked.tobytes() == rule.tobytes()
     assert line_rows(base, []).shape == (0, base.q)
+    # Exact endpoints and an exact atom 0.
+    assert tuple(rows[0]) == base.atoms
+    assert tuple(rows[1]) == (1.0,) + (0.0,) * (base.q - 1)  # exactly delta_0
+    assert rows[:, 0].tolist() == [float(t) for t in ts]
 
 
 @pytest.mark.parametrize("ts", [[0.5, math.nan], [-0.25], [0.2, 1.5, 2.0]])
 def test_line_rows_refuses_what_mix_t_refuses_with_its_message(ts):
+    # The first bad t of a grid is named, alone or among good ones.
     base = SimplexMeasure((0.0, 0.5, 0.5))
     bad = next(t for t in ts if not 0.0 <= t <= 1.0)
-    for call in (lambda: line_rows(base, ts), lambda: mix_t(base, bad)):
+    for grid in (ts, [bad]):
         with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\], got " + repr(bad) + "$"):
-            call()
+            line_rows(base, grid)
     off_face = SimplexMeasure((0.1, 0.4, 0.5))
-    for call in (lambda: line_rows(off_face, [0.5]), lambda: mix_t(off_face, 0.5)):
-        with pytest.raises(ValueError, match="^base measure must place zero mass at symbol 0, got 0.1$"):
-            call()
+    with pytest.raises(ValueError, match="^base measure must place zero mass at symbol 0, got 0.1$"):
+        line_rows(off_face, [0.5])
 
 
 def test_second_smallest_atom():
@@ -187,8 +171,8 @@ def zero_face_bases(draw):
 
 @given(zero_face_bases(), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=150, deadline=None)
-def test_mix_t_properties(base, t):
-    mu = mix_t(base, t)
+def test_line_rows_properties(base, t):
+    mu = SimplexMeasure(tuple(line_rows(base, [t])[0]))
     assert mu[0] == t
     assert all(a >= 0.0 for a in mu.atoms)
     assert abs(math.fsum(mu.atoms) - 1.0) <= 1e-12

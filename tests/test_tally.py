@@ -33,7 +33,7 @@ from qthresh.influence import (
     influence_variance,
     phi_k,
 )
-from qthresh.measures import SimplexMeasure, central_measure, line_rows, mix_t
+from qthresh.measures import SimplexMeasure, central_measure, line_rows
 from qthresh.threshold import rm_derivative_exact
 from qthresh.verification import FD_STEP, fd_probability_derivative, upset_corpus
 
@@ -61,6 +61,11 @@ def measures(q: int):
     )
 
 
+def row(mu):
+    """mu as a one-row matrix of measures: every row form answers it in row 0."""
+    return mu.as_array()[None, :]
+
+
 @st.composite
 def functions_and_measures(draw, count: int = 3):
     f = draw(function_specs())
@@ -81,7 +86,7 @@ def test_tally_matches_enumeration(case):
     for mu in mus:
         w = product_weights(mu, f.n)
         for a in range(f.outputs):
-            assert abs(ExactEvaluator()(f, mu, a) - float(w @ (tbl == a))) <= 1e-12
+            assert abs(ExactEvaluator().batch(f, row(mu), a).values[0] - float(w @ (tbl == a))) <= 1e-12
 
 
 @given(functions_and_measures(count=2))
@@ -96,14 +101,14 @@ def test_fibre_tally_influences_match_moveaxis_reference(case):
             rows = fibre_rows(f, k)
             nonconst = rows.min(axis=1) != rows.max(axis=1)
             m = np.clip(rows @ atoms, 0.0, 1.0)  # partial sums of atoms may round past 1
-            assert abs(influence_bkkkl(f, mu, k) - float(w @ nonconst)) <= 1e-12
+            assert abs(influence_bkkkl(f, row(mu), k)[0] - float(w @ nonconst)) <= 1e-12
             if not binary:
                 with pytest.raises(ValueError):
-                    influence_variance(f, mu, k)
+                    influence_variance(f, row(mu), k)
                 continue
-            assert abs(influence_variance(f, mu, k) - float(w @ (m * (1.0 - m)))) <= 1e-12
-            assert abs(influence_h(f, mu, k, h_paper) - float(w @ h_paper(m))) <= 1e-12
-            assert abs(phi_k(f, mu, k) - float(w @ (nonconst * (1.0 - m)))) <= 1e-12
+            assert abs(influence_variance(f, row(mu), k)[0] - float(w @ (m * (1.0 - m)))) <= 1e-12
+            assert abs(influence_h(f, row(mu), k, h_paper)[0] - float(w @ h_paper(m))) <= 1e-12
+            assert abs(phi_k(f, row(mu), k)[0] - float(w @ (nonconst * (1.0 - m)))) <= 1e-12
 
 
 @given(functions_and_measures(count=5))
@@ -115,8 +120,7 @@ def test_exact_batch_equals_its_scalar_calls(case):
     for a in range(f.outputs):
         batch = ev.batch(f, M, a).values
         assert batch.shape == (len(mus),)
-        assert list(batch) == [ev(f, mu, a) for mu in mus]
-        assert list(batch) == [ev.batch(f, mu.as_array()[None, :], a).values[0] for mu in mus]
+        assert list(batch) == [ev.batch(f, row(mu), a).values[0] for mu in mus]
 
 
 def test_tally_is_built_once_per_function(monkeypatch):
@@ -125,17 +129,17 @@ def test_tally_is_built_once_per_function(monkeypatch):
     monkeypatch.setattr(evaluate, "materialize_table", lambda f: calls.append(f) or original(f))
     f = indicator(build_tribes(3, 6, 0.5, r=2), 0)
     mu = SimplexMeasure((0.2, 0.3, 0.5))
-    ExactEvaluator()(f, mu, 1)
+    ExactEvaluator().batch(f, row(mu), 1)
     ExactEvaluator().batch(f, np.array([mu.as_array()] * 3), 0)
-    variance_of_indicator(f, mu)
+    variance_of_indicator(f, row(mu))
     for k in range(f.n):
-        influence_h(f, mu, k, h_paper)
-        phi_k(f, mu, k)
-    bernstein_derivative(f, central_measure(3), 0.3)
+        influence_h(f, row(mu), k, h_paper)
+        phi_k(f, row(mu), k)
+    bernstein_derivative(f, central_measure(3), [0.3])
     assert calls == [f]
     # a new spec of the same function gets its own tally
     g = indicator(build_tribes(3, 6, 0.5, r=2), 0)
-    ExactEvaluator()(g, mu, 1)
+    ExactEvaluator().batch(g, row(mu), 1)
     assert calls == [f, g]
 
 
@@ -162,10 +166,10 @@ def test_fibre_patterns_beyond_int64_codes():
     g = from_table(q, 2, rng.integers(0, 2, size=q * q), kind="indicator")
     for k in range(2):
         rows = fibre_rows(f, k)
-        assert abs(influence_bkkkl(f, mu, k) - float(w @ (rows.min(axis=1) != rows.max(axis=1)))) <= 1e-12
+        assert abs(influence_bkkkl(f, row(mu), k)[0] - float(w @ (rows.min(axis=1) != rows.max(axis=1)))) <= 1e-12
         m = np.clip(fibre_rows(g, k) @ mu.as_array(), 0.0, 1.0)
-        assert abs(influence_variance(g, mu, k) - float(w @ (m * (1.0 - m)))) <= 1e-12
-        assert abs(influence_h(g, mu, k, h_paper) - float(w @ h_paper(m))) <= 1e-12
+        assert abs(influence_variance(g, row(mu), k)[0] - float(w @ (m * (1.0 - m)))) <= 1e-12
+        assert abs(influence_h(g, row(mu), k, h_paper)[0] - float(w @ h_paper(m))) <= 1e-12
 
 
 def test_fibre_mean_that_rounds_past_one_is_clipped():
@@ -176,8 +180,8 @@ def test_fibre_mean_that_rounds_past_one_is_clipped():
     w = product_weights(mu, 1)
     for k in range(2):
         m = np.clip(fibre_rows(f, k) @ mu.as_array(), 0.0, 1.0)
-        assert influence_h(f, mu, k, h_paper) == pytest.approx(float(w @ h_paper(m)), abs=1e-12)
-        assert influence_variance(f, mu, k) >= 0.0
+        assert influence_h(f, row(mu), k, h_paper)[0] == pytest.approx(float(w @ h_paper(m)), abs=1e-12)
+        assert influence_variance(f, row(mu), k)[0] >= 0.0
 
 
 @given(functions_and_measures(count=1), st.sampled_from((0.0, 0.05, 0.5, 0.95)))
@@ -186,8 +190,8 @@ def test_bernstein_derivative_matches_finite_differences(case, t):
     f, (mu,) = case
     assume(mu[0] < 1.0)
     base = SimplexMeasure.normalized((0.0,) + tuple(mu.atoms[1:]))
-    analytic = bernstein_derivative(f, base, t)
-    approx = fd_probability_derivative(f, base, t)
+    analytic = bernstein_derivative(f, base, [t])[0]
+    approx = fd_probability_derivative(f, base, [t])[0]
     assert abs(analytic - approx) <= 1e-6 * max(1.0, abs(analytic))
 
 
@@ -195,15 +199,15 @@ def test_bernstein_derivative_is_the_fibre_sum_on_upsets():
     base = SimplexMeasure((0.0, 0.3, 0.7))
     for f in upset_corpus(3, 4, 5, seed=8):
         for t in (0.0, 0.2, 0.7):
-            assert abs(bernstein_derivative(f, base, t) - rm_derivative_exact(f, base, t)) <= 1e-12
+            assert abs(bernstein_derivative(f, base, [t])[0] - rm_derivative_exact(f, base, [t])[0]) <= 1e-12
     dictator = from_table(3, 1, [1, 0, 0], kind="indicator")
     # Pr[x = 0] = t along the line: derivative 1 everywhere, t = 0 included
     for t in (0.0, 0.5, 0.99):
-        assert bernstein_derivative(dictator, base, t) == pytest.approx(1.0, abs=1e-15)
+        assert bernstein_derivative(dictator, base, [t])[0] == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        bernstein_derivative(dictator, base, 1.0)
+        bernstein_derivative(dictator, base, [1.0])
     with pytest.raises(ValueError):
-        bernstein_derivative(dictator, mix_t(base, 0.5), 0.1)
+        bernstein_derivative(dictator, SimplexMeasure(tuple(line_rows(base, [0.5])[0])), [0.1])  # off the zero face
 
 
 # t = 0, and t within FD_STEP of either end, where the stencils are one-sided.
@@ -234,27 +238,29 @@ def row_cases(draw):
 @given(row_cases())
 @settings(max_examples=80, deadline=None)
 def test_row_forms_equal_their_one_row_calls(case):
-    # Row i of every row form is the one-row call on measure or position i, to the bit.
+    # Row i of every row form is the call on rows[i:i+1], and grid point i the
+    # call on the one-point grid, to the bit.
     f, mus, base, ts = case
     rows = np.stack([mu.as_array() for mu in mus])
+    one_rows = [rows[i:i + 1] for i in range(len(rows))]
     for k in range(f.n):
         for influence in (phi_k, influence_bkkkl, influence_variance,
                           lambda f, mu, k: influence_h(f, mu, k, h_paper)):
-            assert np.array_equal(influence(f, rows, k), [influence(f, mu, k) for mu in mus])
-    assert np.array_equal(variance_of_indicator(f, rows), [variance_of_indicator(f, mu) for mu in mus])
+            assert np.array_equal(influence(f, rows, k), [influence(f, one, k)[0] for one in one_rows])
+    assert np.array_equal(variance_of_indicator(f, rows), [variance_of_indicator(f, one)[0] for one in one_rows])
     for derivative in (rm_derivative_exact, bernstein_derivative):
-        assert np.array_equal(derivative(f, base, np.array(ts)), [derivative(f, base, t) for t in ts])
+        assert np.array_equal(derivative(f, base, ts), [derivative(f, base, [t])[0] for t in ts])
     fd_ts = ts + [1.0]  # the oracle alone also answers at t = 1
     assert np.array_equal(fd_probability_derivative(f, base, fd_ts),
-                          [fd_probability_derivative(f, base, t) for t in fd_ts])
+                          [fd_probability_derivative(f, base, [t])[0] for t in fd_ts])
 
 
 @given(row_cases())
 @settings(max_examples=40, deadline=None)
 def test_grid_oracles_are_their_textbook_formulas(case):
-    # The identity: fsum over k of one-measure phi_k calls, over 1 - t.
+    # The identity: fsum over k of one-row phi_k calls, over 1 - t.
     f, _, base, ts = case
-    want = [math.fsum(phi_k(f, mix_t(base, t), k) for k in range(f.n)) / (1.0 - t) for t in ts]
+    want = [math.fsum(phi_k(f, line_rows(base, [t]), k)[0] for k in range(f.n)) / (1.0 - t) for t in ts]
     assert np.array_equal(rm_derivative_exact(f, base, ts), want)
     # Finite differences: the backward stencil is the forward one with a
     # negative step; the negation is exact in floating point, so the digits

@@ -28,7 +28,7 @@ from qthresh.functions import (
     random_zero_monotone,
     tribes_switching_times,
 )
-from qthresh.measures import SimplexMeasure, central_measure, line_rows, mix_t, sample_uniform_batch
+from qthresh.measures import SimplexMeasure, central_measure, line_rows, sample_uniform_batch
 from qthresh.threshold import (
     METHOD_BISECTION,
     METHOD_GRID_SCAN,
@@ -47,9 +47,14 @@ CENTRAL3 = central_measure(3)
 EXACT = ExactEvaluator()
 
 
+def probe(evaluator, f, base, t, a):
+    """Pr[f = a] at line point t: row 0 of a one-row batch."""
+    return evaluator.batch(f, line_rows(base, [t]), a).values[0]
+
+
 def fd_derivative(f, base, t, dt=1e-6):
-    lo = EXACT(f, mix_t(base, t - dt), 1)
-    hi = EXACT(f, mix_t(base, t + dt), 1)
+    lo = probe(EXACT, f, base, t - dt, 1)
+    hi = probe(EXACT, f, base, t + dt, 1)
     return (hi - lo) / (2 * dt)
 
 
@@ -65,14 +70,14 @@ def dictator_indicator(q=3, n=3):
 def test_rm_derivative_constant_function_is_zero():
     f = from_table(3, 3, np.full(3**3, 1), kind="indicator")
     for t in (0.0, 0.3, 0.9):
-        assert rm_derivative_exact(f, CENTRAL3, t) == 0.0
+        assert rm_derivative_exact(f, CENTRAL3, [t])[0] == 0.0
 
 
 def test_rm_derivative_matches_finite_differences():
     f = indicator(build_tribes(3, 4, 0.5, r=2), 0)
     for base in (CENTRAL3, SimplexMeasure((0.0, 0.3, 0.7))):
         for t in (0.1, 0.4, 0.75):
-            exact = rm_derivative_exact(f, base, t)
+            exact = rm_derivative_exact(f, base, [t])[0]
             approx = fd_derivative(f, base, t)
             assert exact == pytest.approx(approx, rel=1e-6)
 
@@ -86,15 +91,15 @@ def test_rm_derivative_dictator_closed_form():
     tbl[0] = 1
     f = from_table(3, 1, tbl, kind="indicator")  # 1 iff x_0 == 0
     for t in (0.0, 0.25, 0.6, 0.9):
-        assert rm_derivative_exact(f, CENTRAL3, t) == pytest.approx(1.0, rel=1e-12)
+        assert rm_derivative_exact(f, CENTRAL3, [t])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rm_derivative_rejects_bad_inputs():
     f = indicator(build_tribes(3, 4, 0.5, r=2), 0)
     with pytest.raises(ValueError):
-        rm_derivative_exact(f, CENTRAL3, 1.0)  # divides by 1 - t
+        rm_derivative_exact(f, CENTRAL3, [1.0])  # divides by 1 - t
     with pytest.raises(ValueError):
-        rm_derivative_exact(f, SimplexMeasure((0.2, 0.4, 0.4)), 0.5)  # off the zero face
+        rm_derivative_exact(f, SimplexMeasure((0.2, 0.4, 0.4)), [0.5])  # off the zero face
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +108,11 @@ def test_rm_derivative_rejects_bad_inputs():
 
 def test_derivative_lower_bound_ratio_fields():
     f = indicator(build_tribes(3, 6, 0.5, r=2), 0)
-    diag = derivative_lower_bound_ratio(f, CENTRAL3, 0.5)
+    diag = derivative_lower_bound_ratio(f, CENTRAL3, [0.5])[0]
     assert diag.n == 6
     assert diag.alpha == 0.5
-    assert diag.derivative == pytest.approx(rm_derivative_exact(f, CENTRAL3, 0.5), abs=0)
-    p = EXACT(f, mix_t(CENTRAL3, 0.5), 1)
+    assert diag.derivative == pytest.approx(rm_derivative_exact(f, CENTRAL3, [0.5])[0], abs=0)
+    p = probe(EXACT, f, CENTRAL3, 0.5, 1)
     expected_den = p * (1 - p) * math.log(6) / math.log(2)
     assert diag.denominator == pytest.approx(expected_den, rel=1e-15)
     assert diag.ratio == pytest.approx(diag.derivative / expected_den, rel=1e-15)
@@ -138,31 +143,31 @@ def test_variance_near_one_keeps_full_precision():
     f = indicator(build_tribes(3, 8, 0.5, r=2), 0)
     base = SimplexMeasure((0.0, 0.5, 0.5))
     for t in np.linspace(0.85, 0.95, 11):
-        mu = mix_t(base, float(t))
-        one, zero = exact_tribes_pair_split(mu.atoms, (2, 2, 2, 2))
+        mu = line_rows(base, [t])
+        one, zero = exact_tribes_pair_split(mu[0].tolist(), (2, 2, 2, 2))
         want = float(one * zero)
-        assert variance_of_indicator(f, mu) == pytest.approx(want, rel=1e-14, abs=0)
-        diag = derivative_lower_bound_ratio(f, base, float(t))
+        assert variance_of_indicator(f, mu)[0] == pytest.approx(want, rel=1e-14, abs=0)
+        diag = derivative_lower_bound_ratio(f, base, [float(t)])[0]
         assert diag.denominator == pytest.approx(want * math.log(8) / math.log(2), rel=1e-14, abs=0)
 
 
 def test_derivative_lower_bound_ratio_degenerate_cases():
     f = from_table(3, 3, np.full(3**3, 0), kind="indicator")
-    diag = derivative_lower_bound_ratio(f, CENTRAL3, 0.2)
+    diag = derivative_lower_bound_ratio(f, CENTRAL3, [0.2])[0]
     assert diag.denominator == 0.0
     assert diag.ratio is None
 
     with pytest.raises(ValueError):
         # alpha = 0: a rest symbol carries no mass
         g = indicator(build_tribes(3, 4, 0.5, r=2), 0)
-        derivative_lower_bound_ratio(g, SimplexMeasure((0.0, 1.0, 0.0)), 0.2)
+        derivative_lower_bound_ratio(g, SimplexMeasure((0.0, 1.0, 0.0)), [0.2])
 
 
 def test_derivative_lower_bound_ratio_alpha_one_binary():
     # q = 2 central measure has alpha = 1, so ln(1/alpha) = 0
     tbl = np.array([1, 0], dtype=np.int32)
     f = from_table(2, 1, tbl, kind="indicator")
-    diag = derivative_lower_bound_ratio(f, central_measure(2), 0.3)
+    diag = derivative_lower_bound_ratio(f, central_measure(2), [0.3])[0]
     assert diag.denominator == math.inf
     assert diag.ratio is None
 
@@ -291,14 +296,14 @@ def scalar_bisect(probe, target, lo, hi, t_tol):
 
 
 def scalar_crossings(f, base, a, eps, evaluator, t_tol):
-    """(t_lo, t_hi) of a nondecreasing level from one-row probes at mix_t points."""
-    def probe(t):
-        return evaluator(f, mix_t(base, t), a)
+    """(t_lo, t_hi) of a nondecreasing level from one-row probes at line points."""
+    def at(t):
+        return probe(evaluator, f, base, t, a)
 
-    p_start, p_end = probe(0.0), probe(1.0)
+    p_start, p_end = at(0.0), at(1.0)
     assert eps <= p_end and p_start <= 1 - eps
-    t_lo = scalar_bisect(probe, eps, 0.0, 1.0, t_tol) if p_start < eps else None
-    t_hi = scalar_bisect(probe, 1 - eps, 0.0, 1.0, t_tol) if p_end > 1 - eps else None
+    t_lo = scalar_bisect(at, eps, 0.0, 1.0, t_tol) if p_start < eps else None
+    t_hi = scalar_bisect(at, 1 - eps, 0.0, 1.0, t_tol) if p_end > 1 - eps else None
     return t_lo, t_hi
 
 
@@ -443,7 +448,7 @@ def test_line_width_mc_answers_a_nonzero_level_with_blocks_of_size_1():
     closed = line_width(g, CENTRAL3, 0, eps, ClosedFormEvaluator())
     assert rep.method == METHOD_MC_BISECTION and rep.lo_absent and closed.lo_absent
     se = math.sqrt(eps * (1 - eps) / samples)
-    assert abs(ClosedFormEvaluator()(g, mix_t(CENTRAL3, rep.t_hi), 0) - (1 - eps)) <= 6 * se
+    assert abs(probe(ClosedFormEvaluator(), g, CENTRAL3, rep.t_hi, 0) - (1 - eps)) <= 6 * se
     assert closed.t_hi == pytest.approx(1 - 0.2 ** (1 / 64), abs=1e-8)
 
 
@@ -685,7 +690,7 @@ def test_region_measure_mc_draws_one_stream_per_point():
     assert ev.calls == 30
     fresh = MonteCarloEvaluator(samples=400, seed=6)
     points = sample_uniform_batch(3, 30, 5)
-    probs = [fresh(f, SimplexMeasure(tuple(row)), 0) for row in points]
+    probs = [fresh.batch(f, points[k:k + 1], 0).values[0] for k in range(30)]
     assert est.fraction == sum(0.1 <= p <= 0.9 for p in probs) / 30
 
 
