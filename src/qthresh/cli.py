@@ -25,8 +25,8 @@ from .functions import (
     FunctionSpec,
     build_tribes,
     indicator,
-    level_is_zero_monotone,
     level_name,
+    level_rises,
     parse_function_file,
 )
 from .influence import influence_profile, keller_diagnostic
@@ -242,7 +242,7 @@ def _diagnostics_level(f: FunctionSpec, a: int) -> FunctionSpec:
     """
     if f.kind != KIND_FULL and a == 0:
         raise ValueError("--diagnostics tabulates d/dt Pr[g = 1]; on an indicator use --a 1")
-    if not level_is_zero_monotone(f, a):
+    if not level_rises(f, a, 0):
         raise ValueError(f"--diagnostics needs a level that only rises toward delta_0, and {level_name(f, a)} "
                          "is not one")
     return indicator(f, a) if f.kind == KIND_FULL else f

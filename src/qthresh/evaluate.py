@@ -35,13 +35,13 @@ import numpy as np
 
 from .functions import (
     BATCH_CELLS,
-    KIND_FULL,
     FunctionSpec,
     TribesVariant,
     check_cap,
     check_measure_q,
     check_output,
     evaluate_batch,
+    level_symbol,
     materialize_table,
     tribes_values,
 )
@@ -308,18 +308,18 @@ def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, ts) -> np.ndarra
     return type_tally(f).line_derivative(base.as_array(), derivative_ts(ts))
 
 
-def _tribes_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
-    """Pr[no block is all zero] for each entry of a 1-D array of zero masses in [0, 1].
+def _tribes_log_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
+    """log Pr[no block is all zero] for each entry of a 1-D array of zero masses in [0, 1].
 
-    Factors go by ascending block size, equal sizes share one power, so the
-    rounding is fixed by (r, m, last) alone.  Each factor is one 1-D column
-    op, with no (rows, sizes) matrix.  The complement of the zero event
-    reads this product directly: 1 - (1 - alive) would lose the digits of a
-    small product.
+    L = (m - 1) log1p(-p0^r) + log1p(-p0^last).  A sum of logs keeps its
+    relative error to a few ulps at any block count m, where the product
+    (1 - p0^r)^m loses about m 2^-53 and reads 0 at n = 2^60.  At
+    p0 = 1 a factor is log1p(-1) = -inf, and L is -inf; with m = 1 the
+    zero count of full blocks is not multiplied in, since 0 (-inf) is nan.
     """
-    if fam.last == fam.r:
-        return (1.0 - p0**fam.r) ** fam.m
-    return (1.0 - p0**fam.r) ** (fam.m - 1) * (1.0 - p0**fam.last)
+    with np.errstate(divide="ignore"):
+        last = np.log1p(-p0**fam.last)
+        return last if fam.m == 1 else (fam.m - 1) * np.log1p(-p0**fam.r) + last
 
 
 def _inverse_cdf(atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -407,30 +407,32 @@ class ExactEvaluator(Evaluator):
 class ClosedFormEvaluator(Evaluator):
     """Product formulas for every level of the tribes family.
 
-    With alive = Pr[no block is all zero] (:func:`_tribes_alive`),
+    With alive = Pr[no block is all zero] = exp(L) (:func:`_tribes_log_alive`),
 
-        Pr[f = 0] = 1 - alive,
+        Pr[f = 0] = 1 - alive = -expm1(L),
         Pr[f = b] = alive mu_b / (mu_1 + ... + mu_{q-1})  for b >= 1:
 
     when no block is all zero, the first block holds a nonzero coordinate,
     and given the zero pattern the nonzero symbols are iid with law
     mu_b / (1 - mu_0), so the first of them is b with that chance.  A row
     with mu_0 = 1 reads 0 there.  The indicator view of b reads Pr[f = b]
-    at a = 1 and its complement at a = 0, with the zero event's complement
-    read as ``alive`` itself.  No enumeration or sampling happens at any n.
+    at a = 1 and its complement at a = 0
+    (:func:`~qthresh.functions.level_symbol`), with the zero event's
+    complement read as ``alive`` itself.  No enumeration or sampling
+    happens at any n.
     """
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         if f.family is None:
             raise ValueError("closed form requires a tribes family function")
         measures = check_measures(f, measures, a)
-        b, complement = (a, False) if f.kind == KIND_FULL else (f.indicator_of, a == 0)
-        alive = _tribes_alive(f.family, measures[:, 0])
-        if b == 0:
-            values = alive if complement else 1.0 - alive
+        b, complement = level_symbol(f, a)
+        log_alive = _tribes_log_alive(f.family, measures[:, 0])
+        if b == 0:  # 0 - expm1: no -0.0 where L = 0
+            values = np.exp(log_alive) if complement else 0.0 - np.expm1(log_alive)
         else:
             rest = row_sums(measures[:, 1:])  # mu_1 + ... + mu_{q-1}
-            values = alive * np.divide(measures[:, b], rest, out=np.zeros(len(rest)), where=rest > 0)
+            values = np.exp(log_alive) * np.divide(measures[:, b], rest, out=np.zeros(len(rest)), where=rest > 0)
             if complement:
                 values = 1.0 - values
         return Estimate(values, 0.0, METHOD_CLOSED, 0)

@@ -237,13 +237,6 @@ def leq_a(x, y, a: int) -> bool:
     return all(yv == a or xv == yv for xv, yv in zip(x, y))
 
 
-def _binary_table(f: FunctionSpec) -> np.ndarray:
-    tbl = materialize_table(f)
-    if f.kind == KIND_FULL and tbl.size and tbl.max() > 1:
-        raise ValueError("monotonicity in this sense is defined for {0,1}-valued functions")
-    return tbl
-
-
 def _rewrite_monotone(cube: np.ndarray, a: int) -> bool:
     """Whether a {0,1} array with one axis per coordinate never drops when
     one coordinate is rewritten to a.  The covering relations generate the
@@ -255,46 +248,52 @@ def _rewrite_monotone(cube: np.ndarray, a: int) -> bool:
     return True
 
 
-def is_a_monotone(f: FunctionSpec, a: int) -> bool:
-    """Whether a {0,1}-valued f is nondecreasing for the rewrite-to-a order."""
-    if not 0 <= a < f.q:
-        raise ValueError(f"symbol a={a} out of range for q={f.q}")
-    return _rewrite_monotone(_binary_table(f).reshape((f.q,) * f.n), a)
+def level_symbol(f: FunctionSpec, a: int) -> tuple[int, bool]:
+    """The level 1[f = a] read as ``(b, complement)``: 1[f = b], or 1[f != b] when ``complement`` is set.
+
+    An indicator view of b (:func:`indicator`) is 1[f = b] at a = 1 and
+    1[f != b] at a = 0; any other f names its own level 1[f = a].
+    """
+    if f.indicator_of is None:
+        return a, False
+    return f.indicator_of, a == 0
 
 
-def level_is_zero_monotone(f: FunctionSpec, a: int) -> bool:
-    """Whether 1[f = a] is nondecreasing under rewriting coordinates to 0.
+def level_rises(f: FunctionSpec, a: int, toward: int) -> bool:
+    """Whether 1[f = a] never drops when a coordinate is rewritten to ``toward``.
 
-    A table is checked over every covering relation.  A tribes family is
-    decided from its definition, never from a table (it may be past the
-    cap).  An all-zero block stays all zero when more coordinates turn to
-    0, so the zero event f = 0 only rises, and every level f = b, b >= 1,
-    can drop to f = 0.  The level f != b, b >= 1, only rises when q = 2
-    (it is f = 0) or when the blocks have size 1: then f = 0 once any
-    coordinate is 0 and f = x_0 before, so f != b holds from the first
-    zero on.  With larger blocks and q >= 3, zeroing the first nonzero
-    coordinate can expose b behind it in the same block.  For a tribes
-    family these are exactly the levels :func:`tribes_switching_times`
-    answers without bisection.
+    f is monotone in the paper's sense when every level a rises toward a.
+    A table, and a family toward a nonzero symbol, is checked over every
+    covering relation of its table (so a family must fit under the cap).
+    A tribes family toward 0 is decided from its definition, never from a
+    table (it may be past the cap).  An all-zero block stays all zero when
+    more coordinates turn to 0, so the zero event f = 0 only rises, and
+    every level f = b, b >= 1, can drop to f = 0.  The level f != b,
+    b >= 1, only rises when q = 2 (it is f = 0) or when the blocks have
+    size 1: then f = 0 once any coordinate is 0 and f = x_0 before, so
+    f != b holds from the first zero on.  With larger blocks and q >= 3,
+    zeroing the first nonzero coordinate can expose b behind it in the
+    same block.  For a tribes family the levels that rise toward 0 are
+    exactly those :func:`tribes_switching_times` answers without bisection.
     """
     check_output(f, a)
-    if f.table is not None:
-        return _rewrite_monotone(f.table.reshape((f.q,) * f.n) == a, 0)
-    if f.kind == KIND_FULL:
-        return a == 0
-    b = f.indicator_of  # the level is f = b at a = 1, f != b at a = 0
-    return (b == 0) if a == 1 else (b != 0 and (f.q == 2 or f.family.r == 1))
+    if not 0 <= toward < f.q:
+        raise ValueError(f"symbol toward={toward} out of range for q={f.q}")
+    if f.family is None or toward != 0:
+        return _rewrite_monotone(materialize_table(f).reshape((f.q,) * f.n) == a, toward)
+    b, complement = level_symbol(f, a)
+    return b != 0 and (f.q == 2 or f.family.r == 1) if complement else b == 0
 
 
 def tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
     """Where 1[f = a] steps from 0 to 1 on each coupled row, read off the blocks.
 
     Row i is the path x_j(t) = 0 if U_ij < t, else V_ij, with V zero-free
-    (drawn from a zero-face base).  Returns ``(T, start, end)`` as
-    ``threshold._switching_times`` does: the switching time, and whether
-    f = a at t = 0 and at t = 1.  Only the levels
-    :func:`level_is_zero_monotone` names have a rule; any other level, and
-    any table, raises ValueError.
+    (drawn from a zero-face base).  Returns ``(T, start, end)``: the
+    switching time (0 for rows with f = a already at t = 0), and whether
+    f = a at t = 0 and at t = 1.  Only a tribes level that rises toward 0
+    (:func:`level_rises`) has a rule; any other level, and any table,
+    raises ValueError.
 
     - The zero event (f = 0; f != b at q = 2): block B is all zero once t
       passes max_{j in B} U_j, so T = min_B max_{j in B} U_j, no row starts
@@ -303,12 +302,13 @@ def tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray
       coordinate turns to 0 and f = 0 after, so T = 0 where V_0 != b and
       min_j U_j elsewhere.
     """
-    if f.family is None or not level_is_zero_monotone(f, a):
+    if f.family is None or not level_rises(f, a, 0):
         raise ValueError(f"tribes_switching_times needs a tribes level that only rises toward delta_0, "
                          f"and {level_name(f, a)} of this f is not one")
     end = np.ones(U.shape[0], dtype=bool)
-    if f.kind == KIND_INDICATOR and a == 0 and f.q > 2:  # f != b with blocks of size 1
-        start = V[:, 0] != f.indicator_of
+    b, complement = level_symbol(f, a)
+    if complement and f.q > 2:  # f != b with blocks of size 1
+        start = V[:, 0] != b
         return np.where(start, 0.0, U.min(axis=1)), start, end
     full_max, last_max = _fold_blocks(f.family, U, np.maximum)
     T = np.minimum(last_max, full_max.min(axis=1, initial=np.inf))
@@ -316,15 +316,9 @@ def tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray
 
 
 def level_name(f: FunctionSpec, a: int) -> str:
-    """The level 1[f = a] named by the function it was taken from.
-
-    An indicator view of b (:func:`indicator`) is 1[f = b] at a = 1 and
-    1[f != b] at a = 0; any other f names its own level 1[f = a].
-    """
-    b = f.indicator_of
-    if b is None:
-        return f"1[f = {a}]"
-    return f"1[f = {b}]" if a == 1 else f"1[f != {b}]"
+    """The level 1[f = a] named by the function it was taken from (:func:`level_symbol`)."""
+    b, complement = level_symbol(f, a)
+    return f"1[f {'!=' if complement else '='} {b}]"
 
 
 # ---------------------------------------------------------------------------

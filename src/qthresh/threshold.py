@@ -27,8 +27,8 @@ from .functions import (
     check_measure_q,
     check_output,
     evaluate_batch,
-    level_is_zero_monotone,
     level_name,
+    level_rises,
     tribes_switching_times,
 )
 from .influence import phi_k
@@ -249,31 +249,18 @@ def _dkw_samples(eps: float) -> int:
     return math.ceil(math.log(2.0 / _DKW_DELTA) / (2.0 * r * r))
 
 
-def _switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
-    """Where 1[f(x(t)) = a] steps from 0 to 1 on each coupled row.
-
-    For a level that only rises as coordinates turn to 0, each row's path
-    is one step.  Returns ``(T, start, end)``: T is the switching time (0
-    for rows with f = a already at t = 0), ``start`` and ``end`` say whether
-    f = a at t = 0 and at t = 1.  A tribes family reads T off its blocks in
-    one pass (:func:`~qthresh.functions.tribes_switching_times`); a table
-    takes :func:`_bisect_switching_times`.  Both give the same floats.
-    """
-    if f.family is not None:
-        return tribes_switching_times(f, a, U, V)
-    return _bisect_switching_times(f, a, U, V)
-
-
 def _bisect_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
-    """:func:`_switching_times` for any f, by bisection over the order statistics of U.
+    """Where 1[f(x(t)) = a] steps from 0 to 1 on each coupled row, for any f, by bisection.
 
-    x(t) changes only when t passes an order statistic of U, so the step is
-    at the k-th smallest U_i for the least k such that zeroing the k
-    smallest-U coordinates reaches f = a; k is found by bisection over all
-    rows at once, in ceil(log2 n) + 2 evaluations of f.  Every point
-    rewrites to the all-zero point, so a row with f != a at t = 1 means the
-    level is identically 0; its crossings are then absent and T is never
-    read.
+    Returns ``(T, start, end)`` as
+    :func:`~qthresh.functions.tribes_switching_times` does, with the same
+    floats on a tribes level.  x(t) changes only when t passes an order
+    statistic of U, so the step is at the k-th smallest U_i for the least k
+    such that zeroing the k smallest-U coordinates reaches f = a; k is found
+    by bisection over all rows at once, in ceil(log2 n) + 2 evaluations of
+    f.  Every point rewrites to the all-zero point, so a row with f != a at
+    t = 1 means the level is identically 0; its crossings are then absent
+    and T is never read.
     """
     b, n = U.shape
     rows = np.arange(b)
@@ -305,22 +292,22 @@ def _line_width_mc(f, base, a, eps, evaluator, t_tol):
     the rows have the law of the line's measure at every t at once.  Its
     size, max(evaluator.samples, DKW count), bounds the error of the
     empirical curve along the whole line, not only at single probes.  The
-    level 1[f = a] must be 0-monotone (:func:`level_is_zero_monotone`): then
-    every row switches once, and the crossings are quantiles of the
-    switching times (:func:`_switching_times`: one pass over the blocks for
-    a tribes family, a bisection for a table; ``mc-bisection`` and
-    ``grid_points`` 0 on both).  Any other level is refused before a stream
-    is taken; the exact or closed route answers it.
+    level 1[f = a] must rise toward 0 (:func:`level_rises`): then every row
+    switches once, and the crossings are quantiles of the switching times
+    (one pass over the blocks for a tribes family, a bisection for a table;
+    ``mc-bisection`` and ``grid_points`` 0 on both).  Any other level is
+    refused before a stream is taken; the exact or closed route answers it.
     """
-    if not level_is_zero_monotone(f, a):
+    if not level_rises(f, a, 0):
         raise ValueError(f"Monte Carlo width needs a level that only rises toward delta_0, and "
                          f"{level_name(f, a)} is not one; use --evaluator exact or closed")
     samples = max(evaluator.samples, _dkw_samples(eps))
     t_tol = max(t_tol, _MC_T_TOL)
     chunks = evaluator.coupled_line(f.n, base, samples)
+    switching_times = _bisect_switching_times if f.family is None else tribes_switching_times
     # Each path is one step at its switching time T, so the probability
     # curve is the empirical CDF of T and a crossing is a quantile of T.
-    T, start, end = (np.concatenate(part) for part in zip(*(_switching_times(f, a, U, V) for U, V in chunks)))
+    T, start, end = (np.concatenate(part) for part in zip(*(switching_times(f, a, U, V) for U, V in chunks)))
     T.sort()
 
     def crossing(target: float) -> float:

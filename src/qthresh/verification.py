@@ -29,8 +29,8 @@ from .functions import (
     build_tribes,
     from_table,
     indicator,
-    is_a_monotone,
     leq_a,
+    level_rises,
     materialize_table,
     point_index,
     random_zero_monotone,
@@ -195,7 +195,7 @@ def suite_order(rec: _Recorder) -> None:
         drops = [(x, y) for (x, u), (y, v) in itertools.product(zip(points, values), repeat=2) if u > v]
         for a in range(f.q):
             oracle = not any(leq_a(x, y, a) for x, y in drops)
-            fast = is_a_monotone(f, a)
+            fast = level_rises(f, 1, a)
             rec.record(
                 fast == oracle,
                 f"covering check ({fast}) disagrees with all-pairs oracle ({oracle}) "
@@ -237,7 +237,7 @@ def suite_single_variable(rec: _Recorder) -> None:
     monotone = []
     for values in itertools.product((0, 1), repeat=3):
         f = from_table(3, 1, values, kind="indicator")
-        if is_a_monotone(f, 0):
+        if level_rises(f, 1, 0):
             monotone.append((values, f))
     rec.record(len(monotone) == 5, f"expected 5 single-variable 0-monotone indicators, got {len(monotone)}")
     bases = [SimplexMeasure((0.0, 0.5, 0.5)), SimplexMeasure((0.0, 0.2, 0.8)), SimplexMeasure((0.0, 0.35, 0.65))]

@@ -19,7 +19,7 @@ from qthresh.functions import (
     build_tribes,
     from_table,
     indicator,
-    is_a_monotone,
+    level_rises,
     materialize_table,
 )
 from qthresh.influence import (
@@ -90,7 +90,7 @@ def test_criterion_02_single_variable_exhaustive():
     monotone = [
         from_table(3, 1, tbl, kind="indicator")
         for tbl in tables
-        if is_a_monotone(from_table(3, 1, tbl, kind="indicator"), 0)
+        if level_rises(from_table(3, 1, tbl, kind="indicator"), 1, 0)
     ]
     assert len(monotone) == 5  # exhaustiveness witness: 1 + constants + upsets
     bases = [

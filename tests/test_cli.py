@@ -61,6 +61,22 @@ def test_eval_exact_past_cap_exits_1(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("args, want_code, message", [
+    # q^n has few enough digits to print in full: the decimal branch of check_cap
+    (["--q", "3", "--n", "16", "--p0", "0.5", "--evaluator", "exact"], 1,
+     "q^n = 3^16 = 43046721 exceeds the enumeration cap 16777216"),
+    (["--q", "1", "--n", "4", "--p0", "0.5"], 2, "q must be at least 2"),
+    (["--q", "3", "--n", "0", "--p0", "0.5"], 2, "n must be at least 1"),
+    (["--q", "3", "--n", "8", "--p0", "1.5"], 2, "p0 must lie strictly inside (0, 1), got 1.5"),  # no --r
+], ids=["cap-decimal", "q-1", "n-0", "p0-without-r"])
+def test_eval_tribes_refusals_name_their_cause_and_leave_no_file(tmp_path, capsys, args, want_code, message):
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(["eval", "--family", "tribes", *args, "--mu", "0.5,0.25,0.25", "--a", "0",
+                             "--out", str(out)], capsys)
+    assert (code, stdout, err) == (want_code, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_eval_multiple_measures(capsys):
     code, out, _ = run(
         ["eval", "--family", "tribes", "--q", "3", "--n", "4", "--p0", "0.5", "--r", "2",
@@ -697,7 +713,7 @@ PINNED = {
          "--evaluator", "closed"],
         'q,n,mu,a,method,value,std_error,samples\n'
         '3,1024,"0.29999999999999999,0.40000000000000002,0.29999999999999999",0,closed-form,'
-        '0.11595899663095388,0,0\n'
+        '0.11595899663095696,0,0\n'
         '3,1024,"0.59999999999999998,0.20000000000000001,0.20000000000000001",0,closed-form,'
         '0.99969057544579187,0,0\n',
     ),
@@ -817,8 +833,8 @@ PINNED = {
     "width-closed-adjacent-floats": (  # a t_tol below the float spacing: bisection stops at adjacent floats
         ["width", *_tribes(1048576), "--a", "0", "--eps", "0.1", "--evaluator", "closed", "--t-tol", "1e-300"],
         'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
-        '3,1048576,0,0.10000000000000001,closed,bisection,0.40914589611157415,0.50255109750985394,'
-        '0.093405201398279791,101,1e-300,false,false\n',
+        '3,1048576,0,0.10000000000000001,closed,bisection,0.40914589611173979,0.50255109750981797,'
+        '0.093405201398078175,101,1e-300,false,false\n',
     ),
     "influence-table-bkkkl": (
         ["influence", "--fn", TABLE4, "--mu", "0.45,0.2,0.35", "--kind", "bkkkl"],

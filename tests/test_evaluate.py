@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -26,8 +27,8 @@ from qthresh.functions import (
     evaluate_batch,
     from_table,
     indicator,
+    level_rises,
     materialize_table,
-    level_is_zero_monotone,
     random_zero_monotone,
 )
 from qthresh.measures import ATOM_SUM_TOL, SimplexMeasure, central_measure, line_rows, sample_uniform_batch
@@ -190,23 +191,33 @@ def test_closed_form_zero_event_formula_value():
     assert list(closed_zero_event(f, p0)) == [closed_zero_event(f, [p])[0] for p in p0]
 
 
-@pytest.mark.parametrize("n", [1024, 4096, 2**20])  # (r, m, last) = (6, 170, 10), (8, 512, 8), (15, 69905, 16)
-def test_closed_form_zero_event_keeps_the_sizes_matrix_floats(n):
-    # The factors (1 - p0^size)^count were once columns of a (rows, sizes)
-    # matrix multiplied along axis 1; the 1-D columns give the same floats.
-    # Not at a two-size count or size of 2 (r = 2 with last = 3, or m = 3):
-    # numpy squares a constant exponent of 2, and a matrix column of 2
-    # went through its general power, which can differ in the last bit.
+def decimal_alive(fam, p0):
+    """Pr[no block is all zero] at a zero mass p0, to 60 digits: (1 - p0^r)^(m-1) (1 - p0^last)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = decimal.Decimal(p0)  # the float's exact value
+        return (1 - p**fam.r) ** (fam.m - 1) * (1 - p**fam.last)
+
+
+@pytest.mark.parametrize("n", [2**10, 2**20, 2**40, 2**60])
+def test_closed_form_zero_event_matches_a_decimal_reference(n):
+    # A product (1 - p0^r)^m loses about m 2^-53 and reads 0 at n = 2^60.
+    # On a grid of zero masses where Pr[f = 0] runs over [0.01, 0.99], the
+    # zero event stays within 1e-15 relative of the 60-digit reference.
+    # Its complement is read as exp(L): a rounding of a few ulps in L moves
+    # it by |L| times that, and |L| reaches ln 100 at Pr[f = 0] = 0.99.
     f = build_tribes(3, n, 0.5)
     fam = f.family
-    sizes = [fam.r] if fam.last == fam.r else [fam.r, fam.last]
-    counts = [fam.m] if fam.last == fam.r else [fam.m - 1, 1]
-    measures = sample_uniform_batch(3, 10**5, n)
-    p0 = measures[:, 0]
-    matrix = np.prod((1.0 - p0[:, None] ** np.array(sizes, dtype=float)[None, :])
-                     ** np.array(counts, dtype=float)[None, :], axis=1)
-    assert np.array_equal(ClosedFormEvaluator().batch(f, measures, 0).values, 1.0 - matrix)
-    assert np.array_equal(ClosedFormEvaluator().batch(indicator(f, 0), measures, 0).values, matrix)
+    alive = np.linspace(0.01, 0.99, 99)
+    p0 = (-np.log(alive) / fam.m) ** (1.0 / fam.r)  # about where the product is ``alive``
+    rows = np.column_stack([p0, (1 - p0) / 2, (1 - p0) / 2])
+    zero = ClosedFormEvaluator().batch(f, rows, 0).values
+    complement = ClosedFormEvaluator().batch(indicator(f, 0), rows, 0).values
+    for p, z, c in zip(p0.tolist(), zero.tolist(), complement.tolist()):
+        ref = decimal_alive(fam, p)
+        assert 0.005 <= 1 - ref <= 0.995
+        assert abs(decimal.Decimal(z) - (1 - ref)) <= decimal.Decimal(1e-15) * (1 - ref)
+        assert abs(decimal.Decimal(c) - ref) <= decimal.Decimal(1e-15) * max(1, -ref.ln()) * ref
 
 
 def test_tribes_variant_rejects_bad_blocks():
@@ -477,8 +488,8 @@ def test_closed_form_answers_exactly_the_levels_the_tribes_rule_names(q):
             closed = ClosedFormEvaluator().batch(g, measures, a).values
             np.testing.assert_allclose(closed, EXACT.batch(g, measures, a).values, rtol=0, atol=1e-12)
             level = materialize_table(g).reshape((q,) * g.n) == a
-            assert level_is_zero_monotone(g, a) == _rewrite_monotone(level, 0)
-            monotone += level_is_zero_monotone(g, a)
+            assert level_rises(g, a, 0) == _rewrite_monotone(level, 0)
+            monotone += level_rises(g, a, 0)
     assert monotone == (3 if q == 2 else 2)  # the zero event: f = 0, 1[f = 0] = 1, and 1[f = 1] = 0 at q = 2
 
 

@@ -20,9 +20,10 @@ from qthresh.functions import (
     evaluate_batch,
     from_table,
     indicator,
-    is_a_monotone,
     leq_a,
-    level_is_zero_monotone,
+    level_name,
+    level_rises,
+    level_symbol,
     materialize_table,
     parse_function_file,
     point_index,
@@ -46,8 +47,8 @@ def tribes_point(fam, x):
 
 
 def monotone_full(f):
-    """Whether every level indicator 1[f = a] is monotone for the rewrite-to-a order."""
-    return all(is_a_monotone(indicator(f, a), a) for a in range(f.q))
+    """The paper's hypothesis: every level 1[f = a] rises toward a."""
+    return all(level_rises(f, a, a) for a in range(f.q))
 
 
 def all_pairs_monotone(f, a):
@@ -138,7 +139,7 @@ def test_rewriting_one_coordinate_moves_up():
 def test_constant_is_monotone_every_way():
     f = from_table(3, 2, np.full(3**2, 1), kind="indicator")
     for a in range(3):
-        assert is_a_monotone(f, a)
+        assert level_rises(f, 1, a)
 
 
 def test_is_a_monotone_matches_all_pairs_oracle():
@@ -149,12 +150,12 @@ def test_is_a_monotone_matches_all_pairs_oracle():
         corpus.append(from_table(3, 2, rng.integers(0, 2, size=9), kind="indicator"))
     for f in corpus:
         for a in range(f.q):
-            assert is_a_monotone(f, a) == all_pairs_monotone(f, a)
+            assert level_rises(f, 1, a) == all_pairs_monotone(f, a)
 
 
 def test_upset_is_zero_monotone_but_usually_not_other_ways():
     f = random_zero_monotone(3, 3, 0.3, seed=4)
-    assert is_a_monotone(f, 0)
+    assert level_rises(f, 1, 0)
     assert all_pairs_monotone(f, 0)
 
 
@@ -173,7 +174,7 @@ def test_level_is_zero_monotone_matches_all_pairs_oracle_on_tables():
     for f in corpus:
         for a in range(f.q if f.kind == KIND_FULL else 2):
             want = all_pairs_monotone(level_table(f, a), 0)
-            assert level_is_zero_monotone(f, a) == want
+            assert level_rises(f, a, 0) == want
             seen.add(want)
     assert seen == {True, False}
 
@@ -189,19 +190,65 @@ def test_level_is_zero_monotone_tribes_rule_matches_the_table(q):
             for g in [f] + [indicator(f, b) for b in range(q)]:
                 for a in range(g.outputs):
                     want = _rewrite_monotone(materialize_table(g).reshape((q,) * n) == a, 0)
-                    assert level_is_zero_monotone(g, a) == want, (n, r, g.indicator_of, a)
+                    assert level_rises(g, a, 0) == want, (n, r, g.indicator_of, a)
 
 
 def test_level_is_zero_monotone_never_enumerates_a_family():
     f = build_tribes(3, 10**6, 0.5)  # 3^n is far past the cap
-    assert level_is_zero_monotone(f, 0)
-    assert level_is_zero_monotone(indicator(f, 0), 1)
-    assert not level_is_zero_monotone(f, 2)
-    assert not level_is_zero_monotone(indicator(f, 1), 1)
-    assert not level_is_zero_monotone(indicator(f, 1), 0)
-    assert level_is_zero_monotone(indicator(build_tribes(3, 10**6, 0.5, r=1), 1), 0)
+    assert level_rises(f, 0, 0)
+    assert level_rises(indicator(f, 0), 1, 0)
+    assert not level_rises(f, 2, 0)
+    assert not level_rises(indicator(f, 1), 1, 0)
+    assert not level_rises(indicator(f, 1), 0, 0)
+    assert level_rises(indicator(build_tribes(3, 10**6, 0.5, r=1), 1), 0, 0)
     with pytest.raises(ValueError):
-        level_is_zero_monotone(f, 3)
+        level_rises(f, 3, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_level_rises_is_the_covering_check_toward_every_symbol(q):
+    # Every level of every view, toward every symbol: small tables, and
+    # tribes with blocks of size 1, of size 2 and one block of size n.
+    rng = np.random.default_rng(40 + q)
+    tables = [random_zero_monotone(q, 3, 0.3, seed=q), from_table(q, 2, rng.integers(0, q, size=q**2)),
+              from_table(q, 2, rng.integers(0, 2, size=q**2), kind="indicator")]
+    families = [build_tribes(q, n, 0.5, r=r) for n in range(1, 6) for r in sorted({1, min(2, n), n})]
+    seen = set()
+    for f in tables + families:
+        for g in [f] + ([indicator(f, b) for b in range(q)] if f.kind == KIND_FULL else []):
+            cube = materialize_table(g).reshape((q,) * g.n)
+            for a in range(g.outputs):
+                for v in range(q):
+                    want = _rewrite_monotone(cube == a, v)
+                    assert level_rises(g, a, v) == want, (g.n, g.family, g.indicator_of, a, v)
+                    seen.add(want)
+    assert seen == {True, False}
+
+
+def test_level_rises_reads_a_level_of_any_full_table():
+    f = from_table(3, 1, [2, 1, 0])  # f(x) = 2 - x
+    assert level_rises(f, 1, 1) and not level_rises(f, 1, 0)
+    assert level_rises(f, 0, 2) and not level_rises(f, 2, 2)
+    assert not monotone_full(f)
+
+
+def test_level_rises_refuses_a_symbol_outside_the_alphabet():
+    f = build_tribes(3, 4, 0.5, r=2)
+    for toward in (-1, 3):
+        with pytest.raises(ValueError, match=f"^symbol toward={toward} out of range for q=3$"):
+            level_rises(f, 0, toward)
+    with pytest.raises(ValueError, match="a=2 is not an output of f"):
+        level_rises(indicator(f, 1), 2, 0)
+
+
+def test_level_symbol_is_the_one_reading_of_a_level():
+    f = build_tribes(3, 4, 0.5, r=2)
+    assert [level_symbol(f, a) for a in range(3)] == [(0, False), (1, False), (2, False)]
+    assert [level_symbol(indicator(f, 2), a) for a in (0, 1)] == [(2, True), (2, False)]
+    assert [level_name(indicator(f, 2), a) for a in (0, 1)] == ["1[f != 2]", "1[f = 2]"]
+    table = from_table(3, 1, [1, 1, 0], kind="indicator")  # an indicator read from a file names its own levels
+    assert [level_symbol(table, a) for a in (0, 1)] == [(0, False), (1, False)]
+    assert level_name(table, 0) == "1[f = 0]"
 
 
 def test_is_monotone_full_dictator():
@@ -221,8 +268,11 @@ def test_is_monotone_full_rejects_counterexample():
 
 
 def test_tribes_is_monotone_full():
-    assert monotone_full(build_tribes(3, 4, 0.5, r=2))
-    assert monotone_full(build_tribes(3, 6, 0.5, r=2))
+    # Every level a rises toward a, so tribes is monotone in the paper's sense.
+    for q in (2, 3, 4):
+        for n in range(1, 7):
+            for r in sorted({1, min(2, n), n}):
+                assert monotone_full(build_tribes(q, n, 0.5, r=r)), (q, n, r)
     assert monotone_full(build_tribes(4, 6, 0.3, r=3))
 
 
@@ -399,7 +449,7 @@ def test_random_zero_monotone_densities():
 def test_random_zero_monotone_always_monotone():
     for seed in range(10):
         f = random_zero_monotone(3, 4, 0.35, seed=seed)
-        assert is_a_monotone(f, 0)
+        assert level_rises(f, 1, 0)
 
 
 def test_random_zero_monotone_contains_its_seeds():

@@ -23,7 +23,7 @@ from qthresh.functions import (
     evaluate_batch,
     from_table,
     indicator,
-    level_is_zero_monotone,
+    level_rises,
     materialize_table,
     random_zero_monotone,
     tribes_switching_times,
@@ -513,7 +513,7 @@ def test_tribes_switching_times_match_the_bisection_bit_for_bit(q, n, r):
     U = np.vstack([rng.random((300, n)), rng.integers(0, 3, size=(300, n)) / 4.0, np.zeros((1, n))])
     V = rng.integers(1, q, size=U.shape, dtype=np.int32)  # zero-free, as drawn from a zero-face base
     assert (U[300:-1] == 0.0).any() and not (U[300:-1] == 0.0).all()
-    levels = [(g, a) for g, a in tribes_views(f) if level_is_zero_monotone(g, a)]
+    levels = [(g, a) for g, a in tribes_views(f) if level_rises(g, a, 0)]
     assert {blocks_of_one_rule(g, a) for g, a in levels} == ({False, True} if r == 1 and q > 2 else {False})
     for g, a in levels:
         got = tribes_switching_times(g, a, U, V)
@@ -524,21 +524,21 @@ def test_tribes_switching_times_match_the_bisection_bit_for_bit(q, n, r):
         assert end.all() and start.any() == blocks_of_one_rule(g, a) and not start.all()
         if q**n <= 4**7:  # the table of the same level takes the bisection
             table = from_table(q, n, materialize_table(g), kind=g.kind)
-            for x, w in zip(threshold._switching_times(table, a, U, V), got):
+            for x, w in zip(threshold._bisect_switching_times(table, a, U, V), got):
                 assert np.array_equal(x, w)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_tribes_switching_times_answer_exactly_the_zero_monotone_levels(q, r):
-    # A level added to level_is_zero_monotone cannot reach the rule unawares,
+    # A level added to level_rises toward 0 cannot reach the rule unawares,
     # and the rule answers no level the MC width refuses.
     f = build_tribes(q, 7, 0.5, r=r)
     rng = np.random.default_rng(q + 10 * r)
     U, V = rng.random((50, 7)), rng.integers(1, q, size=(50, 7), dtype=np.int32)
     answered = 0
     for g, a in tribes_views(f):
-        if level_is_zero_monotone(g, a):
+        if level_rises(g, a, 0):
             T, start, end = tribes_switching_times(g, a, U, V)
             assert T.shape == start.shape == end.shape == (50,)
             answered += 1
@@ -547,7 +547,7 @@ def test_tribes_switching_times_answer_exactly_the_zero_monotone_levels(q, r):
                 tribes_switching_times(g, a, U, V)
     assert answered == 2 + (q - 1) * (q == 2 or r == 1)  # f = 0 twice, then f != b for every b >= 1
     table = from_table(q, 7, materialize_table(indicator(f, 0)), kind="indicator")
-    assert level_is_zero_monotone(table, 1)
+    assert level_rises(table, 1, 0)
     with pytest.raises(ValueError, match="tribes level"):
         tribes_switching_times(table, 1, U, V)
 
