@@ -13,20 +13,23 @@ only on its type, the vector c of symbol counts, so
 
 where N_a(c) counts the points of type c that f maps to a.  That is
 C(n+q-1, q-1) terms against q^n points.  :class:`TypeTally` holds N_a(c).
-It is built in one pass over the value table (materialised once for a
-family-backed function) the first time any exact quantity of a
-:class:`~qthresh.functions.FunctionSpec` is asked for, and this module keeps
-it, keyed by the spec, for as long as the spec lives.  Every later exact
-probe, batch of probes, variance, influence and fibre-sum derivative of the
-same spec is then a dot product over types.  For influences the tally also
-keeps, per coordinate k and built on first use, the counts of (type of the
-other n-1 coordinates, fibre pattern); the pattern is the row of q outputs
-along coordinate k.  The enumeration cap is one constant,
+It is built the first time any exact quantity of a
+:class:`~qthresh.functions.FunctionSpec` is asked for: in one pass over the
+value table of a table spec, and from the blocks of a tribes family, with
+no enumeration.  This module keeps it, keyed by the spec, for as long as
+the spec lives.  Every later exact probe, batch of probes, variance and
+line derivative of the same spec is then a dot product over types.  For
+influences and the fibre-sum derivative the tally also keeps, per
+coordinate k and built on first use, the counts of (type of the other n-1
+coordinates, fibre pattern); the pattern is the row of q outputs along
+coordinate k.  Only these read a family's value table, materialised once,
+on first use.  The enumeration cap is one constant,
 ``functions.DEFAULT_CAP``, checked once, when the tally is built.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -124,33 +127,47 @@ def product_weights(mu: SimplexMeasure, n: int) -> np.ndarray:
     return w
 
 
+@functools.lru_cache(maxsize=16)
+def _types(q: int, n: int) -> np.ndarray:
+    """Every type of n coordinates over q symbols, in lexicographic order, read-only.
+
+    A type is placed by the q - 1 bars of a stars-and-bars string of n stars:
+    c_j is the gap between bars j - 1 and j.  ``itertools.combinations``
+    yields the bar positions in lexicographic order, and so the types.
+    Every route of every function of shape (q, n) reads this one array.
+    """
+    bars = np.array(list(itertools.combinations(range(n + q - 1), q - 1)), dtype=np.int64).reshape(-1, q - 1)
+    edges = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), n + q - 1)])
+    types = np.diff(edges, axis=1) - 1
+    types.setflags(write=False)
+    return types
+
+
+def _appended(q: int, k: int) -> np.ndarray:
+    """``step[t, v]``: the row of ``_types(q, k + 1)`` reached by appending symbol v to type t of k."""
+    grown = (_types(q, k)[:, None, :] + np.eye(q, dtype=np.int64)[None, :, :]).reshape(-1, q)
+    # np.unique sorts the grown types lexicographically, the order of _types.
+    return np.unique(grown, axis=0, return_inverse=True)[1].reshape(-1, q).astype(np.int32)
+
+
 @functools.lru_cache(maxsize=8)
 def _type_steps(q: int, n: int):
-    """Types of n-1 and of n coordinates, with the type id of each point.
+    """Type ids of the points of [q]^(n-1), and the step to types of n.
 
-    Returns ``(rest_types, rest_ids, types, step)``: ``rest_ids[i]`` is the
-    row of ``rest_types`` holding the type of the i-th point of [q]^(n-1) in
-    lexicographic order, and ``step[t, v]`` is the row of ``types`` reached
-    by appending symbol v to a point of type ``rest_types[t]``.  The ids grow
-    one coordinate at a time, so no (q^n, n) digit matrix is ever built.
-    They depend on (q, n) alone, so every tally of that shape shares one
-    read-only copy.
+    Returns ``(rest_ids, step)``: ``rest_ids[i]`` is the row of
+    ``_types(q, n - 1)`` holding the type of the i-th point of [q]^(n-1) in
+    lexicographic order, and ``step`` is ``_appended(q, n - 1)``.  The ids
+    grow one coordinate at a time, so no (q^n, n) digit matrix is ever
+    built.  They depend on (q, n) alone, so every table tally of that shape
+    shares one read-only copy.
     """
-
-    def grow(types: np.ndarray):
-        grown = (types[:, None, :] + np.eye(q, dtype=np.int64)[None, :, :]).reshape(-1, q)
-        longer, step = np.unique(grown, axis=0, return_inverse=True)
-        return longer, step.reshape(-1, q).astype(np.int32)
-
-    types = np.zeros((1, q), dtype=np.int64)
     ids = np.zeros(1, dtype=np.int32)
-    for _ in range(n - 1):
-        longer, step = grow(types)
-        types, ids = longer, step[ids].reshape(-1)
-    longer, step = grow(types)
-    for arr in (types, ids, longer, step):
+    for k in range(n - 1):
+        ids = _appended(q, k)[ids].reshape(-1)
+    step = _appended(q, n - 1)
+    for arr in (ids, step):
         arr.setflags(write=False)
-    return types, ids, longer, step
+    return ids, step
 
 
 def _type_weights(measures: np.ndarray, types: np.ndarray) -> np.ndarray:
@@ -168,27 +185,23 @@ class TypeTally:
     """Per-type output counts of one function on [q]^n.
 
     ``types[t]`` is a symbol-count vector (q nonnegative integers summing to
-    n) and ``counts[t, a]`` the number of points of that type where f = a,
-    for a below ``outputs`` (``FunctionSpec.outputs``).
+    n, :func:`_types`) and ``counts[t, a]`` the number of points of that
+    type where f = a, for a below ``outputs`` (``FunctionSpec.outputs``).
     ``rest_types`` are the types of the other n-1 coordinates, which index
-    the fibre tallies.
+    the fibre tallies.  The fibres read the value table: a table spec's own,
+    or a family's, materialised on first use.  The tally refers to its spec
+    only weakly, since the spec keys it in ``_TALLIES`` and a strong
+    reference would keep both alive for good.
     """
 
-    def __init__(self, f: FunctionSpec, table: np.ndarray):
+    def __init__(self, f: FunctionSpec, counts: np.ndarray):
         self.q, self.n = f.q, f.n
         self.outputs = f.outputs
-        self.rest_types, self._rest_ids, self.types, step = _type_steps(f.q, f.n)
-        # Row i of the reshaped table is the fibre of the last coordinate
-        # over rest point i: symbol v there extends the rest type by v.
-        rows = table.reshape(-1, f.q)
-        counts = np.zeros((len(self.types), self.outputs), dtype=np.int64)
-        for v in range(f.q):
-            part = np.bincount(self._rest_ids * self.outputs + rows[:, v],
-                               minlength=len(self.rest_types) * self.outputs)
-            counts[step[:, v]] += part.reshape(-1, self.outputs)
+        self.types, self.rest_types = _types(f.q, f.n), _types(f.q, f.n - 1)
         self.counts = counts
         self.binary = not counts[:, 2:].any()
-        self._table = table
+        self._spec = weakref.ref(f)
+        self._table = f.table
         self._fibres: list = [None] * f.n
 
     def probabilities(self, measures: np.ndarray, a: int) -> np.ndarray:
@@ -211,13 +224,16 @@ class TypeTally:
         constant.  Built on first use.
         """
         if self._fibres[k] is None:
+            if self._table is None:
+                self._table = materialize_table(self._spec())
             q, hi = self.q, self.outputs
+            rest_ids = _type_steps(q, self.n)[0]
             cube = self._table.reshape(q**k, q, -1)
             columns = [cube[:, v, :].reshape(-1) for v in range(q)]
             if len(self.rest_types) * hi**q <= _KEY_LIMIT:
                 # One int64 key per rest point: rest type, then the pattern
                 # as q base-hi digits.
-                key = self._rest_ids.astype(np.int64)
+                key = rest_ids.astype(np.int64)
                 for col in columns:
                     key = key * hi + col
                 keys, count = np.unique(key, return_counts=True)
@@ -225,7 +241,7 @@ class TypeTally:
                 patterns = (code[:, None] // hi ** np.arange(q - 1, -1, -1)) % hi
             else:
                 # The key would overflow int64 (many symbols): sort whole rows.
-                pairs, count = np.unique(np.column_stack([self._rest_ids, *columns]), axis=0,
+                pairs, count = np.unique(np.column_stack([rest_ids, *columns]), axis=0,
                                          return_counts=True)
                 rest, patterns = pairs[:, 0], pairs[:, 1:]
             self._fibres[k] = (rest, patterns.astype(float), count, patterns.min(axis=1) != patterns.max(axis=1))
@@ -267,15 +283,62 @@ class TypeTally:
         return (self.counts[:, 1] * scale * dw).sum(axis=1)
 
 
+def _table_counts(f: FunctionSpec) -> np.ndarray:
+    """N_a(c) read off the value table of f, in one pass."""
+    rest_ids, step = _type_steps(f.q, f.n)
+    # Row i of the reshaped table is the fibre of the last coordinate
+    # over rest point i: symbol v there extends the rest type by v.
+    rows = f.table.reshape(-1, f.q)
+    counts = np.zeros((len(_types(f.q, f.n)), f.outputs), dtype=np.int64)
+    for v in range(f.q):
+        part = np.bincount(rest_ids * f.outputs + rows[:, v], minlength=len(step) * f.outputs)
+        counts[step[:, v]] += part.reshape(-1, f.outputs)
+    return counts
+
+
+def _tribes_counts(f: FunctionSpec) -> np.ndarray:
+    """N_a(c) of a tribes family, counted from its blocks with no enumeration.
+
+    A zero set of size c0 that leaves no block all zero is chosen in A(c0)
+    ways, the z^c0 coefficient of prod_B ((1 + z)^|B| - z^|B|).  The k =
+    n - c0 other coordinates take the counts c_1, ..., c_{q-1} in
+    M = k! / prod_{j>0} c_j! ways, and by symmetry the first of them is b
+    in a share c_b / k of those.  So N_b(c) = A(c0) M c_b / k for b >= 1,
+    and N_0(c) = C(n, c0) M - A(c0) M.  Each level of f takes its column
+    through :func:`~qthresh.functions.level_symbol`: 1[f = b] is N_b, and
+    1[f != b] the type's total minus N_b.  The counts are exact integers.
+    """
+    fam, n = f.family, f.n
+    alive = np.ones(1, dtype=object)  # Python ints: the coefficients A(0), A(1), ...
+    for size in [fam.r] * (fam.m - 1) + [fam.last]:
+        # (1 + z)^size - z^size: every zero set of the block but the full one.
+        alive = np.convolve(alive, np.array([math.comb(size, j) for j in range(size)], dtype=object))
+    alive = alive.tolist() + [0] * (n + 1 - len(alive))  # A(c0) = 0 past degree n - m
+    full = []
+    for c in _types(f.q, n).tolist():
+        k = n - c[0]
+        ways = math.factorial(k) // math.prod(map(math.factorial, c[1:]))  # M
+        live = alive[c[0]] * ways
+        # With k = 0 every c_b is 0, and so is N_b.
+        full.append([math.comb(n, c[0]) * ways - live] + [live * cb // max(k, 1) for cb in c[1:]])
+    full = np.array(full, dtype=np.int64)
+    total = full.sum(axis=1)
+    columns = [level_symbol(f, a) for a in range(f.outputs)]
+    return np.column_stack([total - full[:, b] if complement else full[:, b] for b, complement in columns])
+
+
 def type_tally(f: FunctionSpec) -> TypeTally:
     """The type tally of ``f``: built on first use, kept until ``f`` is freed.
 
-    The enumeration cap is checked once, just before the build, for tables
-    and families alike; a tally that exists already passed it.
+    A table is counted in one pass over its values, a tribes family from
+    its blocks (:func:`_tribes_counts`).  The enumeration cap is checked
+    once, just before the build, for tables and families alike; a tally
+    that exists already passed it.  A family's counts need no table; the
+    cap still bounds the number of types they are counted and summed over.
     """
     if f not in _TALLIES:
         check_cap(f.q, f.n)
-        _TALLIES[f] = TypeTally(f, materialize_table(f))
+        _TALLIES[f] = TypeTally(f, _table_counts(f) if f.family is None else _tribes_counts(f))
     return _TALLIES[f]
 
 

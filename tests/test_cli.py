@@ -657,7 +657,8 @@ def test_closed_stdout_keeps_exit_code_without_traceback(argv, want):
     proc = subprocess.Popen([sys.executable, *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # the reader goes away before the command writes
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == want
     assert "Traceback" not in err and "BrokenPipeError" not in err
 

@@ -5,7 +5,9 @@ checked here against a reference that never touches it: point weights of the
 full product measure for probabilities, a per-coordinate ``moveaxis`` of the
 value table for influences.
 """
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qthresh.evaluate as evaluate
+import qthresh.functions as functions
 from qthresh.evaluate import (
     ExactEvaluator,
     bernstein_derivative,
@@ -34,7 +37,7 @@ from qthresh.influence import (
     phi_k,
 )
 from qthresh.measures import SimplexMeasure, central_measure, line_rows
-from qthresh.threshold import rm_derivative_exact
+from qthresh.threshold import line_width, rm_derivative_exact
 from qthresh.verification import FD_STEP, fd_probability_derivative, upset_corpus
 
 # Zero weights make zero atoms (and, all but one zero, point masses) common.
@@ -132,27 +135,96 @@ def test_tally_is_built_once_per_function(monkeypatch):
     ExactEvaluator().batch(f, row(mu), 1)
     ExactEvaluator().batch(f, np.array([mu.as_array()] * 3), 0)
     variance_of_indicator(f, row(mu))
+    bernstein_derivative(f, central_measure(3), [0.3])
+    assert calls == []  # a tribes tally is counted from its blocks
     for k in range(f.n):
         influence_h(f, row(mu), k, h_paper)
         phi_k(f, row(mu), k)
-    bernstein_derivative(f, central_measure(3), [0.3])
-    assert calls == [f]
+        influence_bkkkl(f, row(mu), k)
+    assert calls == [f]  # the fibres read the table, built once
     # a new spec of the same function gets its own tally
     g = indicator(build_tribes(3, 6, 0.5, r=2), 0)
-    ExactEvaluator().batch(g, row(mu), 1)
-    assert calls == [f, g]
+    assert evaluate.type_tally(g) is not evaluate.type_tally(f)
 
 
 def test_tallies_of_one_shape_share_read_only_type_steps():
-    # Types and steps depend on (q, n) alone: two functions of one shape
-    # read the same arrays, which no tally can write through.
+    # Types and steps depend on (q, n) alone: two functions of one shape,
+    # counted from blocks and from a table, read the same arrays, which no
+    # tally can write through.
     f = indicator(build_tribes(3, 5, 0.5, r=2), 0)
     g = random_zero_monotone(3, 5, 0.2, seed=3)
     tf, tg = evaluate.type_tally(f), evaluate.type_tally(g)
-    assert tf.types is tg.types and tf.rest_types is tg.rest_types and tf._rest_ids is tg._rest_ids
-    for arr in (tf.types, tf.rest_types, tf._rest_ids):
+    assert tf.types is tg.types and tf.rest_types is tg.rest_types
+    for arr in (tf.types, tf.rest_types, *evaluate._type_steps(3, 5)):
         assert not arr.flags.writeable
     assert evaluate.type_tally(build_tribes(3, 4, 0.5, r=2)).types is not tf.types
+
+
+def tribes_views(q, n):
+    """(view, its value table): the full tribes function and every indicator view, for each r in {1, 2, 3, n}."""
+    for r in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+        f = build_tribes(q, n, 0.5, r=r)
+        table = materialize_table(f)
+        yield f, table
+        yield from ((indicator(f, b), (table == b).astype(np.int32)) for b in range(q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_block_counts_equal_the_table_tally(q):
+    # m = 1 (r = n) and last != r (n = 5, r = 2) are among the views.
+    for n in range(1, 9):
+        for g, values in tribes_views(q, n):
+            counted = evaluate.type_tally(g)
+            table = evaluate.type_tally(from_table(q, n, values, kind=g.kind))
+            assert counted.types is table.types
+            assert counted.counts.dtype == table.counts.dtype == np.int64
+            assert np.array_equal(counted.counts, table.counts), (q, n, g.family, g.indicator_of)
+
+
+@pytest.mark.parametrize("q, n", [(2, 20), (3, 12), (4, 9), (5, 7)])
+def test_block_counts_of_a_type_sum_to_its_size(q, n):
+    # Type c holds n! / prod_j c_j! = C(n, c0) M points, whatever f maps them to.
+    for r in (1, 2, 3, n):
+        f = build_tribes(q, n, 0.5, r=r)
+        for g in [f] + [indicator(f, b) for b in range(q)]:
+            tally = evaluate.type_tally(g)
+            sizes = [math.factorial(n) // math.prod(map(math.factorial, c)) for c in tally.types.tolist()]
+            assert tally.counts.sum(axis=1).tolist() == sizes
+
+
+def test_tribes_probes_widths_and_variances_never_enumerate(monkeypatch):
+    def refuse(f):
+        raise AssertionError("materialize_table called")
+
+    monkeypatch.setattr(functions, "materialize_table", refuse)
+    monkeypatch.setattr(evaluate, "materialize_table", refuse)
+    base = SimplexMeasure((0.0, 0.5, 0.5))
+    rows = np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
+    for n in (5, 11, 15):
+        f = build_tribes(3, n, 0.5)
+        for g in (f, indicator(f, 0)):
+            for a in range(g.outputs):
+                assert ExactEvaluator().batch(g, rows, a).values.shape == (2,)
+        level = indicator(f, 0)
+        assert variance_of_indicator(level, rows).shape == (2,)
+        assert bernstein_derivative(level, base, [0.0, 0.5]).shape == (2,)
+        report = line_width(f, base, 0, 0.1, ExactEvaluator())
+        assert 0.0 < report.t_lo < report.t_hi < 1.0
+
+
+@pytest.mark.parametrize("fibres", [False, True], ids=["tally", "fibres"])
+@pytest.mark.parametrize("make", [lambda: build_tribes(3, 5, 0.5, r=2),
+                                  lambda: random_zero_monotone(3, 5, 0.2, seed=4)], ids=["tribes", "table"])
+def test_a_freed_spec_frees_its_tally(make, fibres):
+    # The spec keys its tally weakly; a tally that held the spec would pin both.
+    f = make()
+    ExactEvaluator().batch(f, np.array([[0.5, 0.25, 0.25]]), 0)
+    if fibres:
+        influence_bkkkl(f, np.array([[0.5, 0.25, 0.25]]), 0)
+    spec, tally = weakref.ref(f), weakref.ref(evaluate.type_tally(f))
+    del f
+    gc.collect()
+    assert spec() is None and tally() is None
 
 
 def test_fibre_patterns_beyond_int64_codes():
