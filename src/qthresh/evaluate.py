@@ -44,8 +44,11 @@ from .functions import (
     check_measure_q,
     check_output,
     evaluate_batch,
+    level_name,
+    level_rises,
     level_symbol,
     materialize_table,
+    tribes_switching_times,
     tribes_values,
 )
 from .measures import ATOM_SUM_TOL, SimplexMeasure, derivative_ts, require_zero_face, row_sums, sums_to_one
@@ -548,23 +551,73 @@ class MonteCarloEvaluator(Evaluator):
                 hits[k] += np.count_nonzero(_sampled_values(f, row, U) == a)
         return Estimate(hits / self.samples, binomial_std_error(hits, self.samples), METHOD_MC, self.samples)
 
-    def coupled_line(self, n: int, base: SimplexMeasure, samples: int):
-        """One coupled sample of the line t delta_0 + (1-t) base, in row chunks.
+    def switching_times(self, f: FunctionSpec, a: int, base: SimplexMeasure, samples: int):
+        """Where 1[f = a] switches on each row of one coupled sample of the line t delta_0 + (1-t) base.
 
-        Returns an iterator of ``(U, V)`` pairs: U is uniform on [0, 1)^n
-        and V is drawn from base^n, one row per sample point.  The coupled state
-        x_i(t) = 0 if U_i < t, else V_i, has law (t delta_0 + (1-t) base)^n
-        at every t, and raising t only rewrites coordinates to 0 (the
-        monotone coupling).  ``samples`` overrides the evaluator's own count
-        for this call, which takes one stream, like one batch row.  Chunks
-        of at most ``BATCH_CELLS // n`` rows keep memory bounded at any n.
-        Each chunk draws its U and then its V, so unlike a batch row the
-        rows a seed gives depend on this chunk size.
+        Row i draws U uniform on [0, 1)^n and V from base^n.  The state
+        x_j(t) = 0 if U_j < t, else V_j, has law (t delta_0 + (1-t) base)^n at
+        every t, and raising t only rewrites coordinates to 0.  The level must
+        rise toward 0 (:func:`~qthresh.functions.level_rises`), so each row
+        steps once.  Returns ``(T, start, end)`` in draw order, as
+        :func:`~qthresh.functions.tribes_switching_times` does.  A chunk of at
+        most ``BATCH_CELLS // n`` rows draws U, then W with V = G(W)
+        (:func:`_inverse_cdf`): a table inverts all of W and bisects
+        (:func:`_bisect_switching_times`), a tribes family only the symbols
+        its rule reads.  ``samples`` overrides the evaluator's count; the call
+        takes one stream, and any other level, or samples < 1, is refused
+        before it.  Unlike a batch row, the rows a seed gives depend on the
+        chunk size.
         """
+        if not level_rises(f, a, 0):
+            raise ValueError(f"Monte Carlo width needs a level that only rises toward delta_0, and "
+                             f"{level_name(f, a)} is not one; use --evaluator exact or closed")
         if samples < 1:
-            raise ValueError("samples must be positive")  # before the stream is taken
+            raise ValueError("samples must be positive")
         rng = np.random.default_rng(self._stream())
-        chunk = max(1, BATCH_CELLS // n)
-        sizes = (min(chunk, samples - done) for done in range(0, samples, chunk))
-        # Each chunk draws U, then V, from the stream: that order fixes the rows a seed gives.
-        return ((rng.random((b, n)), _inverse_cdf(base.as_array(), rng.random((b, n)))) for b in sizes)
+        atoms, chunk = base.as_array(), max(1, BATCH_CELLS // f.n)
+        parts = []
+        for b in (min(chunk, samples - done) for done in range(0, samples, chunk)):
+            U, W = rng.random((b, f.n)), rng.random((b, f.n))  # U, then W: this order fixes the rows a seed gives
+            if f.family is None:
+                V = _inverse_cdf(atoms, W)
+                del W  # not kept beside V through the bisection
+                parts.append(_bisect_switching_times(f, a, U, V))
+            else:  # the reader is called inside this chunk, while W is still its own
+                parts.append(tribes_switching_times(f, a, U, lambda rows, cols: _inverse_cdf(atoms, W[rows, cols])))
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _bisect_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
+    """Where 1[f(x(t)) = a] steps from 0 to 1 on each coupled row, for any f, by bisection.
+
+    Returns ``(T, start, end)`` as
+    :func:`~qthresh.functions.tribes_switching_times` does, with the same
+    floats on a tribes level.  x(t) changes only when t passes an order
+    statistic of U, so the step is at the k-th smallest U_i for the least k
+    such that zeroing the k smallest-U coordinates reaches f = a; k is found
+    by bisection over all rows at once, in ceil(log2 n) + 2 evaluations of
+    f.  Every point rewrites to the all-zero point, so a row with f != a at
+    t = 1 means the level is identically 0; its crossings are then absent
+    and T is never read.
+    """
+    b, n = U.shape
+    rows = np.arange(b)
+    order = np.sort(U, axis=1)
+
+    def cut(k: np.ndarray) -> np.ndarray:  # the k-th smallest U_i of each row; -1 for k = 0
+        return np.where(k > 0, order[rows, np.maximum(k - 1, 0)], -1.0)
+
+    def at(k: np.ndarray) -> np.ndarray:
+        # f = a with the k smallest U_i of each row zeroed: the state just
+        # after t passes the k-th order statistic.
+        return evaluate_batch(f, V * (U > cut(k)[:, None])) == a
+
+    lo, hi = np.zeros(b, dtype=np.int64), np.full(b, n, dtype=np.int64)
+    start, end = at(lo), at(hi)
+    for _ in range(math.ceil(math.log2(n))):  # keeps at(lo) false and at(hi) true
+        mid = (lo + hi) // 2
+        hit = at(mid)
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid)
+    T = np.where(start, 0.0, cut(hi))
+    return T, start, end

@@ -285,34 +285,34 @@ def level_rises(f: FunctionSpec, a: int, toward: int) -> bool:
     return b != 0 and (f.q == 2 or f.family.r == 1) if complement else b == 0
 
 
-def tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
+def tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, symbol_at):
     """Where 1[f = a] steps from 0 to 1 on each coupled row, read off the blocks.
 
     Row i is the path x_j(t) = 0 if U_ij < t, else V_ij, with V zero-free
-    (drawn from a zero-face base).  Returns ``(T, start, end)``: the
+    (drawn from a zero-face base) and read only through ``symbol_at(rows,
+    cols)``, as in :func:`tribes_values`.  Returns ``(T, start, end)``: the
     switching time (0 for rows with f = a already at t = 0), and whether
     f = a at t = 0 and at t = 1.  Only a tribes level that rises toward 0
     (:func:`level_rises`) has a rule; any other level, and any table,
-    raises ValueError.
+    raises ValueError.  Block B is all zero once t passes max_{j in B} U_j.
 
-    - The zero event (f = 0; f != b at q = 2): block B is all zero once t
-      passes max_{j in B} U_j, so T = min_B max_{j in B} U_j, no row starts
-      at the level and every row ends there.
-    - f != b, b >= 1, with blocks of size 1: f = x_0 until the first
-      coordinate turns to 0 and f = 0 after, so T = 0 where V_0 != b and
-      min_j U_j elsewhere.
+    - The zero event (f = 0; f != b at q = 2) switches at
+      T = min_B max_{j in B} U_j on every row.  V is never read.
+    - f != b, b >= 1, with blocks of size 1: f = x_0 until T = min_j U_j and
+      0 after, so rows with V_0 != b start at the level, with T = 0.  Only
+      column 0 of V is read.
     """
     if f.family is None or not level_rises(f, a, 0):
         raise ValueError(f"tribes_switching_times needs a tribes level that only rises toward delta_0, "
                          f"and {level_name(f, a)} of this f is not one")
-    end = np.ones(U.shape[0], dtype=bool)
-    b, complement = level_symbol(f, a)
-    if complement and f.q > 2:  # f != b with blocks of size 1
-        start = V[:, 0] != b
-        return np.where(start, 0.0, U.min(axis=1)), start, end
     full_max, last_max = _fold_blocks(f.family, U, np.maximum)
     T = np.minimum(last_max, full_max.min(axis=1, initial=np.inf))
-    return T, np.zeros(U.shape[0], dtype=bool), end
+    b, complement = level_symbol(f, a)
+    start = np.zeros(U.shape[0], dtype=bool)
+    if complement and f.q > 2:  # f != b with blocks of size 1
+        start = symbol_at(np.arange(U.shape[0]), 0) != b
+        T[start] = 0.0
+    return T, start, np.ones(U.shape[0], dtype=bool)
 
 
 def level_name(f: FunctionSpec, a: int) -> str:

@@ -21,16 +21,7 @@ from .evaluate import (
     binomial_std_error,
     variance_of_indicator,
 )
-from .functions import (
-    FunctionSpec,
-    build_tribes,
-    check_measure_q,
-    check_output,
-    evaluate_batch,
-    level_name,
-    level_rises,
-    tribes_switching_times,
-)
+from .functions import FunctionSpec, build_tribes, check_measure_q, check_output
 from .influence import phi_k
 from .measures import (
     SimplexMeasure,
@@ -249,65 +240,19 @@ def _dkw_samples(eps: float) -> int:
     return math.ceil(math.log(2.0 / _DKW_DELTA) / (2.0 * r * r))
 
 
-def _bisect_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
-    """Where 1[f(x(t)) = a] steps from 0 to 1 on each coupled row, for any f, by bisection.
-
-    Returns ``(T, start, end)`` as
-    :func:`~qthresh.functions.tribes_switching_times` does, with the same
-    floats on a tribes level.  x(t) changes only when t passes an order
-    statistic of U, so the step is at the k-th smallest U_i for the least k
-    such that zeroing the k smallest-U coordinates reaches f = a; k is found
-    by bisection over all rows at once, in ceil(log2 n) + 2 evaluations of
-    f.  Every point rewrites to the all-zero point, so a row with f != a at
-    t = 1 means the level is identically 0; its crossings are then absent
-    and T is never read.
-    """
-    b, n = U.shape
-    rows = np.arange(b)
-    order = np.sort(U, axis=1)
-
-    def cut(k: np.ndarray) -> np.ndarray:  # the k-th smallest U_i of each row; -1 for k = 0
-        return np.where(k > 0, order[rows, np.maximum(k - 1, 0)], -1.0)
-
-    def at(k: np.ndarray) -> np.ndarray:
-        # f = a with the k smallest U_i of each row zeroed: the state just
-        # after t passes the k-th order statistic.
-        return evaluate_batch(f, V * (U > cut(k)[:, None])) == a
-
-    lo, hi = np.zeros(b, dtype=np.int64), np.full(b, n, dtype=np.int64)
-    start, end = at(lo), at(hi)
-    for _ in range(math.ceil(math.log2(n))):  # keeps at(lo) false and at(hi) true
-        mid = (lo + hi) // 2
-        hit = at(mid)
-        hi = np.where(hit, mid, hi)
-        lo = np.where(hit, lo, mid)
-    T = np.where(start, 0.0, cut(hi))
-    return T, start, end
-
-
 def _line_width_mc(f, base, a, eps, evaluator, t_tol):
-    """Width from one coupled sample of the line, drawn in one evaluator call.
+    """Width from the switching times of one coupled sample of the line.
 
-    Row i of the sample is x(t) with x_j(t) = 0 if U_j < t, else V_j, so
-    the rows have the law of the line's measure at every t at once.  Its
-    size, max(evaluator.samples, DKW count), bounds the error of the
-    empirical curve along the whole line, not only at single probes.  The
-    level 1[f = a] must rise toward 0 (:func:`level_rises`): then every row
-    switches once, and the crossings are quantiles of the switching times
-    (one pass over the blocks for a tribes family, a bisection for a table;
-    ``mc-bisection`` and ``grid_points`` 0 on both).  Any other level is
-    refused before a stream is taken; the exact or closed route answers it.
+    The sample's size, max(evaluator.samples, DKW count), bounds the error
+    of the empirical curve along the whole line, not only at single probes.
+    ``evaluator.switching_times`` draws it, and refuses a level that does
+    not rise toward 0; the exact or closed route answers that one.
     """
-    if not level_rises(f, a, 0):
-        raise ValueError(f"Monte Carlo width needs a level that only rises toward delta_0, and "
-                         f"{level_name(f, a)} is not one; use --evaluator exact or closed")
     samples = max(evaluator.samples, _dkw_samples(eps))
     t_tol = max(t_tol, _MC_T_TOL)
-    chunks = evaluator.coupled_line(f.n, base, samples)
-    switching_times = _bisect_switching_times if f.family is None else tribes_switching_times
     # Each path is one step at its switching time T, so the probability
     # curve is the empirical CDF of T and a crossing is a quantile of T.
-    T, start, end = (np.concatenate(part) for part in zip(*(switching_times(f, a, U, V) for U, V in chunks)))
+    T, start, end = evaluator.switching_times(f, a, base, samples)
     T.sort()
 
     def crossing(target: float) -> float:
@@ -334,10 +279,10 @@ def line_width(
     asks for the midpoints of up to 5 steps in one batch, as many as
     ``evaluator.row_cells(f)`` lets fit 2^13 cells
     (:func:`_bisect_increasing`), and returns the same floats as one row
-    per step.  A
-    :class:`~qthresh.evaluate.MonteCarloEvaluator` draws one coupled sample
-    for the whole line, see :func:`_line_width_mc`; it takes only 0-monotone
-    levels, and its reported ``t_tol`` is at least 1e-4.
+    per step.  A :class:`~qthresh.evaluate.MonteCarloEvaluator` returns the
+    switching times of one coupled sample of the whole line, and the
+    crossings are their quantiles (:func:`_line_width_mc`); it takes only
+    0-monotone levels, and its reported ``t_tol`` is at least 1e-4.
     """
     require_zero_face(base)
     check_measure_q(f, base.q)

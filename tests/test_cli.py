@@ -817,6 +817,12 @@ PINNED = {
         '3,64,0,0.10000000000000001,mc,mc-bisection,,0.025069286842083871,0.025069286842083871,0,0.0001,'
         'true,false\n',
     ),
+    "width-mc-table": (  # a table has no switching-time rule of its own: each row's T is bisected
+        ["width", "--fn", TABLE4, "--a", "1", "--eps", "0.1", "--evaluator", "mc", "--seed", "11"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,4,1,0.10000000000000001,mc,mc-bisection,0.15677955024860157,0.80195414578769442,'
+        '0.64517459553909284,0,0.0001,false,false\n',
+    ),
     "width-mc-q2-level": (  # at q = 2, 1[f != 1] is the zero event
         ["width", "--family", "tribes", "--q", "2", "--n", "256", "--p0", "0.5", "--level", "1", "--a", "0",
          "--eps", "0.1", "--evaluator", "mc", "--seed", "11"],

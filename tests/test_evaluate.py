@@ -496,10 +496,12 @@ def test_closed_form_answers_exactly_the_levels_the_tribes_rule_names(q):
 def test_monte_carlo_evaluator_samples_override():
     f = build_tribes(3, 6, 0.5, r=2)
     ev = MonteCarloEvaluator(samples=1000, seed=3)
-    sizes = [len(U) for U, V in ev.coupled_line(f.n, HALF_QUARTER, 2500)]
-    assert sum(sizes) == 2500 and ev.calls == 1  # the per-call count, drawn from one stream
-    with pytest.raises(ValueError):
-        ev.coupled_line(f.n, HALF_QUARTER, 0)  # not the default in disguise
+    T, start, end = ev.switching_times(f, 0, HALF_QUARTER, 2500)
+    assert len(T) == len(start) == len(end) == 2500 and ev.calls == 1  # the per-call count, drawn from one stream
+    with pytest.raises(ValueError, match="samples must be positive"):
+        ev.switching_times(f, 0, HALF_QUARTER, 0)  # not the default in disguise
+    with pytest.raises(ValueError, match="use --evaluator exact or closed"):
+        ev.switching_times(f, 1, HALF_QUARTER, 2500)  # f = 1 can drop toward delta_0
     assert ev.calls == 1  # a rejected call draws no stream
     with pytest.raises(ValueError):
         MonteCarloEvaluator(samples=0, seed=3)

@@ -19,6 +19,8 @@ from qthresh.evaluate import (
     variance_of_indicator,
 )
 from qthresh.functions import (
+    FunctionSpec,
+    TribesVariant,
     build_tribes,
     evaluate_batch,
     from_table,
@@ -28,7 +30,8 @@ from qthresh.functions import (
     random_zero_monotone,
     tribes_switching_times,
 )
-from qthresh.measures import SimplexMeasure, central_measure, line_rows, sample_uniform_batch
+from qthresh.influence import influence_bkkkl
+from qthresh.measures import SimplexMeasure, central_measure, derivative_ts, line_rows, sample_uniform_batch
 from qthresh.threshold import (
     METHOD_BISECTION,
     METHOD_GRID_SCAN,
@@ -232,6 +235,26 @@ def test_line_width_grid_scan_fallback():
     rep = line_width(f, CENTRAL3, 1, 0.2, EXACT)
     assert rep.method == METHOD_GRID_SCAN
     assert 0.0 <= rep.width <= 1.0
+
+
+class DippingProfile(Evaluator):
+    """Pr at the 101-point grid's point j (t = atom 0): 0 below j = 10, 0.5 to j = 30, 1 to j = 50, then 0.3."""
+
+    def batch(self, f, measures, a):
+        j = np.rint(100.0 * np.asarray(measures)[:, 0]).astype(int)
+        return Estimate(np.select([j < 10, j < 30, j < 50], [0.0, 0.5, 1.0], 0.3), 0.0, METHOD_CLOSED, 0)
+
+
+def test_line_width_grid_scan_sums_flat_cells_by_where_they_sit():
+    # The dip sends the profile to the grid scan.  A flat cell counts whole
+    # inside [eps, 1 - eps] and not at all outside it; each step cell counts
+    # the share of it that linear interpolation puts in the band.
+    rep = line_width(build_tribes(3, 4, 0.5, r=2), CENTRAL3, 0, 0.1, DippingProfile())
+    assert rep.method == METHOD_GRID_SCAN and rep.grid_points == 101
+    steps = (0.5 - 0.1) / 0.5 + (0.9 - 0.5) / 0.5 + (0.9 - 0.3) / 0.7  # 0 -> 0.5, 0.5 -> 1 and 1 -> 0.3
+    flat = 19 + 50  # cells at 0.5 and at 0.3; the 9 at 0 and the 19 at 1 count nothing
+    assert rep.width == pytest.approx((steps + flat) / 100, abs=1e-12)
+    assert (rep.t_lo, rep.t_hi) == (0.1, 1.0) and not (rep.lo_absent or rep.hi_absent)
 
 
 def test_line_width_rejections():
@@ -474,15 +497,22 @@ def brute_switching_time(f, a, u, v):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_line_width_mc_crossings_are_switching_time_quantiles(seed):
-    # Replay the stream of the evaluator's first call and find each row's
-    # switching time by a walk over all of its order statistics.  The
-    # crossings must be the eps and 1 - eps quantiles of those times exactly.
+    # Replay the stream of the evaluator's first call, one chunk of U and
+    # then the uniforms W behind V, and find each row's switching time by a
+    # walk over all of its order statistics.  switching_times must give
+    # those times row by row, in draw order, and the crossings must be the
+    # eps and 1 - eps quantiles of them exactly.
     f = random_zero_monotone(3, 6, 0.05, seed=3)
     base = SimplexMeasure((0.0, 0.3, 0.7))
     eps, samples = 0.1, 3000
     rep = line_width(f, base, 1, eps, MonteCarloEvaluator(samples=samples, seed=seed))
-    rows = MonteCarloEvaluator(samples=samples, seed=seed).coupled_line(f.n, base, samples)
-    T = np.sort([brute_switching_time(f, 1, u, v) for U, V in rows for u, v in zip(U, V)])
+    T, start, end = MonteCarloEvaluator(samples=samples, seed=seed).switching_times(f, 1, base, samples)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    U = rng.random((samples, f.n))  # one chunk: samples <= BATCH_CELLS // n
+    V = evaluate._inverse_cdf(base.as_array(), rng.random((samples, f.n)))
+    walked = np.array([brute_switching_time(f, 1, u, v) for u, v in zip(U, V)])
+    assert np.array_equal(T, walked) and np.array_equal(start, walked == 0.0) and end.all()
+    T = np.sort(walked)
     assert rep.method == METHOD_MC_BISECTION
     assert rep.t_lo == T[math.ceil(eps * samples) - 1]
     assert rep.t_hi == T[math.ceil((1 - eps) * samples) - 1]
@@ -498,7 +528,7 @@ def tribes_views(f):
 
 
 def blocks_of_one_rule(g, a):
-    """Whether tribes_switching_times answers (g, a) by its V_0 rule, not the zero event."""
+    """Whether tribes_switching_times answers (g, a) by reading V_0, not by the zero event's rule."""
     return g.kind == "indicator" and a == 0 and g.q > 2
 
 
@@ -516,15 +546,15 @@ def test_tribes_switching_times_match_the_bisection_bit_for_bit(q, n, r):
     levels = [(g, a) for g, a in tribes_views(f) if level_rises(g, a, 0)]
     assert {blocks_of_one_rule(g, a) for g, a in levels} == ({False, True} if r == 1 and q > 2 else {False})
     for g, a in levels:
-        got = tribes_switching_times(g, a, U, V)
-        want = threshold._bisect_switching_times(g, a, U, V)
+        got = tribes_switching_times(g, a, U, lambda rows, cols: V[rows, cols])
+        want = evaluate._bisect_switching_times(g, a, U, V)
         for x, w in zip(got, want):
             assert x.dtype == w.dtype and np.array_equal(x, w)
         _, start, end = got
         assert end.all() and start.any() == blocks_of_one_rule(g, a) and not start.all()
         if q**n <= 4**7:  # the table of the same level takes the bisection
             table = from_table(q, n, materialize_table(g), kind=g.kind)
-            for x, w in zip(threshold._bisect_switching_times(table, a, U, V), got):
+            for x, w in zip(evaluate._bisect_switching_times(table, a, U, V), got):
                 assert np.array_equal(x, w)
 
 
@@ -536,31 +566,40 @@ def test_tribes_switching_times_answer_exactly_the_zero_monotone_levels(q, r):
     f = build_tribes(q, 7, 0.5, r=r)
     rng = np.random.default_rng(q + 10 * r)
     U, V = rng.random((50, 7)), rng.integers(1, q, size=(50, 7), dtype=np.int32)
+
+    def symbol_at(rows, cols):
+        return V[rows, cols]
+
     answered = 0
     for g, a in tribes_views(f):
         if level_rises(g, a, 0):
-            T, start, end = tribes_switching_times(g, a, U, V)
+            T, start, end = tribes_switching_times(g, a, U, symbol_at)
             assert T.shape == start.shape == end.shape == (50,)
             answered += 1
         else:
             with pytest.raises(ValueError, match="only rises toward delta_0"):
-                tribes_switching_times(g, a, U, V)
+                tribes_switching_times(g, a, U, symbol_at)
     assert answered == 2 + (q - 1) * (q == 2 or r == 1)  # f = 0 twice, then f != b for every b >= 1
     table = from_table(q, 7, materialize_table(indicator(f, 0)), kind="indicator")
     assert level_rises(table, 1, 0)
     with pytest.raises(ValueError, match="tribes level"):
-        tribes_switching_times(table, 1, U, V)
+        tribes_switching_times(table, 1, U, symbol_at)
 
 
 def test_line_width_mc_on_tribes_evaluates_no_state(monkeypatch):
-    # The family rule replaces every evaluation of f on a coupled state.
+    # The family rule replaces every evaluation of f on a coupled state,
+    # and the zero event's rule inverts no uniform at all.
     f = build_tribes(3, 256, 0.5)
     want = line_width(f, CENTRAL3, 0, 0.1, MonteCarloEvaluator(samples=2000, seed=6))
 
     def refuse(*args):
         raise AssertionError("the MC width on tribes evaluated f")
 
-    monkeypatch.setattr(threshold, "evaluate_batch", refuse)
+    def invert_nothing(*args):
+        raise AssertionError("the MC width of the zero event inverted a uniform")
+
+    monkeypatch.setattr(evaluate, "evaluate_batch", refuse)
+    monkeypatch.setattr(evaluate, "_inverse_cdf", invert_nothing)
     assert line_width(f, CENTRAL3, 0, 0.1, MonteCarloEvaluator(samples=2000, seed=6)) == want
 
 
@@ -768,6 +807,44 @@ def test_region_measure_rejections():
         region_measure(f, 0, 0.1, samples=0, seed=1, evaluator=EXACT)
     with pytest.raises(ValueError):
         region_measure(f, 4, 0.1, samples=10, seed=1, evaluator=EXACT)
+
+
+REFUSALS = {
+    "derivative-grid-2d": (lambda: derivative_ts([[0.1, 0.2]]), "expected a 1-D grid of t, got shape (1, 2)"),
+    "sample-q1": (lambda: sample_uniform_batch(1, 3, 0), "q must be at least 2"),
+    "sample-count-negative": (lambda: sample_uniform_batch(3, -1, 0), "count must be nonnegative"),
+    "evaluate-batch-columns": (lambda: evaluate_batch(build_tribes(3, 4, 0.5, r=2), np.zeros((2, 3))),
+                               "expected an (m, 4) matrix, got shape (2, 3)"),
+    "evaluate-batch-1d": (lambda: evaluate_batch(from_table(2, 2, [0, 0, 0, 1]), np.zeros(2)),
+                          "expected an (m, 2) matrix, got shape (2,)"),
+    "spec-q1": (lambda: FunctionSpec(q=1, n=2, kind="full", table=[0]), "q must be at least 2"),
+    "spec-n0": (lambda: FunctionSpec(q=2, n=0, kind="full", table=[0]), "n must be at least 1"),
+    "spec-kind": (lambda: FunctionSpec(q=2, n=1, kind="bool", table=[0, 1]),
+                  "kind must be 'full' or 'indicator', got 'bool'"),
+    "spec-family-n": (lambda: FunctionSpec(q=3, n=5, kind="full", family=TribesVariant(r=2, m=2, last=2, p0=0.5)),
+                      "family covers 4 coordinates, expected n=5"),
+    "spec-family-indicator": (lambda: FunctionSpec(q=3, n=4, kind="indicator",
+                                                   family=TribesVariant(r=2, m=2, last=2, p0=0.5)),
+                              "family-backed indicator needs indicator_of"),
+    "tribes-p0-one": (lambda: TribesVariant(r=2, m=2, last=2, p0=1.0), "p0 must lie strictly inside (0, 1), got 1.0"),
+    "tribes-p0-zero": (lambda: TribesVariant(r=2, m=2, last=2, p0=0.0), "p0 must lie strictly inside (0, 1), got 0.0"),
+    "upset-density": (lambda: random_zero_monotone(3, 4, 1.5, seed=0), "density must lie in [0, 1], got 1.5"),
+    "product-weights-n": (lambda: evaluate.product_weights(CENTRAL3, -1), "n must be nonnegative"),
+    "influence-k": (lambda: influence_bkkkl(indicator(build_tribes(3, 4, 0.5, r=2), 0), [[0.3, 0.3, 0.4]], 4),
+                    "coordinate k=4 out of range for n=4"),
+    "region-fraction": (lambda: RegionMeasureEstimate(fraction=1.5, std_error=0.0, samples=1, seed=0),
+                        "fraction 1.5 outside [0, 1]"),
+    "region-std-error": (lambda: RegionMeasureEstimate(fraction=0.5, std_error=-0.1, samples=1, seed=0),
+                         "std_error must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusals_name_their_cause(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
