@@ -18,25 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import ClosedFormEvaluator, ExactEvaluator, MonteCarloEvaluator
-from .functions import (
-    KIND_FULL,
-    CapExceededError,
-    FunctionFileError,
-    FunctionSpec,
-    build_tribes,
-    indicator,
-    level_name,
-    level_rises,
-    parse_function_file,
-)
+from .functions import CapExceededError, FunctionFileError, FunctionSpec, build_tribes, indicator, parse_function_file
 from .influence import influence_profile, keller_diagnostic
 from .measures import SimplexMeasure, central_measure
-from .threshold import (
-    derivative_lower_bound_ratio,
-    line_width,
-    region_measure,
-    sweep_scaling,
-)
+from .threshold import derivative_lower_bound_ratio, line_width, region_measure, sweep_scaling
 from .verification import SUITE_BUILDERS, run_suites
 
 SEED_ENV_VAR = "QTL_SEED"
@@ -218,34 +203,19 @@ def cmd_width(args, parser) -> tuple[int, Outputs]:
     base = central_measure(f.q) if args.mu is None else SimplexMeasure.parse(args.mu)
     if base.q != f.q:
         raise ValueError(f"base measure has {base.q} atoms, function needs {f.q}")
-    if args.diagnostics:
-        level = _diagnostics_level(f, args.a)
+    outputs = []
+    if args.diagnostics:  # built first, so a refused level fails before any width work
+        diag_rows = [[d.n, d.t, d.alpha, d.derivative, d.denominator, d.ratio if d.ratio is not None else "na"]
+                     for d in derivative_lower_bound_ratio(f, args.a, base, np.linspace(0.0, 0.95, args.diag_grid))]
+        outputs.append((args.diagnostics, _csv(["n", "t", "alpha", "derivative",
+                                                "lower_bound_denominator", "ratio"], diag_rows)))
     evaluator = _build_evaluator(args, args.eval_samples)
     rep = line_width(f, base, args.a, args.eps, evaluator, t_tol=args.t_tol)
     rows = [[f.q, f.n, args.a, rep.eps, args.evaluator, rep.method, rep.t_lo, rep.t_hi,
              rep.width, rep.grid_points, rep.t_tol, rep.lo_absent, rep.hi_absent]]
-    outputs = [(args.out, _csv(["q", "n", "a", "eps", "evaluator", "method", "t_lo", "t_hi",
-                                "width", "grid_points", "t_tol", "lo_absent", "hi_absent"], rows))]
-    if args.diagnostics:
-        diag_rows = [[d.n, d.t, d.alpha, d.derivative, d.denominator, d.ratio if d.ratio is not None else "na"]
-                     for d in derivative_lower_bound_ratio(level, base, np.linspace(0.0, 0.95, args.diag_grid))]
-        outputs.append((args.diagnostics, _csv(["n", "t", "alpha", "derivative",
-                                                "lower_bound_denominator", "ratio"], diag_rows)))
+    outputs.insert(0, (args.out, _csv(["q", "n", "a", "eps", "evaluator", "method", "t_lo", "t_hi",
+                                       "width", "grid_points", "t_tol", "lo_absent", "hi_absent"], rows)))
     return 0, outputs
-
-
-def _diagnostics_level(f: FunctionSpec, a: int) -> FunctionSpec:
-    """The level g = 1[f = a] whose d/dt Pr[g = 1] ``--diagnostics`` tabulates.
-
-    The fibre-sum identity behind the table holds only when g rises toward
-    delta_0, so any other level is refused before the width is computed.
-    """
-    if f.kind != KIND_FULL and a == 0:
-        raise ValueError("--diagnostics tabulates d/dt Pr[g = 1]; on an indicator use --a 1")
-    if not level_rises(f, a, 0):
-        raise ValueError(f"--diagnostics needs a level that only rises toward delta_0, and {level_name(f, a)} "
-                         "is not one")
-    return indicator(f, a) if f.kind == KIND_FULL else f
 
 
 def cmd_region(args, parser) -> tuple[int, Outputs]:

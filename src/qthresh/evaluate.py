@@ -554,20 +554,23 @@ class MonteCarloEvaluator(Evaluator):
     def switching_times(self, f: FunctionSpec, a: int, base: SimplexMeasure, samples: int):
         """Where 1[f = a] switches on each row of one coupled sample of the line t delta_0 + (1-t) base.
 
-        Row i draws U uniform on [0, 1)^n and V from base^n.  The state
-        x_j(t) = 0 if U_j < t, else V_j, has law (t delta_0 + (1-t) base)^n at
-        every t, and raising t only rewrites coordinates to 0.  The level must
-        rise toward 0 (:func:`~qthresh.functions.level_rises`), so each row
-        steps once.  Returns ``(T, start, end)`` in draw order, as
+        Row i draws U uniform on [0, 1)^n and V from base^n, zero-free since
+        base must sit on the zero face.  The state x_j(t) = 0 if U_j < t, else
+        V_j, has law (t delta_0 + (1-t) base)^n at every t, and raising t only
+        rewrites coordinates to 0.  The level must rise toward 0
+        (:func:`~qthresh.functions.level_rises`), so each row steps once.
+        Returns ``(T, start, end)`` in draw order, as
         :func:`~qthresh.functions.tribes_switching_times` does.  A chunk of at
         most ``BATCH_CELLS // n`` rows draws U, then W with V = G(W)
         (:func:`_inverse_cdf`): a table inverts all of W and bisects
         (:func:`_bisect_switching_times`), a tribes family only the symbols
         its rule reads.  ``samples`` overrides the evaluator's count; the call
-        takes one stream, and any other level, or samples < 1, is refused
-        before it.  Unlike a batch row, the rows a seed gives depend on the
-        chunk size.
+        takes one stream, and a base off the zero face or of another q, any
+        other level, or samples < 1, is refused before it.  Unlike a batch
+        row, the rows a seed gives depend on the chunk size.
         """
+        require_zero_face(base)
+        check_measure_q(f, base.q)
         if not level_rises(f, a, 0):
             raise ValueError(f"Monte Carlo width needs a level that only rises toward delta_0, and "
                              f"{level_name(f, a)} is not one; use --evaluator exact or closed")

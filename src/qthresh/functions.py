@@ -289,10 +289,11 @@ def tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, symbol_at):
     """Where 1[f = a] steps from 0 to 1 on each coupled row, read off the blocks.
 
     Row i is the path x_j(t) = 0 if U_ij < t, else V_ij, with V zero-free
-    (drawn from a zero-face base) and read only through ``symbol_at(rows,
-    cols)``, as in :func:`tribes_values`.  Returns ``(T, start, end)``: the
-    switching time (0 for rows with f = a already at t = 0), and whether
-    f = a at t = 0 and at t = 1.  Only a tribes level that rises toward 0
+    (``MonteCarloEvaluator.switching_times`` checks that its base is on the
+    zero face) and read only through ``symbol_at(rows, cols)``, as in
+    :func:`tribes_values`.  Returns ``(T, start, end)``: the switching time
+    (0 for rows with f = a already at t = 0), and whether f = a at t = 0
+    and at t = 1.  Only a tribes level that rises toward 0
     (:func:`level_rises`) has a rule; any other level, and any table,
     raises ValueError.  Block B is all zero once t passes max_{j in B} U_j.
 

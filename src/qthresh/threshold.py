@@ -19,9 +19,19 @@ from .evaluate import (
     ClosedFormEvaluator,
     MonteCarloEvaluator,
     binomial_std_error,
+    type_tally,
     variance_of_indicator,
 )
-from .functions import FunctionSpec, build_tribes, check_measure_q, check_output
+from .functions import (
+    KIND_FULL,
+    FunctionSpec,
+    build_tribes,
+    check_measure_q,
+    check_output,
+    indicator,
+    level_name,
+    level_rises,
+)
 from .influence import phi_k
 from .measures import (
     SimplexMeasure,
@@ -39,7 +49,7 @@ METHOD_MC_BISECTION = "mc-bisection"
 
 _GRID_POINTS = 101  # the deterministic route's monotonicity check, one batch
 _MAX_DEPTH = 5  # bisection steps one batch may look ahead: 31 rows
-_BATCH_CELLS = 2**13  # look-ahead row cells per batch; past this the rows cost more than the calls they save
+_LOOKAHEAD_CELLS = 2**13  # look-ahead row cells per batch; past this the rows cost more than the calls they save
 _MC_T_TOL = 1e-4
 _DKW_DELTA = 0.05
 _MONOTONE_SLACK = 1e-12  # rounding may dip a monotone probe profile by this much
@@ -58,10 +68,16 @@ def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, ts) -> np.ndarray
     Equals sum_k E[ 1[fibre nonconstant] (1 - fibre mean) ] / (1 - t) under
     the mixed measure; an identity, not an approximation, so finite
     differences of the exact probability must reproduce it to rounding.
-    The grid takes one ``phi_k`` call per coordinate.
+    The grid takes one ``phi_k`` call per coordinate.  The identity needs
+    1[f = 1] to rise toward delta_0 (``level_rises(f, 1, 0)``); any other
+    {0,1}-valued f is refused before a fibre is built, and ``phi_k`` refuses
+    an f that is not {0,1}-valued.
     """
     ts = derivative_ts(ts)
     rows = line_rows(base, ts)
+    if not level_rises(f, 1, 0) and (f.kind != KIND_FULL or type_tally(f).binary):
+        raise ValueError(f"the fibre-sum derivative needs a level that only rises toward delta_0, and "
+                         f"{level_name(f, 1)} is not one")
     terms = np.column_stack([phi_k(f, rows, k) for k in range(f.n)])
     return np.array([math.fsum(row) for row in terms]) / (1.0 - ts)
 
@@ -84,12 +100,21 @@ class DerivativeDiagnostic:
     ratio: float | None
 
 
-def derivative_lower_bound_ratio(f: FunctionSpec, base: SimplexMeasure, ts) -> list[DerivativeDiagnostic]:
-    """One :class:`DerivativeDiagnostic` per t of a grid: one derivative call, one variance batch."""
+def derivative_lower_bound_ratio(f: FunctionSpec, a: int, base: SimplexMeasure, ts) -> list[DerivativeDiagnostic]:
+    """One :class:`DerivativeDiagnostic` of d/dt Pr[g = 1] per t of a grid, for g = 1[f = a].
+
+    A full f is read through ``indicator(f, a)``; an indicator is g at a = 1
+    and refused at a = 0.  One derivative call, one variance batch.
+    """
+    check_output(f, a)
+    if f.kind == KIND_FULL:
+        f = indicator(f, a)
+    elif a == 0:
+        raise ValueError("--diagnostics tabulates d/dt Pr[g = 1]; on an indicator use --a 1")
     alpha = second_smallest_atom(base)
     if alpha == 0.0:
         raise ValueError("benchmark needs every symbol 1..q-1 to carry mass (alpha > 0)")
-    derivative = rm_derivative_exact(f, base, ts)  # checks the grid and that base is on the zero face
+    derivative = rm_derivative_exact(f, base, ts)  # checks the grid, the zero face and the level
     variance = variance_of_indicator(f, line_rows(base, ts))  # E(1-E), both factors from the tally
     log_inv_alpha = math.log(1.0 / alpha)
     denominator = variance * math.log(f.n) / log_inv_alpha if log_inv_alpha > 0.0 else np.full(len(ts), math.inf)
@@ -167,8 +192,8 @@ def _bisect_increasing(values, target: float, lo: float, hi: float, t_tol: float
 
 
 def _probe_depth(row_cells: float) -> int:
-    """The deepest probe tree, up to _MAX_DEPTH levels, whose rows fit _BATCH_CELLS."""
-    return max((d for d in range(1, _MAX_DEPTH + 1) if (2**d - 1) * row_cells <= _BATCH_CELLS), default=1)
+    """The deepest probe tree, up to _MAX_DEPTH levels, whose rows fit _LOOKAHEAD_CELLS."""
+    return max((d for d in range(1, _MAX_DEPTH + 1) if (2**d - 1) * row_cells <= _LOOKAHEAD_CELLS), default=1)
 
 
 def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, a: int, t_tol: float) -> ThresholdReport:

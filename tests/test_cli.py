@@ -319,13 +319,23 @@ def test_width_diagnostics_follow_a(tmp_path, capsys):
     assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "level.csv").read_bytes()
 
 
-@pytest.mark.parametrize("tail, message", [
-    (["--level", "0", "--a", "0", "--diagnostics", "{tmp}/d.csv"], "on an indicator use --a 1"),
-    (["--a", "1", "--diagnostics", "{tmp}/d.csv"], "1[f = 1] is not one"),
-    (["--a", "2", "--evaluator", "mc"], "use --evaluator exact or closed"),
-], ids=["diagnostics-level-a0", "diagnostics-full-a1", "mc-full-a2"])
-def test_width_refuses_a_level_that_does_not_rise(tmp_path, capsys, tail, message):
-    code, out, err = run(["width", *TRIBES6, "--eps", "0.1", *[a.replace("{tmp}", str(tmp_path)) for a in tail],
+# The diagnostics table is refused on every route, before the width: at n = 64
+# the exact width would stop on the enumeration cap with exit 1.
+DIAGNOSTICS_REFUSED = "error: the fibre-sum derivative needs a level that only rises toward delta_0, and 1[f = 2] is not one"
+
+
+@pytest.mark.parametrize("n, tail, message", [
+    pytest.param("6", ["--level", "0", "--a", "0", "--diagnostics", "{tmp}/d.csv"], "on an indicator use --a 1",
+                 id="diagnostics-level-a0"),
+    pytest.param("6", ["--a", "1", "--diagnostics", "{tmp}/d.csv"], "1[f = 1] is not one", id="diagnostics-full-a1"),
+    pytest.param("6", ["--a", "2", "--evaluator", "mc"], "use --evaluator exact or closed", id="mc-full-a2"),
+    *[pytest.param(n, ["--level", "2", "--a", "1", "--evaluator", ev, "--diagnostics", "{tmp}/d.csv"],
+                   DIAGNOSTICS_REFUSED, id=f"diagnostics-level2-n{n}-{ev}")
+      for n in ("6", "64") for ev in ("exact", "closed", "mc")],
+])
+def test_width_refuses_a_level_that_does_not_rise(tmp_path, capsys, n, tail, message):
+    tribes = ["--family", "tribes", "--q", "3", "--n", n, "--p0", "0.5", "--r", "2"]
+    code, out, err = run(["width", *tribes, "--eps", "0.1", *[a.replace("{tmp}", str(tmp_path)) for a in tail],
                           "--out", str(tmp_path / "w.csv")], capsys)
     assert code == 2 and out == ""
     assert message in err

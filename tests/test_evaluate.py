@@ -496,15 +496,30 @@ def test_closed_form_answers_exactly_the_levels_the_tribes_rule_names(q):
 def test_monte_carlo_evaluator_samples_override():
     f = build_tribes(3, 6, 0.5, r=2)
     ev = MonteCarloEvaluator(samples=1000, seed=3)
-    T, start, end = ev.switching_times(f, 0, HALF_QUARTER, 2500)
+    base = SimplexMeasure((0.0, 0.25, 0.75))
+    T, start, end = ev.switching_times(f, 0, base, 2500)
     assert len(T) == len(start) == len(end) == 2500 and ev.calls == 1  # the per-call count, drawn from one stream
     with pytest.raises(ValueError, match="samples must be positive"):
-        ev.switching_times(f, 0, HALF_QUARTER, 0)  # not the default in disguise
+        ev.switching_times(f, 0, base, 0)  # not the default in disguise
     with pytest.raises(ValueError, match="use --evaluator exact or closed"):
-        ev.switching_times(f, 1, HALF_QUARTER, 2500)  # f = 1 can drop toward delta_0
+        ev.switching_times(f, 1, base, 2500)  # f = 1 can drop toward delta_0
     assert ev.calls == 1  # a rejected call draws no stream
     with pytest.raises(ValueError):
         MonteCarloEvaluator(samples=0, seed=3)
+
+
+def test_switching_times_refuse_a_base_off_the_zero_face_or_of_another_q():
+    # The tribes rule reads V as zero-free: off the zero face it returned
+    # start all false, while Pr[f = 0] = 0.578 at t = 0.
+    f = build_tribes(3, 6, 0.5, r=2)
+    ev = MonteCarloEvaluator(samples=1000, seed=3)
+    with pytest.raises(ValueError, match=r"^base measure must place zero mass at symbol 0, got 0\.5$"):
+        ev.switching_times(f, 0, HALF_QUARTER, 1000)
+    with pytest.raises(ValueError, match="^measure has q=4, function has q=3$"):
+        ev.switching_times(f, 0, central_measure(4), 1000)
+    with pytest.raises(ValueError, match="base measure must place zero mass"):
+        ev.switching_times(f, 1, HALF_QUARTER, 0)  # the base is checked before the level and the count
+    assert ev.calls == 0  # no stream taken
 
 
 def test_monte_carlo_evaluator_deterministic_replay():

@@ -105,13 +105,44 @@ def test_rm_derivative_rejects_bad_inputs():
         rm_derivative_exact(f, SimplexMeasure((0.2, 0.4, 0.4)), [0.5])  # off the zero face
 
 
+def test_fibre_sum_derivative_refuses_a_level_that_does_not_rise():
+    # Tribes level 1 can drop toward delta_0: the fibre sum reads +0.627 at
+    # t = 0.1 there, where the exact (Bernstein) derivative is -0.198.
+    full = build_tribes(3, 4, 0.5, r=2)
+    g = indicator(full, 1)
+    message = "the fibre-sum derivative needs a level that only rises toward delta_0, and 1[f = 1] is not one"
+    calls = [lambda: rm_derivative_exact(g, CENTRAL3, [0.1, 0.4, 0.7]),
+             lambda: derivative_lower_bound_ratio(g, 1, CENTRAL3, [0.1, 0.4, 0.7]),
+             lambda: derivative_lower_bound_ratio(full, 1, CENTRAL3, [0.1, 0.4, 0.7])]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    # A function that is not {0,1}-valued keeps its own refusal, whether or not its level 1 rises.
+    for f in (full, from_table(3, 1, [1, 2, 0])):
+        with pytest.raises(ValueError, match=r"^this influence needs a \{0,1\}-valued function$"):
+            rm_derivative_exact(f, CENTRAL3, [0.1])
+
+
+def test_derivative_lower_bound_ratio_reads_the_level_of_f():
+    # A full f at a is its indicator at 1; an indicator at 0 is refused.
+    full = build_tribes(3, 6, 0.5, r=2)
+    g = indicator(full, 0)
+    assert derivative_lower_bound_ratio(full, 0, CENTRAL3, [0.2, 0.5]) == \
+        derivative_lower_bound_ratio(g, 1, CENTRAL3, [0.2, 0.5])
+    with pytest.raises(ValueError, match="on an indicator use --a 1"):
+        derivative_lower_bound_ratio(g, 0, CENTRAL3, [0.2])
+    with pytest.raises(ValueError, match="a=2 is not an output of f"):
+        derivative_lower_bound_ratio(g, 2, CENTRAL3, [0.2])
+
+
 # ---------------------------------------------------------------------------
 # Derivative benchmark diagnostic
 
 
 def test_derivative_lower_bound_ratio_fields():
     f = indicator(build_tribes(3, 6, 0.5, r=2), 0)
-    diag = derivative_lower_bound_ratio(f, CENTRAL3, [0.5])[0]
+    diag = derivative_lower_bound_ratio(f, 1, CENTRAL3, [0.5])[0]
     assert diag.n == 6
     assert diag.alpha == 0.5
     assert diag.derivative == pytest.approx(rm_derivative_exact(f, CENTRAL3, [0.5])[0], abs=0)
@@ -150,27 +181,27 @@ def test_variance_near_one_keeps_full_precision():
         one, zero = exact_tribes_pair_split(mu[0].tolist(), (2, 2, 2, 2))
         want = float(one * zero)
         assert variance_of_indicator(f, mu)[0] == pytest.approx(want, rel=1e-14, abs=0)
-        diag = derivative_lower_bound_ratio(f, base, [float(t)])[0]
+        diag = derivative_lower_bound_ratio(f, 1, base, [float(t)])[0]
         assert diag.denominator == pytest.approx(want * math.log(8) / math.log(2), rel=1e-14, abs=0)
 
 
 def test_derivative_lower_bound_ratio_degenerate_cases():
     f = from_table(3, 3, np.full(3**3, 0), kind="indicator")
-    diag = derivative_lower_bound_ratio(f, CENTRAL3, [0.2])[0]
+    diag = derivative_lower_bound_ratio(f, 1, CENTRAL3, [0.2])[0]
     assert diag.denominator == 0.0
     assert diag.ratio is None
 
     with pytest.raises(ValueError):
         # alpha = 0: a rest symbol carries no mass
         g = indicator(build_tribes(3, 4, 0.5, r=2), 0)
-        derivative_lower_bound_ratio(g, SimplexMeasure((0.0, 1.0, 0.0)), [0.2])
+        derivative_lower_bound_ratio(g, 1, SimplexMeasure((0.0, 1.0, 0.0)), [0.2])
 
 
 def test_derivative_lower_bound_ratio_alpha_one_binary():
     # q = 2 central measure has alpha = 1, so ln(1/alpha) = 0
     tbl = np.array([1, 0], dtype=np.int32)
     f = from_table(2, 1, tbl, kind="indicator")
-    diag = derivative_lower_bound_ratio(f, central_measure(2), [0.3])[0]
+    diag = derivative_lower_bound_ratio(f, 1, central_measure(2), [0.3])[0]
     assert diag.denominator == math.inf
     assert diag.ratio is None
 
