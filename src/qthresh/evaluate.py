@@ -24,13 +24,16 @@ coordinate k and built on first use, the counts of (type of the other n-1
 coordinates, fibre pattern); the pattern is the row of q outputs along
 coordinate k.  Only these read a family's value table, materialised once,
 on first use.  The enumeration cap is one constant,
-``functions.DEFAULT_CAP``, checked once, when the tally is built.
+``functions.DEFAULT_CAP``, checked once, when the tally is built.  The
+coupled line sample of an MC width lives here alone, in
+:meth:`MonteCarloEvaluator.switching_times`, the one guard of its two rules.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -38,8 +41,10 @@ import numpy as np
 
 from .functions import (
     BATCH_CELLS,
+    CapExceededError,
     FunctionSpec,
     TribesVariant,
+    _fold_blocks,
     check_cap,
     check_measure_q,
     check_output,
@@ -48,7 +53,6 @@ from .functions import (
     level_rises,
     level_symbol,
     materialize_table,
-    tribes_switching_times,
     tribes_values,
 )
 from .measures import ATOM_SUM_TOL, SimplexMeasure, derivative_ts, require_zero_face, row_sums, sums_to_one
@@ -192,9 +196,8 @@ class TypeTally:
     type where f = a, for a below ``outputs`` (``FunctionSpec.outputs``).
     ``rest_types`` are the types of the other n-1 coordinates, which index
     the fibre tallies.  The fibres read the value table: a table spec's own,
-    or a family's, materialised on first use.  The tally refers to its spec
-    only weakly, since the spec keys it in ``_TALLIES`` and a strong
-    reference would keep both alive for good.
+    or a family's, materialised on first use from the spec passed in.  The
+    tally keeps no reference to its spec, which keys it in ``_TALLIES``.
     """
 
     def __init__(self, f: FunctionSpec, counts: np.ndarray):
@@ -203,7 +206,6 @@ class TypeTally:
         self.types, self.rest_types = _types(f.q, f.n), _types(f.q, f.n - 1)
         self.counts = counts
         self.binary = not counts[:, 2:].any()
-        self._spec = weakref.ref(f)
         self._table = f.table
         self._fibres: list = [None] * f.n
 
@@ -216,8 +218,8 @@ class TypeTally:
             out[lo:lo + chunk] = _weighted_sums(_type_weights(measures[lo:lo + chunk], self.types), column)
         return out
 
-    def fibre_tally(self, k: int):
-        """Distinct (rest type, pattern) pairs of the coordinate-k fibres.
+    def fibre_tally(self, f: FunctionSpec, k: int):
+        """Distinct (rest type, pattern) pairs of the coordinate-k fibres of f, this tally's spec.
 
         Returns ``(rest, patterns, count, nonconstant)``, sorted by rest
         type and then pattern: ``count[i]`` rest points of type
@@ -228,7 +230,7 @@ class TypeTally:
         """
         if self._fibres[k] is None:
             if self._table is None:
-                self._table = materialize_table(self._spec())
+                self._table = materialize_table(f)
             q, hi = self.q, self.outputs
             rest_ids = _type_steps(q, self.n)[0]
             cube = self._table.reshape(q**k, q, -1)
@@ -250,8 +252,8 @@ class TypeTally:
             self._fibres[k] = (rest, patterns.astype(float), count, patterns.min(axis=1) != patterns.max(axis=1))
         return self._fibres[k]
 
-    def fibre_expectation(self, k: int, rows: np.ndarray, g) -> np.ndarray:
-        """E over the other n-1 coordinates of g(nonconstant, mean) of the k-fibre, per measure row.
+    def fibre_expectation(self, f: FunctionSpec, k: int, rows: np.ndarray, g) -> np.ndarray:
+        """E over the other n-1 coordinates of g(nonconstant, mean) of f's k-fibre, per measure row.
 
         ``g`` maps the fibres' nonconstant mask and the (rows, fibres) matrix
         of fibre means to values that broadcast to that matrix.  A row gets
@@ -259,7 +261,7 @@ class TypeTally:
         product (a matrix product may round otherwise at q >= 4), and a
         bincount keyed by row sums its rest types in fibre order.
         """
-        rest, patterns, count, nonconstant = self.fibre_tally(k)
+        rest, patterns, count, nonconstant = self.fibre_tally(f, k)
         # A {0,1} fibre's mean is a partial sum of the atoms, which can round
         # an ulp past 1; h profiles are defined on [0, 1] only.
         mean = np.minimum(np.reshape([patterns @ atoms for atoms in rows], (len(rows), len(patterns))), 1.0)
@@ -382,7 +384,12 @@ def _tribes_log_alive(fam: TribesVariant, p0: np.ndarray) -> np.ndarray:
     (1 - p0^r)^m loses about m 2^-53 and reads 0 at n = 2^60.  At
     p0 = 1 a factor is log1p(-1) = -inf, and L is -inf; with m = 1 the
     zero count of full blocks is not multiplied in, since 0 (-inf) is nan.
+    m - 1 enters as a float, so past the largest float (from n = 2^1034 at
+    p0 = 0.5) the closed form is refused, as the cap refuses a table.
     """
+    if fam.m - 1 > sys.float_info.max:  # an int and a float compare exactly
+        raise CapExceededError(f"the closed form needs at most {sys.float_info.max:.17g} full tribes blocks, "
+                               f"the largest float, and this f has at least 2^{(fam.m - 1).bit_length() - 1}")
     with np.errstate(divide="ignore"):
         last = np.log1p(-p0**fam.last)
         return last if fam.m == 1 else (fam.m - 1) * np.log1p(-p0**fam.r) + last
@@ -559,15 +566,16 @@ class MonteCarloEvaluator(Evaluator):
         V_j, has law (t delta_0 + (1-t) base)^n at every t, and raising t only
         rewrites coordinates to 0.  The level must rise toward 0
         (:func:`~qthresh.functions.level_rises`), so each row steps once.
-        Returns ``(T, start, end)`` in draw order, as
-        :func:`~qthresh.functions.tribes_switching_times` does.  A chunk of at
-        most ``BATCH_CELLS // n`` rows draws U, then W with V = G(W)
+        Returns ``(T, start, end)`` in draw order: the switching time (0 where
+        f = a at t = 0), and whether f = a at t = 0 and at t = 1.  A chunk of
+        at most ``BATCH_CELLS // n`` rows draws U, then W with V = G(W)
         (:func:`_inverse_cdf`): a table inverts all of W and bisects
-        (:func:`_bisect_switching_times`), a tribes family only the symbols
-        its rule reads.  ``samples`` overrides the evaluator's count; the call
-        takes one stream, and a base off the zero face or of another q, any
-        other level, or samples < 1, is refused before it.  Unlike a batch
-        row, the rows a seed gives depend on the chunk size.
+        (:func:`_bisect_switching_times`), a tribes family reads its blocks
+        (:func:`_tribes_switching_times`), inverting only the symbols read.
+        This call is the one guard of both rules: a base off the zero face or
+        of another q, any other level, or samples < 1, is refused before it
+        takes its one stream.  ``samples`` overrides the evaluator's count.
+        Unlike a batch row, the rows a seed gives depend on the chunk size.
         """
         require_zero_face(base)
         check_measure_q(f, base.q)
@@ -586,20 +594,44 @@ class MonteCarloEvaluator(Evaluator):
                 del W  # not kept beside V through the bisection
                 parts.append(_bisect_switching_times(f, a, U, V))
             else:  # the reader is called inside this chunk, while W is still its own
-                parts.append(tribes_switching_times(f, a, U, lambda rows, cols: _inverse_cdf(atoms, W[rows, cols])))
+                parts.append(_tribes_switching_times(f, a, U, lambda rows, cols: _inverse_cdf(atoms, W[rows, cols])))
         return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, symbol_at):
+    """Where 1[f = a] steps from 0 to 1 on each coupled row of a tribes family, read off the blocks.
+
+    Only :meth:`MonteCarloEvaluator.switching_times` calls it, on what it
+    guards: a level that rises toward 0, and V zero-free, read only through
+    ``symbol_at(rows, cols)`` as in :func:`~qthresh.functions.tribes_values`.
+    Returns ``(T, start, end)`` as that method does.  Block B is all zero
+    once t passes max_{j in B} U_j.
+
+    - The zero event (f = 0; f != b at q = 2) switches at
+      T = min_B max_{j in B} U_j on every row.  V is never read.
+    - f != b, b >= 1, with blocks of size 1: f = x_0 until T = min_j U_j and
+      0 after, so rows with V_0 != b start at the level, with T = 0.  Only
+      column 0 of V is read.
+    """
+    full_max, last_max = _fold_blocks(f.family, U, np.maximum)
+    T = np.minimum(last_max, full_max.min(axis=1, initial=np.inf))
+    b, complement = level_symbol(f, a)
+    start = np.zeros(U.shape[0], dtype=bool)
+    if complement and f.q > 2:  # f != b with blocks of size 1
+        start = symbol_at(np.arange(U.shape[0]), 0) != b
+        T[start] = 0.0
+    return T, start, np.ones(U.shape[0], dtype=bool)
 
 
 def _bisect_switching_times(f: FunctionSpec, a: int, U: np.ndarray, V: np.ndarray):
     """Where 1[f(x(t)) = a] steps from 0 to 1 on each coupled row, for any f, by bisection.
 
-    Returns ``(T, start, end)`` as
-    :func:`~qthresh.functions.tribes_switching_times` does, with the same
-    floats on a tribes level.  x(t) changes only when t passes an order
-    statistic of U, so the step is at the k-th smallest U_i for the least k
-    such that zeroing the k smallest-U coordinates reaches f = a; k is found
-    by bisection over all rows at once, in ceil(log2 n) + 2 evaluations of
-    f.  Every point rewrites to the all-zero point, so a row with f != a at
+    Returns ``(T, start, end)`` as :meth:`MonteCarloEvaluator.switching_times`
+    does, with the floats of :func:`_tribes_switching_times` on a tribes
+    level.  x(t) changes only when t passes an order statistic of U, so the
+    step is at the k-th smallest U_i for the least k such that zeroing the k
+    smallest-U coordinates reaches f = a; k is found by bisection over all
+    rows at once, in ceil(log2 n) + 2 evaluations of f.  Every point rewrites to the all-zero point, so a row with f != a at
     t = 1 means the level is identically 0; its crossings are then absent
     and T is never read.
     """

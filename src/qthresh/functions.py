@@ -4,7 +4,9 @@ A function is either a fully materialized lookup table in lexicographic
 order (coordinate 0 most significant) or a structured family member that can
 be evaluated pointwise without ever writing the table down.  Everything that
 must enumerate [q]^n goes through a size cap so structured functions stay
-usable at n far beyond enumeration range.
+usable at n far beyond enumeration range.  The value and level rules
+(:func:`tribes_values`, :func:`level_symbol`, :func:`level_rises`) are the
+ones every route of :mod:`qthresh.evaluate` reads.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ KIND_INDICATOR = "indicator"
 
 
 class CapExceededError(ValueError):
-    """Raised when an operation would enumerate more than the table cap allows."""
+    """Raised when an input is past a size limit: the table cap, or the closed form's float range."""
 
 
 def check_cap(q: int, n: int) -> int:
@@ -273,8 +275,7 @@ def level_rises(f: FunctionSpec, a: int, toward: int) -> bool:
     size 1: then f = 0 once any coordinate is 0 and f = x_0 before, so
     f != b holds from the first zero on.  With larger blocks and q >= 3,
     zeroing the first nonzero coordinate can expose b behind it in the
-    same block.  For a tribes family the levels that rise toward 0 are
-    exactly those :func:`tribes_switching_times` answers without bisection.
+    same block.
     """
     check_output(f, a)
     if not 0 <= toward < f.q:
@@ -283,37 +284,6 @@ def level_rises(f: FunctionSpec, a: int, toward: int) -> bool:
         return _rewrite_monotone(materialize_table(f).reshape((f.q,) * f.n) == a, toward)
     b, complement = level_symbol(f, a)
     return b != 0 and (f.q == 2 or f.family.r == 1) if complement else b == 0
-
-
-def tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, symbol_at):
-    """Where 1[f = a] steps from 0 to 1 on each coupled row, read off the blocks.
-
-    Row i is the path x_j(t) = 0 if U_ij < t, else V_ij, with V zero-free
-    (``MonteCarloEvaluator.switching_times`` checks that its base is on the
-    zero face) and read only through ``symbol_at(rows, cols)``, as in
-    :func:`tribes_values`.  Returns ``(T, start, end)``: the switching time
-    (0 for rows with f = a already at t = 0), and whether f = a at t = 0
-    and at t = 1.  Only a tribes level that rises toward 0
-    (:func:`level_rises`) has a rule; any other level, and any table,
-    raises ValueError.  Block B is all zero once t passes max_{j in B} U_j.
-
-    - The zero event (f = 0; f != b at q = 2) switches at
-      T = min_B max_{j in B} U_j on every row.  V is never read.
-    - f != b, b >= 1, with blocks of size 1: f = x_0 until T = min_j U_j and
-      0 after, so rows with V_0 != b start at the level, with T = 0.  Only
-      column 0 of V is read.
-    """
-    if f.family is None or not level_rises(f, a, 0):
-        raise ValueError(f"tribes_switching_times needs a tribes level that only rises toward delta_0, "
-                         f"and {level_name(f, a)} of this f is not one")
-    full_max, last_max = _fold_blocks(f.family, U, np.maximum)
-    T = np.minimum(last_max, full_max.min(axis=1, initial=np.inf))
-    b, complement = level_symbol(f, a)
-    start = np.zeros(U.shape[0], dtype=bool)
-    if complement and f.q > 2:  # f != b with blocks of size 1
-        start = symbol_at(np.arange(U.shape[0]), 0) != b
-        T[start] = 0.0
-    return T, start, np.ones(U.shape[0], dtype=bool)
 
 
 def level_name(f: FunctionSpec, a: int) -> str:

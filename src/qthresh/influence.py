@@ -33,7 +33,7 @@ def _fibre_expectation(f: FunctionSpec, rows, k: int, g, binary: bool = True) ->
     tally = type_tally(f)
     if binary and not tally.binary:
         raise ValueError("this influence needs a {0,1}-valued function")
-    return tally.fibre_expectation(k, rows, g)
+    return tally.fibre_expectation(f, k, rows, g)
 
 
 def influence_bkkkl(f: FunctionSpec, rows, k: int) -> np.ndarray:

@@ -38,9 +38,6 @@ class SimplexMeasure:
     def q(self) -> int:
         return len(self.atoms)
 
-    def __getitem__(self, j: int) -> float:
-        return self.atoms[j]
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.atoms, dtype=float)
 

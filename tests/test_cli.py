@@ -521,6 +521,23 @@ def test_sweep_rejects_garbage_n_list(capsys):
         main(["sweep", "--q", "3", "--p0", "0.5", "--n-list", "12,potato"])
 
 
+PAST_FLOAT = ["--family", "tribes", "--q", "3", "--n", str(2**1100), "--p0", "0.5", "--a", "0", "--evaluator", "closed"]
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--q", "3", "--p0", "0.5", "--n-list", f"{2**1030},{2**1100}"],  # 2^1030 still answers
+    ["eval", *PAST_FLOAT, "--mu", "0.5,0.25,0.25"],
+    ["width", *PAST_FLOAT, "--eps", "0.1"],
+    ["region", *PAST_FLOAT, "--eps", "0.1", "--samples", "100"],
+], ids=["sweep", "eval", "width", "region"])
+def test_closed_form_past_float_range_exits_1_and_leaves_no_file(tmp_path, capsys, command):
+    # At n = 2^1100 the closed form's m - 1 full blocks are more than the largest float.
+    code, stdout, err = run([*command, "--out", str(tmp_path / "out.csv")], capsys)
+    assert (code, stdout, err) == (1, "", "error: the closed form needs at most 1.7976931348623157e+308 full "
+                                          "tribes blocks, the largest float, and this f has at least 2^1089\n")
+    assert not any(tmp_path.iterdir())  # no CSV, and no sweep plot file
+
+
 # ---------------------------------------------------------------------------
 # verify
 

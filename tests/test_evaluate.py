@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qthresh.evaluate as evaluate
 from qthresh.evaluate import (
     METHOD_CLOSED,
     METHOD_EXACT,
@@ -84,7 +85,7 @@ def test_exact_probability_dictator():
     f = from_table(3, 2, tbl)
     mu = SimplexMeasure((0.2, 0.5, 0.3))
     for a in range(3):
-        assert probe(EXACT, f, mu, a) == pytest.approx(mu[a], abs=1e-15)
+        assert probe(EXACT, f, mu, a) == pytest.approx(mu.atoms[a], abs=1e-15)
 
 
 def test_exact_probability_point_mass():
@@ -166,7 +167,7 @@ def closed_zero_event(f, ts):
 def test_closed_form_zero_event_matches_exact(case):
     # r in 1..n covers uneven last blocks (r <= last < 2r) and m = 1.
     f, mu = case
-    assert abs(closed_zero_event(f, [mu[0]])[0] - probe(EXACT, f, mu, 0)) <= 1e-12
+    assert abs(closed_zero_event(f, [mu.atoms[0]])[0] - probe(EXACT, f, mu, 0)) <= 1e-12
     g = indicator(f, 0)
     ev = ClosedFormEvaluator()
     for out in (0, 1):
@@ -520,6 +521,38 @@ def test_switching_times_refuse_a_base_off_the_zero_face_or_of_another_q():
     with pytest.raises(ValueError, match="base measure must place zero mass"):
         ev.switching_times(f, 1, HALF_QUARTER, 0)  # the base is checked before the level and the count
     assert ev.calls == 0  # no stream taken
+
+
+def test_switching_times_is_the_one_guard_of_both_rules(monkeypatch):
+    # Neither rule checks what it is given: switching_times refuses every
+    # input they do not cover before it takes a stream, and a table level
+    # that rises toward delta_0 goes to the bisection, never to the tribes rule.
+    bisect = evaluate._bisect_switching_times
+
+    def reached(*args):
+        raise AssertionError("a switching-time rule was reached")
+
+    monkeypatch.setattr(evaluate, "_tribes_switching_times", reached)
+    monkeypatch.setattr(evaluate, "_bisect_switching_times", reached)
+    f = build_tribes(3, 6, 0.5, r=2)
+    base = central_measure(3)
+    ev = MonteCarloEvaluator(samples=100, seed=3)
+    refused = [
+        (f, 1, base, 100, "only rises toward delta_0"),  # f = 1 can drop to f = 0
+        (indicator(f, 2), 0, base, 100, "only rises toward delta_0"),  # f != 2 with blocks of 2
+        (f, 0, HALF_QUARTER, 100, "zero mass at symbol 0"),
+        (f, 0, central_measure(4), 100, "^measure has q=4, function has q=3$"),
+        (f, 0, base, 0, "^samples must be positive$"),
+    ]
+    for g, a, mu, samples, message in refused:
+        with pytest.raises(ValueError, match=message):
+            ev.switching_times(g, a, mu, samples)
+    assert ev.calls == 0
+    table = from_table(3, 6, materialize_table(indicator(f, 0)), kind="indicator")
+    assert level_rises(table, 1, 0)
+    monkeypatch.setattr(evaluate, "_bisect_switching_times", bisect)
+    T, start, end = ev.switching_times(table, 1, base, 100)
+    assert T.shape == start.shape == end.shape == (100,) and ev.calls == 1
 
 
 def test_monte_carlo_evaluator_deterministic_replay():

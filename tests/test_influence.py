@@ -65,7 +65,7 @@ def brute_force_influences(f, mu, h):
         for widx, rest in enumerate(itertools.product(*rest_axes)):
             # the k-fibre over this rest point: f with coordinate k set to v
             outputs = [int(tbl[point_index(rest[:k] + (v,) + rest[k:], f.q)]) for v in range(f.q)]
-            m = sum(mu[v] * outputs[v] for v in range(f.q))
+            m = sum(mu.atoms[v] * outputs[v] for v in range(f.q))
             bk[k] += w[widx] * (min(outputs) != max(outputs))
             var[k] += w[widx] * m * (1.0 - m)
             hw[k] += w[widx] * h(m)
@@ -174,7 +174,7 @@ def test_phi_dictator():
     # nonconstant everywhere, fibre mean = 1 - mu(0), so phi = mu(0)
     f = dictator(3, 2, k=0)
     for mu in (UNIFORM3, SKEWED3):
-        assert phi_k(f, row(mu), 0)[0] == pytest.approx(mu[0], abs=1e-15)
+        assert phi_k(f, row(mu), 0)[0] == pytest.approx(mu.atoms[0], abs=1e-15)
         assert phi_k(f, row(mu), 1)[0] == 0.0
 
 

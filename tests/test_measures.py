@@ -41,7 +41,7 @@ def test_construction_refuses_an_atom_past_one_within_the_sum_drift():
 def test_point_mass_and_indexing():
     mu = SimplexMeasure((0, 0, 1, 0))
     assert mu.atoms == (0.0, 0.0, 1.0, 0.0)
-    assert mu[2] == 1.0
+    assert mu.atoms[2] == 1.0
 
 
 def test_normalized():
@@ -100,7 +100,7 @@ def test_central_measure():
     assert central_measure(2).atoms == (0.0, 1.0)
     assert central_measure(3).atoms == (0.0, 0.5, 0.5)
     mu = central_measure(5)
-    assert mu[0] == 0.0
+    assert mu.atoms[0] == 0.0
     assert all(a == 0.25 for a in mu.atoms[1:])
     with pytest.raises(ValueError):
         central_measure(1)
@@ -173,9 +173,9 @@ def zero_face_bases(draw):
 @settings(max_examples=150, deadline=None)
 def test_line_rows_properties(base, t):
     mu = SimplexMeasure(tuple(line_rows(base, [t])[0]))
-    assert mu[0] == t
+    assert mu.atoms[0] == t
     assert all(a >= 0.0 for a in mu.atoms)
     assert abs(math.fsum(mu.atoms) - 1.0) <= 1e-12
     # scaling of the rest is linear in (1-t)
     for j in range(1, base.q):
-        assert mu[j] == (1.0 - t) * base[j]
+        assert mu.atoms[j] == (1.0 - t) * base.atoms[j]

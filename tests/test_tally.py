@@ -260,7 +260,7 @@ def test_fibre_mean_that_rounds_past_one_is_clipped():
 @settings(max_examples=80, deadline=None)
 def test_bernstein_derivative_matches_finite_differences(case, t):
     f, (mu,) = case
-    assume(mu[0] < 1.0)
+    assume(mu.atoms[0] < 1.0)
     base = SimplexMeasure.normalized((0.0,) + tuple(mu.atoms[1:]))
     analytic = bernstein_derivative(f, base, [t])[0]
     approx = fd_probability_derivative(f, base, [t])[0]

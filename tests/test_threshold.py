@@ -28,7 +28,6 @@ from qthresh.functions import (
     level_rises,
     materialize_table,
     random_zero_monotone,
-    tribes_switching_times,
 )
 from qthresh.influence import influence_bkkkl
 from qthresh.measures import SimplexMeasure, central_measure, derivative_ts, line_rows, sample_uniform_batch
@@ -559,7 +558,7 @@ def tribes_views(f):
 
 
 def blocks_of_one_rule(g, a):
-    """Whether tribes_switching_times answers (g, a) by reading V_0, not by the zero event's rule."""
+    """Whether the tribes rule answers (g, a) by reading V_0, not by the zero event's rule."""
     return g.kind == "indicator" and a == 0 and g.q > 2
 
 
@@ -577,7 +576,7 @@ def test_tribes_switching_times_match_the_bisection_bit_for_bit(q, n, r):
     levels = [(g, a) for g, a in tribes_views(f) if level_rises(g, a, 0)]
     assert {blocks_of_one_rule(g, a) for g, a in levels} == ({False, True} if r == 1 and q > 2 else {False})
     for g, a in levels:
-        got = tribes_switching_times(g, a, U, lambda rows, cols: V[rows, cols])
+        got = evaluate._tribes_switching_times(g, a, U, lambda rows, cols: V[rows, cols])
         want = evaluate._bisect_switching_times(g, a, U, V)
         for x, w in zip(got, want):
             assert x.dtype == w.dtype and np.array_equal(x, w)
@@ -591,12 +590,14 @@ def test_tribes_switching_times_match_the_bisection_bit_for_bit(q, n, r):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_tribes_switching_times_answer_exactly_the_zero_monotone_levels(q, r):
-    # A level added to level_rises toward 0 cannot reach the rule unawares,
-    # and the rule answers no level the MC width refuses.
+def test_tribes_switching_times_answer_exactly_the_zero_monotone_levels(q, r, monkeypatch):
+    # A level added to level_rises toward 0 cannot reach the rule unawares:
+    # switching_times, the rule's one guard, refuses every level the rule
+    # does not answer, before it takes a stream.
     f = build_tribes(q, 7, 0.5, r=r)
     rng = np.random.default_rng(q + 10 * r)
     U, V = rng.random((50, 7)), rng.integers(1, q, size=(50, 7), dtype=np.int32)
+    ev = MonteCarloEvaluator(samples=50, seed=1)
 
     def symbol_at(rows, cols):
         return V[rows, cols]
@@ -604,17 +605,23 @@ def test_tribes_switching_times_answer_exactly_the_zero_monotone_levels(q, r):
     answered = 0
     for g, a in tribes_views(f):
         if level_rises(g, a, 0):
-            T, start, end = tribes_switching_times(g, a, U, symbol_at)
+            T, start, end = evaluate._tribes_switching_times(g, a, U, symbol_at)
             assert T.shape == start.shape == end.shape == (50,)
             answered += 1
         else:
             with pytest.raises(ValueError, match="only rises toward delta_0"):
-                tribes_switching_times(g, a, U, symbol_at)
+                ev.switching_times(g, a, central_measure(q), 50)
     assert answered == 2 + (q - 1) * (q == 2 or r == 1)  # f = 0 twice, then f != b for every b >= 1
+    assert ev.calls == 0
     table = from_table(q, 7, materialize_table(indicator(f, 0)), kind="indicator")
     assert level_rises(table, 1, 0)
-    with pytest.raises(ValueError, match="tribes level"):
-        tribes_switching_times(table, 1, U, symbol_at)
+
+    def refuse(*args):
+        raise AssertionError("a table reached the tribes rule")
+
+    monkeypatch.setattr(evaluate, "_tribes_switching_times", refuse)
+    T, start, end = ev.switching_times(table, 1, central_measure(q), 50)  # bisected instead
+    assert T.shape == (50,)
 
 
 def test_line_width_mc_on_tribes_evaluates_no_state(monkeypatch):

@@ -47,8 +47,8 @@ def test_full_support_bases():
     bases = full_support_bases(3, 5, seed=1)
     assert len(bases) == 5
     for mu in bases:
-        assert mu[0] == 0.0
-        assert min(mu[1], mu[2]) > 0.0
+        assert mu.atoms[0] == 0.0
+        assert min(mu.atoms[1], mu.atoms[2]) > 0.0
     assert bases == full_support_bases(3, 5, seed=1)
     assert bases != full_support_bases(3, 5, seed=2)
 
