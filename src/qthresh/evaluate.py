@@ -571,11 +571,12 @@ class MonteCarloEvaluator(Evaluator):
         at most ``BATCH_CELLS // n`` rows draws U, then W with V = G(W)
         (:func:`_inverse_cdf`): a table inverts all of W and bisects
         (:func:`_bisect_switching_times`), a tribes family reads its blocks
-        (:func:`_tribes_switching_times`), inverting only the symbols read.
-        This call is the one guard of both rules: a base off the zero face or
-        of another q, any other level, or samples < 1, is refused before it
-        takes its one stream.  ``samples`` overrides the evaluator's count.
-        Unlike a batch row, the rows a seed gives depend on the chunk size.
+        (:func:`_tribes_switching_times`), inverting only the symbols read:
+        where it reads none, W is skipped, not drawn.  This call is the one
+        guard of both rules: a base off the zero face or of another q, any
+        other level, or samples < 1, is refused before it takes its one
+        stream.  ``samples`` overrides the evaluator's count.  Unlike a batch
+        row, the rows a seed gives depend on the chunk size.
         """
         require_zero_face(base)
         check_measure_q(f, base.q)
@@ -588,14 +589,21 @@ class MonteCarloEvaluator(Evaluator):
         atoms, chunk = base.as_array(), max(1, BATCH_CELLS // f.n)
         parts = []
         for b in (min(chunk, samples - done) for done in range(0, samples, chunk)):
-            U, W = rng.random((b, f.n)), rng.random((b, f.n))  # U, then W: this order fixes the rows a seed gives
+            U = rng.random((b, f.n))  # U, then W: this order fixes the rows a seed gives
             if f.family is None:
-                V = _inverse_cdf(atoms, W)
-                del W  # not kept beside V through the bisection
-                parts.append(_bisect_switching_times(f, a, U, V))
-            else:  # the reader is called inside this chunk, while W is still its own
+                parts.append(_bisect_switching_times(f, a, U, _inverse_cdf(atoms, rng.random((b, f.n)))))
+            elif _tribes_reads_symbol(f, a):  # the reader is called inside this chunk, while W is still its own
+                W = rng.random((b, f.n))
                 parts.append(_tribes_switching_times(f, a, U, lambda rows, cols: _inverse_cdf(atoms, W[rows, cols])))
+            else:  # W goes unread: skip it as drawing it would, so the stream and every width's bytes stay
+                rng.bit_generator.advance(b * f.n)
+                parts.append(_tribes_switching_times(f, a, U, None))
         return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _tribes_reads_symbol(f: FunctionSpec, a: int) -> bool:
+    """Whether :func:`_tribes_switching_times` reads V on this level: f != b, b >= 1, at q >= 3."""
+    return level_symbol(f, a)[1] and f.q > 2
 
 
 def _tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, symbol_at):
@@ -607,18 +615,17 @@ def _tribes_switching_times(f: FunctionSpec, a: int, U: np.ndarray, symbol_at):
     Returns ``(T, start, end)`` as that method does.  Block B is all zero
     once t passes max_{j in B} U_j.
 
-    - The zero event (f = 0; f != b at q = 2) switches at
-      T = min_B max_{j in B} U_j on every row.  V is never read.
+    - The zero event (f = 0; f != b at q = 2) switches at T = min_B max_{j in B} U_j
+      on every row.  It never calls ``symbol_at``, which may be None.
     - f != b, b >= 1, with blocks of size 1: f = x_0 until T = min_j U_j and
       0 after, so rows with V_0 != b start at the level, with T = 0.  Only
       column 0 of V is read.
     """
     full_max, last_max = _fold_blocks(f.family, U, np.maximum)
     T = np.minimum(last_max, full_max.min(axis=1, initial=np.inf))
-    b, complement = level_symbol(f, a)
     start = np.zeros(U.shape[0], dtype=bool)
-    if complement and f.q > 2:  # f != b with blocks of size 1
-        start = symbol_at(np.arange(U.shape[0]), 0) != b
+    if _tribes_reads_symbol(f, a):  # f != b with blocks of size 1
+        start = symbol_at(np.arange(U.shape[0]), 0) != level_symbol(f, a)[0]
         T[start] = 0.0
     return T, start, np.ones(U.shape[0], dtype=bool)
 

@@ -322,20 +322,13 @@ def build_tribes(q: int, n: int, p0: float, r: int | None = None) -> FunctionSpe
     p0 : design point in (0, 1) controlling the block-size formula.
     r : explicit block size, bypassing the formula.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if n < 1:
+    if n < 1:  # before the block-size formula, which would report n >= 3
         raise ValueError("n must be at least 1")
     if r is None:
         r = min(n, max(1, tribes_block_size(n, p0)))
-    else:
-        if not 0.0 < p0 < 1.0:
-            raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0!r}")
-        if not 1 <= r <= n:
-            raise ValueError(f"explicit r={r} must lie in 1..{n}")
-    m = n // r
-    fam = TribesVariant(r=r, m=m, last=n - (m - 1) * r, p0=float(p0))
-    return FunctionSpec(q=q, n=n, kind=KIND_FULL, family=fam)
+    elif not 1 <= r <= n:
+        raise ValueError(f"explicit r={r} must lie in 1..{n}")
+    return FunctionSpec(q=q, n=n, kind=KIND_FULL, family=TribesVariant(r=r, m=n // r, last=r + n % r, p0=float(p0)))
 
 
 def indicator(f: FunctionSpec, a: int) -> FunctionSpec:

@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qthresh.evaluate as evaluate
+import qthresh.functions as functions
 import qthresh.verification as verification
 from qthresh.cli import SEED_ENV_VAR, main
+from qthresh.evaluate import ClosedFormEvaluator
 from qthresh.functions import (
     build_tribes,
     from_table,
@@ -20,7 +25,7 @@ from qthresh.functions import (
     write_function_file,
 )
 from qthresh.influence import influence_bkkkl
-from qthresh.measures import SimplexMeasure
+from qthresh.measures import SimplexMeasure, central_measure, line_rows
 
 
 def run(argv, capsys):
@@ -521,6 +526,26 @@ def test_sweep_rejects_garbage_n_list(capsys):
         main(["sweep", "--q", "3", "--p0", "0.5", "--n-list", "12,potato"])
 
 
+def test_sweep_crossings_bracket_their_targets_up_to_2_100(capsys):
+    # Each crossing lies within the default --t-tol of where the closed form
+    # passes eps or 1 - eps.  Past 2^60 a product of block factors read 0;
+    # the log-space closed form keeps every width and width * ln n.
+    n_list = [2**k for k in (*range(10, 21), 60, 64, 100)]
+    code, out, _ = run(["sweep", "--q", "3", "--p0", "0.5", "--n-list", ",".join(map(str, n_list)), "--eps", "0.1"],
+                       capsys)
+    rows = {int(row["n"]): row for row in csv.DictReader(out.splitlines())}
+    assert code == 0 and list(rows) == n_list
+    for n, row in rows.items():
+        assert float(row["width"]) > 0
+        for key, target in (("p_lo", 0.1), ("p_hi", 0.9)):
+            t = float(row[key])
+            line = line_rows(central_measure(3), [t - 1e-9, t + 1e-9])
+            below, above = ClosedFormEvaluator().batch(build_tribes(3, n, 0.5), line, 0).values
+            assert below <= target <= above, (n, key)
+    for k, want in ((64, 1.1634), (100, 1.1369)):
+        assert abs(float(rows[2**k]["width_times_ln_n"]) - want) <= 1e-4, k
+
+
 PAST_FLOAT = ["--family", "tribes", "--q", "3", "--n", str(2**1100), "--p0", "0.5", "--a", "0", "--evaluator", "closed"]
 
 
@@ -542,12 +567,15 @@ def test_closed_form_past_float_range_exits_1_and_leaves_no_file(tmp_path, capsy
 # verify
 
 
+VERIFY_CHECKS = {"order": 66, "single-variable": 571, "rm": 400, "alpha": 2125, "hent": 2, "closed": 224,
+                 "influence": 272, "coupling": 36}
+
+
 def test_verify_all_suites_pass(capsys):
     code, out, _ = run(["verify"], capsys)
     assert code == 0
-    lines = [l for l in out.strip().split("\n") if l.startswith("suite ")]
-    assert len(lines) == 8
-    assert all(": PASS (" in l for l in lines)
+    untimed = [re.sub(r", [0-9.]+ s\)$", ")", l) for l in out.strip().split("\n") if l.startswith("suite ")]
+    assert untimed == [f"suite {name}: PASS ({count} checks)" for name, count in VERIFY_CHECKS.items()]
 
 
 def test_verify_suite_filter(capsys):
@@ -656,14 +684,17 @@ def test_input_errors_exit_2(tmp_path, capsys, text, argv, lineno, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--family", "tribes", "--q", "3", "--n", "1024", "--p0", "0.5", "--evaluator", "closed"],
-    ["--family", "tribes", "--q", "3", "--n", "8", "--p0", "0.5", "--evaluator", "exact"],
-], ids=["closed", "exact"])
-def test_width_t_tol_below_the_float_spacing_exits_0(argv):
+    ["--family", "tribes", "--q", "3", "--n", "1024", "--p0", "0.5", "--evaluator", "closed", "--a", "0"],
+    ["--family", "tribes", "--q", "3", "--n", "8", "--p0", "0.5", "--evaluator", "exact", "--a", "0"],
+    ["--fn", "{fn}", "--a", "1"],  # an upset table on [3]^8
+], ids=["closed", "exact", "table"])
+def test_width_t_tol_below_the_float_spacing_exits_0(argv, tmp_path):
+    write_function_file(random_zero_monotone(3, 8, 0.01, seed=1), tmp_path / "fn.txt")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "qthresh.cli", "width", *argv, "--a", "0", "--eps", "0.1",
-                           "--t-tol", "1e-20"], env=env, capture_output=True, text=True, timeout=60)
+    argv = [a.replace("{fn}", str(tmp_path / "fn.txt")) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "qthresh.cli", "width", *argv, "--eps", "0.1", "--t-tol", "1e-20"],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert ",bisection," in proc.stdout
 
@@ -831,6 +862,23 @@ PINNED = {
         '3,64,0,0.10000000000000001,mc,mc-bisection,0.17224551366852281,0.47416946532043391,'
         '0.3019239516519111,0,0.0001,false,false\n',
     ),
+    "eval-exact-n15": (
+        ["eval", *_tribes(15), "--a", "1", "--mu", "0.5,0.25,0.25", "--evaluator", "exact"],
+        'q,n,mu,a,method,value,std_error,samples\n'
+        '3,15,"0.5,0.25,0.25",1,exact-enumeration,1.52587890625e-05,0,14348907\n',
+    ),
+    "width-exact-n15": (
+        ["width", *_tribes(15), "--a", "0", "--eps", "0.1", "--evaluator", "exact"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,15,0,0.10000000000000001,exact,bisection,0.006999423261731863,0.1423041014932096,'
+        '0.13530467823147774,101,1.0000000000000001e-09,false,false\n',
+    ),
+    "width-mc-4096": (  # 11 coupled chunks: U, then W skipped or drawn, fixes these bytes
+        ["width", *_tribes(4096), "--a", "0", "--eps", "0.1", "--evaluator", "mc", "--seed", "11"],
+        'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
+        '3,4096,0,0.10000000000000001,mc,mc-bisection,0.34609895317736883,0.50818206858820358,'
+        '0.16208311541083475,0,0.0001,false,false\n',
+    ),
     "width-mc-chunks": (  # 10000 rows of n = 1024: three coupled sample chunks
         ["width", *_tribes(1024), "--a", "0", "--eps", "0.1", "--evaluator", "mc", "--seed", "11"],
         'q,n,a,eps,evaluator,method,t_lo,t_hi,width,grid_points,t_tol,lo_absent,hi_absent\n'
@@ -983,13 +1031,31 @@ PINNED = {
         'q,n,max_k,max_value,variance,denominator,ratio\n'
         '3,6,0,0.47619764453248464,0.243896484375,0.072833972565056429,6.5381253797070809\n',
     ),
-
 }
+NEVER_ENUMERATE = ("eval-exact-n15", "width-exact-n15")  # the exact tally of a family is counted from its blocks
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_csv_bytes(name, capsys):
+def test_pinned_csv_bytes(name, capsys, monkeypatch):
+    def refuse(f):
+        raise AssertionError("materialize_table called")
+
+    if name in NEVER_ENUMERATE:
+        monkeypatch.setattr(functions, "materialize_table", refuse)
+        monkeypatch.setattr(evaluate, "materialize_table", refuse)
     argv, want = PINNED[name]
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("name", ["width-mc", "width-mc-chunks", "width-mc-4096"])
+def test_pinned_mc_widths_cross_where_the_closed_form_does(name):
+    # Pr[f = 0] at each crossing lies within 6 SE of its target, plus the
+    # slope times the MC t_tol; 10^4 rows are width's default --eval-samples.
+    row = next(csv.DictReader(PINNED[name][1].splitlines()))
+    f, eps, samples, t_tol, h = build_tribes(3, int(row["n"]), 0.5), 0.1, 10000, 1e-4, 1e-6
+    for key, target in (("t_lo", eps), ("t_hi", 1 - eps)):
+        t = float(row[key])
+        p, below, above = ClosedFormEvaluator().batch(f, line_rows(central_measure(3), [t, t - h, t + h]), 0).values
+        assert abs(p - target) <= 6 * math.sqrt(eps * (1 - eps) / samples) + (above - below) / (2 * h) * t_tol, key

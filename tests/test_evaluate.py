@@ -211,6 +211,7 @@ def test_closed_form_zero_event_matches_a_decimal_reference(n):
     fam = f.family
     alive = np.linspace(0.01, 0.99, 99)
     p0 = (-np.log(alive) / fam.m) ** (1.0 / fam.r)  # about where the product is ``alive``
+    p0 = np.append(p0, 0.5)  # and the zero mass of mu = (0.5, 0.25, 0.25)
     rows = np.column_stack([p0, (1 - p0) / 2, (1 - p0) / 2])
     zero = ClosedFormEvaluator().batch(f, rows, 0).values
     complement = ClosedFormEvaluator().batch(indicator(f, 0), rows, 0).values
@@ -555,6 +556,43 @@ def test_switching_times_is_the_one_guard_of_both_rules(monkeypatch):
     assert T.shape == start.shape == end.shape == (100,) and ev.calls == 1
 
 
+@pytest.mark.parametrize("g, a, reads_v", [
+    (build_tribes(3, 6, 0.5, r=2), 0, False),  # the zero event
+    (indicator(build_tribes(3, 6, 0.5, r=1), 1), 0, True),  # f != 1 with blocks of one reads V_0
+    (from_table(3, 6, materialize_table(indicator(build_tribes(3, 6, 0.5, r=2), 0)), kind="indicator"), 1, True),
+], ids=["zero-event", "blocks-of-one", "table"])
+def test_switching_times_draw_w_only_where_the_rule_reads_v(g, a, reads_v, monkeypatch):
+    # Each chunk draws U, then draws W where its rule reads V and skips W
+    # by advancing the stream as far where it reads none.  Either way the
+    # rows are those of the stream replayed chunk by chunk, U then W.
+    monkeypatch.setattr(evaluate, "BATCH_CELLS", 4 * g.n)  # chunks of 4, 4 and 2 rows
+    default_rng, log = np.random.default_rng, []
+
+    class Recording:  # the generator switching_times builds, logging each draw and each skip
+        def __init__(self, seed):
+            self.rng, self.bit_generator = default_rng(seed), self
+
+        def random(self, shape):
+            log.append(("draw", shape))
+            return self.rng.random(shape)
+
+        def advance(self, delta):
+            log.append(("skip", delta))
+            self.rng.bit_generator.advance(delta)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    base, chunks = SimplexMeasure((0.0, 0.3, 0.7)), (4, 4, 2)
+    got = MonteCarloEvaluator(samples=10, seed=5).switching_times(g, a, base, 10)
+    w_step = (lambda b: ("draw", (b, g.n))) if reads_v else (lambda b: ("skip", b * g.n))
+    assert log == [step for b in chunks for step in (("draw", (b, g.n)), w_step(b))]
+    rng, want = default_rng(np.random.SeedSequence((5, 0))), []
+    for b in chunks:
+        U = rng.random((b, g.n))
+        want.append(evaluate._bisect_switching_times(g, a, U, _inverse_cdf(base.as_array(), rng.random((b, g.n)))))
+    for x, w in zip(got, zip(*want)):
+        assert np.array_equal(x, np.concatenate(w))
+
+
 def test_monte_carlo_evaluator_deterministic_replay():
     f = build_tribes(3, 6, 0.5, r=2)
     ev1 = MonteCarloEvaluator(samples=20000, seed=5)
@@ -595,6 +633,16 @@ def test_monte_carlo_batch_draws_do_not_depend_on_the_chunk_layout():
         hits = sum(tribes_row(f.family, x) == 0 for x in searchsorted_quantile(mu, U).tolist())
         assert est.values[k] == hits / 5000
     assert 0.2 < est.values.min() and est.values.max() < 0.8  # both outcomes are common
+    closed = ClosedFormEvaluator().batch(f, rows(*mus), 0).values
+    assert np.all(np.abs(est.values - closed) <= 6 * est.std_errors)
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_monte_carlo_levels_lie_within_6_se_of_the_closed_form(a):
+    # f = a >= 1 reads the first nonzero symbol of each sampled row.
+    f, mus = build_tribes(3, 4096, 0.5), rows(SimplexMeasure((0.4, 0.3, 0.3)), SimplexMeasure((0.45, 0.4, 0.15)))
+    est = MonteCarloEvaluator(samples=5000, seed=11).batch(f, mus, a)
+    assert np.all(np.abs(est.values - ClosedFormEvaluator().batch(f, mus, a).values) <= 6 * est.std_errors)
 
 
 @pytest.mark.parametrize("f", [build_tribes(3, 6, 0.5, r=2), random_zero_monotone(3, 4, 0.3, seed=4)])

@@ -832,11 +832,14 @@ def test_region_memory_does_not_grow_with_samples():
     samples = 10**6
     tracemalloc.start()
     try:
-        region_measure(f, 0, 0.1, samples, 1, ClosedFormEvaluator())
+        est = region_measure(f, 0, 0.1, samples, 1, ClosedFormEvaluator())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < samples * f.q * 8 // 4
+    # Pr[f = 0] reads only atom 0, which is Beta(1, 2) under the uniform simplex measure.
+    rep = line_width(f, CENTRAL3, 0, 0.1, ClosedFormEvaluator())
+    assert abs(est.fraction - ((1 - rep.t_lo) ** 2 - (1 - rep.t_hi) ** 2)) <= 6 * est.std_error
 
 
 def test_region_measure_rejections():
