@@ -41,6 +41,7 @@ import numpy as np
 
 from .functions import (
     BATCH_CELLS,
+    DEFAULT_CAP,
     CapExceededError,
     FunctionSpec,
     TribesVariant,
@@ -340,9 +341,14 @@ def type_tally(f: FunctionSpec) -> TypeTally:
     once, just before the build, for tables and families alike; a tally
     that exists already passed it.  A family's counts need no table; the
     cap still bounds the number of types they are counted and summed over.
+    It bounds the tally's cells too, one weight per symbol of every type
+    (:meth:`ExactEvaluator.row_cells`), which outgrow q^n at large q.
     """
     if f not in _TALLIES:
         check_cap(f.q, f.n)
+        if (cells := ExactEvaluator().row_cells(f)) > DEFAULT_CAP:
+            raise CapExceededError(f"the type tally of q={f.q}, n={f.n} has {cells} cells, "
+                                   f"past the enumeration cap {DEFAULT_CAP}")
         _TALLIES[f] = TypeTally(f, _table_counts(f) if f.family is None else _tribes_counts(f))
     return _TALLIES[f]
 

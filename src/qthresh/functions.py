@@ -44,14 +44,6 @@ def check_cap(q: int, n: int) -> int:
     return size
 
 
-def point_index(x, q: int) -> int:
-    """Lexicographic index of a point, coordinate 0 most significant."""
-    idx = 0
-    for v in x:
-        idx = idx * q + int(v)
-    return idx
-
-
 @dataclass(frozen=True)
 class TribesVariant:
     """Parameters of a tribes-style function on [q]^n.
@@ -60,22 +52,19 @@ class TribesVariant:
     size ``r`` starting at ``r * j``, then one block of size ``last`` with
     ``r <= last < 2r`` that takes the remainder.  The function reports
     symbol 0 when some block is entirely zero, and otherwise the first
-    nonzero coordinate value.  ``p0`` records the design point used to size
-    the blocks.
+    nonzero coordinate value.  The blocks alone fix the function, so the
+    design point that sized them (:func:`build_tribes`) is not kept.
     """
 
     r: int
     m: int
     last: int
-    p0: float
 
     def __post_init__(self) -> None:
         if self.r < 1 or self.m < 1:
             raise ValueError(f"need r >= 1 and m >= 1 blocks, got r={self.r} m={self.m}")
         if not self.r <= self.last < 2 * self.r:
             raise ValueError(f"last block size {self.last} must lie in [r, 2r) for r={self.r}")
-        if not 0.0 < float(self.p0) < 1.0:
-            raise ValueError(f"p0 must lie strictly inside (0, 1), got {self.p0!r}")
 
     @property
     def n(self) -> int:
@@ -296,12 +285,16 @@ def level_name(f: FunctionSpec, a: int) -> str:
 # Families and constructions
 
 
+def _check_p0(p0) -> None:
+    if not 0.0 < p0 < 1.0:
+        raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0!r}")
+
+
 def tribes_block_size(n: int, p0: float) -> int:
     """Nominal block size floor[(ln n - ln ln n + ln ln(1/p0)) / ln(1/p0)]."""
     if n < 3:
         raise ValueError("block-size formula needs n >= 3 (ln ln n degenerates below that)")
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"p0 must lie strictly inside (0, 1), got {p0!r}")
+    _check_p0(p0)
     b = math.log(1.0 / p0)
     return math.floor((math.log(n) - math.log(math.log(n)) + math.log(b)) / b)
 
@@ -314,6 +307,8 @@ def build_tribes(q: int, n: int, p0: float, r: int | None = None) -> FunctionSpe
     is 0 when some block is all zero and otherwise the first nonzero
     coordinate value.  When ``r`` is not given it comes from
     :func:`tribes_block_size` at the design point ``p0``, clamped into [1, n].
+    An explicit ``r`` still needs a valid ``p0``, checked after ``r``.  The
+    blocks alone fix the function, so ``p0`` is not kept.
 
     Parameters
     ----------
@@ -328,7 +323,8 @@ def build_tribes(q: int, n: int, p0: float, r: int | None = None) -> FunctionSpe
         r = min(n, max(1, tribes_block_size(n, p0)))
     elif not 1 <= r <= n:
         raise ValueError(f"explicit r={r} must lie in 1..{n}")
-    return FunctionSpec(q=q, n=n, kind=KIND_FULL, family=TribesVariant(r=r, m=n // r, last=r + n % r, p0=float(p0)))
+    _check_p0(float(p0))  # the formula has checked it already; an explicit r has not
+    return FunctionSpec(q=q, n=n, kind=KIND_FULL, family=TribesVariant(r=r, m=n // r, last=r + n % r))
 
 
 def indicator(f: FunctionSpec, a: int) -> FunctionSpec:
@@ -472,9 +468,9 @@ def parse_function_file(source) -> FunctionSpec:
     ``a=<symbol>`` for indicator views); otherwise q^n table lines follow,
     one integer per line in lexicographic point order.  A line may carry
     whitespace around its entry, and blank lines are skipped.  A clean body
-    (digits and newlines only, as :func:`write_function_file` writes it) is
-    read in one vectorised pass; any other body, and any malformed one, is
-    read line by line, which is where every table error is raised.
+    (digits and newlines only, one entry to a line) is read in one
+    vectorised pass; any other body, and any malformed one, is read line
+    by line, which is where every table error is raised.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -526,16 +522,3 @@ def parse_function_file(source) -> FunctionSpec:
         values = _read_table_lines(body, q, n, hi)
     return FunctionSpec(q=q, n=n, kind=kind, table=values)
 
-
-def write_function_file(f: FunctionSpec, path) -> None:
-    """Serialize in the format :func:`parse_function_file` reads."""
-    out = [f"q={f.q} n={f.n} kind={f.kind}"]
-    if f.family is not None:
-        line = f"family=tribes r={f.family.r} p0={format(f.family.p0, '.17g')}"
-        if f.kind == KIND_INDICATOR:
-            line += f" a={f.indicator_of}"
-        out.append(line)
-    else:
-        out.append("\n".join(map(str, f.table.tolist())))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")

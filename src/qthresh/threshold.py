@@ -133,7 +133,6 @@ class ThresholdReport:
     """
 
     eps: float
-    a: int
     t_lo: float | None
     t_hi: float | None
     width: float
@@ -196,7 +195,7 @@ def _probe_depth(row_cells: float) -> int:
     return max((d for d in range(1, _MAX_DEPTH + 1) if (2**d - 1) * row_cells <= _LOOKAHEAD_CELLS), default=1)
 
 
-def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, a: int, t_tol: float) -> ThresholdReport:
+def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, t_tol: float) -> ThresholdReport:
     # Linear interpolation inside each cell; exact when the probability is
     # piecewise linear, a controlled estimate otherwise.
     lo_band, hi_band = eps, 1.0 - eps
@@ -214,11 +213,11 @@ def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, a: int, t_
     inside = np.nonzero((vals >= lo_band) & (vals <= hi_band))[0]
     t_lo = float(grid[inside[0]]) if inside.size else None
     t_hi = float(grid[inside[-1]]) if inside.size else None
-    return ThresholdReport(eps=eps, a=a, t_lo=t_lo, t_hi=t_hi, width=width, method=METHOD_GRID_SCAN,
+    return ThresholdReport(eps=eps, t_lo=t_lo, t_hi=t_hi, width=width, method=METHOD_GRID_SCAN,
                            grid_points=len(grid), t_tol=t_tol, lo_absent=t_lo is None, hi_absent=t_hi is None)
 
 
-def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_tol) -> ThresholdReport:
+def _crossing_report(eps, p_start, p_end, crossing, method, grid_points, t_tol) -> ThresholdReport:
     """Report of a nondecreasing curve from p_start to p_end.
 
     ``crossing(target)`` locates where the curve passes target.  A crossing
@@ -233,7 +232,7 @@ def _crossing_report(eps, a, p_start, p_end, crossing, method, grid_points, t_to
         if p_end > 1.0 - eps:
             t_hi = crossing(1.0 - eps)
         width = max(0.0, (1.0 if t_hi is None else t_hi) - (0.0 if t_lo is None else t_lo))
-    return ThresholdReport(eps=eps, a=a, t_lo=t_lo, t_hi=t_hi, width=width, method=method,
+    return ThresholdReport(eps=eps, t_lo=t_lo, t_hi=t_hi, width=width, method=method,
                            grid_points=grid_points, t_tol=t_tol, lo_absent=t_lo is None, hi_absent=t_hi is None)
 
 
@@ -244,14 +243,13 @@ def _line_width_deterministic(f, base, a, eps, evaluator, t_tol):
     grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     vals = values(grid)
     if np.any(np.diff(vals) < -_MONOTONE_SLACK):
-        return _grid_scan_report(grid, vals, eps, a, t_tol)
+        return _grid_scan_report(grid, vals, eps, t_tol)
     depth = _probe_depth(evaluator.row_cells(f))
 
     def crossing(target: float) -> float:
         return _bisect_increasing(values, target, 0.0, 1.0, t_tol, depth)
 
-    return _crossing_report(eps, a, float(vals[0]), float(vals[-1]), crossing, METHOD_BISECTION,
-                            _GRID_POINTS, t_tol)
+    return _crossing_report(eps, float(vals[0]), float(vals[-1]), crossing, METHOD_BISECTION, _GRID_POINTS, t_tol)
 
 
 def _dkw_samples(eps: float) -> int:
@@ -283,8 +281,7 @@ def _line_width_mc(f, base, a, eps, evaluator, t_tol):
     def crossing(target: float) -> float:
         return float(T[math.ceil(target * samples) - 1])
 
-    return _crossing_report(eps, a, float(start.mean()), float(end.mean()), crossing, METHOD_MC_BISECTION, 0,
-                            t_tol)
+    return _crossing_report(eps, float(start.mean()), float(end.mean()), crossing, METHOD_MC_BISECTION, 0, t_tol)
 
 
 def line_width(

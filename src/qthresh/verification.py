@@ -32,7 +32,6 @@ from .functions import (
     leq_a,
     level_rises,
     materialize_table,
-    point_index,
     random_zero_monotone,
 )
 from .influence import (
@@ -188,8 +187,7 @@ def suite_order(rec: _Recorder) -> None:
         corpus.append(from_table(3, 2, rng.integers(0, 2, size=9), kind="indicator"))
     for f in corpus:
         points = list(itertools.product(range(f.q), repeat=f.n))
-        tbl = materialize_table(f)
-        values = [tbl[point_index(x, f.q)] for x in points]
+        values = materialize_table(f).tolist()  # lexicographic, the order of points
         # Only a pair where the table drops can refute monotonicity, so the
         # comparator is asked about those pairs alone.
         drops = [(x, y) for (x, u), (y, v) in itertools.product(zip(points, values), repeat=2) if u > v]

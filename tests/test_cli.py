@@ -22,10 +22,10 @@ from qthresh.functions import (
     materialize_table,
     parse_function_file,
     random_zero_monotone,
-    write_function_file,
 )
 from qthresh.influence import influence_bkkkl
 from qthresh.measures import SimplexMeasure, central_measure, line_rows
+from test_functions import reference_write_table
 
 
 def run(argv, capsys):
@@ -73,12 +73,43 @@ def test_eval_exact_past_cap_exits_1(capsys):
     (["--q", "1", "--n", "4", "--p0", "0.5"], 2, "q must be at least 2"),
     (["--q", "3", "--n", "0", "--p0", "0.5"], 2, "n must be at least 1"),
     (["--q", "3", "--n", "8", "--p0", "1.5"], 2, "p0 must lie strictly inside (0, 1), got 1.5"),  # no --r
-], ids=["cap-decimal", "q-1", "n-0", "p0-without-r"])
+    (["--q", "3", "--n", "8", "--p0", "1.5", "--r", "2"], 2, "p0 must lie strictly inside (0, 1), got 1.5"),
+    (["--q", "3", "--n", "8", "--p0", "1.5", "--r", "9"], 2, "explicit r=9 must lie in 1..8"),  # r before p0
+], ids=["cap-decimal", "q-1", "n-0", "p0-without-r", "p0-with-r", "r-before-p0"])
 def test_eval_tribes_refusals_name_their_cause_and_leave_no_file(tmp_path, capsys, args, want_code, message):
     out = tmp_path / "out.csv"
     code, stdout, err = run(["eval", "--family", "tribes", *args, "--mu", "0.5,0.25,0.25", "--a", "0",
                              "--out", str(out)], capsys)
     assert (code, stdout, err) == (want_code, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_eval_tally_past_the_cap_exits_1_before_building_types(tmp_path, capsys, monkeypatch):
+    # q^n = 4e6 is under the cap, but the tally would hold C(2001, 1999) * 2000 cells.
+    def refuse(q, n):
+        raise AssertionError("the types were built")
+
+    monkeypatch.setattr(evaluate, "_types", refuse)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(["eval", "--family", "tribes", "--q", "2000", "--n", "2", "--r", "1", "--p0", "0.5",
+                             "--a", "0", "--mu", ",".join(["0.0005"] * 2000), "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "error: the type tally of q=2000, n=2 has 4002000000 cells, past the enumeration cap 16777216\n"
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # One MC sample row of n = 10^11 uniforms does not fit; the batch stands in for numpy's refusal.
+    def exhaust(self, f, measures, a):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (1, 100000000000)")
+
+    monkeypatch.setattr(evaluate.MonteCarloEvaluator, "batch", exhaust)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(["region", "--family", "tribes", "--q", "3", "--n", "100000000000", "--p0", "0.5",
+                             "--a", "0", "--eps", "0.1", "--samples", "10", "--evaluator", "mc",
+                             "--eval-samples", "1", "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "error: Unable to allocate 745. GiB for an array with shape (1, 100000000000)\n"
     assert not out.exists()
 
 
@@ -116,7 +147,7 @@ def test_eval_mc_deterministic_per_seed(capsys):
 def test_eval_function_file(tmp_path, capsys):
     f = random_zero_monotone(3, 3, 0.4, seed=21)
     path = tmp_path / "fn.txt"
-    write_function_file(f, path)
+    reference_write_table(f, path)
     code, out, _ = run(["eval", "--fn", str(path), "--mu", "0.2,0.4,0.4", "--a", "1"], capsys)
     assert code == 0
     row = next(csv.reader([out.strip().split("\n")[1]]))
@@ -124,11 +155,13 @@ def test_eval_function_file(tmp_path, capsys):
     assert 0.0 < float(row[5]) < 1.0
 
 
-@pytest.mark.parametrize("f", [random_zero_monotone(3, 3, 0.4, seed=21), indicator(build_tribes(3, 4, 0.5, r=2), 1)],
-                         ids=["table", "family"])
-def test_eval_function_file_with_byte_order_mark(f, tmp_path, capsys):
+@pytest.mark.parametrize("write", [
+    lambda path: reference_write_table(random_zero_monotone(3, 3, 0.4, seed=21), path),
+    lambda path: path.write_text("q=3 n=4 kind=indicator\nfamily=tribes r=2 p0=0.5 a=1\n"),
+], ids=["table", "family"])
+def test_eval_function_file_with_byte_order_mark(write, tmp_path, capsys):
     clean, marked = tmp_path / "clean.txt", tmp_path / "marked.txt"
-    write_function_file(f, clean)
+    write(clean)
     marked.write_bytes(b"\xef\xbb\xbf" + clean.read_bytes())
     want = parse_function_file(clean)
     for source in (marked, io.StringIO(marked.read_text(encoding="utf-8"))):
@@ -363,7 +396,7 @@ def test_width_refusals_name_the_level_of_the_original_function(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
     # A view of a table names its level the same way.
     path = tmp_path / "tribes.txt"
-    write_function_file(from_table(3, 4, materialize_table(build_tribes(3, 4, 0.5, r=2))), path)
+    reference_write_table(from_table(3, 4, materialize_table(build_tribes(3, 4, 0.5, r=2))), path)
     for a, level in (("1", "1[f = 2]"), ("0", "1[f != 2]")):
         code, _, err = run(["width", "--fn", str(path), "--level", "2", "--a", a, "--eps", "0.1",
                             "--evaluator", "mc"], capsys)
@@ -657,6 +690,8 @@ FN_EVAL = ["eval", "--fn", "{fn}", "--mu", "0.5,0.25,0.25", "--a", "0"]
                  id="p0-not-real"),
     pytest.param("q=3 n=4 kind=full\nfamily=tribes r=5 p0=0.5\n", FN_EVAL, 2, "explicit r=5 must lie in 1..4",
                  id="r-out-of-range"),
+    pytest.param("q=3 n=4 kind=full\nfamily=tribes r=2 p0=1.5\n", FN_EVAL, 2,
+                 "p0 must lie strictly inside (0, 1), got 1.5", id="p0-out-of-range"),
     pytest.param("q=3 n=4 kind=indicator\nfamily=tribes r=2 p0=0.5 a=3\n", FN_EVAL, 2,
                  "a=3 out of range for q=3", id="a-out-of-range"),
     pytest.param("q=3 n=4 kind=full\nfamily=tribes r=2 p0=0.5 a=0\n", FN_EVAL, 2,
@@ -689,7 +724,7 @@ def test_input_errors_exit_2(tmp_path, capsys, text, argv, lineno, message):
     ["--fn", "{fn}", "--a", "1"],  # an upset table on [3]^8
 ], ids=["closed", "exact", "table"])
 def test_width_t_tol_below_the_float_spacing_exits_0(argv, tmp_path):
-    write_function_file(random_zero_monotone(3, 8, 0.01, seed=1), tmp_path / "fn.txt")
+    reference_write_table(random_zero_monotone(3, 8, 0.01, seed=1), tmp_path / "fn.txt")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [a.replace("{fn}", str(tmp_path / "fn.txt")) for a in argv]

@@ -224,9 +224,9 @@ def test_closed_form_zero_event_matches_a_decimal_reference(n):
 
 def test_tribes_variant_rejects_bad_blocks():
     with pytest.raises(ValueError):
-        TribesVariant(r=2, m=0, last=2, p0=0.5)  # no blocks
+        TribesVariant(r=2, m=0, last=2)  # no blocks
     with pytest.raises(ValueError):
-        TribesVariant(r=2, m=2, last=4, p0=0.5)  # last block outside [r, 2r)
+        TribesVariant(r=2, m=2, last=4)  # last block outside [r, 2r)
 
 
 # ---------------------------------------------------------------------------

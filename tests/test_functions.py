@@ -26,10 +26,8 @@ from qthresh.functions import (
     level_symbol,
     materialize_table,
     parse_function_file,
-    point_index,
     random_zero_monotone,
     tribes_block_size,
-    write_function_file,
 )
 from qthresh.functions import _parse_int, _parse_tokens, _rewrite_monotone
 
@@ -53,28 +51,11 @@ def monotone_full(f):
 
 def all_pairs_monotone(f, a):
     """Brute-force oracle: check f(x) <= f(y) on every comparable pair."""
-    tbl = materialize_table(f)
-    points = list(itertools.product(range(f.q), repeat=f.n))
-    for x, y in itertools.product(points, repeat=2):
-        if leq_a(x, y, a) and tbl[point_index(x, f.q)] > tbl[point_index(y, f.q)]:
+    points = itertools.product(range(f.q), repeat=f.n)  # lexicographic, the order of the table
+    for (x, u), (y, v) in itertools.product(zip(points, materialize_table(f).tolist()), repeat=2):
+        if leq_a(x, y, a) and u > v:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Point indexing
-
-
-def test_point_index_round_trip():
-    for idx in range(3**4):
-        assert point_index(np.unravel_index(idx, (3,) * 4), 3) == idx
-
-
-def test_point_index_is_lexicographic():
-    # coordinate 0 is the most significant digit
-    assert point_index((0, 0, 1), 3) == 1
-    assert point_index((1, 0, 0), 3) == 9
-    assert point_index((2, 2, 2), 3) == 26
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +293,11 @@ def test_build_tribes_rejects():
     build_tribes(3, 2, 0.5, r=2)  # explicit r lifts the n >= 3 requirement
 
 
+def test_build_tribes_keeps_only_the_blocks():
+    # p0 sizes r; once r is given, two design points build one function.
+    assert build_tribes(3, 8, 0.5, r=2).family == build_tribes(3, 8, 0.3, r=2).family
+
+
 def test_tribes_evaluation_examples():
     f = build_tribes(3, 4, 0.5, r=2)
     X = np.array([
@@ -379,7 +365,7 @@ def test_table_batch_matches_point():
     X = np.array(list(itertools.product(range(3), repeat=4)))
     batch = evaluate_batch(f, X)
     for row, val in zip(X, batch):
-        assert f.table[point_index(row, 3)] == val
+        assert f.table[np.ravel_multi_index(row, (3,) * 4)] == val
 
 
 def test_materialize_table_family_agrees_with_point_eval():
@@ -492,32 +478,38 @@ def test_function_spec_table_is_frozen_copy():
 # Function files
 
 
+def reference_write_table(f: FunctionSpec, path) -> None:
+    """A table spec as a function file: the header, then one entry per line."""
+    out = [f"q={f.q} n={f.n} kind={f.kind}"]
+    out.extend(str(int(v)) for v in f.table)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
 def test_file_round_trip_table(tmp_path):
     f = random_zero_monotone(3, 3, 0.4, seed=3)
     path = tmp_path / "fn.txt"
-    write_function_file(f, path)
+    reference_write_table(f, path)
     g = parse_function_file(path)
     assert (g.q, g.n, g.kind) == (3, 3, "indicator")
     assert np.array_equal(g.table, f.table)
 
 
 def test_file_round_trip_family(tmp_path):
-    f = build_tribes(3, 6, 0.25, r=2)
     path = tmp_path / "tribes.txt"
-    write_function_file(f, path)
+    path.write_text("q=3 n=6 kind=full\nfamily=tribes r=2 p0=0.25\n")
     g = parse_function_file(path)
-    assert g.family == f.family
+    assert g.family == build_tribes(3, 6, 0.25, r=2).family
     assert g.kind == "full"
 
 
 def test_file_round_trip_family_indicator(tmp_path):
-    f = indicator(build_tribes(3, 6, 0.25, r=2), 0)
     path = tmp_path / "tribes0.txt"
-    write_function_file(f, path)
+    path.write_text("q=3 n=6 kind=indicator\nfamily=tribes r=2 p0=0.25 a=0\n")
     g = parse_function_file(path)
     assert g.kind == "indicator"
     assert g.indicator_of == 0
-    assert g.family == f.family
+    assert g.family == build_tribes(3, 6, 0.25, r=2).family
 
 
 def test_file_errors_carry_line_numbers(tmp_path):
@@ -768,14 +760,14 @@ def test_clean_table_body_never_reaches_the_line_reader(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     f = from_table(3, 8, rng.integers(0, 3, size=3**8))
     path = tmp_path / "fn.txt"
-    write_function_file(f, path)
+    reference_write_table(f, path)
     clean = path.read_text()
     header, _, body = clean.partition("\n")
     lines = body.split("\n")
     lines[5:5] = ["", ""]  # empty lines inside, and no final newline
     gappy = "\n".join([header, "", *lines]).rstrip("\n")
     wide = from_table(12, 2, np.arange(144) % 12)  # two-digit entries
-    write_function_file(wide, path)
+    reference_write_table(wide, path)
     wide_text = path.read_text()
 
     def refuse(*args):
@@ -787,22 +779,3 @@ def test_clean_table_body_never_reaches_the_line_reader(tmp_path, monkeypatch):
     # A padded line is not clean, so that body goes through the line reader.
     with pytest.raises(AssertionError, match="line reader"):
         parse_function_file(io.StringIO(clean.replace("\n", "\n ", 1)))
-
-
-def reference_write_table(f: FunctionSpec, path) -> None:
-    """The table writer that one join replaced, kept for byte comparison."""
-    out = [f"q={f.q} n={f.n} kind={f.kind}"]
-    out.extend(str(int(v)) for v in f.table)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
-
-
-def test_table_writer_bytes_match_the_per_entry_writer(tmp_path):
-    rng = np.random.default_rng(17)
-    for f in (
-        from_table(12, 2, rng.integers(0, 12, size=144)),
-        random_zero_monotone(3, 6, 0.05, seed=17),
-    ):
-        write_function_file(f, tmp_path / "new.txt")
-        reference_write_table(f, tmp_path / "old.txt")
-        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()

@@ -1,8 +1,11 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no public name of the package goes unused.
 
 Every module of ``src/qthresh`` and every test module is parsed with
 ``ast``.  Each name an import binds must appear elsewhere in the module as a
-name, which covers the base of an attribute such as ``np.zeros``.
+name, which covers the base of an attribute such as ``np.zeros``.  Each
+public top-level function and class of ``src/qthresh`` must be named, as a
+name or an attribute, somewhere in the package outside its own definition:
+API that only tests call is either wired into the program or deleted.
 """
 import ast
 from pathlib import Path
@@ -10,8 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "qthresh").glob("*.py"))
-MODULES += sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "qthresh").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +41,33 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each public top-level def or class no module names outside that def."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own is not None and not own.startswith("_"):
+                defined[own] = module
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    return [f"{module}: {name}" for name, module in defined.items() if name not in used]
+
+
+def test_checker_flags_an_unreferenced_public_name():
+    sources = {
+        "a.py": 'def used():\n    """unused is named here only in text"""\n\ndef unused():\n    return unused()\n',
+        "b.py": "class Base:\n    pass\n\nclass Leaf(Base):\n    pass\n\ndef _private():\n    a.used()\n",
+    }
+    assert unreferenced_public_names(sources) == ["a.py: unused", "b.py: Leaf"]
+
+
+def test_every_public_name_of_the_package_is_used_in_it():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unreferenced_public_names(sources) == []

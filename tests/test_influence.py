@@ -10,7 +10,6 @@ from qthresh.functions import (
     from_table,
     indicator,
     materialize_table,
-    point_index,
     random_zero_monotone,
 )
 from qthresh.influence import (
@@ -64,7 +63,7 @@ def brute_force_influences(f, mu, h):
         w = product_weights(mu, f.n - 1)
         for widx, rest in enumerate(itertools.product(*rest_axes)):
             # the k-fibre over this rest point: f with coordinate k set to v
-            outputs = [int(tbl[point_index(rest[:k] + (v,) + rest[k:], f.q)]) for v in range(f.q)]
+            outputs = [int(tbl[np.ravel_multi_index(rest[:k] + (v,) + rest[k:], (f.q,) * f.n)]) for v in range(f.q)]
             m = sum(mu.atoms[v] * outputs[v] for v in range(f.q))
             bk[k] += w[widx] * (min(outputs) != max(outputs))
             var[k] += w[widx] * m * (1.0 - m)

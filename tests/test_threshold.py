@@ -862,13 +862,13 @@ REFUSALS = {
     "spec-n0": (lambda: FunctionSpec(q=2, n=0, kind="full", table=[0]), "n must be at least 1"),
     "spec-kind": (lambda: FunctionSpec(q=2, n=1, kind="bool", table=[0, 1]),
                   "kind must be 'full' or 'indicator', got 'bool'"),
-    "spec-family-n": (lambda: FunctionSpec(q=3, n=5, kind="full", family=TribesVariant(r=2, m=2, last=2, p0=0.5)),
+    "spec-family-n": (lambda: FunctionSpec(q=3, n=5, kind="full", family=TribesVariant(r=2, m=2, last=2)),
                       "family covers 4 coordinates, expected n=5"),
     "spec-family-indicator": (lambda: FunctionSpec(q=3, n=4, kind="indicator",
-                                                   family=TribesVariant(r=2, m=2, last=2, p0=0.5)),
+                                                   family=TribesVariant(r=2, m=2, last=2)),
                               "family-backed indicator needs indicator_of"),
-    "tribes-p0-one": (lambda: TribesVariant(r=2, m=2, last=2, p0=1.0), "p0 must lie strictly inside (0, 1), got 1.0"),
-    "tribes-p0-zero": (lambda: TribesVariant(r=2, m=2, last=2, p0=0.0), "p0 must lie strictly inside (0, 1), got 0.0"),
+    "tribes-p0-one": (lambda: build_tribes(3, 4, 1.0, r=2), "p0 must lie strictly inside (0, 1), got 1.0"),
+    "tribes-p0-zero": (lambda: build_tribes(3, 4, 0.0, r=2), "p0 must lie strictly inside (0, 1), got 0.0"),
     "upset-density": (lambda: random_zero_monotone(3, 4, 1.5, seed=0), "density must lie in [0, 1], got 1.5"),
     "product-weights-n": (lambda: evaluate.product_weights(CENTRAL3, -1), "n must be nonnegative"),
     "influence-k": (lambda: influence_bkkkl(indicator(build_tribes(3, 4, 0.5, r=2), 0), [[0.3, 0.3, 0.4]], 4),
@@ -927,7 +927,7 @@ def test_sweep_scaling_empty():
 
 def test_threshold_report_is_plain_record():
     rep = ThresholdReport(
-        eps=0.1, a=0, t_lo=0.2, t_hi=0.7, width=0.5, method=METHOD_BISECTION,
+        eps=0.1, t_lo=0.2, t_hi=0.7, width=0.5, method=METHOD_BISECTION,
         grid_points=101, t_tol=1e-9, lo_absent=False, hi_absent=False,
     )
     assert rep.width == 0.5
