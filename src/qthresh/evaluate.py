@@ -22,8 +22,9 @@ line derivative of the same spec is then a dot product over types.  For
 influences and the fibre-sum derivative the tally also keeps, per
 coordinate k and built on first use, the counts of (type of the other n-1
 coordinates, fibre pattern); the pattern is the row of q outputs along
-coordinate k.  Only these read a family's value table, materialised once,
-on first use.  The enumeration cap is one constant,
+coordinate k.  A table spec's fibres are read off its table; a tribes
+family's are counted from its blocks, like its tally, so no exact quantity
+of a family reads a value table.  The enumeration cap is one constant,
 ``functions.DEFAULT_CAP``, checked once, when the tally is built.  The
 coupled line sample of an MC width lives here alone, in
 :meth:`MonteCarloEvaluator.switching_times`, the one guard of its two rules.
@@ -53,7 +54,6 @@ from .functions import (
     level_name,
     level_rises,
     level_symbol,
-    materialize_table,
     tribes_values,
 )
 from .measures import ATOM_SUM_TOL, SimplexMeasure, derivative_ts, require_zero_face, row_sums, sums_to_one
@@ -196,9 +196,10 @@ class TypeTally:
     n, :func:`_types`) and ``counts[t, a]`` the number of points of that
     type where f = a, for a below ``outputs`` (``FunctionSpec.outputs``).
     ``rest_types`` are the types of the other n-1 coordinates, which index
-    the fibre tallies.  The fibres read the value table: a table spec's own,
-    or a family's, materialised on first use from the spec passed in.  The
-    tally keeps no reference to its spec, which keys it in ``_TALLIES``.
+    the fibre tallies.  A table spec's fibres are read off its table, and a
+    tribes family's are counted from the blocks of the spec passed in
+    (:func:`_tribes_fibres`), with no table.  The tally keeps no reference
+    to its spec, which keys it in ``_TALLIES``.
     """
 
     def __init__(self, f: FunctionSpec, counts: np.ndarray):
@@ -227,30 +228,19 @@ class TypeTally:
         ``rest_types[rest[i]]`` have the fibre ``patterns[i]``, the q outputs
         of f with coordinate k set to 0, ..., q-1 (as floats, ready for the
         fibre means); ``nonconstant`` masks the patterns that are not
-        constant.  Built on first use.
+        constant.  Built on first use: by one sort of the rest points of a
+        table, and for a tribes family from a few rows per rest type,
+        counted from its blocks.  Either way the rows, and the digits of
+        every quantity read from them, are the same.
         """
         if self._fibres[k] is None:
             if self._table is None:
-                self._table = materialize_table(f)
-            q, hi = self.q, self.outputs
-            rest_ids = _type_steps(q, self.n)[0]
-            cube = self._table.reshape(q**k, q, -1)
-            columns = [cube[:, v, :].reshape(-1) for v in range(q)]
-            if len(self.rest_types) * hi**q <= _KEY_LIMIT:
-                # One int64 key per rest point: rest type, then the pattern
-                # as q base-hi digits.
-                key = rest_ids.astype(np.int64)
-                for col in columns:
-                    key = key * hi + col
-                keys, count = np.unique(key, return_counts=True)
-                rest, code = np.divmod(keys, hi**q)
-                patterns = (code[:, None] // hi ** np.arange(q - 1, -1, -1)) % hi
-            else:
-                # The key would overflow int64 (many symbols): sort whole rows.
-                pairs, count = np.unique(np.column_stack([rest_ids, *columns]), axis=0,
-                                         return_counts=True)
-                rest, patterns = pairs[:, 0], pairs[:, 1:]
-            self._fibres[k] = (rest, patterns.astype(float), count, patterns.min(axis=1) != patterns.max(axis=1))
+                rest, columns, count = _tribes_fibres(f, k)
+            else:  # one row per rest point, each standing for itself
+                cube = self._table.reshape(self.q**k, self.q, -1)
+                rest, count = _type_steps(self.q, self.n)[0], None
+                columns = [cube[:, v, :].reshape(-1) for v in range(self.q)]
+            self._fibres[k] = _distinct_fibres(rest, columns, count, self.outputs, len(self.rest_types))
         return self._fibres[k]
 
     def fibre_expectation(self, f: FunctionSpec, k: int, rows: np.ndarray, g) -> np.ndarray:
@@ -289,6 +279,39 @@ class TypeTally:
         return (self.counts[:, 1] * scale * dw).sum(axis=1)
 
 
+def _distinct_fibres(rest: np.ndarray, columns, count, hi: int, width: int):
+    """Sorted distinct (rest type, pattern) rows, as :meth:`TypeTally.fibre_tally` returns them.
+
+    Row i has rest type ``rest[i]`` below ``width``, pattern
+    ``columns[v][i]`` (v < q) of outputs below ``hi``, and stands for
+    ``count[i]`` rest points, or for one when ``count`` is None.  Equal rows
+    merge and their counts add.
+    """
+    q = len(columns)
+
+    def distinct(rows, **axis):
+        if count is None:
+            return np.unique(rows, return_counts=True, **axis)
+        found, inverse = np.unique(rows, return_inverse=True, **axis)
+        total = np.zeros(len(found), dtype=np.int64)
+        np.add.at(total, inverse.reshape(-1), count)
+        return found, total
+
+    if width * hi**q <= _KEY_LIMIT:
+        # One int64 key per row: rest type, then the pattern as q base-hi digits.
+        key = rest.astype(np.int64)
+        for col in columns:
+            key = key * hi + col
+        keys, total = distinct(key)
+        rest, code = np.divmod(keys, hi**q)
+        patterns = (code[:, None] // hi ** np.arange(q - 1, -1, -1)) % hi
+    else:
+        # The key would overflow int64 (many symbols): sort whole rows.
+        pairs, total = distinct(np.column_stack([rest, *columns]), axis=0)
+        rest, patterns = pairs[:, 0].astype(np.int64), pairs[:, 1:]
+    return rest, patterns.astype(float), total, patterns.min(axis=1) != patterns.max(axis=1)
+
+
 def _table_counts(f: FunctionSpec) -> np.ndarray:
     """N_a(c) read off the value table of f, in one pass."""
     rest_ids, step = _type_steps(f.q, f.n)
@@ -302,35 +325,139 @@ def _table_counts(f: FunctionSpec) -> np.ndarray:
     return counts
 
 
+def _live(size: int) -> list:
+    """(1 + z)^size - z^size: the zero sets of a block of ``size`` coordinates that are not all of it."""
+    return [math.comb(size, j) for j in range(size)] or [0]
+
+
+@functools.lru_cache(maxsize=16)
+def _multinomials(q: int, n: int):
+    """``(m, size, (at, symbol, share))`` of the types of n coordinates, read-only; see :func:`_tribes_ways`."""
+    types = _types(q, n)
+    at, col = np.nonzero(types[:, 1:])
+    counts = types[at, col + 1]
+    bounds = np.searchsorted(at, np.arange(len(types) + 1)).tolist()
+    cs = counts.tolist()
+    m = np.array([math.factorial(sum(cs[lo:hi])) // math.prod(math.factorial(c) for c in cs[lo:hi] if c > 1)
+                  for lo, hi in zip(bounds, bounds[1:])], dtype=np.int64)
+    size = np.array([math.comb(n, c0) for c0 in range(n + 1)], dtype=np.int64)[types[:, 0]] * m
+    symbol, share = col + 1, m[at] * counts // (n - types[at, 0])
+    for arr in (m, size, at, symbol, share):
+        arr.setflags(write=False)
+    return m, size, (at, symbol, share)
+
+
+def _tribes_ways(q: int, n: int, common, classes):
+    """The counts a tribes tally is made of, per type of n coordinates over q symbols.
+
+    ``common`` and each entry of ``classes`` are the factors of a
+    polynomial in z (coefficient lists, z^0 first); the z^c0 coefficient
+    of ``common`` times a class's product counts that class's zero sets of
+    size c0.  Type t has c0 zeros, and its K = n - c0 nonzero coordinates
+    take the counts c_1, ..., c_{q-1} in M = K! / prod_{j>0} c_j! ways; by
+    symmetry the first of them is b in M c_b / K of those.  Returns
+    ``(zero_sets, m, size, (at, symbol, share))``: ``zero_sets[i][t]`` is
+    class i's coefficient at the c0 of type t, ``m[t]`` is M and
+    ``size[t]`` = C(n, c0) M the number of points of type t.  The shares
+    are listed over the pairs (t, b) with c_b > 0 alone, so a type costs
+    what its nonzero counts cost, at any q.  The polynomials and M are
+    formed in exact integers.  Every array is int64, which also holds
+    exactly each product of a zero-set count with M or a share: such a
+    product counts points, at most q^n.
+    """
+
+    def product(factors, poly):
+        for factor in factors:
+            poly = np.convolve(poly, np.array(factor, dtype=object))
+        return poly
+
+    shared = product(common, np.ones(1, dtype=object))
+    c0 = _types(q, n)[:, 0]
+    zero_sets = []
+    for factors in classes:
+        poly = product(factors, shared).tolist()
+        zero_sets.append(np.array(poly + [0] * (n + 1 - len(poly)), dtype=np.int64)[c0])
+    return (zero_sets, *_multinomials(q, n))
+
+
 def _tribes_counts(f: FunctionSpec) -> np.ndarray:
     """N_a(c) of a tribes family, counted from its blocks with no enumeration.
 
     A zero set of size c0 that leaves no block all zero is chosen in A(c0)
-    ways, the z^c0 coefficient of prod_B ((1 + z)^|B| - z^|B|).  The k =
-    n - c0 other coordinates take the counts c_1, ..., c_{q-1} in
-    M = k! / prod_{j>0} c_j! ways, and by symmetry the first of them is b
-    in a share c_b / k of those.  So N_b(c) = A(c0) M c_b / k for b >= 1,
-    and N_0(c) = C(n, c0) M - A(c0) M.  Each level of f takes its column
-    through :func:`~qthresh.functions.level_symbol`: 1[f = b] is N_b, and
-    1[f != b] the type's total minus N_b.  The counts are exact integers.
+    ways, the z^c0 coefficient of prod_B ((1 + z)^|B| - z^|B|), and the
+    nonzero coordinates take their symbols in M ways, the first of them b
+    in M c_b / k (:func:`_tribes_ways`, with k = n - c0).  So
+    N_b(c) = A(c0) M c_b / k for b >= 1, and N_0(c) = C(n, c0) M - A(c0) M.
+    Each level of f takes its column through
+    :func:`~qthresh.functions.level_symbol`: 1[f = b] is N_b, and 1[f != b]
+    the type's total minus N_b.  The counts are exact integers.
     """
-    fam, n = f.family, f.n
-    alive = np.ones(1, dtype=object)  # Python ints: the coefficients A(0), A(1), ...
-    for size in [fam.r] * (fam.m - 1) + [fam.last]:
-        # (1 + z)^size - z^size: every zero set of the block but the full one.
-        alive = np.convolve(alive, np.array([math.comb(size, j) for j in range(size)], dtype=object))
-    alive = alive.tolist() + [0] * (n + 1 - len(alive))  # A(c0) = 0 past degree n - m
-    full = []
-    for c in _types(f.q, n).tolist():
-        k = n - c[0]
-        ways = math.factorial(k) // math.prod(map(math.factorial, c[1:]))  # M
-        live = alive[c[0]] * ways
-        # With k = 0 every c_b is 0, and so is N_b.
-        full.append([math.comb(n, c[0]) * ways - live] + [live * cb // max(k, 1) for cb in c[1:]])
-    full = np.array(full, dtype=np.int64)
-    total = full.sum(axis=1)
+    fam = f.family
+    blocks = [_live(size) for size in [fam.r] * (fam.m - 1) + [fam.last]]
+    (alive,), m, size, (at, symbol, share) = _tribes_ways(f.q, f.n, blocks, [[]])
+    live = alive[at] * share  # N_b at each (t, b) with c_b > 0
+
+    def column(b: int) -> np.ndarray:
+        if b == 0:
+            return size - alive * m
+        out = np.zeros(len(m), dtype=np.int64)
+        out[at[symbol == b]] = live[symbol == b]
+        return out
+
     columns = [level_symbol(f, a) for a in range(f.outputs)]
-    return np.column_stack([total - full[:, b] if complement else full[:, b] for b, complement in columns])
+    return np.column_stack([size - column(b) if complement else column(b) for b, complement in columns])
+
+
+def _tribes_fibres(f: FunctionSpec, k: int):
+    """The coordinate-k fibres of a tribes view, counted from its blocks with no enumeration.
+
+    Coordinate k is the j-th of block B, of size s.  A rest point's fibre is
+    0 at every symbol when some other block is all zero (D).  Otherwise let
+    Z be "the other s - 1 coordinates of B are zero", "before" be "a nonzero
+    rest coordinate comes before k" (always, unless B is the first block)
+    and sigma the first nonzero rest symbol.  The fibre is then
+    (0, sigma, ..., sigma) under Z and before, (0, 1, ..., q-1) under Z
+    alone, (sigma, ..., sigma) under before alone, and (sigma, 1, ..., q-1)
+    under neither.  Each class's zero sets are counted by the product of
+    prod_{B' != B} ((1 + z)^|B'| - z^|B'|) and one of z^(s-1),
+    ((1 + z)^j - z^j) (1 + z)^(s-1-j) and z^j ((1 + z)^(s-1-j) - z^(s-1-j)),
+    and sigma = b takes the share M c_b / K of the symbol assignments
+    (:func:`_tribes_ways`).  An indicator view maps each pattern through
+    ``== b``.  Returns ``(rest, columns, count)`` for
+    :func:`_distinct_fibres`: one row per class, rest type and sigma with a
+    positive count, where equal rows may repeat.
+    """
+    fam, q, n = f.family, f.q, f.n
+    sizes = [fam.r] * (fam.m - 1) + [fam.last]
+    block = min(k // fam.r, fam.m - 1)
+    s, j, first = sizes[block], k - block * fam.r, block == 0
+    others = [_live(size) for size in sizes[:block] + sizes[block + 1:]]
+
+    def ones(e: int) -> list:  # (1 + z)^e
+        return [math.comb(e, i) for i in range(e + 1)]
+
+    if first:  # before: a nonzero among the j coordinates of B ahead of k
+        before, neither = [_live(j), ones(s - 1 - j)], [[0] * j + [1], _live(s - 1 - j)]
+    else:  # before: always, behind the first block's nonzero
+        before, neither = [_live(s - 1)], [[0]]
+    # Under no other block all zero: every zero set, then those of Z, before alone and neither.
+    (alive, on_z, on_before, on_neither), m, size, (at, b, share) = _tribes_ways(
+        q, n - 1, others, [[ones(s - 1)], [[0] * (s - 1) + [1]], before, neither])
+    every, symbols, sigma = np.arange(len(m)), np.arange(q), b[:, None]
+
+    def rows(rest, pattern, count):
+        return rest, np.zeros((len(rest), q), dtype=np.int64) + pattern, count
+
+    parts = [rows(every, 0, size - alive * m),  # D
+             rows(every, symbols, on_z * m) if first else rows(at, np.where(symbols > 0, sigma, 0), on_z[at] * share),
+             rows(at, sigma, on_before[at] * share),
+             rows(at, np.where(symbols > 0, symbols, sigma), on_neither[at] * share)]
+    t, patterns, count = (np.concatenate(column) for column in zip(*parts))
+    keep = count > 0
+    t, patterns, count = t[keep], patterns[keep], count[keep]
+    if f.indicator_of is not None:
+        patterns = (patterns == f.indicator_of).astype(np.int64)
+    return t, list(patterns.T), count
 
 
 def type_tally(f: FunctionSpec) -> TypeTally:

@@ -23,6 +23,7 @@ from .evaluate import (
     ExactEvaluator,
     bernstein_derivative,
     product_weights,
+    type_tally,
 )
 from .functions import (
     FunctionSpec,
@@ -371,7 +372,16 @@ def suite_closed(rec: _Recorder) -> None:
 
 
 def suite_influence(rec: _Recorder) -> None:
-    """h-influence specializations recover the variance and geometric forms."""
+    """h-influence specializations recover the variance and geometric forms.
+
+    Every influence of a tribes family reads fibres counted from its blocks,
+    not from a table, so the counted fibres of every view of two small
+    tribes functions are then compared, array for array, with those
+    enumerated from the view's materialised table.  A coordinate's count
+    reads its place in the first block, or else only the size of its
+    block, so the coordinates of the first block, the first of the second
+    and the last one take every path the count has.
+    """
     corpus: list[FunctionSpec] = []
     corpus.extend(upset_corpus(3, 2, 3, seed=31))
     corpus.extend(upset_corpus(3, 3, 3, seed=32))
@@ -393,6 +403,16 @@ def suite_influence(rec: _Recorder) -> None:
                 for k in range(f.n):
                     rec.record(bool(gaps[k, i] <= ROUNDING_TOL),
                                f"{what} differ by {gaps[k, i]:.3e} (function {fi}, k={k})")
+    for f in (build_tribes(3, 6, 0.5, r=2), build_tribes(4, 5, 0.5, r=2)):
+        fam, values = f.family, materialize_table(f)
+        views = [("f", f, values)] + [(f"1[f = {b}]", indicator(f, b), values == b) for b in range(f.q)]
+        for name, g, view_values in views:
+            table = from_table(g.q, g.n, view_values, kind=g.kind)
+            for k in sorted({*range(fam.r + 1), g.n - 1}):
+                pairs = zip(type_tally(g).fibre_tally(g, k), type_tally(table).fibre_tally(table, k))
+                rec.record(all(np.array_equal(got, want) for got, want in pairs),
+                           f"counted fibres of {name} differ from the enumerated ones at k={k}, "
+                           f"q={f.q} (r, m, last)=({fam.r}, {fam.m}, {fam.last})")
 
 
 def suite_coupling(rec: _Recorder) -> None:

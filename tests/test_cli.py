@@ -84,6 +84,24 @@ def test_eval_tribes_refusals_name_their_cause_and_leave_no_file(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["influence", "--kind", "bkkkl"],
+    ["influence", "--kind", "variance"],
+    ["influence", "--kind", "h"],
+    ["influence", "--kind", "keller"],
+    ["width", "--a", "1", "--eps", "0.1", "--diagnostics", "DIAG"],
+], ids=["influence-bkkkl", "influence-variance", "influence-h", "influence-keller", "width-diagnostics"])
+def test_fibre_quantities_past_the_cap_exit_1_and_leave_no_file(tmp_path, capsys, command):
+    # The fibres are counted from the blocks, but the tally they belong to still stops at q^n.
+    out, diag = tmp_path / "out.csv", tmp_path / "diag.csv"
+    argv = [str(diag) if arg == "DIAG" else arg for arg in command]
+    code, stdout, err = run([*argv, "--family", "tribes", "--q", "3", "--n", "16", "--p0", "0.5", "--level", "0",
+                             "--mu", "0,0.5,0.5" if argv[0] == "width" else "0.5,0.25,0.25", "--out", str(out)],
+                            capsys)
+    assert (code, stdout, err) == (1, "", "error: q^n = 3^16 = 43046721 exceeds the enumeration cap 16777216\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_eval_tally_past_the_cap_exits_1_before_building_types(tmp_path, capsys, monkeypatch):
     # q^n = 4e6 is under the cap, but the tally would hold C(2001, 1999) * 2000 cells.
     def refuse(q, n):
@@ -601,7 +619,7 @@ def test_closed_form_past_float_range_exits_1_and_leaves_no_file(tmp_path, capsy
 
 
 VERIFY_CHECKS = {"order": 66, "single-variable": 571, "rm": 400, "alpha": 2125, "hent": 2, "closed": 224,
-                 "influence": 272, "coupling": 36}
+                 "influence": 308, "coupling": 36}
 
 
 def test_verify_all_suites_pass(capsys):
@@ -1067,7 +1085,10 @@ PINNED = {
         '3,6,0,0.47619764453248464,0.243896484375,0.072833972565056429,6.5381253797070809\n',
     ),
 }
-NEVER_ENUMERATE = ("eval-exact-n15", "width-exact-n15")  # the exact tally of a family is counted from its blocks
+# A family's exact tally and its fibre tallies are counted from its blocks.
+NEVER_ENUMERATE = ("eval-exact-n15", "width-exact-n15", "influence-tribes-bkkkl", "influence-tribes-h",
+                   "influence-tribes-keller", "influence-tribes-keller-zero-atom", "influence-tribes-variance",
+                   "width-diagnostics", "width-diagnostics-one-point")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -1077,7 +1098,6 @@ def test_pinned_csv_bytes(name, capsys, monkeypatch):
 
     if name in NEVER_ENUMERATE:
         monkeypatch.setattr(functions, "materialize_table", refuse)
-        monkeypatch.setattr(evaluate, "materialize_table", refuse)
     argv, want = PINNED[name]
     code, out, _ = run(argv, capsys)
     assert code == 0

@@ -34,10 +34,11 @@ from qthresh.influence import (
     influence_bkkkl,
     influence_h,
     influence_variance,
+    keller_diagnostic,
     phi_k,
 )
 from qthresh.measures import SimplexMeasure, central_measure, line_rows
-from qthresh.threshold import line_width, rm_derivative_exact
+from qthresh.threshold import derivative_lower_bound_ratio, line_width, rm_derivative_exact
 from qthresh.verification import FD_STEP, fd_probability_derivative, upset_corpus
 
 # Zero weights make zero atoms (and, all but one zero, point masses) common.
@@ -128,8 +129,8 @@ def test_exact_batch_equals_its_scalar_calls(case):
 
 def test_tally_is_built_once_per_function(monkeypatch):
     calls = []
-    original = evaluate.materialize_table
-    monkeypatch.setattr(evaluate, "materialize_table", lambda f: calls.append(f) or original(f))
+    original = functions.materialize_table
+    monkeypatch.setattr(functions, "materialize_table", lambda f: calls.append(f) or original(f))
     f = indicator(build_tribes(3, 6, 0.5, r=2), 0)
     mu = SimplexMeasure((0.2, 0.3, 0.5))
     ExactEvaluator().batch(f, row(mu), 1)
@@ -141,7 +142,7 @@ def test_tally_is_built_once_per_function(monkeypatch):
         influence_h(f, row(mu), k, h_paper)
         phi_k(f, row(mu), k)
         influence_bkkkl(f, row(mu), k)
-    assert calls == [f]  # the fibres read the table, built once
+    assert calls == []  # so are its fibres
     # a new spec of the same function gets its own tally
     g = indicator(build_tribes(3, 6, 0.5, r=2), 0)
     assert evaluate.type_tally(g) is not evaluate.type_tally(f)
@@ -181,6 +182,53 @@ def test_block_counts_equal_the_table_tally(q):
             assert np.array_equal(counted.counts, table.counts), (q, n, g.family, g.indicator_of)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_block_fibres_equal_the_table_fibres(q):
+    # Every class of the fibre rule shows: k in the first block and in a
+    # later one, first, middle and last in its block, blocks of one, m = 1.
+    for n in range(1, 9):
+        for g, values in tribes_views(q, n):
+            table = from_table(q, n, values, kind=g.kind)
+            for k in range(n):
+                pairs = zip(evaluate.type_tally(g).fibre_tally(g, k), evaluate.type_tally(table).fibre_tally(table, k))
+                for got, want in pairs:
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (q, n, g.family, g.indicator_of, k)
+
+
+@pytest.mark.parametrize("q, n, r", [(64, 2, 1), (64, 2, 2), (21, 3, 2)])
+def test_block_fibres_past_int64_keys_equal_the_table_fibres(q, n, r):
+    # Many symbols: the rows are sorted whole, and no row of zero count is made.
+    f = build_tribes(q, n, 0.5, r=r)
+    table = materialize_table(f)
+    for g, values in [(f, table), (indicator(f, 0), table == 0), (indicator(f, q - 1), table == q - 1)]:
+        spec = from_table(q, n, values, kind=g.kind)
+        for k in range(n):
+            pairs = zip(evaluate.type_tally(g).fibre_tally(g, k), evaluate.type_tally(spec).fibre_tally(spec, k))
+            for got, want in pairs:
+                assert got.dtype == want.dtype and np.array_equal(got, want), (g.indicator_of, k)
+
+
+def test_tribes_fibre_quantities_never_enumerate(monkeypatch):
+    def refuse(f):
+        raise AssertionError("materialize_table called")
+
+    # evaluate keeps no name of its own for materialize_table, so this patch covers every route.
+    assert not hasattr(evaluate, "materialize_table")
+    monkeypatch.setattr(functions, "materialize_table", refuse)
+    base = SimplexMeasure((0.0, 0.35, 0.65))
+    rows = np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
+    for n in (5, 15):
+        f = build_tribes(3, n, 0.5)
+        level = indicator(f, 0)
+        for k in (0, n - 1):
+            assert influence_bkkkl(f, rows, k).shape == (2,)
+            for influence in (influence_variance, phi_k, lambda g, mu, k: influence_h(g, mu, k, h_paper)):
+                assert influence(level, rows, k).shape == (2,)
+        assert rm_derivative_exact(level, base, [0.0, 0.5]).shape == (2,)
+        assert len(derivative_lower_bound_ratio(level, 1, base, [0.0, 0.5])) == 2
+        assert keller_diagnostic(level, central_measure(3)).argmax_k in range(n)
+
+
 @pytest.mark.parametrize("q, n", [(2, 20), (3, 12), (4, 9), (5, 7)])
 def test_block_counts_of_a_type_sum_to_its_size(q, n):
     # Type c holds n! / prod_j c_j! = C(n, c0) M points, whatever f maps them to.
@@ -197,7 +245,6 @@ def test_tribes_probes_widths_and_variances_never_enumerate(monkeypatch):
         raise AssertionError("materialize_table called")
 
     monkeypatch.setattr(functions, "materialize_table", refuse)
-    monkeypatch.setattr(evaluate, "materialize_table", refuse)
     base = SimplexMeasure((0.0, 0.5, 0.5))
     rows = np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
     for n in (5, 11, 15):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qthresh.evaluate as evaluate
 import qthresh.threshold as threshold
 import qthresh.verification as verification
 from qthresh.evaluate import ClosedFormEvaluator, Estimate, TypeTally
@@ -142,6 +143,26 @@ def test_suite_closed_catches_a_corrupted_closed_form_at_nonzero_symbols(monkeyp
     assert not bad.passed
     assert all("closed form" in msg for msg in bad.failures)
     assert not any("f = 0]" in msg for msg in bad.failures)
+
+
+def test_suite_influence_sees_a_moved_fibre_count(monkeypatch):
+    assert run_suites(["influence"])[0].passed
+    original = evaluate._tribes_fibres
+
+    # One rest point moves from the first counted row to the last.  The
+    # h-influence and the influence it specialises to read the same rows,
+    # so only the comparison with enumeration sees it.
+    def moved(f, k):
+        rest, columns, count = original(f, k)
+        count = count.copy()
+        count[0] -= 1
+        count[-1] += 1
+        return rest, columns, count
+
+    monkeypatch.setattr(evaluate, "_tribes_fibres", moved)
+    bad = run_suites(["influence"])[0]
+    assert not bad.passed
+    assert bad.failures and all("counted fibres" in msg for msg in bad.failures)
 
 
 def _hent_blocks():
