@@ -14,19 +14,23 @@ only on its type, the vector c of symbol counts, so
 where N_a(c) counts the points of type c that f maps to a.  That is
 C(n+q-1, q-1) terms against q^n points.  :class:`TypeTally` holds N_a(c).
 It is built the first time any exact quantity of a
-:class:`~qthresh.functions.FunctionSpec` is asked for: in one pass over the
-value table of a table spec, and from the blocks of a tribes family, with
-no enumeration.  This module keeps it, keyed by the spec, for as long as
-the spec lives.  Every later exact probe, batch of probes, variance and
-line derivative of the same spec is then a dot product over types.  For
-influences and the fibre-sum derivative the tally also keeps, per
-coordinate k and built on first use, the counts of (type of the other n-1
-coordinates, fibre pattern); the pattern is the row of q outputs along
-coordinate k.  A table spec's fibres are read off its table; a tribes
-family's are counted from its blocks, like its tally, so no exact quantity
-of a family reads a value table.  The enumeration cap is one constant,
-``functions.DEFAULT_CAP``, checked once, when the tally is built.  The
-coupled line sample of an MC width lives here alone, in
+:class:`~qthresh.functions.FunctionSpec` is asked for, by one fold of the
+fibres of the last coordinate: a point is a rest point of the other n-1
+coordinates with a symbol v appended, so each fibre row adds its count to
+the type its rest type grows to by v, at the output its pattern reads at v.
+The rows come from :func:`_fibre_rows`, the one place that tells a table
+from a family: a table gives one row per rest point, and a tribes family a
+few rows per rest type, counted from its blocks with no enumeration.  This
+module keeps the tally, keyed by the spec, for as long as the spec lives.
+Every later exact probe, batch of probes, variance and line derivative of
+the same spec is then a dot product over types.  For influences and the
+fibre-sum derivative the tally also keeps, per coordinate k and built on
+first use, the same rows of coordinate k merged into counts of (type of the
+other n-1 coordinates, fibre pattern); the pattern is the row of q outputs
+along coordinate k.  So one count rule per function serves both, and no
+exact quantity of a family reads a value table.  The enumeration cap is
+one constant, ``functions.DEFAULT_CAP``, checked once, when the tally is
+built.  The coupled line sample of an MC width lives here alone, in
 :meth:`MonteCarloEvaluator.switching_times`, the one guard of its two rules.
 """
 from __future__ import annotations
@@ -151,31 +155,45 @@ def _types(q: int, n: int) -> np.ndarray:
     return types
 
 
+@functools.lru_cache(maxsize=16)
 def _appended(q: int, k: int) -> np.ndarray:
-    """``step[t, v]``: the row of ``_types(q, k + 1)`` reached by appending symbol v to type t of k."""
-    grown = (_types(q, k)[:, None, :] + np.eye(q, dtype=np.int64)[None, :, :]).reshape(-1, q)
-    # np.unique sorts the grown types lexicographically, the order of _types.
-    return np.unique(grown, axis=0, return_inverse=True)[1].reshape(-1, q).astype(np.int32)
+    """``step[t, v]``: the row of ``_types(q, k + 1)`` reached by appending symbol v to type t of k, read-only.
+
+    The row is the lexicographic rank of the grown type's bar positions
+    b_0 < ... < b_{q-2} among the (q-1)-subsets of range(k + q):
+    C(k + q, q-1) - 1 - sum_i C(k + q-1 - b_i, j), j = q-1-i.  Appending
+    q-1 moves no bar of t, and bar i's term is C(d_i + j, j), with
+    d_i = k - c_0 - ... - c_i; appending v moves bars v, ..., q-2 one place
+    right, and by Pascal's rule each moved term falls by C(d_i + j-1, j-1).
+    So every row is the rank of appending q-1 plus a suffix sum, and no
+    grown type is formed or sorted.  Every binomial is at most
+    C(k + q-1, q-1), the number of types of k.
+    """
+    d = k - np.cumsum(_types(q, k)[:, :-1], axis=1)
+    j = np.arange(q - 1, 0, -1)
+    choose = np.array([[math.comb(e + y, y) for e in range(k + 1)] for y in range(q)], dtype=np.int64)
+    moved = np.cumsum(choose[j - 1, d][:, ::-1], axis=1)[:, ::-1]  # over the bars i >= v
+    last = math.comb(k + q, q - 1) - 1 - choose[j, d].sum(axis=1)
+    step = (last[:, None] + np.pad(moved, ((0, 0), (0, 1)))).astype(np.int32)
+    step.setflags(write=False)
+    return step
 
 
 @functools.lru_cache(maxsize=8)
-def _type_steps(q: int, n: int):
-    """Type ids of the points of [q]^(n-1), and the step to types of n.
+def _type_steps(q: int, n: int) -> np.ndarray:
+    """Type ids of the points of [q]^(n-1), grown by the type steps, read-only.
 
-    Returns ``(rest_ids, step)``: ``rest_ids[i]`` is the row of
-    ``_types(q, n - 1)`` holding the type of the i-th point of [q]^(n-1) in
-    lexicographic order, and ``step`` is ``_appended(q, n - 1)``.  The ids
-    grow one coordinate at a time, so no (q^n, n) digit matrix is ever
-    built.  They depend on (q, n) alone, so every table tally of that shape
-    shares one read-only copy.
+    ``ids[i]`` is the row of ``_types(q, n - 1)`` holding the type of the
+    i-th point of [q]^(n-1) in lexicographic order.  The ids grow one
+    coordinate at a time through :func:`_appended`, so no (q^n, n) digit
+    matrix is ever built.  They depend on (q, n) alone, so every table of
+    that shape shares one copy.  A family never asks for them.
     """
     ids = np.zeros(1, dtype=np.int32)
     for k in range(n - 1):
         ids = _appended(q, k)[ids].reshape(-1)
-    step = _appended(q, n - 1)
-    for arr in (ids, step):
-        arr.setflags(write=False)
-    return ids, step
+    ids.setflags(write=False)
+    return ids
 
 
 def _type_weights(measures: np.ndarray, types: np.ndarray) -> np.ndarray:
@@ -190,25 +208,32 @@ def _weighted_sums(w: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class TypeTally:
-    """Per-type output counts of one function on [q]^n.
+    """Per-type output counts of one function on [q]^n, folded from its fibres.
 
     ``types[t]`` is a symbol-count vector (q nonnegative integers summing to
     n, :func:`_types`) and ``counts[t, a]`` the number of points of that
     type where f = a, for a below ``outputs`` (``FunctionSpec.outputs``).
     ``rest_types`` are the types of the other n-1 coordinates, which index
-    the fibre tallies.  A table spec's fibres are read off its table, and a
-    tribes family's are counted from the blocks of the spec passed in
-    (:func:`_tribes_fibres`), with no table.  The tally keeps no reference
-    to its spec, which keys it in ``_TALLIES``.
+    the fibre rows.  The counts are one fold of the last coordinate's rows
+    (:func:`_fibre_rows`): a row of rest type t, pattern p and count w adds
+    w to ``counts[step[t, v], p_v]`` for each symbol v, ``step`` being
+    :func:`_appended`.  Every sum counts at most q^n points, which the cap
+    keeps below 2^53, so the float weights of ``bincount`` add exactly and
+    the counts are exact int64.  The tally keeps no reference to its spec,
+    which keys it in ``_TALLIES``.
     """
 
-    def __init__(self, f: FunctionSpec, counts: np.ndarray):
+    def __init__(self, f: FunctionSpec):
         self.q, self.n = f.q, f.n
         self.outputs = f.outputs
         self.types, self.rest_types = _types(f.q, f.n), _types(f.q, f.n - 1)
-        self.counts = counts
-        self.binary = not counts[:, 2:].any()
-        self._table = f.table
+        rest, columns, count = _fibre_rows(f, f.n - 1)
+        step = _appended(f.q, f.n - 1)
+        self.counts = np.zeros((len(self.types), f.outputs), dtype=np.int64)
+        for v, column in enumerate(columns):
+            part = np.bincount(rest * f.outputs + column, weights=count, minlength=len(step) * f.outputs)
+            self.counts[step[:, v]] += part.reshape(-1, f.outputs).astype(np.int64)
+        self.binary = not self.counts[:, 2:].any()
         self._fibres: list = [None] * f.n
 
     def probabilities(self, measures: np.ndarray, a: int) -> np.ndarray:
@@ -228,19 +253,14 @@ class TypeTally:
         ``rest_types[rest[i]]`` have the fibre ``patterns[i]``, the q outputs
         of f with coordinate k set to 0, ..., q-1 (as floats, ready for the
         fibre means); ``nonconstant`` masks the patterns that are not
-        constant.  Built on first use: by one sort of the rest points of a
-        table, and for a tribes family from a few rows per rest type,
-        counted from its blocks.  Either way the rows, and the digits of
-        every quantity read from them, are the same.
+        constant.  Built on first use by merging the equal rows of
+        :func:`_fibre_rows`, the rows the counts are folded from at
+        k = n - 1: one per rest point of a table, a few per rest type of a
+        tribes family.  Either way the merged rows, and the digits of every
+        quantity read from them, are the same.
         """
         if self._fibres[k] is None:
-            if self._table is None:
-                rest, columns, count = _tribes_fibres(f, k)
-            else:  # one row per rest point, each standing for itself
-                cube = self._table.reshape(self.q**k, self.q, -1)
-                rest, count = _type_steps(self.q, self.n)[0], None
-                columns = [cube[:, v, :].reshape(-1) for v in range(self.q)]
-            self._fibres[k] = _distinct_fibres(rest, columns, count, self.outputs, len(self.rest_types))
+            self._fibres[k] = _distinct_fibres(*_fibre_rows(f, k), self.outputs, len(self.rest_types))
         return self._fibres[k]
 
     def fibre_expectation(self, f: FunctionSpec, k: int, rows: np.ndarray, g) -> np.ndarray:
@@ -282,10 +302,8 @@ class TypeTally:
 def _distinct_fibres(rest: np.ndarray, columns, count, hi: int, width: int):
     """Sorted distinct (rest type, pattern) rows, as :meth:`TypeTally.fibre_tally` returns them.
 
-    Row i has rest type ``rest[i]`` below ``width``, pattern
-    ``columns[v][i]`` (v < q) of outputs below ``hi``, and stands for
-    ``count[i]`` rest points, or for one when ``count`` is None.  Equal rows
-    merge and their counts add.
+    The rows are those of :func:`_fibre_rows`, with rest types below
+    ``width`` and outputs below ``hi``.  Equal rows merge and their counts add.
     """
     q = len(columns)
 
@@ -312,17 +330,20 @@ def _distinct_fibres(rest: np.ndarray, columns, count, hi: int, width: int):
     return rest, patterns.astype(float), total, patterns.min(axis=1) != patterns.max(axis=1)
 
 
-def _table_counts(f: FunctionSpec) -> np.ndarray:
-    """N_a(c) read off the value table of f, in one pass."""
-    rest_ids, step = _type_steps(f.q, f.n)
-    # Row i of the reshaped table is the fibre of the last coordinate
-    # over rest point i: symbol v there extends the rest type by v.
-    rows = f.table.reshape(-1, f.q)
-    counts = np.zeros((len(_types(f.q, f.n)), f.outputs), dtype=np.int64)
-    for v in range(f.q):
-        part = np.bincount(rest_ids * f.outputs + rows[:, v], minlength=len(step) * f.outputs)
-        counts[step[:, v]] += part.reshape(-1, f.outputs)
-    return counts
+def _fibre_rows(f: FunctionSpec, k: int):
+    """The coordinate-k fibres of f as rows ``(rest, columns, count)``: the one table-or-family branch of exact counts.
+
+    Row i has rest type ``rest[i]``, a row of ``_types(q, n - 1)``, and
+    pattern ``columns[v][i]`` (v < q), the output of f with coordinate k set
+    to v; it stands for ``count[i]`` rest points, or for one when ``count``
+    is None.  A table gives one row per rest point, in lexicographic order
+    (:func:`_type_steps`); a tribes family a few rows per rest type, counted
+    from its blocks (:func:`_tribes_fibres`).
+    """
+    if f.family is not None:
+        return _tribes_fibres(f, k)
+    cube = f.table.reshape(f.q**k, f.q, -1)
+    return _type_steps(f.q, f.n), [cube[:, v, :].reshape(-1) for v in range(f.q)], None
 
 
 def _live(size: int) -> list:
@@ -332,7 +353,14 @@ def _live(size: int) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _multinomials(q: int, n: int):
-    """``(m, size, (at, symbol, share))`` of the types of n coordinates, read-only; see :func:`_tribes_ways`."""
+    """``(m, size, (at, symbol, share))`` of the types of n coordinates over q symbols, read-only.
+
+    The K = n - c0 nonzero coordinates of type t take their counts in
+    ``m[t]`` = M = K! / prod_{j>0} c_j! ways (exact), the first of them b in
+    M c_b / K, listed at the pairs (``at``, ``symbol``) = (t, b) with c_b > 0
+    alone, so a type costs what its nonzero counts cost; ``size[t]`` is
+    C(n, c0) M, the number of points of type t.
+    """
     types = _types(q, n)
     at, col = np.nonzero(types[:, 1:])
     counts = types[at, col + 1]
@@ -347,102 +375,51 @@ def _multinomials(q: int, n: int):
     return m, size, (at, symbol, share)
 
 
-def _tribes_ways(q: int, n: int, common, classes):
-    """The counts a tribes tally is made of, per type of n coordinates over q symbols.
-
-    ``common`` and each entry of ``classes`` are the factors of a
-    polynomial in z (coefficient lists, z^0 first); the z^c0 coefficient
-    of ``common`` times a class's product counts that class's zero sets of
-    size c0.  Type t has c0 zeros, and its K = n - c0 nonzero coordinates
-    take the counts c_1, ..., c_{q-1} in M = K! / prod_{j>0} c_j! ways; by
-    symmetry the first of them is b in M c_b / K of those.  Returns
-    ``(zero_sets, m, size, (at, symbol, share))``: ``zero_sets[i][t]`` is
-    class i's coefficient at the c0 of type t, ``m[t]`` is M and
-    ``size[t]`` = C(n, c0) M the number of points of type t.  The shares
-    are listed over the pairs (t, b) with c_b > 0 alone, so a type costs
-    what its nonzero counts cost, at any q.  The polynomials and M are
-    formed in exact integers.  Every array is int64, which also holds
-    exactly each product of a zero-set count with M or a share: such a
-    product counts points, at most q^n.
-    """
-
-    def product(factors, poly):
-        for factor in factors:
-            poly = np.convolve(poly, np.array(factor, dtype=object))
-        return poly
-
-    shared = product(common, np.ones(1, dtype=object))
-    c0 = _types(q, n)[:, 0]
-    zero_sets = []
-    for factors in classes:
-        poly = product(factors, shared).tolist()
-        zero_sets.append(np.array(poly + [0] * (n + 1 - len(poly)), dtype=np.int64)[c0])
-    return (zero_sets, *_multinomials(q, n))
-
-
-def _tribes_counts(f: FunctionSpec) -> np.ndarray:
-    """N_a(c) of a tribes family, counted from its blocks with no enumeration.
-
-    A zero set of size c0 that leaves no block all zero is chosen in A(c0)
-    ways, the z^c0 coefficient of prod_B ((1 + z)^|B| - z^|B|), and the
-    nonzero coordinates take their symbols in M ways, the first of them b
-    in M c_b / k (:func:`_tribes_ways`, with k = n - c0).  So
-    N_b(c) = A(c0) M c_b / k for b >= 1, and N_0(c) = C(n, c0) M - A(c0) M.
-    Each level of f takes its column through
-    :func:`~qthresh.functions.level_symbol`: 1[f = b] is N_b, and 1[f != b]
-    the type's total minus N_b.  The counts are exact integers.
-    """
-    fam = f.family
-    blocks = [_live(size) for size in [fam.r] * (fam.m - 1) + [fam.last]]
-    (alive,), m, size, (at, symbol, share) = _tribes_ways(f.q, f.n, blocks, [[]])
-    live = alive[at] * share  # N_b at each (t, b) with c_b > 0
-
-    def column(b: int) -> np.ndarray:
-        if b == 0:
-            return size - alive * m
-        out = np.zeros(len(m), dtype=np.int64)
-        out[at[symbol == b]] = live[symbol == b]
-        return out
-
-    columns = [level_symbol(f, a) for a in range(f.outputs)]
-    return np.column_stack([size - column(b) if complement else column(b) for b, complement in columns])
-
-
 def _tribes_fibres(f: FunctionSpec, k: int):
     """The coordinate-k fibres of a tribes view, counted from its blocks with no enumeration.
 
-    Coordinate k is the j-th of block B, of size s.  A rest point's fibre is
-    0 at every symbol when some other block is all zero (D).  Otherwise let
-    Z be "the other s - 1 coordinates of B are zero", "before" be "a nonzero
-    rest coordinate comes before k" (always, unless B is the first block)
-    and sigma the first nonzero rest symbol.  The fibre is then
-    (0, sigma, ..., sigma) under Z and before, (0, 1, ..., q-1) under Z
-    alone, (sigma, ..., sigma) under before alone, and (sigma, 1, ..., q-1)
-    under neither.  Each class's zero sets are counted by the product of
-    prod_{B' != B} ((1 + z)^|B'| - z^|B'|) and one of z^(s-1),
-    ((1 + z)^j - z^j) (1 + z)^(s-1-j) and z^j ((1 + z)^(s-1-j) - z^(s-1-j)),
-    and sigma = b takes the share M c_b / K of the symbol assignments
-    (:func:`_tribes_ways`).  An indicator view maps each pattern through
-    ``== b``.  Returns ``(rest, columns, count)`` for
-    :func:`_distinct_fibres`: one row per class, rest type and sigma with a
-    positive count, where equal rows may repeat.
+    This is a family's one count rule: its tally folds these rows at
+    k = n - 1 (:class:`TypeTally`).  Coordinate k is the j-th of block B, of
+    size s.  A rest point's fibre is 0 at every symbol when some other block
+    is all zero (D).  Otherwise let Z be "the other s - 1 coordinates of B
+    are zero", "before" be "a nonzero rest coordinate comes before k"
+    (always, unless B is the first block) and sigma the first nonzero rest
+    symbol.  The fibre is then (0, sigma, ..., sigma) under Z and before,
+    (0, 1, ..., q-1) under Z alone, (sigma, ..., sigma) under before alone,
+    and (sigma, 1, ..., q-1) under neither.  Each class's zero sets of size
+    c0 are the z^c0 coefficient of prod_{B' != B} ((1 + z)^|B'| - z^|B'|)
+    times one of z^(s-1), ((1 + z)^j - z^j) (1 + z)^(s-1-j) and
+    z^j ((1 + z)^(s-1-j) - z^(s-1-j)), formed in exact integers, and
+    sigma = b takes the share M c_b / K of the symbol assignments
+    (:func:`_multinomials`).  An indicator view maps each pattern through
+    ``== b``.  Returns ``(rest, columns, count)`` as :func:`_fibre_rows`
+    does: one row per class, rest type and sigma with a positive count,
+    where equal rows may repeat.  Each count counts points, at most q^n,
+    so int64 holds it exactly.
     """
     fam, q, n = f.family, f.q, f.n
     sizes = [fam.r] * (fam.m - 1) + [fam.last]
     block = min(k // fam.r, fam.m - 1)
     s, j, first = sizes[block], k - block * fam.r, block == 0
-    others = [_live(size) for size in sizes[:block] + sizes[block + 1:]]
+    c0 = _types(q, n - 1)[:, 0]
 
     def ones(e: int) -> list:  # (1 + z)^e
         return [math.comb(e, i) for i in range(e + 1)]
+
+    def zero_sets(*factors) -> np.ndarray:  # with no other block all zero, at each rest type's c0
+        poly = np.ones(1, dtype=object)  # coefficients in z, z^0 first, as exact integers
+        for factor in [_live(size) for size in sizes[:block] + sizes[block + 1:]] + list(factors):
+            poly = np.convolve(poly, np.array(factor, dtype=object))
+        return np.array(poly.tolist() + [0] * (n - len(poly)), dtype=np.int64)[c0]
 
     if first:  # before: a nonzero among the j coordinates of B ahead of k
         before, neither = [_live(j), ones(s - 1 - j)], [[0] * j + [1], _live(s - 1 - j)]
     else:  # before: always, behind the first block's nonzero
         before, neither = [_live(s - 1)], [[0]]
-    # Under no other block all zero: every zero set, then those of Z, before alone and neither.
-    (alive, on_z, on_before, on_neither), m, size, (at, b, share) = _tribes_ways(
-        q, n - 1, others, [[ones(s - 1)], [[0] * (s - 1) + [1]], before, neither])
+    # Every zero set, then those of Z, before alone and neither.
+    alive, on_z, on_before, on_neither = (zero_sets(*factors) for factors in
+                                          ([ones(s - 1)], [[0] * (s - 1) + [1]], before, neither))
+    m, size, (at, b, share) = _multinomials(q, n - 1)
     every, symbols, sigma = np.arange(len(m)), np.arange(q), b[:, None]
 
     def rows(rest, pattern, count):
@@ -463,12 +440,12 @@ def _tribes_fibres(f: FunctionSpec, k: int):
 def type_tally(f: FunctionSpec) -> TypeTally:
     """The type tally of ``f``: built on first use, kept until ``f`` is freed.
 
-    A table is counted in one pass over its values, a tribes family from
-    its blocks (:func:`_tribes_counts`).  The enumeration cap is checked
-    once, just before the build, for tables and families alike; a tally
-    that exists already passed it.  A family's counts need no table; the
-    cap still bounds the number of types they are counted and summed over.
-    It bounds the tally's cells too, one weight per symbol of every type
+    Table or family, it is one fold of the last coordinate's fibre rows
+    (:class:`TypeTally`).  The enumeration cap is checked once, just before
+    the build, for tables and families alike; a tally that exists already
+    passed it.  A family's rows need no table; the cap still bounds the
+    number of types they are counted and summed over.  It bounds the
+    tally's cells too, one weight per symbol of every type
     (:meth:`ExactEvaluator.row_cells`), which outgrow q^n at large q.
     """
     if f not in _TALLIES:
@@ -476,7 +453,7 @@ def type_tally(f: FunctionSpec) -> TypeTally:
         if (cells := ExactEvaluator().row_cells(f)) > DEFAULT_CAP:
             raise CapExceededError(f"the type tally of q={f.q}, n={f.n} has {cells} cells, "
                                    f"past the enumeration cap {DEFAULT_CAP}")
-        _TALLIES[f] = TypeTally(f, _table_counts(f) if f.family is None else _tribes_counts(f))
+        _TALLIES[f] = TypeTally(f)
     return _TALLIES[f]
 
 

@@ -326,11 +326,13 @@ def suite_closed(rec: _Recorder) -> None:
 
     Checks every output of every view (the full function and the indicator
     of each symbol), one batch of all the measures per output.  A tribes
-    tally is counted from the blocks, never from a table, and shares the
-    closed form's symmetry argument, so every output of the tally is then
-    checked against brute-force enumeration: the weights of the points
-    under mu^n summed over the materialised table, with no type counts.
-    That check is what ties the count tally to enumeration.  The
+    tally is folded from the last coordinate's fibres as counted from the
+    blocks, never from a table, and shares the closed form's symmetry
+    argument, so every output of the tally is then checked against
+    brute-force enumeration: the weights of the points under mu^n summed
+    over the materialised table, with no type counts.  That check ties the
+    family's one count rule to enumeration at the last coordinate, as
+    :func:`suite_influence` does at others.  The
     closed-form checks of a case come first, so a fault they see is among
     the failure messages a suite keeps.
     """

@@ -156,9 +156,23 @@ def test_tallies_of_one_shape_share_read_only_type_steps():
     g = random_zero_monotone(3, 5, 0.2, seed=3)
     tf, tg = evaluate.type_tally(f), evaluate.type_tally(g)
     assert tf.types is tg.types and tf.rest_types is tg.rest_types
-    for arr in (tf.types, tf.rest_types, *evaluate._type_steps(3, 5)):
+    for arr in (tf.types, tf.rest_types, evaluate._type_steps(3, 5), evaluate._appended(3, 4)):
         assert not arr.flags.writeable
     assert evaluate.type_tally(build_tribes(3, 4, 0.5, r=2)).types is not tf.types
+
+
+def sorted_steps(q, k):
+    """The steps by sorting every grown type, the order of ``_types``: the reference for the ranks."""
+    grown = (evaluate._types(q, k)[:, None, :] + np.eye(q, dtype=np.int64)[None, :, :]).reshape(-1, q)
+    return np.unique(grown, axis=0, return_inverse=True)[1].reshape(-1, q)
+
+
+@pytest.mark.parametrize("q, k", [(q, k) for q in range(2, 7) for k in range(7)] + [(64, 2)])
+def test_appended_ranks_equal_the_sorted_steps(q, k):
+    step = evaluate._appended(q, k)
+    assert np.array_equal(step, sorted_steps(q, k))
+    assert not step.flags.writeable
+    assert evaluate._appended(q, k) is step
 
 
 def tribes_views(q, n):
@@ -244,7 +258,12 @@ def test_tribes_probes_widths_and_variances_never_enumerate(monkeypatch):
     def refuse(f):
         raise AssertionError("materialize_table called")
 
+    def no_ids(q, n):
+        raise AssertionError("the q^(n-1) type ids were built")
+
     monkeypatch.setattr(functions, "materialize_table", refuse)
+    # The fold of a family's rows needs only the steps, never a type id per rest point.
+    monkeypatch.setattr(evaluate, "_type_steps", no_ids)
     base = SimplexMeasure((0.0, 0.5, 0.5))
     rows = np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]])
     for n in (5, 11, 15):

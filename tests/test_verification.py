@@ -164,6 +164,14 @@ def test_suite_influence_sees_a_moved_fibre_count(monkeypatch):
     assert not bad.passed
     assert bad.failures and all("counted fibres" in msg for msg in bad.failures)
 
+    # The tally is folded from the same rows, so the closed suite's
+    # comparison with enumeration sees the moved count too.  Every message
+    # is kept: the closed-form checks, which come first, fail as well.
+    monkeypatch.setattr(verification, "_KEEP_FAILURES", 10**6)
+    bad = run_suites(["closed"])[0]
+    assert not bad.passed
+    assert any("vs brute force" in msg for msg in bad.failures)
+
 
 def _hent_blocks():
     block = verification._HENT_BLOCK
