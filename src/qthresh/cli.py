@@ -4,6 +4,13 @@ Every command is deterministic given its flags (and seed); outputs are CSV
 with floats at 17 significant digits so reruns are byte-identical.  Exit
 codes: 0 success, 1 failed checks, operational limits or an unwritable
 output, 2 malformed input.
+
+Each answer is one fresh process, and where bytecode is not cached that
+process compiles every module it imports.  So this module imports at its top
+only what ``eval`` runs (functions, measures, evaluate), and each other
+command imports its own modules inside its function: ``influence`` the
+influence module, ``width``, ``region`` and ``sweep`` the threshold module,
+``verify`` the verification suites.
 """
 from __future__ import annotations
 
@@ -19,10 +26,7 @@ import numpy as np
 
 from .evaluate import ClosedFormEvaluator, ExactEvaluator, MonteCarloEvaluator
 from .functions import CapExceededError, FunctionFileError, FunctionSpec, build_tribes, indicator, parse_function_file
-from .influence import influence_profile, keller_diagnostic
 from .measures import SimplexMeasure, central_measure
-from .threshold import derivative_lower_bound_ratio, line_width, region_measure, sweep_scaling
-from .verification import SUITE_BUILDERS, run_suites
 
 SEED_ENV_VAR = "QTL_SEED"
 
@@ -183,6 +187,8 @@ def cmd_eval(args, parser) -> tuple[int, Outputs]:
 
 
 def cmd_influence(args, parser) -> tuple[int, Outputs]:
+    from .influence import influence_profile, keller_diagnostic
+
     f = _load_function(args, parser)
     mus = _parse_measures(args, parser, f.q)
     mu = mus[0]
@@ -199,6 +205,8 @@ def cmd_influence(args, parser) -> tuple[int, Outputs]:
 
 
 def cmd_width(args, parser) -> tuple[int, Outputs]:
+    from .threshold import derivative_lower_bound_ratio, line_width
+
     f = _load_function(args, parser)
     base = central_measure(f.q) if args.mu is None else SimplexMeasure.parse(args.mu)
     if base.q != f.q:
@@ -219,6 +227,8 @@ def cmd_width(args, parser) -> tuple[int, Outputs]:
 
 
 def cmd_region(args, parser) -> tuple[int, Outputs]:
+    from .threshold import region_measure
+
     f = _load_function(args, parser)
     seed = _resolve_seed(args)  # the simplex sample draws on every route
     evaluator = _build_evaluator(args, args.eval_samples, seed_offset=1)
@@ -228,6 +238,8 @@ def cmd_region(args, parser) -> tuple[int, Outputs]:
 
 
 def cmd_sweep(args, parser) -> tuple[int, Outputs]:
+    from .threshold import sweep_scaling
+
     try:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError:
@@ -244,6 +256,8 @@ def cmd_sweep(args, parser) -> tuple[int, Outputs]:
 
 
 def cmd_verify(args, parser) -> tuple[int, Outputs]:
+    from .verification import run_suites
+
     names = args.suite if args.suite else None
     results = run_suites(names)
     lines = []
@@ -318,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run self-check suites")
-    p_verify.add_argument("--suite", action="append", choices=sorted(SUITE_BUILDERS))
+    p_verify.add_argument("--suite", action="append", help="suite to run (repeatable; default: all)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

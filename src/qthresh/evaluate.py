@@ -389,7 +389,8 @@ def _tribes_fibres(f: FunctionSpec, k: int):
     and (sigma, 1, ..., q-1) under neither.  Each class's zero sets of size
     c0 are the z^c0 coefficient of prod_{B' != B} ((1 + z)^|B'| - z^|B'|)
     times one of z^(s-1), ((1 + z)^j - z^j) (1 + z)^(s-1-j) and
-    z^j ((1 + z)^(s-1-j) - z^(s-1-j)), formed in exact integers, and
+    z^j ((1 + z)^(s-1-j) - z^(s-1-j)), in exact integers.  The product over
+    B' != B is formed once, and each class convolves its factors onto it.
     sigma = b takes the share M c_b / K of the symbol assignments
     (:func:`_multinomials`).  An indicator view maps each pattern through
     ``== b``.  Returns ``(rest, columns, count)`` as :func:`_fibre_rows`
@@ -406,9 +407,13 @@ def _tribes_fibres(f: FunctionSpec, k: int):
     def ones(e: int) -> list:  # (1 + z)^e
         return [math.comb(e, i) for i in range(e + 1)]
 
+    others = np.ones(1, dtype=object)  # coefficients in z, z^0 first, as exact integers
+    for size in sizes[:block] + sizes[block + 1:]:
+        others = np.convolve(others, np.array(_live(size), dtype=object))
+
     def zero_sets(*factors) -> np.ndarray:  # with no other block all zero, at each rest type's c0
-        poly = np.ones(1, dtype=object)  # coefficients in z, z^0 first, as exact integers
-        for factor in [_live(size) for size in sizes[:block] + sizes[block + 1:]] + list(factors):
+        poly = others
+        for factor in factors:
             poly = np.convolve(poly, np.array(factor, dtype=object))
         return np.array(poly.tolist() + [0] * (n - len(poly)), dtype=np.int64)[c0]
 

@@ -32,7 +32,6 @@ from .functions import (
     level_name,
     level_rises,
 )
-from .influence import phi_k
 from .measures import (
     SimplexMeasure,
     central_measure,
@@ -71,8 +70,13 @@ def rm_derivative_exact(f: FunctionSpec, base: SimplexMeasure, ts) -> np.ndarray
     The grid takes one ``phi_k`` call per coordinate.  The identity needs
     1[f = 1] to rise toward delta_0 (``level_rises(f, 1, 0)``); any other
     {0,1}-valued f is refused before a fibre is built, and ``phi_k`` refuses
-    an f that is not {0,1}-valued.
+    an f that is not {0,1}-valued.  It is this module's one reader of the
+    influence module, so it imports ``phi_k`` itself: a command that reaches
+    no derivative (``width`` without ``--diagnostics``, ``region``,
+    ``sweep``) never compiles that module.
     """
+    from .influence import phi_k
+
     ts = derivative_ts(ts)
     rows = line_rows(base, ts)
     if not level_rises(f, 1, 0) and (f.kind != KIND_FULL or type_tally(f).binary):

@@ -451,12 +451,15 @@ def run_suites(names: Iterable[str] | None = None) -> list[SuiteResult]:
 
     This is the one place that names, times and collects the suites: each
     runs on a fresh recorder, and its result carries its ``SUITE_BUILDERS``
-    key and its wall time.
+    key and its wall time.  It is also the one owner of the suite names: an
+    unknown name is refused, before any suite runs, with a ValueError that
+    lists the valid names in ``SUITE_BUILDERS`` order (``verify --suite``
+    takes any string and leaves the check to this).
     """
     selected = list(SUITE_BUILDERS) if names is None else list(names)
     unknown = [s for s in selected if s not in SUITE_BUILDERS]
     if unknown:
-        raise ValueError(f"unknown suites: {', '.join(unknown)}")
+        raise ValueError(f"unknown suites: {', '.join(unknown)}; the suites are {', '.join(SUITE_BUILDERS)}")
     results = []
     for name in selected:
         started = time.perf_counter()

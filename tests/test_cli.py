@@ -637,6 +637,14 @@ def test_verify_suite_filter(capsys):
     assert lines[0].startswith("suite hent: PASS")
 
 
+@pytest.mark.parametrize("suites, unknown", [(["bogus"], "bogus"), (["hent", "bogus", "nope"], "bogus, nope")])
+def test_verify_unknown_suite_exits_2_and_names_every_suite(capsys, suites, unknown):
+    code, out, err = run(["verify", *[arg for name in suites for arg in ("--suite", name)]], capsys)
+    assert code == 2
+    assert out == ""  # refused before any suite runs
+    assert err == f"error: unknown suites: {unknown}; the suites are {', '.join(verification.SUITE_BUILDERS)}\n"
+
+
 def test_verify_fault_injection_fails(capsys, monkeypatch):
     monkeypatch.setattr(verification, "leq_a", lambda x, y, a: all(yv == a or xv <= yv for xv, yv in zip(x, y)))
     code, out, _ = run(["verify", "--suite", "order"], capsys)

@@ -1,4 +1,5 @@
-"""No module imports a name it never uses, and no public name of the package goes unused.
+"""No module imports a name it never uses, no public name of the package goes unused, and
+each command imports only the modules it runs.
 
 Every module of ``src/qthresh`` and every test module is parsed with
 ``ast``.  Each name an import binds must appear elsewhere in the module as a
@@ -6,8 +7,17 @@ name, which covers the base of an attribute such as ``np.zeros``.  Each
 public top-level function and class of ``src/qthresh`` must be named, as a
 name or an attribute, somewhere in the package outside its own definition:
 API that only tests call is either wired into the program or deleted.
+
+Each answer is one fresh process, which compiles every module it imports
+when bytecode is not cached, so each command is run in a fresh interpreter
+and the ``qthresh`` modules it leaves loaded are compared with its own set.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -71,3 +81,39 @@ def test_checker_flags_an_unreferenced_public_name():
 def test_every_public_name_of_the_package_is_used_in_it():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unreferenced_public_names(sources) == []
+
+
+# Runs one command in this interpreter, then prints its exit code and the qthresh modules loaded.
+PROBE = ("import json, sys, qthresh.cli; code = qthresh.cli.main(sys.argv[1:]); "
+         "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('qthresh.'))]))")
+TRIBES = ["--family", "tribes", "--q", "3", "--n", "4", "--p0", "0.5", "--r", "2"]
+EVAL = {"cli", "functions", "measures", "evaluate"}
+
+
+def test_each_command_compiles_only_its_modules(tmp_path):
+    cases = {
+        "eval exact": (["eval", *TRIBES, "--mu", "0.5,0.25,0.25", "--a", "0"], EVAL),
+        "eval closed": (["eval", *TRIBES, "--mu", "0.5,0.25,0.25", "--a", "0", "--evaluator", "closed"], EVAL),
+        "eval mc": (["eval", *TRIBES, "--mu", "0.5,0.25,0.25", "--a", "0", "--evaluator", "mc",
+                     "--samples", "100", "--seed", "1"], EVAL),
+        "influence": (["influence", *TRIBES, "--level", "0", "--mu", "0.5,0.25,0.25"], EVAL | {"influence"}),
+        "width": (["width", *TRIBES, "--a", "0", "--eps", "0.1"], EVAL | {"threshold"}),
+        "width --diagnostics": (["width", *TRIBES, "--level", "0", "--a", "1", "--eps", "0.1", "--diag-grid", "3",
+                                 "--diagnostics", str(tmp_path / "d.csv")], EVAL | {"threshold", "influence"}),
+        "region": (["region", *TRIBES, "--a", "0", "--eps", "0.1", "--samples", "10", "--evaluator", "closed",
+                    "--seed", "1"], EVAL | {"threshold"}),
+        "sweep": (["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024"], EVAL | {"threshold"}),
+        "verify": (["verify", "--suite", "hent"], EVAL | {"threshold", "influence", "verification"}),
+    }
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def loaded(argv):
+        proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        return code, {m.removeprefix("qthresh.") for m in modules}
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = dict(zip(cases, pool.map(loaded, [argv for argv, _ in cases.values()])))
+    assert got == {name: (0, want) for name, (_, want) in cases.items()}

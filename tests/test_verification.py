@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qthresh.evaluate as evaluate
-import qthresh.threshold as threshold
+import qthresh.influence as influence
 import qthresh.verification as verification
 from qthresh.evaluate import ClosedFormEvaluator, Estimate, TypeTally
 from qthresh.functions import leq_a
@@ -87,20 +87,20 @@ def test_run_suites_filter_and_unknown():
 
 def test_suite_rm_catches_a_corrupted_phi_k(monkeypatch):
     assert run_suites(["rm"])[0].passed
-    original = threshold.phi_k
+    original = influence.phi_k
 
     # An offset of 1e-11 per coordinate hides under the finite-difference
     # noise floor (1e-10); only the Bernstein derivative can see it.
     def corrupted(f, mu, k):
         return original(f, mu, k) + 1e-11
 
-    monkeypatch.setattr(threshold, "phi_k", corrupted)
+    monkeypatch.setattr(influence, "phi_k", corrupted)
     bad = run_suites(["rm"])[0]
     assert not bad.passed
     assert bad.failures
     assert all("Bernstein" in msg for msg in bad.failures)
 
-    monkeypatch.setattr(threshold, "phi_k", lambda f, mu, k: 1.5 * original(f, mu, k))
+    monkeypatch.setattr(influence, "phi_k", lambda f, mu, k: 1.5 * original(f, mu, k))
     bad = run_suites(["rm"])[0]
     assert not bad.passed
     assert any("finite difference" in msg for msg in bad.failures)
@@ -235,7 +235,7 @@ def _odd_rows_lowered(probabilities):
 
 @pytest.mark.parametrize("name, owner, attr, corrupt", [
     pytest.param("order", verification, "leq_a", lambda leq: numeric_leq, id="order"),
-    pytest.param("single-variable", threshold, "phi_k",
+    pytest.param("single-variable", influence, "phi_k",
                  lambda phi_k: lambda f, mu, k: 1.5 * phi_k(f, mu, k), id="single-variable"),
     pytest.param("alpha", verification, "second_smallest_atom",
                  lambda atom: lambda mu: 2.0 * atom(mu), id="alpha"),
