@@ -231,10 +231,11 @@ class TypeTally:
         step = _appended(f.q, f.n - 1)
         self.counts = np.zeros((len(self.types), f.outputs), dtype=np.int64)
         for v, column in enumerate(columns):
-            part = np.bincount(rest * f.outputs + column, weights=count, minlength=len(step) * f.outputs)
+            key = (rest * f.outputs + column).reshape(-1)
+            part = np.bincount(key, weights=count, minlength=len(step) * f.outputs)
             self.counts[step[:, v]] += part.reshape(-1, f.outputs).astype(np.int64)
         self.binary = not self.counts[:, 2:].any()
-        self._fibres: list = [None] * f.n
+        self._fibres: dict = {}  # fibre class (_fibre_class) -> fibre tally
 
     def probabilities(self, measures: np.ndarray, a: int) -> np.ndarray:
         """Pr[f = a] under mu^n for each row mu of an (m, q) matrix; a < outputs."""
@@ -248,20 +249,32 @@ class TypeTally:
     def fibre_tally(self, f: FunctionSpec, k: int):
         """Distinct (rest type, pattern) pairs of the coordinate-k fibres of f, this tally's spec.
 
-        Returns ``(rest, patterns, count, nonconstant)``, sorted by rest
-        type and then pattern: ``count[i]`` rest points of type
-        ``rest_types[rest[i]]`` have the fibre ``patterns[i]``, the q outputs
-        of f with coordinate k set to 0, ..., q-1 (as floats, ready for the
-        fibre means); ``nonconstant`` masks the patterns that are not
-        constant.  Built on first use by merging the equal rows of
+        Returns ``(rest, patterns, count, nonconstant)``, read-only and
+        sorted by rest type and then pattern: ``count[i]`` rest points of
+        type ``rest_types[rest[i]]`` have the fibre ``patterns[i]``, the q
+        outputs of f with coordinate k set to 0, ..., q-1 (as floats, ready
+        for the fibre means); ``nonconstant`` masks the patterns that are
+        not constant.  Built on first use, and kept per
+        :func:`_fibre_class`, by merging the equal rows of
         :func:`_fibre_rows`, the rows the counts are folded from at
-        k = n - 1: one per rest point of a table, a few per rest type of a
-        tribes family.  Either way the merged rows, and the digits of every
-        quantity read from them, are the same.
+        k = n - 1.  A table's rows are counted (:func:`_counted_fibres`)
+        when its key space, ``len(rest_types)`` outputs^q, is no larger
+        than its q^(n-1) rows; other rows, a family's or those of a table
+        with many symbols, are sorted (:func:`_distinct_fibres`).  Either
+        way the merged rows, and every digit read from them, are the same.
         """
-        if self._fibres[k] is None:
-            self._fibres[k] = _distinct_fibres(*_fibre_rows(f, k), self.outputs, len(self.rest_types))
-        return self._fibres[k]
+        key = _fibre_class(f, k)
+        if key not in self._fibres:
+            rest, columns, count = _fibre_rows(f, k)
+            hi, width = self.outputs, len(self.rest_types)
+            if count is None and width * hi**f.q <= rest.size:
+                fibres = _counted_fibres(rest, columns, hi, width)
+            else:
+                fibres = _distinct_fibres(rest, columns, count, hi, width)
+            for arr in fibres:
+                arr.setflags(write=False)
+            self._fibres[key] = fibres
+        return self._fibres[key]
 
     def fibre_expectation(self, f: FunctionSpec, k: int, rows: np.ndarray, g) -> np.ndarray:
         """E over the other n-1 coordinates of g(nonconstant, mean) of f's k-fibre, per measure row.
@@ -300,10 +313,13 @@ class TypeTally:
 
 
 def _distinct_fibres(rest: np.ndarray, columns, count, hi: int, width: int):
-    """Sorted distinct (rest type, pattern) rows, as :meth:`TypeTally.fibre_tally` returns them.
+    """Sorted distinct (rest type, pattern) rows, as :meth:`TypeTally.fibre_tally` returns them, by sorting.
 
     The rows are those of :func:`_fibre_rows`, with rest types below
-    ``width`` and outputs below ``hi``.  Equal rows merge and their counts add.
+    ``width`` and outputs below ``hi``.  Equal rows merge and their counts
+    add.  One int64 key per row is sorted, rest type and then the pattern
+    as q base-hi digits; where that key would overflow int64 (many
+    symbols), whole rows are.
     """
     q = len(columns)
 
@@ -316,17 +332,40 @@ def _distinct_fibres(rest: np.ndarray, columns, count, hi: int, width: int):
         return found, total
 
     if width * hi**q <= _KEY_LIMIT:
-        # One int64 key per row: rest type, then the pattern as q base-hi digits.
         key = rest.astype(np.int64)
         for col in columns:
             key = key * hi + col
-        keys, total = distinct(key)
-        rest, code = np.divmod(keys, hi**q)
-        patterns = (code[:, None] // hi ** np.arange(q - 1, -1, -1)) % hi
-    else:
-        # The key would overflow int64 (many symbols): sort whole rows.
-        pairs, total = distinct(np.column_stack([rest, *columns]), axis=0)
-        rest, patterns = pairs[:, 0].astype(np.int64), pairs[:, 1:]
+        return _keyed_fibres(*distinct(key), hi, q)
+    pairs, total = distinct(np.stack([rest, *columns], axis=-1).reshape(-1, q + 1), axis=0)
+    return _fibre_arrays(pairs[:, 0].astype(np.int64), pairs[:, 1:], total)
+
+
+def _counted_fibres(rest: np.ndarray, columns, hi: int, width: int):
+    """Sorted distinct (rest type, pattern) rows of a table, as :func:`_distinct_fibres` gives them, by counting.
+
+    A row's key, rest * hi^q + sum_v p_v hi^(q-1-v), is formed in place
+    in one int32 array, by Horner's rule over the column views; one
+    ``bincount`` over the width * hi^q keys merges the rows, and its
+    nonzero keys come out sorted.  The caller takes this path only when
+    width * hi^q is at most the q^(n-1) rows, which the cap keeps inside
+    int32.
+    """
+    key = np.array(rest, dtype=np.int32)
+    for col in columns:
+        key *= hi
+        key += col
+    seen = np.bincount(key.reshape(-1), minlength=width * hi ** len(columns))
+    keys = np.flatnonzero(seen)
+    return _keyed_fibres(keys, seen[keys], hi, len(columns))
+
+
+def _keyed_fibres(keys: np.ndarray, total: np.ndarray, hi: int, q: int):
+    """The fibre arrays of sorted distinct int64 keys rest * hi^q + sum_v p_v hi^(q-1-v), each ``total`` rows."""
+    rest, code = np.divmod(keys, hi**q)
+    return _fibre_arrays(rest, (code[:, None] // hi ** np.arange(q - 1, -1, -1)) % hi, total)
+
+
+def _fibre_arrays(rest: np.ndarray, patterns: np.ndarray, total: np.ndarray):
     return rest, patterns.astype(float), total, patterns.min(axis=1) != patterns.max(axis=1)
 
 
@@ -336,14 +375,16 @@ def _fibre_rows(f: FunctionSpec, k: int):
     Row i has rest type ``rest[i]``, a row of ``_types(q, n - 1)``, and
     pattern ``columns[v][i]`` (v < q), the output of f with coordinate k set
     to v; it stands for ``count[i]`` rest points, or for one when ``count``
-    is None.  A table gives one row per rest point, in lexicographic order
-    (:func:`_type_steps`); a tribes family a few rows per rest type, counted
-    from its blocks (:func:`_tribes_fibres`).
+    is None.  ``rest`` and the columns are arrays of one shape, indexed
+    alike.  A table gives one row per rest point, in lexicographic order
+    (:func:`_type_steps`), as (q^k, q^(n-1-k)) views of its type ids and of
+    its values, with no copy; a tribes family gives a few rows per rest
+    type, counted from its blocks (:func:`_tribes_fibres`), as 1-D arrays.
     """
     if f.family is not None:
         return _tribes_fibres(f, k)
     cube = f.table.reshape(f.q**k, f.q, -1)
-    return _type_steps(f.q, f.n), [cube[:, v, :].reshape(-1) for v in range(f.q)], None
+    return _type_steps(f.q, f.n).reshape(f.q**k, -1), [cube[:, v, :] for v in range(f.q)], None
 
 
 def _live(size: int) -> list:
@@ -375,6 +416,22 @@ def _multinomials(q: int, n: int):
     return m, size, (at, symbol, share)
 
 
+def _fibre_class(f: FunctionSpec, k: int):
+    """The key :meth:`TypeTally.fibre_tally` keeps the coordinate-k fibres of f under.
+
+    A table's is k.  A tribes family's fibres read k only through this
+    class, as :func:`_tribes_fibres` shows: ``("first", j)`` for the j-th
+    coordinate of the first block, and ``("size", s)`` for a coordinate of
+    any later block, of size s, whatever its place in it.  So a family has
+    at most r + 2 fibre tallies, whatever n is.
+    """
+    if f.family is None:
+        return k
+    fam = f.family
+    block = min(k // fam.r, fam.m - 1)
+    return ("first", k) if block == 0 else ("size", fam.r if block < fam.m - 1 else fam.last)
+
+
 def _tribes_fibres(f: FunctionSpec, k: int):
     """The coordinate-k fibres of a tribes view, counted from its blocks with no enumeration.
 
@@ -391,24 +448,27 @@ def _tribes_fibres(f: FunctionSpec, k: int):
     times one of z^(s-1), ((1 + z)^j - z^j) (1 + z)^(s-1-j) and
     z^j ((1 + z)^(s-1-j) - z^(s-1-j)), in exact integers.  The product over
     B' != B is formed once, and each class convolves its factors onto it.
-    sigma = b takes the share M c_b / K of the symbol assignments
-    (:func:`_multinomials`).  An indicator view maps each pattern through
+    So k is read only through j in the first block and s elsewhere, its
+    :func:`_fibre_class`.  sigma = b takes the share M c_b / K of the
+    symbol assignments (:func:`_multinomials`).  An indicator view maps each pattern through
     ``== b``.  Returns ``(rest, columns, count)`` as :func:`_fibre_rows`
     does: one row per class, rest type and sigma with a positive count,
     where equal rows may repeat.  Each count counts points, at most q^n,
     so int64 holds it exactly.
     """
     fam, q, n = f.family, f.q, f.n
+    where, place = _fibre_class(f, k)  # all that is read of k
+    first = where == "first"
     sizes = [fam.r] * (fam.m - 1) + [fam.last]
-    block = min(k // fam.r, fam.m - 1)
-    s, j, first = sizes[block], k - block * fam.r, block == 0
+    s = sizes[0] if first else place  # the size of B
+    sizes.remove(s)  # leaves the blocks B' != B: whichever block of size s goes, their product is the same
     c0 = _types(q, n - 1)[:, 0]
 
     def ones(e: int) -> list:  # (1 + z)^e
         return [math.comb(e, i) for i in range(e + 1)]
 
     others = np.ones(1, dtype=object)  # coefficients in z, z^0 first, as exact integers
-    for size in sizes[:block] + sizes[block + 1:]:
+    for size in sizes:
         others = np.convolve(others, np.array(_live(size), dtype=object))
 
     def zero_sets(*factors) -> np.ndarray:  # with no other block all zero, at each rest type's c0
@@ -418,6 +478,7 @@ def _tribes_fibres(f: FunctionSpec, k: int):
         return np.array(poly.tolist() + [0] * (n - len(poly)), dtype=np.int64)[c0]
 
     if first:  # before: a nonzero among the j coordinates of B ahead of k
+        j = place
         before, neither = [_live(j), ones(s - 1 - j)], [[0] * j + [1], _live(s - 1 - j)]
     else:  # before: always, behind the first block's nonzero
         before, neither = [_live(s - 1)], [[0]]

@@ -8,6 +8,11 @@ covering-relation check) and records every comparison into the recorder it
 is given.  :func:`run_suites` is the harness: it names, times and collects
 the suites, one :class:`SuiteResult` each.  The CLI exposes the suites
 behind ``verify``; the acceptance tests run them at pinned tolerances.
+
+Each answer is one fresh process, which compiles every module it imports
+where bytecode is not cached.  So each suite imports the influence and
+threshold names it reads inside its function: ``verify --suite closed``
+compiles neither module, and ``verify --suite hent`` only the influence one.
 """
 from __future__ import annotations
 
@@ -35,17 +40,7 @@ from .functions import (
     materialize_table,
     random_zero_monotone,
 )
-from .influence import (
-    ent,
-    h_nonconstant,
-    h_paper,
-    h_variance,
-    influence_bkkkl,
-    influence_h,
-    influence_variance,
-)
 from .measures import SimplexMeasure, central_measure, line_rows, second_smallest_atom
-from .threshold import rm_derivative_exact
 
 
 # Step of the finite-difference oracle.  Machine epsilon over 2*FD_STEP is
@@ -209,6 +204,8 @@ def suite_rm(rec: _Recorder) -> None:
     must agree to rounding; finite differences of the exact probability must
     agree to ``FD_REL_TOL`` or to their noise floor.
     """
+    from .threshold import rm_derivative_exact
+
     corpus = upset_corpus(3, 3, 20, seed=11)
     bases = full_support_bases(3, 3, seed=12)
     t_grid = (0.0,) + tuple(np.linspace(0.1, 0.9, 9))
@@ -233,6 +230,8 @@ def suite_rm(rec: _Recorder) -> None:
 def suite_single_variable(rec: _Recorder) -> None:
     """n=1 case: identity equals the direct one-coordinate formula and the
     finite-difference oracle on every 0-monotone indicator over [3]."""
+    from .threshold import rm_derivative_exact
+
     monotone = []
     for values in itertools.product((0, 1), repeat=3):
         f = from_table(3, 1, values, kind="indicator")
@@ -306,6 +305,8 @@ def suite_hent(rec: _Recorder) -> None:
     The grid is scanned in blocks of ``_HENT_BLOCK`` points; a failure
     names the first grid point where the gap is least.
     """
+    from .influence import ent, h_paper
+
     lows, low_ts = [], []  # each block's least gap (or first NaN) and where
     for lo in range(0, HENT_GRID_POINTS, _HENT_BLOCK):
         grid = _hent_grid(lo, min(lo + _HENT_BLOCK, HENT_GRID_POINTS))
@@ -384,6 +385,8 @@ def suite_influence(rec: _Recorder) -> None:
     block, so the coordinates of the first block, the first of the second
     and the last one take every path the count has.
     """
+    from .influence import h_nonconstant, h_variance, influence_bkkkl, influence_h, influence_variance
+
     corpus: list[FunctionSpec] = []
     corpus.extend(upset_corpus(3, 2, 3, seed=31))
     corpus.extend(upset_corpus(3, 3, 3, seed=32))

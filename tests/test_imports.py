@@ -103,7 +103,9 @@ def test_each_command_compiles_only_its_modules(tmp_path):
         "region": (["region", *TRIBES, "--a", "0", "--eps", "0.1", "--samples", "10", "--evaluator", "closed",
                     "--seed", "1"], EVAL | {"threshold"}),
         "sweep": (["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024"], EVAL | {"threshold"}),
-        "verify": (["verify", "--suite", "hent"], EVAL | {"threshold", "influence", "verification"}),
+        "verify --suite hent": (["verify", "--suite", "hent"], EVAL | {"influence", "verification"}),
+        "verify --suite closed": (["verify", "--suite", "closed"], EVAL | {"verification"}),
+        "verify": (["verify"], EVAL | {"threshold", "influence", "verification"}),
     }
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 

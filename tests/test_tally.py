@@ -33,6 +33,7 @@ from qthresh.influence import (
     h_paper,
     influence_bkkkl,
     influence_h,
+    influence_profile,
     influence_variance,
     keller_diagnostic,
     phi_k,
@@ -220,6 +221,79 @@ def test_block_fibres_past_int64_keys_equal_the_table_fibres(q, n, r):
             pairs = zip(evaluate.type_tally(g).fibre_tally(g, k), evaluate.type_tally(spec).fibre_tally(spec, k))
             for got, want in pairs:
                 assert got.dtype == want.dtype and np.array_equal(got, want), (g.indicator_of, k)
+
+
+@pytest.mark.parametrize("n, r, counted", [(15, None, [0, 1]), (10, 2, [0, 1, 2]), (7, 2, [0, 1, 2, 4])])
+def test_tribes_fibres_are_counted_once_per_class(monkeypatch, n, r, counted):
+    # A coordinate's fibres read its place in the first block, or else the
+    # size of its block: build_tribes(3, 15, 0.5) has blocks of one (r = 1),
+    # so two classes serve all 15 coordinates; blocks (2, 2, 3) have four.
+    f = build_tribes(3, n, 0.5, r=r)
+    tally = evaluate.type_tally(f)  # its fold reads the last coordinate's rows once, before the count below
+    calls = []
+    original = evaluate._tribes_fibres
+    monkeypatch.setattr(evaluate, "_tribes_fibres", lambda g, k: calls.append(k) or original(g, k))
+    influence_profile(f, central_measure(3), "bkkkl")
+    assert calls == counted
+    shared = {}  # one read-only tally per class, shared by its coordinates
+    for k in range(n):
+        fibres = tally.fibre_tally(f, k)
+        assert shared.setdefault(evaluate._fibre_class(f, k), fibres) is fibres
+        assert not any(arr.flags.writeable for arr in fibres)
+    assert len(shared) == len(calls) == len(counted)
+
+
+@pytest.mark.parametrize("q, n, kind", [(2, 10, "full"), (3, 8, "full"), (3, 8, "indicator"), (4, 5, "full"),
+                                        (4, 5, "indicator"), (5, 4, "full"), (5, 4, "indicator"),
+                                        (3, 12, "full"), (3, 12, "indicator")])
+def test_counted_table_fibres_equal_the_sorted_ones(q, n, kind):
+    # The sort of the same rows is the reference, array for array, dtypes
+    # included; the count is called directly where the tally would sort.
+    rng = np.random.default_rng(10 * q + n)
+    f = from_table(q, n, rng.integers(0, q if kind == "full" else 2, size=q**n), kind=kind)
+    tally = evaluate.type_tally(f)
+    hi, width = tally.outputs, len(tally.rest_types)
+    for k in range(n):
+        rest, columns, count = evaluate._fibre_rows(f, k)
+        want = evaluate._distinct_fibres(rest, columns, count, hi, width)
+        for got in (evaluate._counted_fibres(rest, columns, hi, width), tally.fibre_tally(f, k)):
+            assert len(got) == len(want) == 4
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), k
+
+
+def test_a_table_with_many_symbols_sorts_its_fibres(monkeypatch):
+    # 64 symbols: 64 rest types times 2^64 (or 64^64) patterns are far more keys than the 64 rows of a fibre.
+    def refuse(*args):
+        raise AssertionError("the fibres were counted")
+
+    monkeypatch.setattr(evaluate, "_counted_fibres", refuse)
+    rng = np.random.default_rng(6)
+    for f in (from_table(64, 2, rng.integers(0, 64, size=64 * 64)),
+              from_table(64, 2, rng.integers(0, 2, size=64 * 64), kind="indicator")):
+        tally = evaluate.type_tally(f)
+        for k in range(2):
+            rows = fibre_rows(f, k)
+            rest, patterns, count, nonconstant = tally.fibre_tally(f, k)
+            assert count.sum() == 64 and np.array_equal(np.unique(rows, axis=0), np.unique(patterns, axis=0))
+
+
+def test_table_fibres_are_counted_not_sorted(monkeypatch):
+    # Every fibre tally of a 3^8 upset takes the count: the Keller diagnostic
+    # runs with np.unique refused inside evaluate, and gives the digits of a
+    # fresh spec of the same table after.
+    class NoUnique:
+        def __getattr__(self, name):
+            if name == "unique":
+                raise AssertionError("np.unique called")
+            return getattr(np, name)
+
+    f = random_zero_monotone(3, 8, 0.3, seed=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluate, "np", NoUnique())
+        got = keller_diagnostic(f, central_measure(3))
+    want = keller_diagnostic(from_table(3, 8, f.table, kind="indicator"), central_measure(3))
+    assert (got.max_value, got.ratio) == (want.max_value, want.ratio)
 
 
 def test_tribes_fibre_quantities_never_enumerate(monkeypatch):

@@ -190,24 +190,24 @@ def test_hent_blocks_are_the_linspace_grid():
 def test_suite_hent_sees_a_dip_at_one_grid_point(monkeypatch, where, value):
     blocks = _hent_blocks()
     t_bad = float(blocks[len(blocks) // 2][0] if where == "middle-block-start" else blocks[-1][-2])
-    original = verification.h_paper
+    original = influence.h_paper
 
     def dipped(t):  # value at t_bad alone, where the entropy is positive
         return np.where(t == t_bad, value, original(t))
 
-    monkeypatch.setattr(verification, "h_paper", dipped)
+    monkeypatch.setattr(influence, "h_paper", dipped)
     bad = run_suites(["hent"])[0]
     assert not bad.passed and bad.checks == 2
-    drop = float(verification.ent(t_bad)) - value
+    drop = float(influence.ent(t_bad)) - value
     assert bad.failures == (f"profile drops below entropy by {drop:.3e} at t={t_bad:.6f}",)
 
 
 def test_suite_hent_names_the_first_of_equal_dips(monkeypatch):
     blocks = _hent_blocks()
     first, second = float(blocks[3][100]), float(blocks[20][5])
-    h_paper, ent = verification.h_paper, verification.ent
-    monkeypatch.setattr(verification, "h_paper", lambda t: np.where(np.isin(t, (first, second)), -1.0, h_paper(t)))
-    monkeypatch.setattr(verification, "ent", lambda t: np.where(np.isin(t, (first, second)), 0.0, ent(t)))
+    h_paper, ent = influence.h_paper, influence.ent
+    monkeypatch.setattr(influence, "h_paper", lambda t: np.where(np.isin(t, (first, second)), -1.0, h_paper(t)))
+    monkeypatch.setattr(influence, "ent", lambda t: np.where(np.isin(t, (first, second)), 0.0, ent(t)))
     bad = run_suites(["hent"])[0]
     assert bad.failures == (f"profile drops below entropy by 1.000e+00 at t={first:.6f}",)
 
@@ -240,8 +240,8 @@ def _odd_rows_lowered(probabilities):
     pytest.param("alpha", verification, "second_smallest_atom",
                  lambda atom: lambda mu: 2.0 * atom(mu), id="alpha"),
     # h_paper at half strength still dominates the entropy; at 0.4 it does not.
-    pytest.param("hent", verification, "h_paper", lambda h: lambda t: 0.4 * h(t), id="hent"),
-    pytest.param("influence", verification, "influence_variance",
+    pytest.param("hent", influence, "h_paper", lambda h: lambda t: 0.4 * h(t), id="hent"),
+    pytest.param("influence", influence, "influence_variance",
                  lambda var: lambda f, mu, k: var(f, mu, k) + 1e-9, id="influence"),
     # An alternating +-1e-9 hides under the rise of one grid step; a 10% dip does not.
     pytest.param("coupling", TypeTally, "probabilities", _odd_rows_lowered, id="coupling"),
