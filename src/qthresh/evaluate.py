@@ -4,7 +4,8 @@ Three routes to Pr[f(x) = a] when the n coordinates are iid from a simplex
 measure: an exact type-class tally, a closed-form product for the tribes
 family, and Monte Carlo via CDF inversion of the measure.  The routes are
 deliberately independent so they can cross-check each other, and they share
-one input contract, :func:`check_measures`.
+one input contract, :func:`check_measures`; a deterministic route's line
+probe checks the line instead (:func:`check_line`).
 
 The exact route rests on one fact: under mu^n the weight of a point depends
 only on its type, the vector c of symbol counts, so
@@ -60,7 +61,7 @@ from .functions import (
     level_symbol,
     tribes_values,
 )
-from .measures import ATOM_SUM_TOL, SimplexMeasure, derivative_ts, require_zero_face, row_sums, sums_to_one
+from .measures import ATOM_SUM_TOL, SimplexMeasure, derivative_ts, line_rows, require_zero_face, row_sums, sums_to_one
 
 # Largest fibre key (rest type and pattern digits) that stays inside int64.
 _KEY_LIMIT = 2**62
@@ -94,11 +95,7 @@ class Estimate:
     def __post_init__(self) -> None:
         if self.method not in (METHOD_EXACT, METHOD_CLOSED, METHOD_MC):
             raise ValueError(f"unknown method {self.method!r}")
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError(f"expected one value per row, got shape {values.shape}")
-        if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails too
-            raise ValueError("estimates must lie in [0, 1]")
+        values = check_values(self.values)
         std = np.asarray(self.std_errors, dtype=float)  # checked before broadcasting: a 0 is one scalar
         if std.size and not std.min() >= 0.0:
             raise ValueError("std_errors must be nonnegative")
@@ -109,6 +106,16 @@ class Estimate:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def check_values(values) -> np.ndarray:
+    """Probabilities as a 1-D float array, each in [0, 1]: the one output check of every route."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"expected one value per row, got shape {values.shape}")
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails too
+        raise ValueError("estimates must lie in [0, 1]")
+    return values
 
 
 def binomial_std_error(hits, samples: int):
@@ -511,12 +518,12 @@ def type_tally(f: FunctionSpec) -> TypeTally:
     the build, for tables and families alike; a tally that exists already
     passed it.  A family's rows need no table; the cap still bounds the
     number of types they are counted and summed over.  It bounds the
-    tally's cells too, one weight per symbol of every type
-    (:meth:`ExactEvaluator.row_cells`), which outgrow q^n at large q.
+    tally's cells too, one weight per symbol of every type,
+    C(n+q-1, q-1) q, which outgrow q^n at large q.
     """
     if f not in _TALLIES:
         check_cap(f.q, f.n)
-        if (cells := ExactEvaluator().row_cells(f)) > DEFAULT_CAP:
+        if (cells := math.comb(f.n + f.q - 1, f.q - 1) * f.q) > DEFAULT_CAP:
             raise CapExceededError(f"the type tally of q={f.q}, n={f.n} has {cells} cells, "
                                    f"past the enumeration cap {DEFAULT_CAP}")
         _TALLIES[f] = TypeTally(f)
@@ -539,6 +546,19 @@ def check_measures(f: FunctionSpec, measures, a: int) -> np.ndarray:
                               and sums_to_one(row_sums(measures))):
         raise ValueError(f"each measure row must be atoms in [0, 1] summing to 1 within {ATOM_SUM_TOL}")
     return measures
+
+
+def check_line(f: FunctionSpec, a: int, base: SimplexMeasure, ts) -> np.ndarray:
+    """The rows of a deterministic route's ``line``, checked once, with f's q and output a as in :func:`check_measures`.
+
+    ``line_rows`` checks the zero face and every t, and its rows are not
+    checked again: a base that ``SimplexMeasure`` takes with its atom sum
+    1e-12 off can give rows near t = 0 whose sum is further off.
+    """
+    rows = line_rows(base, ts)
+    check_measure_q(f, base.q)
+    check_output(f, a)
+    return rows
 
 
 def bernstein_derivative(f: FunctionSpec, base: SimplexMeasure, ts) -> np.ndarray:
@@ -622,21 +642,17 @@ def variance_of_indicator(f: FunctionSpec, rows) -> np.ndarray:
 class Evaluator:
     """One route to Pr[f = a] under product measures.
 
-    A route implements only ``batch(f, measures, a)``: one row of an (m, q)
+    A route implements ``batch(f, measures, a)``: one row of an (m, q)
     matrix of measures in, one row of an :class:`Estimate` out.  One
-    measure is a one-row batch.
+    measure is a one-row batch.  A deterministic route also implements
+    ``line(f, a, base, ts)``: the values of the same kernel along the line
+    t delta_0 + (1-t) base, equal to ``batch(f, line_rows(base, ts),
+    a).values`` bit for bit, with the rows checked once (:func:`check_line`).
+    Monte Carlo answers a line with ``switching_times`` instead.
     """
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         raise NotImplementedError
-
-    def row_cells(self, f: FunctionSpec) -> float:
-        """The work of one batch row for f, in cells, weighed against one call.
-
-        A route that does not state it is taken to cost more per row than
-        a call, so a search asks it one row at a time.
-        """
-        return math.inf
 
 
 class ExactEvaluator(Evaluator):
@@ -644,13 +660,15 @@ class ExactEvaluator(Evaluator):
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
         measures = check_measures(f, measures, a)
-        # A sum of nonnegative terms; rounding can only overshoot 1.
-        values = np.minimum(type_tally(f).probabilities(measures, a), 1.0)
-        return Estimate(values, 0.0, METHOD_EXACT, f.size)
+        return Estimate(_exact_values(f, measures, a), 0.0, METHOD_EXACT, f.size)
 
-    def row_cells(self, f: FunctionSpec) -> int:
-        """One weight per symbol of every type: C(n+q-1, q-1) q."""
-        return math.comb(f.n + f.q - 1, f.q - 1) * f.q
+    def line(self, f: FunctionSpec, a: int, base: SimplexMeasure, ts) -> np.ndarray:
+        return check_values(_exact_values(f, check_line(f, a, base, ts), a))
+
+
+def _exact_values(f: FunctionSpec, measures: np.ndarray, a: int) -> np.ndarray:
+    # A sum of nonnegative terms; rounding can only overshoot 1.
+    return np.minimum(type_tally(f).probabilities(measures, a), 1.0)
 
 
 class ClosedFormEvaluator(Evaluator):
@@ -672,22 +690,28 @@ class ClosedFormEvaluator(Evaluator):
     """
 
     def batch(self, f: FunctionSpec, measures, a: int) -> Estimate:
-        if f.family is None:
-            raise ValueError("closed form requires a tribes family function")
-        measures = check_measures(f, measures, a)
-        b, complement = level_symbol(f, a)
-        log_alive = _tribes_log_alive(f.family, measures[:, 0])
-        if b == 0:  # 0 - expm1: no -0.0 where L = 0
-            values = np.exp(log_alive) if complement else 0.0 - np.expm1(log_alive)
-        else:
-            rest = row_sums(measures[:, 1:])  # mu_1 + ... + mu_{q-1}
-            values = np.exp(log_alive) * np.divide(measures[:, b], rest, out=np.zeros(len(rest)), where=rest > 0)
-            if complement:
-                values = 1.0 - values
-        return Estimate(values, 0.0, METHOD_CLOSED, 0)
+        _require_family(f)
+        return Estimate(_closed_values(f, check_measures(f, measures, a), a), 0.0, METHOD_CLOSED, 0)
 
-    def row_cells(self, f: FunctionSpec) -> int:
-        return 1
+    def line(self, f: FunctionSpec, a: int, base: SimplexMeasure, ts) -> np.ndarray:
+        rows = check_line(f, a, base, ts)
+        _require_family(f)
+        return check_values(_closed_values(f, rows, a))
+
+
+def _require_family(f: FunctionSpec) -> None:
+    if f.family is None:
+        raise ValueError("closed form requires a tribes family function")
+
+
+def _closed_values(f: FunctionSpec, measures: np.ndarray, a: int) -> np.ndarray:
+    b, complement = level_symbol(f, a)
+    log_alive = _tribes_log_alive(f.family, measures[:, 0])
+    if b == 0:  # 0 - expm1: no -0.0 where L = 0
+        return np.exp(log_alive) if complement else 0.0 - np.expm1(log_alive)
+    rest = row_sums(measures[:, 1:])  # mu_1 + ... + mu_{q-1}
+    values = np.exp(log_alive) * np.divide(measures[:, b], rest, out=np.zeros(len(rest)), where=rest > 0)
+    return 1.0 - values if complement else values
 
 
 class MonteCarloEvaluator(Evaluator):

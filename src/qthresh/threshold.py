@@ -46,9 +46,7 @@ METHOD_BISECTION = "bisection"
 METHOD_GRID_SCAN = "grid-scan"
 METHOD_MC_BISECTION = "mc-bisection"
 
-_GRID_POINTS = 101  # the deterministic route's monotonicity check, one batch
-_MAX_DEPTH = 5  # bisection steps one batch may look ahead: 31 rows
-_LOOKAHEAD_CELLS = 2**13  # look-ahead row cells per batch; past this the rows cost more than the calls they save
+_GRID_POINTS = 101  # the deterministic route's monotonicity check, one line call
 _MC_T_TOL = 1e-4
 _DKW_DELTA = 0.05
 _MONOTONE_SLACK = 1e-12  # rounding may dip a monotone probe profile by this much
@@ -157,46 +155,24 @@ def _midpoint(lo: float, hi: float, t_tol: float) -> float | None:
     return mid if hi - lo > t_tol and lo < mid < hi else None
 
 
-def _probe_tree(lo: float, hi: float, t_tol: float, depth: int) -> list[float]:
-    """Every midpoint the next ``depth`` steps of a bisection on [lo, hi] can probe.
+def _bisect_increasing(values, targets: list[float], t_tol: float) -> list[float]:
+    """Where a nondecreasing curve on [0, 1] crosses each target, bisected to t_tol in lock step.
 
-    Level by level, each by :func:`_midpoint`: at most 2^depth - 1 points.
+    Invariant per target: P(lo) < target <= P(hi), from [lo, hi] = [0, 1].
+    Each step is one call of ``values(ts)``, P at the midpoint
+    (:func:`_midpoint`) of every bisection still running: at most one row
+    per target.  A row's value does not depend on the others in its call,
+    so each crossing probes, and returns, the floats of a loop that
+    bisects it alone, one row per step.
     """
-    ts, intervals = [], [(lo, hi)]
-    for _ in range(depth):
-        below = []
-        for a, b in intervals:
-            if (mid := _midpoint(a, b, t_tol)) is not None:
-                ts.append(mid)
-                below += [(a, mid), (mid, b)]
-        intervals = below
-    return ts
-
-
-def _bisect_increasing(values, target: float, lo: float, hi: float, t_tol: float, depth: int) -> float:
-    """Where a nondecreasing curve crosses target, bisected to t_tol.
-
-    Invariant: P(lo) < target <= P(hi).  ``values(ts)`` returns P at a list
-    of positions in one batch.  When the next midpoint is not yet known,
-    one batch evaluates every midpoint the next ``depth`` steps can probe
-    (:func:`_probe_tree`), so the loop probes the same floats, and returns
-    the same crossing, at every depth; depth 1 is one row per step.
-    """
-    known: dict[float, float] = {}
-    while (mid := _midpoint(lo, hi, t_tol)) is not None:
-        if mid not in known:
-            ts = _probe_tree(lo, hi, t_tol, depth)
-            known.update(zip(ts, values(ts)))
-        if known[mid] < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _probe_depth(row_cells: float) -> int:
-    """The deepest probe tree, up to _MAX_DEPTH levels, whose rows fit _LOOKAHEAD_CELLS."""
-    return max((d for d in range(1, _MAX_DEPTH + 1) if (2**d - 1) * row_cells <= _LOOKAHEAD_CELLS), default=1)
+    lo, hi = [0.0] * len(targets), [1.0] * len(targets)
+    while steps := [(i, mid) for i in range(len(targets)) if (mid := _midpoint(lo[i], hi[i], t_tol)) is not None]:
+        for (i, mid), p in zip(steps, values([mid for _, mid in steps])):
+            if p < targets[i]:
+                lo[i] = mid
+            else:
+                hi[i] = mid
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
 def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, t_tol: float) -> ThresholdReport:
@@ -221,20 +197,20 @@ def _grid_scan_report(grid: np.ndarray, vals: np.ndarray, eps: float, t_tol: flo
                            grid_points=len(grid), t_tol=t_tol, lo_absent=t_lo is None, hi_absent=t_hi is None)
 
 
-def _crossing_report(eps, p_start, p_end, crossing, method, grid_points, t_tol) -> ThresholdReport:
+def _crossing_report(eps, p_start, p_end, crossings, method, grid_points, t_tol) -> ThresholdReport:
     """Report of a nondecreasing curve from p_start to p_end.
 
-    ``crossing(target)`` locates where the curve passes target.  A crossing
-    the curve never makes is absent, and the width then counts only the
-    achieved stretch of [eps, 1 - eps].
+    ``crossings(targets)`` locates where the curve passes each target, all
+    in one call.  A crossing the curve never makes is absent, and the width
+    then counts only the achieved stretch of [eps, 1 - eps].
     """
     t_lo = t_hi = None
     width = 0.0
     if eps <= p_end and p_start <= 1.0 - eps:
-        if p_start < eps:
-            t_lo = crossing(eps)
-        if p_end > 1.0 - eps:
-            t_hi = crossing(1.0 - eps)
+        find_lo, find_hi = p_start < eps, p_end > 1.0 - eps
+        found = iter(crossings([eps] * find_lo + [1.0 - eps] * find_hi))
+        t_lo = next(found) if find_lo else None
+        t_hi = next(found) if find_hi else None
         width = max(0.0, (1.0 if t_hi is None else t_hi) - (0.0 if t_lo is None else t_lo))
     return ThresholdReport(eps=eps, t_lo=t_lo, t_hi=t_hi, width=width, method=method,
                            grid_points=grid_points, t_tol=t_tol, lo_absent=t_lo is None, hi_absent=t_hi is None)
@@ -242,18 +218,17 @@ def _crossing_report(eps, p_start, p_end, crossing, method, grid_points, t_tol) 
 
 def _line_width_deterministic(f, base, a, eps, evaluator, t_tol):
     def values(ts) -> np.ndarray:
-        return evaluator.batch(f, line_rows(base, ts), a).values
+        return evaluator.line(f, a, base, ts)
 
     grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     vals = values(grid)
     if np.any(np.diff(vals) < -_MONOTONE_SLACK):
         return _grid_scan_report(grid, vals, eps, t_tol)
-    depth = _probe_depth(evaluator.row_cells(f))
 
-    def crossing(target: float) -> float:
-        return _bisect_increasing(values, target, 0.0, 1.0, t_tol, depth)
+    def crossings(targets: list[float]) -> list[float]:
+        return _bisect_increasing(values, targets, t_tol)
 
-    return _crossing_report(eps, float(vals[0]), float(vals[-1]), crossing, METHOD_BISECTION, _GRID_POINTS, t_tol)
+    return _crossing_report(eps, float(vals[0]), float(vals[-1]), crossings, METHOD_BISECTION, _GRID_POINTS, t_tol)
 
 
 def _dkw_samples(eps: float) -> int:
@@ -282,10 +257,10 @@ def _line_width_mc(f, base, a, eps, evaluator, t_tol):
     T, start, end = evaluator.switching_times(f, a, base, samples)
     T.sort()
 
-    def crossing(target: float) -> float:
-        return float(T[math.ceil(target * samples) - 1])
+    def crossings(targets: list[float]) -> list[float]:
+        return [float(T[math.ceil(target * samples) - 1]) for target in targets]
 
-    return _crossing_report(eps, float(start.mean()), float(end.mean()), crossing, METHOD_MC_BISECTION, 0, t_tol)
+    return _crossing_report(eps, float(start.mean()), float(end.mean()), crossings, METHOD_MC_BISECTION, 0, t_tol)
 
 
 def line_width(
@@ -299,13 +274,13 @@ def line_width(
 ) -> ThresholdReport:
     """Threshold width of Pr[f = a] along the line from base toward delta_0.
 
-    A deterministic evaluator gets a monotonicity check on a 101-point
-    grid, one batch, and then bisection to ``t_tol``; a visibly non-monotone
-    probe profile falls back to a grid scan of the band.  The bisection
-    asks for the midpoints of up to 5 steps in one batch, as many as
-    ``evaluator.row_cells(f)`` lets fit 2^13 cells
-    (:func:`_bisect_increasing`), and returns the same floats as one row
-    per step.  A :class:`~qthresh.evaluate.MonteCarloEvaluator` returns the
+    A deterministic evaluator is read through ``evaluator.line(f, a, base,
+    ts)``, which checks the line once.  It gets a monotonicity check on a
+    101-point grid, one call, and then bisection to ``t_tol``; a visibly
+    non-monotone probe profile falls back to a grid scan of the band.  Both
+    crossings are bisected in lock step, one call of at most 2 rows per
+    step (:func:`_bisect_increasing`), with the floats of one row per step.
+    A :class:`~qthresh.evaluate.MonteCarloEvaluator` returns the
     switching times of one coupled sample of the whole line, and the
     crossings are their quantiles (:func:`_line_width_mc`); it takes only
     0-monotone levels, and its reported ``t_tol`` is at least 1e-4.

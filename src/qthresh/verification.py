@@ -56,7 +56,7 @@ FD_REL_TOL = 1e-6  # finite differences against the identity on random upsets
 SINGLE_VARIABLE_REL_TOL = 1e-8  # the n = 1 identity against its direct formula and finite differences
 HENT_GRID_POINTS = 10**6 + 1  # where suite_hent compares h_paper with entropy
 _HENT_BLOCK = 2**15  # grid points suite_hent evaluates at a time
-_KEEP_FAILURES = 12  # failure messages a suite keeps; it counts them all
+_KEEP_FAILURES = 12  # failure messages a suite keeps; at least 1, since a kept one marks the suite failed
 _BASE_SPREAD = 0.5  # full_support_bases draws each atom weight in 1 +- this
 
 
@@ -76,19 +76,16 @@ class SuiteResult:
 
 
 class _Recorder:
-    """Counts comparisons and keeps the first few failure messages."""
+    """Counts comparisons and keeps the first few failure messages: a suite failed when it kept one."""
 
     def __init__(self):
         self.checks = 0
-        self.failed = False
         self.failures: list[str] = []
 
     def record(self, ok: bool, message: str) -> None:
         self.checks += 1
-        if not ok:
-            self.failed = True
-            if len(self.failures) < _KEEP_FAILURES:
-                self.failures.append(message)
+        if not ok and len(self.failures) < _KEEP_FAILURES:
+            self.failures.append(message)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +465,6 @@ def run_suites(names: Iterable[str] | None = None) -> list[SuiteResult]:
         started = time.perf_counter()
         rec = _Recorder()
         SUITE_BUILDERS[name](rec)
-        results.append(SuiteResult(name=name, passed=not rec.failed, checks=rec.checks,
+        results.append(SuiteResult(name=name, passed=not rec.failures, checks=rec.checks,
                                    failures=tuple(rec.failures), seconds=time.perf_counter() - started))
     return results

@@ -431,6 +431,24 @@ def test_width_custom_base_measure(capsys):
     assert float(out.strip().split("\n")[1].split(",")[8]) > 0
 
 
+@pytest.mark.parametrize("evaluator", ["exact", "closed"])
+def test_width_on_a_base_at_the_sum_tolerance_bisects_both_crossings(evaluator, capsys):
+    # The base's atoms sum to 1 + 0.99987e-12, which --mu accepts; line rows
+    # near t = 1e-11, where t_lo lies, sum further off.  The line's rows are
+    # checked once, when they are built, so no probe refuses one mid-search.
+    code, out, err = run(
+        ["width", "--family", "tribes", "--q", "3", "--n", "10", "--p0", "0.5", "--r", "1",
+         "--mu", "0,0.71958261879600915,0.28041738120499077", "--a", "0", "--eps", "1e-7", "--t-tol", "1e-300",
+         "--evaluator", evaluator],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    header, row = csv.reader(io.StringIO(out))
+    row = dict(zip(header, row))
+    assert row["method"] == "bisection" and row["lo_absent"] == row["hi_absent"] == "false"
+    assert 0.0 < float(row["t_lo"]) < 1e-7 < float(row["t_hi"]) < 1.0
+
+
 # ---------------------------------------------------------------------------
 # region
 

@@ -33,6 +33,7 @@ from qthresh.functions import (
     random_zero_monotone,
 )
 from qthresh.measures import ATOM_SUM_TOL, SimplexMeasure, central_measure, line_rows, sample_uniform_batch
+from qthresh.threshold import line_width
 
 
 HALF_QUARTER = SimplexMeasure((0.5, 0.25, 0.25))
@@ -473,6 +474,102 @@ def test_every_route_rejects_what_the_contract_rejects(route, row, a):
     with pytest.raises(ValueError):
         ev.batch(ZERO_VIEW, np.stack([good, np.array(row)]), a)  # the bad row is not row 0
     assert getattr(ev, "calls", None) == calls  # a rejected batch takes no MC stream
+
+
+# ---------------------------------------------------------------------------
+# Line probes: the batch kernel along a line, its rows checked once
+
+
+@st.composite
+def line_cases(draw):
+    """(f, a, base, ts): a table or tribes family at q = 2..5 or one of its
+    indicator views, read at any output (a = 0 of a view is its complement),
+    a zero-face base, and ts that include 0 and 1."""
+    q = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=1, max_value={2: 8, 3: 6}.get(q, 4)))
+    if draw(st.booleans()):
+        f = build_tribes(q, n, 0.5, r=draw(st.integers(min_value=1, max_value=n)))
+    else:
+        f = from_table(q, n, np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, q, q**n))
+    view = draw(st.sampled_from([None, *range(q)]))
+    g = f if view is None else indicator(f, view)
+    a = draw(st.integers(min_value=0, max_value=g.outputs - 1))
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=q - 1, max_size=q - 1))
+    assume(math.fsum(weights) > 0.0)
+    ts = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6)) + [0.0, 1.0]
+    return g, a, SimplexMeasure.normalized([0.0, *weights]), draw(st.permutations(ts))
+
+
+@given(line_cases())
+@settings(max_examples=200, deadline=None)
+def test_line_equals_the_batch_of_its_rows_bit_for_bit(case):
+    g, a, base, ts = case
+    for ev in (EXACT, ClosedFormEvaluator()) if g.family is not None else (EXACT,):
+        got = ev.line(g, a, base, ts)
+        assert got.dtype == np.float64
+        assert got.tobytes() == ev.batch(g, line_rows(base, ts), a).values.tobytes()
+
+
+# SimplexMeasure takes it (its atoms sum to 1 + 0.99987e-12), but the line row
+# at t = 1e-13 sums to 1 + 1.00009e-12, which a batch refuses.
+EDGE_BASE = SimplexMeasure((0.0, 0.71958261879600915, 0.28041738120499077))
+
+
+def test_line_answers_where_a_batch_of_its_rows_is_refused():
+    rows = line_rows(EDGE_BASE, [1e-13])
+    with pytest.raises(ValueError, match="summing to 1 within 1e-12"):
+        check_measures(ZERO_VIEW, rows, 1)
+    exact, closed = (ev.line(ZERO_VIEW, 1, EDGE_BASE, [1e-13])[0] for ev in (EXACT, ClosedFormEvaluator()))
+    assert exact == pytest.approx(closed, rel=1e-12) and exact == pytest.approx(3e-26, rel=1e-9)  # 3 blocks, t^2 each
+
+
+@given(st.integers(min_value=2, max_value=5), st.data())
+@settings(max_examples=300, deadline=None)
+def test_line_answers_on_every_base_at_the_sum_tolerance(q, data):
+    # Zero-face atoms scaled to sum within 2e-4 tolerances of 1 +- ATOM_SUM_TOL;
+    # t anywhere in [0, 1], or below 1e-10, where a row's sum is nearest the base's.
+    weights = data.draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=q - 1, max_size=q - 1))
+    side = data.draw(st.sampled_from((-1.0, 1.0)))
+    nudge = data.draw(st.floats(min_value=-2e-4, max_value=2e-4))
+    target = 1.0 + side * ATOM_SUM_TOL * (1.0 + nudge)
+    try:
+        base = SimplexMeasure((0.0, *(w / math.fsum(weights) * target for w in weights)))
+    except ValueError:
+        assume(False)
+    t = data.draw(st.one_of(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1e-10)))
+    g = indicator(build_tribes(q, 4, 0.5, r=2), 0)
+    for ev in (EXACT, ClosedFormEvaluator()):
+        for a in (0, 1):
+            assert 0.0 <= ev.line(g, a, base, [t])[0] <= 1.0
+
+
+LINE_REFUSALS = {  # (f, a, base): each refused by line_width before any probe, or by the closed route
+    "q4-base": (ZERO_VIEW, 1, SimplexMeasure((0.0, 0.2, 0.3, 0.5))),
+    "off-face": (ZERO_VIEW, 1, HALF_QUARTER),
+    "off-face-q2": (ZERO_VIEW, 1, SimplexMeasure((0.5, 0.5))),
+    "indicator-a2": (ZERO_VIEW, 2, central_measure(3)),
+    "full-a3": (build_tribes(3, 6, 0.5, r=2), 3, central_measure(3)),
+    "q2-base-a3": (build_tribes(3, 6, 0.5, r=2), 3, SimplexMeasure((0.0, 1.0))),
+    "table": (random_zero_monotone(3, 3, 0.4, seed=1), 1, central_measure(3)),
+    "table-a2": (random_zero_monotone(3, 3, 0.4, seed=1), 2, central_measure(3)),
+}
+
+
+@pytest.mark.parametrize("route", ["exact", "closed"])
+@pytest.mark.parametrize("name", sorted(LINE_REFUSALS))
+def test_line_refuses_what_line_width_refuses_with_its_message(route, name):
+    f, a, base = LINE_REFUSALS[name]
+    ev = ROUTES[route]()
+    try:
+        line_width(f, base, a, 0.1, ev)
+    except ValueError as exc:
+        want = str(exc)
+    else:
+        assert (route, name) == ("exact", "table")  # the one pair that is not refused
+        return
+    with pytest.raises(ValueError) as info:
+        ev.line(f, a, base, [0.0, 0.5, 1.0])
+    assert str(info.value) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -9,9 +9,7 @@ import pytest
 import qthresh.evaluate as evaluate
 import qthresh.threshold as threshold
 from qthresh.evaluate import (
-    METHOD_CLOSED,
     ClosedFormEvaluator,
-    Estimate,
     Evaluator,
     ExactEvaluator,
     MonteCarloEvaluator,
@@ -268,11 +266,11 @@ def test_line_width_grid_scan_fallback():
 
 
 class DippingProfile(Evaluator):
-    """Pr at the 101-point grid's point j (t = atom 0): 0 below j = 10, 0.5 to j = 30, 1 to j = 50, then 0.3."""
+    """Pr at the 101-point grid's point j = 100 t: 0 below j = 10, 0.5 to j = 30, 1 to j = 50, then 0.3."""
 
-    def batch(self, f, measures, a):
-        j = np.rint(100.0 * np.asarray(measures)[:, 0]).astype(int)
-        return Estimate(np.select([j < 10, j < 30, j < 50], [0.0, 0.5, 1.0], 0.3), 0.0, METHOD_CLOSED, 0)
+    def line(self, f, a, base, ts):
+        j = np.rint(100.0 * np.asarray(ts)).astype(int)
+        return np.select([j < 10, j < 30, j < 50], [0.0, 0.5, 1.0], 0.3)
 
 
 def test_line_width_grid_scan_sums_flat_cells_by_where_they_sit():
@@ -313,16 +311,16 @@ def test_line_width_refuses_a_base_of_the_wrong_size_on_every_route(f, a, atoms)
 
 
 class ProbeBudget(Evaluator):
-    """Delegates to ``inner`` and fails, instead of hanging, past ``budget`` batches."""
+    """Delegates ``line`` to ``inner`` and fails, instead of hanging, past ``budget`` calls."""
 
     def __init__(self, inner: Evaluator, budget: int):
         self.inner, self.budget = inner, budget
 
-    def batch(self, f, measures, a):
+    def line(self, f, a, base, ts):
         self.budget -= 1
         if self.budget < 0:
             raise RuntimeError("probe budget spent")
-        return self.inner.batch(f, measures, a)
+        return self.inner.line(f, a, base, ts)
 
 
 @pytest.mark.parametrize("evaluator", [EXACT, ClosedFormEvaluator()], ids=["exact", "closed"])
@@ -349,9 +347,9 @@ def scalar_bisect(probe, target, lo, hi, t_tol):
 
 
 def scalar_crossings(f, base, a, eps, evaluator, t_tol):
-    """(t_lo, t_hi) of a nondecreasing level from one-row probes at line points."""
+    """(t_lo, t_hi) of a nondecreasing level from one-row line probes, one crossing at a time."""
     def at(t):
-        return probe(evaluator, f, base, t, a)
+        return evaluator.line(f, a, base, [t])[0]
 
     p_start, p_end = at(0.0), at(1.0)
     assert eps <= p_end and p_start <= 1 - eps
@@ -361,30 +359,24 @@ def scalar_crossings(f, base, a, eps, evaluator, t_tol):
 
 
 class Staircase(Evaluator):
-    """Pr = floor(7 t) / 7 at t = atom 0: flat steps whose edges the bisection must find."""
+    """Pr = floor(7 t) / 7 along the line: flat steps whose edges the bisection must find."""
 
-    def batch(self, f, measures, a):
-        return Estimate(np.floor(7.0 * np.asarray(measures)[:, 0]) / 7.0, 0.0, METHOD_CLOSED, 0)
-
-    def row_cells(self, f):
-        return 1
+    def line(self, f, a, base, ts):
+        return np.floor(7.0 * np.asarray(ts)) / 7.0
 
 
 class Counting(Evaluator):
-    """Delegates to ``inner`` and records the row count of every batch."""
+    """Delegates ``line`` to ``inner`` and records the row count of every call."""
 
     def __init__(self, inner: Evaluator):
         self.inner, self.sizes = inner, []
 
-    def batch(self, f, measures, a):
-        self.sizes.append(len(measures))
-        return self.inner.batch(f, measures, a)
-
-    def row_cells(self, f):
-        return self.inner.row_cells(f)
+    def line(self, f, a, base, ts):
+        self.sizes.append(len(ts))
+        return self.inner.line(f, a, base, ts)
 
 
-BISECTION_CASES = {  # exact rows of 84, 480, 1050 and 1512 cells: look-ahead depths 5, 4, 3 and 2
+BISECTION_CASES = {  # exact rows of 84 to 13728 cells, C(n+q-1, q-1) q: from far cheaper than a call to dearer
     "closed-zero-event": (build_tribes(3, 2**20, 0.5), CENTRAL3, 0, 0.1, ClosedFormEvaluator()),
     "closed-q5-not-1": (indicator(build_tribes(5, 64, 0.5, r=1), 1), SimplexMeasure((0.0, 0.05, 0.2, 0.3, 0.45)),
                         0, 0.01, ClosedFormEvaluator()),
@@ -393,6 +385,9 @@ BISECTION_CASES = {  # exact rows of 84, 480, 1050 and 1512 cells: look-ahead de
     "exact-q4": (build_tribes(4, 7, 0.5, r=2), central_measure(4), 0, 0.05, EXACT),
     "exact-q5": (build_tribes(5, 6, 0.5, r=2), central_measure(5), 0, 0.1, EXACT),
     "exact-q6": (build_tribes(6, 5, 0.5, r=2), central_measure(6), 0, 0.1, EXACT),
+    "exact-q4-n12": (build_tribes(4, 12, 0.5), central_measure(4), 0, 0.1, EXACT),
+    "exact-q5-n10": (build_tribes(5, 10, 0.5), central_measure(5), 0, 0.1, EXACT),
+    "exact-q8-n6": (build_tribes(8, 6, 0.5, r=2), central_measure(8), 0, 0.1, EXACT),
     "staircase": (build_tribes(3, 6, 0.5, r=2), CENTRAL3, 0, 0.1, Staircase()),
 }
 
@@ -406,30 +401,37 @@ def test_batched_bisection_returns_the_scalar_loop_floats(case, t_tol):
     assert (rep.t_lo, rep.t_hi) == scalar_crossings(f, base, a, eps, evaluator, t_tol)
 
 
-def test_closed_width_takes_13_batches_where_one_row_probes_took_61():
-    # 1 grid batch of 101 rows, then per crossing 30 bisection steps in 6
-    # batches of 31 rows: 13 calls and 473 rows, against 1 + 2 * 30 calls.
-    f = build_tribes(3, 2**20, 0.5)
+def scalar_steps(f, base, a, target, evaluator, t_tol):
+    """How many one-row probes the scalar loop takes to bisect one crossing."""
+    steps = []
+
+    def at(t):
+        steps.append(t)
+        return evaluator.line(f, a, base, [t])[0]
+
+    scalar_bisect(at, target, 0.0, 1.0, t_tol)
+    return len(steps)
+
+
+@pytest.mark.parametrize("case, t_tol, calls", [
+    ("two-crossings", 1e-9, [101] + [2] * 30),  # 31 calls and 161 rows
+    ("lo-absent", 1e-9, [101] + [1] * 30),  # Pr[f != 1] starts at 1/2: only t_hi is bisected
+    ("two-crossings", 1e-300, None),  # each stops at adjacent floats, maybe at different steps
+])
+def test_closed_width_bisects_both_crossings_in_lock_step(case, t_tol, calls):
+    # One grid call, then one call per step with one row per crossing still
+    # running: a step holds 2 rows until a crossing stops, and 1 after.
+    f, a = {"two-crossings": (build_tribes(3, 2**20, 0.5), 0),
+            "lo-absent": (indicator(build_tribes(3, 64, 0.5, r=1), 1), 0)}[case]
     counting = Counting(ClosedFormEvaluator())
-    rep = line_width(f, CENTRAL3, 0, 0.1, counting, t_tol=1e-9)
-    assert counting.sizes == [101] + [31] * 12
-    assert rep == line_width(f, CENTRAL3, 0, 0.1, ClosedFormEvaluator(), t_tol=1e-9)
-
-
-def test_a_dear_row_gets_one_row_batches():
-    # An exact row at q = 8, n = 6 weighs 1716 types times 8 symbols, more
-    # than a call costs: the bisection asks one row per step.  A route that
-    # states no row cost is asked the same way.
-    f = build_tribes(8, 6, 0.5, r=2)
-    counting = Counting(EXACT)
-    rep = line_width(f, central_measure(8), 0, 0.1, counting)
-    assert counting.sizes[0] == 101 and set(counting.sizes[1:]) == {1}
-    assert len(counting.sizes) == 1 + 2 * 30
-    assert (rep.t_lo, rep.t_hi) == scalar_crossings(f, central_measure(8), 0, 0.1, EXACT, 1e-9)
-    budget = ProbeBudget(ClosedFormEvaluator(), 1000)
-    assert Evaluator().row_cells(f) == budget.row_cells(f) == math.inf
-    line_width(f, central_measure(8), 0, 0.1, budget)
-    assert budget.budget == 1000 - 61
+    rep = line_width(f, CENTRAL3, a, 0.1, counting, t_tol=t_tol)
+    assert rep == line_width(f, CENTRAL3, a, 0.1, ClosedFormEvaluator(), t_tol=t_tol)
+    assert (rep.t_lo, rep.t_hi) == scalar_crossings(f, CENTRAL3, a, 0.1, ClosedFormEvaluator(), t_tol)
+    steps = [scalar_steps(f, CENTRAL3, a, target, ClosedFormEvaluator(), t_tol)
+             for target, found in ((0.1, rep.t_lo), (0.9, rep.t_hi)) if found is not None]
+    assert counting.sizes == [101] + [sum(k > step for k in steps) for step in range(max(steps))]
+    if calls is not None:
+        assert counting.sizes == calls
 
 
 # ---------------------------------------------------------------------------
