@@ -15,8 +15,10 @@ influence module, ``width``, ``region`` and ``sweep`` the threshold module,
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import csv
+import gc
 import io
 import os
 import sys
@@ -29,6 +31,15 @@ from .functions import CapExceededError, FunctionFileError, FunctionSpec, build_
 from .measures import SimplexMeasure, central_measure
 
 SEED_ENV_VAR = "QTL_SEED"
+
+# When the interpreter exits, every output has been written through its
+# temporary file and closed, and stdout has been flushed.  The cyclic
+# collections that run during interpreter shutdown then only walk the ~22k
+# objects left tracked by the imports, most of them numpy's: about 14 ms of a
+# 132 ms process that imports this module.  Freezing them moves them into the
+# permanent generation, which those collections skip, so the process ends as
+# fast as one that calls os._exit.
+atexit.register(gc.freeze)
 
 # What a command writes: (path, text) pairs, where None or "-" is stdout.
 Outputs = list[tuple[str | None, str]]
@@ -81,7 +92,10 @@ def _write_outputs(outputs: Outputs) -> None:
             with fh:
                 fh.write(text)
         for tmp, path in written:
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         for tmp, _ in written:
             with contextlib.suppress(FileNotFoundError):
@@ -111,6 +125,13 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _output_path(text: str) -> str:
+    """An argparse type: a file to write, or ``-`` for stdout; never empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file or -, got ''")
+    return text
 
 
 def _add_function_args(p: argparse.ArgumentParser) -> None:
@@ -286,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--evaluator", choices=["exact", "closed", "mc"], default="exact")
     p_eval.add_argument("--samples", type=int, default=100000, help="Monte Carlo sample count")
     p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--out", default="-")
+    p_eval.add_argument("--out", type=_output_path, default="-")
     p_eval.set_defaults(func=cmd_eval)
 
     p_infl = sub.add_parser("influence", help="per-coordinate influence profile")
     _add_function_args(p_infl)
     p_infl.add_argument("--mu", action="append", help="measure as comma-separated atoms")
     p_infl.add_argument("--kind", choices=["bkkkl", "variance", "h", "keller"], default="variance")
-    p_infl.add_argument("--out", default="-")
+    p_infl.add_argument("--out", type=_output_path, default="-")
     p_infl.set_defaults(func=cmd_influence)
 
     p_width = sub.add_parser("width", help="threshold width along the line toward delta_0")
@@ -304,10 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_evaluator_args(p_width, default_samples=10000)
     p_width.add_argument("--seed", type=int)
     p_width.add_argument("--t-tol", type=float, default=1e-9, dest="t_tol")
-    p_width.add_argument("--diagnostics", help="also write derivative diagnostics CSV here")
+    p_width.add_argument("--diagnostics", type=_output_path, help="also write derivative diagnostics CSV here")
     p_width.add_argument("--diag-grid", type=_positive_int, default=20, dest="diag_grid",
                          help="diagnostics grid points on [0, 0.95] (at least 1)")
-    p_width.add_argument("--out", default="-")
+    p_width.add_argument("--out", type=_output_path, default="-")
     p_width.set_defaults(func=cmd_width)
 
     p_region = sub.add_parser("region", help="simplex fraction where Pr[f=a] is in the band")
@@ -317,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--samples", type=int, required=True, help="simplex sample count")
     _add_evaluator_args(p_region, default_samples=10000)
     p_region.add_argument("--seed", type=int)
-    p_region.add_argument("--out", default="-")
+    p_region.add_argument("--out", type=_output_path, default="-")
     p_region.set_defaults(func=cmd_region)
 
     p_sweep = sub.add_parser("sweep", help="tribes width scaling across n")
@@ -326,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-list", required=True, dest="n_list",
                          help="comma-separated n values (may be empty)")
     p_sweep.add_argument("--eps", type=float, default=0.1)
-    p_sweep.add_argument("--out", default="-")
-    p_sweep.add_argument("--plot-out", dest="plot_out",
+    p_sweep.add_argument("--out", type=_output_path, default="-")
+    p_sweep.add_argument("--plot-out", type=_output_path, dest="plot_out",
                          help="two-column plot data (default: derived from --out)")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -707,6 +708,40 @@ def test_outputs_naming_one_file_exit_2_and_leave_no_file(tmp_path, capsys, argv
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["eval", *TRIBES4, "--mu", "0.5,0.25,0.25", "--a", "0", "--out", ""], "--out"),
+    (["influence", *TRIBES4, "--level", "0", "--mu", "0.5,0.25,0.25", "--out", ""], "--out"),
+    (["width", *TRIBES4, "--a", "0", "--eps", "0.1", "--out", ""], "--out"),
+    (["width", *TRIBES4, "--level", "0", "--a", "1", "--eps", "0.1", "--diagnostics", "", "--out", "w.csv"],
+     "--diagnostics"),
+    (["region", *TRIBES4, "--a", "0", "--eps", "0.1", "--samples", "10", "--out", ""], "--out"),
+    (["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024", "--out", ""], "--out"),
+    (["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024", "--out", "s.csv", "--plot-out", ""], "--plot-out"),
+    # past the cap, so a command that did any work would exit 1
+    (["eval", "--family", "tribes", "--q", "3", "--n", "16", "--p0", "0.5", "--mu", "0.5,0.25,0.25", "--a", "0",
+      "--out", ""], "--out"),
+], ids=["eval", "influence", "width", "width-diagnostics", "region", "sweep", "sweep-plot", "eval-past-cap"])
+def test_empty_output_path_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"qthresh {argv[0]}: error: argument {option}: must name a file or -, got ''"]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_naming_a_directory_exits_1_and_names_only_the_target(tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    code, out, err = run(["eval", *TRIBES4, "--mu", "0.5,0.25,0.25", "--a", "0", "--out", str(target)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+
 @pytest.mark.parametrize("t_tol, evaluator", [("nan", "exact"), ("inf", "exact"), ("nan", "mc")])
 def test_width_non_finite_t_tol_exits_2_and_leaves_no_file(tmp_path, capsys, t_tol, evaluator):
     out = tmp_path / "w.csv"
@@ -1140,3 +1175,58 @@ def test_pinned_mc_widths_cross_where_the_closed_form_does(name):
         t = float(row[key])
         p, below, above = ClosedFormEvaluator().batch(f, line_rows(central_measure(3), [t, t - h, t + h]), 0).values
         assert abs(p - target) <= 6 * math.sqrt(eps * (1 - eps) / samples) + (above - below) / (2 * h) * t_tol, key
+
+
+# ---------------------------------------------------------------------------
+# a fresh process writes what main writes in this one
+
+
+CONSOLE = "from qthresh.cli import console_main; console_main()"  # the installed entry point; argv from sys.argv
+FRESH = {  # name: (how the interpreter runs qthresh, argv), run in a directory of its own
+    "eval-exact": (["-m", "qthresh.cli"], ["eval", *_tribes(6, "--r", "2"), "--mu", "0.5,0.25,0.25",
+                                           "--mu", "0.2,0.3,0.5", "--a", "0", "--out", "eval.csv"]),
+    "eval-mc-console": (["-c", CONSOLE], ["eval", *_tribes(6), "--mu", "0.5,0.25,0.25", "--a", "0",
+                                          "--evaluator", "mc", "--samples", "2000", "--seed", "7"]),
+    "width-closed": (["-m", "qthresh.cli"], ["width", *_tribes(1024), "--a", "0", "--eps", "0.1",
+                                             "--evaluator", "closed", "--out", "width.csv"]),
+    "width-diagnostics": (["-m", "qthresh.cli"], ["width", *TRIBES4, "--level", "0", "--a", "1", "--eps", "0.1",
+                                                  "--diag-grid", "4", "--diagnostics", "diag.csv"]),
+    "region": (["-m", "qthresh.cli"], ["region", *TRIBES4, "--a", "0", "--eps", "0.1", "--samples", "50",
+                                       "--evaluator", "closed", "--seed", "3", "--out", "region.csv"]),
+    "sweep-plot": (["-m", "qthresh.cli"], ["sweep", "--q", "3", "--p0", "0.5", "--n-list", "1024,4096",
+                                           "--out", "sweep.csv"]),
+    "cap-refusal": (["-m", "qthresh.cli"], ["eval", *_tribes(16), "--mu", "0.5,0.25,0.25", "--a", "0",
+                                            "--out", "cap.csv"]),
+    "bad-mu": (["-m", "qthresh.cli"], ["eval", *TRIBES4, "--mu", "0.5,0.6,0.1", "--a", "0", "--out", "bad.csv"]),
+}
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def fresh_runs(tmp_path_factory):
+    """Exit code, stdout, stderr and output files of each FRESH case, two fresh processes at a time."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def fresh(name):
+        how, argv = FRESH[name]
+        cwd = tmp_path_factory.mktemp(name)
+        proc = subprocess.run([sys.executable, *how, *argv], cwd=cwd, env=env, capture_output=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr, _files(cwd)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(FRESH, pool.map(fresh, FRESH)))
+
+
+@pytest.mark.parametrize("name", FRESH)
+def test_a_fresh_process_writes_what_main_writes(name, fresh_runs, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(FRESH[name][1])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert fresh_runs[name] == (code, captured.out.encode(), captured.err.encode(), _files(tmp_path))

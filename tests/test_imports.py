@@ -119,3 +119,24 @@ def test_each_command_compiles_only_its_modules(tmp_path):
     with ThreadPoolExecutor(max_workers=2) as pool:
         got = dict(zip(cases, pool.map(loaded, [argv for argv, _ in cases.values()])))
     assert got == {name: (0, want) for name, (_, want) in cases.items()}
+
+
+# Registered before the import, so it runs after any exit handler the import registers (they run last in, first out).
+FREEZE_PROBE = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count())); import {}"
+
+
+def test_only_the_entry_module_freezes_the_heap_at_exit():
+    modules = {"cli": "qthresh.cli",
+               "library": "qthresh.evaluate, qthresh.threshold, qthresh.influence, qthresh.verification"}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def frozen_at_exit(names):
+        proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE.format(names)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = dict(zip(modules, pool.map(frozen_at_exit, modules.values())))
+    assert got["cli"] > 0
+    assert got["library"] == 0
