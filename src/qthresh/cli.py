@@ -18,6 +18,7 @@ import argparse
 import atexit
 import contextlib
 import csv
+import errno
 import gc
 import io
 import os
@@ -70,7 +71,10 @@ def _write_outputs(outputs: Outputs) -> None:
     Each file is written to a temporary file beside it, and the temporary
     files replace their targets only once all of them are written, so a
     command that fails leaves no output file behind.  Two outputs that
-    resolve to one file are refused before any file is created.
+    resolve to one file are refused before any file is created, and so is a
+    target that is a directory, which the replace would refuse only after
+    the targets before it were replaced.  An error names the target, not
+    its temporary file.
     """
     paths = [path for path, _ in outputs if path not in (None, "-")]
     resolved = [os.path.realpath(path) for path in paths]
@@ -79,27 +83,26 @@ def _write_outputs(outputs: Outputs) -> None:
             raise ValueError(f"two outputs name the same file {path!r}")
     written: list[tuple[str, str]] = []
     try:
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, text in outputs:
             if path in (None, "-"):
                 continue
             head, name = os.path.split(path)
             tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-            try:
-                fh = open(tmp, "x", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
+            fh = open(tmp, "x", encoding="utf-8", newline="")
             written.append((tmp, path))
             with fh:
                 fh.write(text)
         for tmp, path in written:
-            try:
-                os.replace(tmp, path)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
-    except BaseException:
+            os.replace(tmp, path)
+    except BaseException as exc:
         for tmp, _ in written:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
     for path, text in outputs:
         if path in (None, "-"):

@@ -733,13 +733,17 @@ def test_empty_output_path_is_a_usage_error_before_any_work(tmp_path, capsys, mo
     assert list(tmp_path.iterdir()) == []
 
 
-def test_output_naming_a_directory_exits_1_and_names_only_the_target(tmp_path, capsys):
-    target = tmp_path / "dir"
-    target.mkdir()
-    code, out, err = run(["eval", *TRIBES4, "--mu", "0.5,0.25,0.25", "--a", "0", "--out", str(target)], capsys)
-    assert (code, out) == (1, "")
-    assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
-    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+@pytest.mark.parametrize("argv", [
+    ["eval", *TRIBES4, "--mu", "0.5,0.25,0.25", "--a", "0", "--out", "dir"],
+    # the later of two outputs, so the earlier one must not be left behind either
+    ["width", *TRIBES4, "--level", "0", "--a", "1", "--eps", "0.1", "--diagnostics", "dir", "--out", "w.csv"],
+], ids=["eval", "width-diagnostics"])
+def test_output_naming_a_directory_exits_1_and_names_only_the_target(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (1, "", "error: [Errno 21] Is a directory: 'dir'\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["dir"] and list((tmp_path / "dir").iterdir()) == []
 
 
 @pytest.mark.parametrize("t_tol, evaluator", [("nan", "exact"), ("inf", "exact"), ("nan", "mc")])
