@@ -155,6 +155,8 @@ def _load_function(args, parser: argparse.ArgumentParser) -> FunctionSpec:
             f = parse_function_file(args.fn)
         except FileNotFoundError:
             parser.error(f"function file {args.fn} does not exist")
+        except IsADirectoryError:
+            parser.error(f"function file {args.fn} is a directory")
         except FunctionFileError as exc:
             print(f"{args.fn}:{exc.lineno}: {exc}", file=sys.stderr)
             raise SystemExit(2) from None

@@ -10,6 +10,7 @@ ones every route of :mod:`qthresh.evaluate` reads.
 """
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -397,7 +398,29 @@ def _parse_int(lineno: int, key: str, val: str) -> int:
         raise FunctionFileError(lineno, f"{key} must be an integer, got {val!r}") from None
 
 
-def _clean_table_values(body: str, q: int, n: int, hi: int) -> np.ndarray | None:
+def _line_end(data: bytes, start: int) -> int:
+    """The end of the line of ``data`` that starts at ``start``: its newline, or the end of ``data``."""
+    end = data.find(b"\n", start)
+    return len(data) if end < 0 else end
+
+
+def _decode(data, lineno: int) -> str:
+    """``data``, which starts on file line ``lineno``, as UTF-8 text.
+
+    A byte that does not decode is an error at the line that holds it.  An
+    encoded surrogate reads as the lone surrogate that a text stream may
+    hold, so a stream's text comes back as it was; no entry, key or value
+    accepts one, so it is refused at its line all the same.
+    """
+    try:
+        return str(data, "utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        bad = lineno + bytes(data[: exc.start]).count(b"\n")
+        byte = data[exc.start]
+        raise FunctionFileError(bad, f"byte 0x{byte:02x} is not UTF-8 text ({exc.reason})") from None
+
+
+def _clean_table_values(body, q: int, n: int, hi: int) -> np.ndarray | None:
     """The q^n entries of a clean table body, or None for any other body.
 
     A body is clean when it holds only ASCII digits and newlines, no line
@@ -405,8 +428,8 @@ def _clean_table_values(body: str, q: int, n: int, hi: int) -> np.ndarray | None
     below ``hi``.  Its lines are decoded together by Horner's rule, one
     vectorised step per digit position.  This pass raises no error.
     """
-    # The closing newline ends the last line too, so no line reads past it.
-    buf = np.frombuffer((body + "\n").encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    # A closing newline ends the last line too, so no line reads past it.
+    buf = np.append(np.frombuffer(body, dtype=np.uint8), np.uint8(10))
     digit = buf - np.uint8(48)  # other bytes wrap past 9
     newline = buf == 10
     if not np.all((digit < 10) | newline):
@@ -428,15 +451,16 @@ def _clean_table_values(body: str, q: int, n: int, hi: int) -> np.ndarray | None
     return None  # a line of ten or more digits
 
 
-def _read_table_lines(body: str, q: int, n: int, hi: int) -> np.ndarray:
+def _read_table_lines(body, q: int, n: int, hi: int) -> np.ndarray:
     """The q^n entries of a table body, read line by line.
 
     A line is ``str.strip()``-ed, skipped if that leaves nothing, and else
     read as one entry by ``int()``; body line i is file line i + 2.  Every
     table error is raised here, at the first line that breaks a rule: too
-    many lines, then not an integer, then out of range.
+    many lines, then not an integer, then out of range.  A body that is not
+    UTF-8 is refused first, at the line of its first undecodable byte.
     """
-    lines = body.split("\n")
+    lines = _decode(body, 2).split("\n")
     # Past 2^n > line count no count reaches q^n, so q^n is not built (at
     # large n it has too many digits to format): any larger number will do.
     small = n < len(lines).bit_length()
@@ -460,6 +484,27 @@ def _read_table_lines(body: str, q: int, n: int, hi: int) -> np.ndarray:
     return np.array(values, dtype=np.int32)
 
 
+def _read_table(body, q: int, n: int, hi: int) -> np.ndarray:
+    """The q^n entries of a table body given as bytes.
+
+    The common body, q^n lines of one ASCII digit below ``hi``, each ending
+    in a newline (the last one may not), is checked and read by two strided
+    views: no per-line index is built.  Any other clean body is read by
+    :func:`_clean_table_values`, and the rest by :func:`_read_table_lines`,
+    which raises every table error.
+    """
+    buf = np.frombuffer(body, dtype=np.uint8)
+    # Past 2^n > line count q^n is not built: it is larger than the count anyway.
+    lines = (len(buf) + 1) // 2
+    if n < lines.bit_length() and lines == q**n:
+        digits, newlines = buf[0::2] - np.uint8(48), buf[1::2]  # other bytes wrap past 9
+        # Reductions, not masks: a mask would be one more array to allocate.
+        if digits.max() < min(hi, 10) and newlines.min() == 10 == newlines.max():
+            return digits
+    values = _clean_table_values(body, q, n, hi)
+    return _read_table_lines(body, q, n, hi) if values is None else values
+
+
 def parse_function_file(source) -> FunctionSpec:
     """Read a function from a path or an open text stream.
 
@@ -467,16 +512,25 @@ def parse_function_file(source) -> FunctionSpec:
     family follows as a single line ``family=tribes r=<int> p0=<real>`` (plus
     ``a=<symbol>`` for indicator views); otherwise q^n table lines follow,
     one integer per line in lexicographic point order.  A line may carry
-    whitespace around its entry, and blank lines are skipped.  A clean body
-    (digits and newlines only, one entry to a line) is read in one
-    vectorised pass; any other body, and any malformed one, is read line
+    whitespace around its entry, and blank lines are skipped.  A path is
+    read as bytes, with its line endings translated as text mode would; a
+    byte that is not UTF-8 is an error at its line.  A table body is read
+    by :func:`_read_table`: one-digit bodies by stride, other clean bodies
+    in one vectorised pass, and any other body, and any malformed one, line
     by line, which is where every table error is raised.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_function_file(fh)
+        with open(source, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:  # \r\n and a lone \r end a line, as in text mode
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    else:
+        data = source.read().encode("utf-8", "surrogatepass")
     # A byte-order mark some editors write is not part of the header.
-    header, _, body = source.read().removeprefix("\ufeff").partition("\n")
+    data = data.removeprefix(codecs.BOM_UTF8)
+    eol = _line_end(data, 0)
+    header = _decode(data[:eol], 1)
+    body = memoryview(data)[eol + 1 :]  # a view: the body is most of the file
     if not header.strip():
         raise FunctionFileError(1, "empty file; expected a header line")
     head = _parse_tokens(1, header, required=("q", "n", "kind"))
@@ -488,7 +542,7 @@ def parse_function_file(source) -> FunctionSpec:
     if q < 2 or n < 1:
         raise FunctionFileError(1, f"need q >= 2 and n >= 1, got q={q} n={n}")
 
-    first = body.partition("\n")[0]
+    first = _decode(data[eol + 1 : _line_end(data, eol + 1)], 2)
     if first.lstrip().startswith("family="):
         fields = _parse_tokens(2, first, required=("family", "r", "p0"), optional=("a",))
         if fields["family"] != "tribes":
@@ -498,7 +552,7 @@ def parse_function_file(source) -> FunctionSpec:
             p0 = float(fields["p0"])
         except ValueError:
             raise FunctionFileError(2, f"p0 must be a real number, got {fields['p0']!r}") from None
-        for extra_no, extra in enumerate(body.split("\n")[1:], start=3):
+        for extra_no, extra in enumerate(_decode(body, 2).split("\n")[1:], start=3):
             if extra.strip():
                 raise FunctionFileError(extra_no, "unexpected content after family line")
         try:
@@ -517,8 +571,5 @@ def parse_function_file(source) -> FunctionSpec:
         return f
 
     hi = q if kind == KIND_FULL else 2
-    values = _clean_table_values(body, q, n, hi)
-    if values is None:
-        values = _read_table_lines(body, q, n, hi)
-    return FunctionSpec(q=q, n=n, kind=kind, table=values)
+    return FunctionSpec(q=q, n=n, kind=kind, table=_read_table(body, q, n, hi))
 

@@ -780,6 +780,10 @@ FN_EVAL = ["eval", "--fn", "{fn}", "--mu", "0.5,0.25,0.25", "--a", "0"]
     pytest.param("q=3 n=4 kind=full\nfamily=tribes r=2 p0=0.5 a=0\n", FN_EVAL, 2,
                  "only applies to indicator kind", id="a-on-full-kind"),
     pytest.param(None, FN_EVAL, None, "does not exist", id="missing-file"),
+    pytest.param(b"q=3 n=1 kind=full\n0\n\xff\n2\n", FN_EVAL, 3,
+                 "line 3: byte 0xff is not UTF-8 text (invalid start byte)", id="not-utf8"),
+    pytest.param(None, [*FN_EVAL[:2], "{dir}", *FN_EVAL[3:], "--out", "{dir}/out.csv"], None,
+                 "function file {dir} is a directory", id="directory"),
     pytest.param(None, ["eval", "--family", "tribes", "--q", "3", "--mu", "0.5,0.25,0.25", "--a", "0"], None,
                  "--family tribes needs --n, --p0", id="family-without-n-p0"),
     pytest.param(None, ["eval", *TRIBES4, "--a", "0"], None, "at least one --mu is required", id="no-mu"),
@@ -788,17 +792,20 @@ FN_EVAL = ["eval", "--fn", "{fn}", "--mu", "0.5,0.25,0.25", "--a", "0"]
 ])
 def test_input_errors_exit_2(tmp_path, capsys, text, argv, lineno, message):
     path = tmp_path / "fn.txt"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     try:
-        code = main([a.replace("{fn}", str(path)) for a in argv])
+        code = main([a.replace("{fn}", str(path)).replace("{dir}", str(tmp_path)) for a in argv])
     except SystemExit as exc:  # argparse usage errors and function-file errors
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2
-    assert message in err
+    assert message.replace("{dir}", str(tmp_path)) in err
     if lineno is not None:
         assert err.startswith(f"{path}:{lineno}: ")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

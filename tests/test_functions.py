@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -607,16 +608,32 @@ def reference_parse_function_file(source) -> FunctionSpec:
     return FunctionSpec(q=q, n=n, kind=kind, table=values)
 
 
-def parse_outcome(parse, data: bytes):
-    """The table a parser reads from UTF-8 bytes, or its (lineno, message)."""
-    # A fresh text wrapper per parse, as open(path, encoding="utf-8") gives.
+def text_stream(data: bytes, encoding: str = "utf-8") -> io.TextIOWrapper:
+    """A fresh text wrapper over ``data``, as ``open(path, encoding=encoding)`` gives."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
+
+
+def parse_outcome(parse, source):
+    """The table a parser reads from a path or a text stream, or its (lineno, message)."""
     try:
-        f = parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        f = parse(source)
     except FunctionFileError as exc:
         return exc.lineno, str(exc)
     if f.table is None:
         return f.q, f.n, f.kind, f.family, f.indicator_of
     return f.q, f.n, f.kind, f.table.dtype.str, f.table.tobytes()
+
+
+def assert_both_routes_match_reference(data: bytes, path: Path) -> None:
+    """parse_function_file reads ``data`` from a path and from a text stream as the reference does.
+
+    The reference reads a byte-order mark as part of its header, so it reads
+    through a ``utf-8-sig`` stream, which drops the mark as the parser does.
+    """
+    want = parse_outcome(reference_parse_function_file, text_stream(data, "utf-8-sig"))
+    path.write_bytes(data)
+    assert parse_outcome(parse_function_file, path) == want
+    assert parse_outcome(parse_function_file, text_stream(data)) == want
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x0660, 0x066A))))
@@ -660,9 +677,10 @@ def table_files(draw) -> bytes:
     """A table file mixing valid entries, fillers and faults.
 
     Line endings are \\n, \\r\\n or \\r; the final newline may be missing;
-    the entry count may be short or long; any line may be out of range or
-    not an integer at all.  The bulk of the entries comes from one drawn
-    random stream, which keeps an example cheap to generate.
+    a byte-order mark may lead; the entry count may be short or long; any
+    line may be out of range or not an integer at all.  The bulk of the
+    entries comes from one drawn random stream, which keeps an example
+    cheap to generate.
     """
     q = draw(st.integers(2, 12))
     kind = draw(st.sampled_from(["full", "indicator"]))
@@ -680,13 +698,15 @@ def table_files(draw) -> bytes:
     text = newline.join([f"q={q} n={n} kind={kind}", *lines])
     if draw(st.booleans()):
         text += newline
+    if draw(st.integers(0, 4)) == 0:
+        text = "\ufeff" + text
     return text.encode("utf-8")
 
 
 @settings(max_examples=300, deadline=None)
 @given(table_files())
-def test_table_parse_matches_line_by_line_reader(data):
-    assert parse_outcome(parse_function_file, data) == parse_outcome(reference_parse_function_file, data)
+def test_table_parse_matches_line_by_line_reader(tmp_path_factory, data):
+    assert_both_routes_match_reference(data, tmp_path_factory.getbasetemp() / "drawn.txt")
 
 
 @pytest.mark.parametrize(
@@ -702,23 +722,43 @@ def test_table_parse_matches_line_by_line_reader(data):
         ("0\n12345678901234567890\n", (3, "line 3: value 12345678901234567890 out of range [0, 2)")),
         ("0\n\n", (4, "line 4: expected 2 table lines, found 1")),
         ("0", (3, "line 3: expected 2 table lines, found 1")),
+        ("1\n0\n", np.array([1, 0])),  # the one-digit body, read by stride
+        ("1\n0", np.array([1, 0])),
+        ("1\n2\n", (3, "line 3: value 2 out of range [0, 2)")),
+        ("0 1\n", (2, "line 2: table entry must be an integer, got '0 1'")),  # one digit at every even byte
+        ("0\t1\n", (2, "line 2: table entry must be an integer, got '0\\t1'")),
+        # Whole files.  ':' is the byte after '9', so a stride read that let it pass would read 10.
+        (b"q=12 n=1 kind=full\n" + b"\n".join(b"0123456789:;"[i : i + 1] for i in range(12)),
+         (12, "line 12: table entry must be an integer, got ':'")),
+        # Not UTF-8: the error names the line of the first bad byte.
+        (b"q=2 n=1\xa0kind=full\n0\n1\n", (1, "line 1: byte 0xa0 is not UTF-8 text (invalid start byte)")),
+        (b"q=2 n=1 kind=full\r\n0\r1\n\xff\n", (4, "line 4: byte 0xff is not UTF-8 text (invalid start byte)")),
+        (b"\xef\xbb\xbfq=2 n=1 kind=full\n\n0\n\xe2\x82",
+         (4, "line 4: byte 0xe2 is not UTF-8 text (unexpected end of data)")),
+        (b"q=3 n=4 kind=full\nfamily=tribes r=2 p0=0.5\n\n\x80\n",
+         (4, "line 4: byte 0x80 is not UTF-8 text (invalid start byte)")),
     ],
 )
 def test_table_parse_pinned_cases(tmp_path, body, outcome):
+    data = body if isinstance(body, bytes) else ("q=2 n=1 kind=full\n" + body).encode("utf-8")
     path = tmp_path / "fn.txt"
-    path.write_bytes(("q=2 n=1 kind=full\n" + body).encode("utf-8"))
+    path.write_bytes(data)
     if isinstance(outcome, tuple):
         with pytest.raises(FunctionFileError) as err:
             parse_function_file(path)
         assert (err.value.lineno, str(err.value)) == outcome
     else:
         assert np.array_equal(parse_function_file(path).table, outcome)
-    assert parse_outcome(parse_function_file, path.read_bytes()) == parse_outcome(
-        reference_parse_function_file, path.read_bytes()
-    )
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:  # the reference, like a text stream, cannot decode it
+        with pytest.raises(UnicodeDecodeError):
+            reference_parse_function_file(path)
+    else:
+        assert_both_routes_match_reference(data, path)
 
 
-def test_table_parse_multi_digit_values_and_family_files():
+def test_table_parse_multi_digit_values_and_family_files(tmp_path):
     table = np.arange(12 * 12) % 12
     data = ("q=12 n=2 kind=full\n" + "\n".join(map(str, table)) + "\n").encode()
     assert np.array_equal(parse_function_file(io.StringIO(data.decode())).table, table)
@@ -728,8 +768,7 @@ def test_table_parse_multi_digit_values_and_family_files():
         "q=3 n=4 kind=full\nfamily=tribes r=2 p0=0.5\n\n0\n",
         "q=3 n=4 kind=indicator\nfamily=tribes r=2 p0=0.5\n",
     ):
-        data = text.encode()
-        assert parse_outcome(parse_function_file, data) == parse_outcome(reference_parse_function_file, data)
+        assert_both_routes_match_reference(text.encode(), tmp_path / "fn.txt")
 
 
 def test_table_parse_huge_header_reports_the_count():
@@ -770,12 +809,46 @@ def test_clean_table_body_never_reaches_the_line_reader(tmp_path, monkeypatch):
     reference_write_table(wide, path)
     wide_text = path.read_text()
 
-    def refuse(*args):
-        raise AssertionError("a clean body reached the line reader")
+    def refuse(reader):
+        def refused(*args):
+            raise AssertionError(f"the body reached {reader}")
 
-    monkeypatch.setattr(functions, "_read_table_lines", refuse)
+        monkeypatch.setattr(functions, reader, refused)
+
+    def routes(text):
+        path.write_text(text, encoding="utf-8")
+        return io.StringIO(text), path
+
+    refuse("_read_table_lines")
     for text, want in ((clean, f), (gappy, f), (wide_text, wide)):
-        assert np.array_equal(parse_function_file(io.StringIO(text)).table, want.table)
+        for source in routes(text):
+            assert np.array_equal(parse_function_file(source).table, want.table)
     # A padded line is not clean, so that body goes through the line reader.
-    with pytest.raises(AssertionError, match="line reader"):
-        parse_function_file(io.StringIO(clean.replace("\n", "\n ", 1)))
+    for source in routes(clean.replace("\n", "\n ", 1)):
+        with pytest.raises(AssertionError, match="_read_table_lines"):
+            parse_function_file(source)
+    # A one-digit body is read by stride, with no Horner pass either.
+    refuse("_clean_table_values")
+    for text in (clean, clean.rstrip("\n")):
+        for source in routes(text):
+            assert np.array_equal(parse_function_file(source).table, f.table)
+    for source in routes(gappy):
+        with pytest.raises(AssertionError, match="_clean_table_values"):
+            parse_function_file(source)
+
+
+def test_one_digit_table_parse_makes_no_multi_megabyte_temporaries(tmp_path):
+    # A 3^12 table file is 1 MB.  Reading it as text, re-encoding it and
+    # indexing every line once peaked at 11.7 MB; the stride read holds the
+    # file's bytes, its digits and the int32 table (about 3.6 MB).
+    f = random_zero_monotone(3, 12, 0.001, seed=3)
+    path = tmp_path / "fn.txt"
+    reference_write_table(f, path)
+    tracemalloc.start()
+    try:
+        got = parse_function_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.table, f.table)
+    assert peak < 5 * 2**20, f"parse peaked at {peak / 2**20:.1f} MB"
